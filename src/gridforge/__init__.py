@@ -36,6 +36,7 @@ from gridforge.basis import (
     INF,
     HAT,
     CanonicalBasis,
+    IntegralityError,
     ModularGrid,
     first_element,
     build_basis,

@@ -7,14 +7,22 @@ built recursively: multiply the previous element by the Hauptmodul, then
 subtract earlier elements (and the constant, where present) to clear
 every coefficient between the leading term and the gap bound.
 
-Completed bases are immutable and cached per (level, weight, space);
-distinct bases may be built concurrently.
+The Hauptmodul is monic with integer coefficients and every first element
+is integral, so the recursion runs on dense integer rows and converts to
+Fraction-valued series only when the basis is assembled.  Converting the
+Hauptmodul and the first element raises IntegralityError if either has a
+non-integral coefficient.
+
+Completed bases are immutable and cached per (level, weight, space); a
+cached basis is reused only when its least precise element covers the
+requested precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from gridforge import leveldata
 from gridforge.generators import (
@@ -211,6 +219,23 @@ def required_prec(N: int, k: int, space: str, count: int) -> int:
     return count + abs(b) + 5
 
 
+class IntegralityError(AssertionError):
+    """A series the recursion treats as integral has a non-integral
+    coefficient."""
+
+
+def _int_row(s: QSeries, lo: int, hi: int, what: str) -> list[int]:
+    """The coefficients of q^lo .. q^(hi-1) of s as ints."""
+    row = []
+    for e in range(lo, hi):
+        c = s.coeff(e)
+        if c.denominator != 1:
+            raise IntegralityError(
+                f"{what} has the non-integral coefficient {c} at q^{e}")
+        row.append(c.numerator)
+    return row
+
+
 _basis_cache: dict[tuple, CanonicalBasis] = {}
 
 
@@ -227,6 +252,7 @@ def build_basis(N: int, k: int, space: str, count: int,
             f"count {count}: need prec >= {need}, got {prec}")
     key = (N, k, space)
     cached = _basis_cache.get(key)
+    # a cached basis records the precision of its least precise element
     if cached is not None and cached.count >= count and cached.prec >= prec:
         return CanonicalBasis(N, k, space, cached.m0, cached.gap_bound, prec,
                               tuple(e.truncate(prec)
@@ -235,21 +261,42 @@ def build_basis(N: int, k: int, space: str, count: int,
     B = v_of(N, k) if space == INF else u_of(N, k)
     m0 = -B
     work = prec + count + 6
-    psi = hauptmodul_series(N, work + count + abs(m0) + 2)
-    elements = [first_element(N, k, space, work)]
-    for m in range(m0 + 1, m0 + count):
-        p = psi * elements[-1]
-        for s in range(-(m - 1), B + 1):
-            c = p.coeff(s)
+    where = f"level {N} weight {k} {space}"
+    psi_series = hauptmodul_series(N, work + count + abs(m0) + 2)
+    first = first_element(N, k, space, work)
+    # psi[a] is the q^(a-1) coefficient of the Hauptmodul.  Element j is
+    # q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo q^(work-j):
+    # each multiplication by psi loses one term.
+    psi = _int_row(psi_series, -1, work + m0 - 1,
+                   f"Hauptmodul of level {N} (for {where} prec {work})")
+    # psi[0] is the leading coefficient of every product psi * element
+    if psi[0] != 1:
+        raise AssertionError(
+            f"recursion lost the leading term at {where} index {m0 + 1}")
+    tails = [_int_row(first, B + 1, work,
+                      f"first element of {where} index {m0} prec {work}")]
+    psi_rev = psi[::-1]
+    top = len(psi) - 1
+    for i in range(1, count):
+        prev = tails[-1]
+        # the tail part of psi * element i-1, from q^B on
+        conv = [sum(map(mul, prev[:n + 1], psi_rev[top - n:]))
+                for n in range(len(prev))]
+        # Gap form: clearing q^s with element -s touches only q^s and the
+        # tail, so every clearing coefficient is read off the product.
+        # Element j leads with q^-(m0+j), where the product's coefficient
+        # is psi[i-j], plus the tail's q^B term for j = 0.
+        tail = [psi[i + 1 + y] + conv[y + 1] for y in range(len(prev) - 1)]
+        for j in range(i):
+            c = psi[i - j] + (conv[0] if j == 0 else 0)
             if c:
-                p = p - elements[-s - m0].scale(c)
-        if p.valuation() != -m or p.coeff(-m) != 1:
-            raise AssertionError(
-                f"recursion lost the leading term at level {N} weight {k} "
-                f"{space} index {m}")
-        elements.append(p)
-    built = CanonicalBasis(N, k, space, m0, B, work,
-                           tuple(e.truncate(work) for e in elements))
+                row = tails[j]
+                for y in range(len(tail)):
+                    tail[y] -= c * row[y]
+        tails.append(tail)
+    elements = tuple(QSeries([(-(m0 + j), 1), *enumerate(tail, B + 1)],
+                             work - j) for j, tail in enumerate(tails))
+    built = CanonicalBasis(N, k, space, m0, B, work - count + 1, elements)
     _verify_gap_form(built)
     _basis_cache[key] = built
     return CanonicalBasis(N, k, space, m0, B, prec,

@@ -3,8 +3,11 @@
 Commands: basis, grid, seed, trace, classify, obstructions, genfun-check,
 registry, selftest.  Exit codes: 0 success, 1 mathematical negative (a
 NotPreserved classification or a failed identity check), 2 usage error,
-3 internal validation failure.  GRIDFORGE_PREC overrides the default
-precision.
+3 internal validation failure (a broken invariant of the library, such as a
+non-integral basis coefficient or a violated gap form).  A reader that
+closes the output early (`gridforge grid ... | head`) ends the output
+quietly without changing the exit code.  GRIDFORGE_PREC overrides the
+default precision.
 """
 
 from __future__ import annotations
@@ -121,12 +124,23 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _print(text: str):
+    """Print a line; if the reader has gone away, discard the rest of the
+    output instead of raising."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def _series_text(s) -> str:
@@ -276,12 +290,12 @@ def run(argv=None) -> int:
             _emit(args, json.dumps(registry_dump(), indent=2))
             return EXIT_OK
         if args.command == "selftest":
-            return EXIT_OK if acceptance.run_all() else EXIT_INTERNAL
+            return EXIT_OK if acceptance.run_all(_print) else EXIT_INTERNAL
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SynthesisError as exc:
+    except (SynthesisError, AssertionError) as exc:
         print(f"internal validation failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, IndexError) as exc:

@@ -3,15 +3,41 @@ and prints one pass line.  Run with `pytest -s tests/test_acceptance.py`
 to see the lines, or `gridforge selftest` for the standalone runner.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gridforge
 from gridforge.acceptance import CRITERIA
+
+SRC = str(Path(gridforge.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("name,check", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_criterion(name, check):
-    t0 = time.time()
+    t0 = time.perf_counter()
     check()
-    print(f"PASS criterion {name} ({time.time() - t0:.1f}s)")
+    print(f"PASS criterion {name} ({time.perf_counter() - t0:.1f}s)")
+
+
+def test_failing_criterion_fails_under_optimize():
+    # -O strips assert statements; a criterion made to fail must still
+    # report FAIL, and run_all must return False
+    code = """
+import sys
+from gridforge import acceptance
+assert False, "assert statements are not stripped"
+acceptance.u_of = lambda N, k: 0
+acceptance.CRITERIA = tuple(c for c in acceptance.CRITERIA
+                            if c[0] == "4 u/v alignment")
+sys.exit(0 if acceptance.run_all() else 5)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout.startswith("FAIL criterion 4 u/v alignment")

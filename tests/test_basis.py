@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from gridforge import basis as basis_mod
 from gridforge.basis import (
     HAT,
     INF,
+    IntegralityError,
     build_basis,
     build_grid,
     duality_residual,
@@ -12,7 +14,7 @@ from gridforge.basis import (
     hauptmodul_series,
     level_form,
 )
-from gridforge.leveldata import CONFORMANCE, u_of, v_of
+from gridforge.leveldata import ALL_LEVELS, CONFORMANCE, u_of, v_of
 from gridforge.qseries import PrecisionError, QSeries
 
 
@@ -179,3 +181,74 @@ def test_vanishing_rule_below_leading_index():
             assert g.valuation() == -n
             for m in range(-n + 1, grid.gside.gap_bound + 1):
                 assert g.coeff(m) == 0
+
+
+def reference_basis(N, k, space, count, prec):
+    """The recursion on Fraction-valued QSeries, written independently of
+    the integer kernel: multiply by the Hauptmodul, then subtract earlier
+    elements to clear every coefficient from the new leading term through
+    the gap bound.  Returns the elements at their working precision."""
+    B = v_of(N, k) if space == INF else u_of(N, k)
+    m0 = -B
+    work = prec + count + 6
+    psi = hauptmodul_series(N, work + count + abs(m0) + 2)
+    elements = [first_element(N, k, space, work)]
+    for m in range(m0 + 1, m0 + count):
+        p = psi * elements[-1]
+        for s in range(-(m - 1), B + 1):
+            c = p.coeff(s)
+            if c:
+                p = p - elements[-s - m0].scale(c)
+        elements.append(p)
+    return elements
+
+
+def assert_matches_reference(N, k, space, count, monkeypatch):
+    prec = basis_mod.required_prec(N, k, space, count)
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    got = build_basis(N, k, space, count, prec)
+    work = basis_mod._basis_cache[(N, k, space)].elements
+    want = reference_basis(N, k, space, count, prec)
+    assert len(work) == len(want) == count
+    for w, e in zip(work, want):
+        assert w.prec == e.prec and w.items() == e.items(), (N, k, space)
+    for g, e in zip(got.elements, want):
+        assert g == e.truncate(prec), (N, k, space)
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_kernel_matches_reference_recursion(N, monkeypatch):
+    for space in (INF, HAT):
+        for k in (-10, -4, 0, 2, 6, 10):
+            assert_matches_reference(N, k, space, 4, monkeypatch)
+
+
+def test_kernel_matches_reference_at_larger_count(monkeypatch):
+    assert_matches_reference(1, 0, INF, 25, monkeypatch)
+    assert_matches_reference(13, 4, HAT, 25, monkeypatch)
+
+
+def test_cached_basis_does_not_overclaim_precision(monkeypatch):
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    build_basis(2, 0, INF, 10, 30)
+    b = build_basis(2, 0, INF, 10, 46)
+    assert b.prec == 46
+    assert all(e.prec == 46 for e in b.elements)
+    b.coefficient(b.m0 + 9, 45)
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    assert build_basis(2, 0, INF, 10, 46) == b
+
+
+def test_non_integral_first_element_raises(monkeypatch):
+    real = basis_mod.first_element
+
+    def halved(N, k, space, prec):
+        s = real(N, k, space, prec)
+        return s + QSeries.monomial(s.valuation() + 2, Fraction(1, 2), prec)
+
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(basis_mod, "first_element", halved)
+    with pytest.raises(IntegralityError,
+                       match=r"level 5 weight 0 inf index 0 prec 34.*"
+                             r"1/2 at q\^2"):
+        build_basis(5, 0, INF, 3, 25)

@@ -1,7 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import gridforge
+from gridforge import basis as basis_mod
+from gridforge import cli
 from gridforge.cli import run
 from gridforge.qseries import QSeries
+
+SRC = str(Path(gridforge.__file__).resolve().parents[1])
 
 
 def invoke(capsys, *argv):
@@ -133,3 +143,40 @@ def test_out_file(tmp_path, capsys):
     code, _ = invoke(capsys, "registry", "--out", str(path))
     assert code == 0
     assert json.loads(path.read_text())["levels"]
+
+
+def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
+    real = basis_mod.first_element
+
+    def halved(N, k, space, prec):
+        s = real(N, k, space, prec)
+        return s + QSeries.monomial(s.valuation() + 2, Fraction(1, 2), prec)
+
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(basis_mod, "first_element", halved)
+    assert run(["basis", "--level", "5", "--weight", "0", "--count", "3",
+                "--prec", "25"]) == 3
+    err = capsys.readouterr().err
+    assert "internal validation failure" in err and "non-integral" in err
+
+    def misaligned(*args, **kw):
+        raise AssertionError("index ranges of the two sides fail to align")
+
+    monkeypatch.setattr(cli, "build_grid", misaligned)
+    assert run(["grid", "--level", "5", "--weight", "0"]) == 3
+    assert "fail to align" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly():
+    # the output (about 300 kB) overflows the pipe buffer, so the writer
+    # sees the reader close the pipe after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gridforge.cli", "basis", "--level", "1",
+         "--weight", "0", "--count", "40", "--prec", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stdout.readline().startswith(b"f_{0,0}^(1) = 1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
