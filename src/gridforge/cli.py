@@ -143,10 +143,6 @@ def _emit(args, text: str):
         _print(text)
 
 
-def _series_text(s) -> str:
-    return str(s)
-
-
 def _cmd_basis(args, prec) -> int:
     b = build_basis(args.level, args.weight, args.space, args.count, prec)
     if args.format == "json":
@@ -163,7 +159,8 @@ def _cmd_basis(args, prec) -> int:
 
 
 def _cmd_grid(args, prec) -> int:
-    explicit = args.prec is not None or "GRIDFORGE_PREC" in os.environ
+    # an empty GRIDFORGE_PREC counts as unset, as in _default_prec
+    explicit = args.prec is not None or bool(os.environ.get("GRIDFORGE_PREC"))
     g = build_grid(args.level, args.weight, args.count,
                    prec if explicit else None)
     residual = (duality_residual(g, args.count, args.count)
@@ -203,7 +200,7 @@ def _cmd_seed(args, prec) -> int:
             doc["family"] = family_audit(args.level, args.weight, prec=prec)
         _emit(args, json.dumps(doc, indent=2))
     else:
-        _emit(args, _series_text(series))
+        _emit(args, str(series))
     return EXIT_OK
 
 

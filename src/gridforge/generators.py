@@ -1,8 +1,8 @@
 """Classical building blocks: eta quotients, Eisenstein series, divisor
 sums, level-one forms and the Serre derivative.
 
-Expansions are memoized behind read-mostly caches keyed by precision;
-cached values are immutable QSeries, so concurrent readers are safe.
+Powers of the Euler product are memoized per (d, r); the cache keeps the
+longest expansion computed and truncates it for shorter requests.
 """
 
 from __future__ import annotations
@@ -114,15 +114,15 @@ def inverse_euler_product(prec: int) -> QSeries:
     return QSeries(((n, c) for n, c in enumerate(p)), prec)
 
 
-_euler_cache: dict[tuple[int, int, int], QSeries] = {}
+_euler_cache: dict[tuple[int, int], QSeries] = {}
 
 
 def _euler_power(d: int, r: int, prec: int) -> QSeries:
     """(prod (1 - q^{dn}))^r for nonzero integer r."""
-    key = (d, r, prec)
+    key = (d, r)
     hit = _euler_cache.get(key)
-    if hit is not None:
-        return hit
+    if hit is not None and hit.prec >= prec:
+        return hit.truncate(prec)
     inner = (prec - 1) // d + 1
     base = euler_product(inner) if r > 0 else inverse_euler_product(inner)
     val = (base ** abs(r)).truncate(inner).rescale_exponents(d).truncate(prec)

@@ -9,7 +9,7 @@ the Hauptmodul kills the non-infinity cusps.
 Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
 rederived from numeric cusp values and confirmed by the duality suite).
-Entries are immutable; concurrent reads are unrestricted.
+Entries are immutable.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
 # The first basis element of the weight-k space is either a power of the
 # level's weight-2 form, or F_base^l * F_{k'} for the decomposition
 # k = modulus*l + k'.  Individual F-forms are described by small spec
-# objects evaluated in gridforge.basis (synthesized ones via seedsynth).
+# objects evaluated in gridforge.basis.  The six F-forms with no closed
+# form are Certificates: exact combinations of phi_n(ez), E4(dz), E6(dz)
+# and Hauptmodul powers, found by row reduction in gridforge.seedsynth.
 
 @dataclass(frozen=True)
 class One:
@@ -92,12 +94,46 @@ class Product:
     w2: int
 
 
+class PinnedPrefixError(AssertionError):
+    """A certified seed's expansion contradicts its pinned prefix."""
+
+
 @dataclass(frozen=True)
-class Synth:
-    """Seed with no closed form; produced by exact row reduction over a
-    spanning family and pinned to the expected expansion prefix."""
+class Certificate:
+    """Seed with no closed form, stored as an exact certificate: the sum
+    of c * (product of factors) * psi^j over its (c, factors, j) terms,
+    with psi the level's Hauptmodul and each factor ("phi", n, e) for
+    phi_n(ez) or ("eis", w, d) for E_w(dz).
+
+    `gridforge.seedsynth.derive_certificate` reproduces the terms by exact
+    row reduction.  Every evaluation is checked against the pinned
+    expansion prefix."""
+    terms: tuple             # of (Fraction, factors, psi power)
     expected: tuple          # of (exponent, int) nonzero coefficients
     check_through: int       # all other exponents <= this must vanish
+
+    def check(self, N: int, k: int, series) -> None:
+        """Raise PinnedPrefixError unless `series`, known beyond
+        check_through, starts with the pinned prefix."""
+        expected = dict(self.expected)
+        start = min(expected)
+        if not series.is_zero:
+            start = min(start, series.valuation())
+        for e in range(start, self.check_through + 1):
+            want = expected.get(e, 0)
+            if series.coeff(e) != want:
+                raise PinnedPrefixError(
+                    f"seed of level {N} weight {k} contradicts its pinned "
+                    f"expansion: coefficient at q^{e} is {series.coeff(e)}, "
+                    f"expected {want} (prec {series.prec})")
+
+
+def _phi(n: int, e: int = 1) -> tuple:
+    return ("phi", n, e)
+
+
+def _eis(w: int, d: int = 1) -> tuple:
+    return ("eis", w, d)
 
 
 @dataclass(frozen=True)
@@ -147,6 +183,66 @@ _L18_SEED = EtaCombo((
     (Fraction(1, 972), EtaQuotient({2: 9, 3: 8, 18: 1, 1: -6, 6: -6, 9: -2})),
     (Fraction(-125, 1296), EtaQuotient({1: 1, 2: 4, 9: 2, 3: -1, 6: -1, 18: -1})),
 ))
+
+_L7_W4 = Certificate((
+    (Fraction(139, 2744), (_phi(7), _phi(7)), 0),
+    (Fraction(29, 134456), (_phi(7), _phi(7)), 1),
+    (Fraction(-83, 134456), (_eis(4),), 0),
+    (Fraction(-29, 134456), (_eis(4),), 1),
+), ((2, 1), (3, 3), (4, 8), (5, 11)), 5)
+
+_L10_W2 = Certificate((
+    (Fraction(-1, 48), (_phi(2),), 0),
+    (Fraction(1, 96), (_phi(2),), 1),
+    (Fraction(-11, 48), (_phi(2, 5),), 0),
+    (Fraction(-1, 96), (_phi(2, 5),), 1),
+), ((2, 1), (4, 3), (5, -4), (6, 4), (8, 7)), 8)
+
+_L10_W4 = Certificate((
+    (Fraction(-209, 3600000), (_phi(2), _phi(2)), 0),
+    (Fraction(-2731, 14400000), (_phi(2), _phi(2)), 1),
+    (Fraction(197, 72000), (_phi(2), _phi(2, 5)), 0),
+    (Fraction(-167, 288000), (_phi(2), _phi(2, 5)), 1),
+    (Fraction(73, 5760), (_phi(2, 5), _phi(2, 5)), 0),
+    (Fraction(17, 23040), (_phi(2, 5), _phi(2, 5)), 1),
+    (Fraction(41, 600000), (_eis(4),), 0),
+    (Fraction(19, 600000), (_eis(4),), 1),
+), ((6, 1), (7, -2), (8, 3), (9, -6), (10, 11)), 10)
+
+_L13_W4 = Certificate((
+    (Fraction(-5331, 17576), (_phi(13), _phi(13)), 0),
+    (Fraction(-9355, 171366), (_phi(13), _phi(13)), 1),
+    (Fraction(-18763, 8911032), (_phi(13), _phi(13)), 2),
+    (Fraction(-467, 57921708), (_phi(13), _phi(13)), 3),
+    (Fraction(5435, 2970344), (_eis(4),), 0),
+    (Fraction(12401, 14480427), (_eis(4),), 1),
+    (Fraction(23495, 115843416), (_eis(4),), 2),
+    (Fraction(467, 57921708), (_eis(4),), 3),
+), ((4, 1), (5, 1), (6, 3), (7, 3), (8, 4), (9, 6)), 9)
+
+_L13_W6 = Certificate((
+    (Fraction(-2174923, 6169176), (_phi(13), _phi(13), _phi(13)), 0),
+    (Fraction(-24680761, 160398576), (_phi(13), _phi(13), _phi(13)), 1),
+    (Fraction(-29714677, 2085181488), (_phi(13), _phi(13), _phi(13)), 2),
+    (Fraction(-791689, 13553679672), (_phi(13), _phi(13), _phi(13)), 3),
+    (Fraction(195133, 86882562), (_phi(13), _eis(4)), 0),
+    (Fraction(41528321, 27107359344), (_phi(13), _eis(4)), 1),
+    (Fraction(4204531, 9035786448), (_phi(13), _eis(4)), 2),
+    (Fraction(791689, 13553679672), (_phi(13), _eis(4)), 3),
+    (Fraction(12605, 1042590744), (_eis(6),), 0),
+    (Fraction(253, 521295372), (_eis(6),), 1),
+), ((6, 1), (7, 2), (8, 4), (9, 6), (10, 13), (11, 16)), 11)
+
+_L25_W2 = Certificate((
+    (Fraction(1, 75), (_phi(5),), 0),
+    (Fraction(1, 250), (_phi(5),), 1),
+    (Fraction(4, 375), (_phi(5),), 2),
+    (Fraction(1, 375), (_phi(5),), 3),
+    (Fraction(-2, 15), (_phi(5, 5),), 0),
+    (Fraction(-1, 10), (_phi(5, 5),), 1),
+    (Fraction(-2, 75), (_phi(5, 5),), 2),
+    (Fraction(-1, 375), (_phi(5, 5),), 3),
+), ((4, 1), (6, 1), (9, 2), (14, 3), (16, 2)), 16)
 
 _REGISTRY: dict[int, LevelData] = {}
 
@@ -215,7 +311,7 @@ _add(LevelData(
     cusp_poly=(0, 1),
     seed=TowerSeed(6, (0, 2, 4), 6, {
         0: One(), 2: Phi(7),
-        4: Synth(((2, 1), (3, 3), (4, 8), (5, 11)), 5),
+        4: _L7_W4,
         6: _eta({7: 14, 1: -2})}),
 ))
 
@@ -241,8 +337,8 @@ _add(LevelData(
     cusp_poly=(0, -4, -3, 1),
     seed=TowerSeed(4, (0, 2), 4, {
         0: One(),
-        2: Synth(((2, 1), (4, 3), (5, -4), (6, 4), (8, 7)), 8),
-        4: Synth(((6, 1), (7, -2), (8, 3), (9, -6), (10, 11)), 10)}),
+        2: _L10_W2,
+        4: _L10_W4}),
 ))
 
 _add(LevelData(
@@ -258,8 +354,8 @@ _add(LevelData(
     cusp_poly=(0, 1),
     seed=TowerSeed(12, (0, 2, 4, 6, 8, 10), 12, {
         0: One(), 2: Phi(13),
-        4: Synth(((4, 1), (5, 1), (6, 3), (7, 3), (8, 4), (9, 6)), 9),
-        6: Synth(((6, 1), (7, 2), (8, 4), (9, 6), (10, 13), (11, 16)), 11),
+        4: _L13_W4,
+        6: _L13_W6,
         8: Product(4, 4), 10: Product(4, 6),
         12: _eta({13: 26, 1: -2})}),
     flags=("paper_typo: source expansions of the weight-4 and weight-6 "
@@ -290,7 +386,7 @@ _add(LevelData(
     cusp_poly=(0, 25, 25, 15, 5, 1),
     seed=TowerSeed(4, (0, 2), 4, {
         0: One(),
-        2: Synth(((4, 1), (6, 1), (9, 2), (14, 3), (16, 2)), 16),
+        2: _L25_W2,
         4: _eta({25: 10, 5: -2})}),
 ))
 
@@ -301,6 +397,17 @@ def get_level(N: int) -> LevelData:
         return _REGISTRY[N]
     except KeyError:
         raise ValueError(f"level not genus zero: {N}") from None
+
+
+def certificates() -> dict:
+    """(level, weight) -> Certificate for every seed stored as one."""
+    out = {}
+    for N in ALL_LEVELS:
+        seed = get_level(N).seed
+        if isinstance(seed, TowerSeed):
+            out.update({(N, w): s for w, s in seed.forms.items()
+                        if isinstance(s, Certificate)})
+    return out
 
 
 # -- maximal orders of vanishing -----------------------------------------

@@ -3,7 +3,7 @@
 A series is a finite map exponent -> nonzero Fraction together with a
 precision P: the series is known modulo O(q^P).  All arithmetic is exact;
 precision only tracks how far the coefficients are determined.  Instances
-are immutable and safe to share between threads.
+are immutable.
 """
 
 from __future__ import annotations

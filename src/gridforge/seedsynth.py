@@ -1,21 +1,36 @@
-"""Synthesis of first basis elements that have no closed form.
+"""Derivation and audit of the registry's seed certificates.
 
-Six seeds (levels 7, 10, 13, 25) are only known through their expansion
-prefixes.  They are recovered here by exact Gaussian elimination over a
-spanning family of weight-k forms with poles confined to infinity:
-holomorphic generator-pool members times powers of the Hauptmodul,
-their Serre derivatives, and Hauptmodul-derivative products.  The result
-must achieve the registry's maximal vanishing order and reproduce the
-pinned expansion prefix, otherwise synthesis fails loudly.
+Six seeds (levels 7, 10, 13, 25) have no closed form; the registry stores
+each as a Certificate, an exact combination of phi_n(ez), E4(dz), E6(dz)
+and Hauptmodul powers.  This module re-derives them by exact Gaussian
+elimination over a spanning family of weight-k forms with poles confined
+to infinity: holomorphic generator-pool members times powers of the
+Hauptmodul, their Serre derivatives, and Hauptmodul-derivative products.
+The result must achieve the registry's maximal vanishing order, reproduce
+the pinned expansion prefix and equal the registry's certificate,
+otherwise synthesis fails loudly.  Nothing on the path that builds bases
+and grids calls this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from gridforge.basis import hauptmodul_series, level_form
 from gridforge.generators import eisenstein, phi, serre_derivative
-from gridforge.leveldata import Eta, EtaCombo, Synth, TowerSeed, get_level, v_of
+from gridforge.leveldata import (
+    Eta,
+    EtaCombo,
+    TowerSeed,
+    certificates,
+    get_level,
+    v_of,
+)
 from gridforge.qseries import DEFAULT_PREC, QSeries
+
+# Highest Hauptmodul power in a synthesis family; it suffices for all six
+# certified seeds and every closed-form seed the tests cross-validate.
+POLE_BOUND = 10
 
 
 class SynthesisError(RuntimeError):
@@ -71,16 +86,11 @@ def _expand_spec(spec, scale: int, prec: int) -> QSeries:
     return total
 
 
-def weight_pool(N: int, weight: int, prec: int,
-                exclude=()) -> list[tuple[str, QSeries]]:
-    """Holomorphic weight-`weight` forms on Gamma_0(N): products of the
-    two-term weight-2 combinations phi_d(ez), rescaled E4/E6, and
-    closed-form seed forms of divisor levels."""
-    if weight == 0:
-        return [("1", QSeries.one(prec))]
-    if weight < 0 or weight % 2:
-        return []
-    atoms: list[tuple[str, int, object]] = []
+def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:
+    """The generator atoms of level N as (label, weight, payload): the
+    phi_d(ez), rescaled E4/E6 and closed-form seed forms of divisor
+    levels."""
+    atoms: list[tuple[str, int, tuple]] = []
     for d in _divisors(N):
         if d > 1:
             for e in _divisors(N // d):
@@ -94,6 +104,19 @@ def weight_pool(N: int, weight: int, prec: int,
         for e in _divisors(N // M):
             lab = label if e == 1 else f"{label}({e}z)"
             atoms.append((lab, w, ("seed", spec, e)))
+    return atoms
+
+
+def weight_pool(N: int, weight: int, prec: int,
+                exclude=()) -> list[tuple[str, QSeries]]:
+    """Holomorphic weight-`weight` forms on Gamma_0(N): products of the
+    two-term weight-2 combinations phi_d(ez), rescaled E4/E6, and
+    closed-form seed forms of divisor levels."""
+    if weight == 0:
+        return [("1", QSeries.one(prec))]
+    if weight < 0 or weight % 2:
+        return []
+    atoms = _atoms(N, exclude)
 
     def realize(idx: int) -> QSeries:
         _, _, payload = atoms[idx]
@@ -131,8 +154,6 @@ def weight_pool(N: int, weight: int, prec: int,
 def build_family(N: int, k: int, J: int, prec: int,
                  exclude=()) -> SpanningFamily:
     """All family members with pole order at most J at infinity."""
-    from gridforge.basis import hauptmodul_series
-
     if k % 2 or k < 2:
         raise ValueError("synthesis families are built for even weight >= 2")
     psi_prec = prec + J + 2
@@ -196,73 +217,84 @@ def row_reduce(members, e_min: int, e_cap: int):
     return pivots
 
 
-_seed_cache: dict[tuple[int, int], QSeries] = {}
+def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
+    """The family synthesis reduces, exact at least 8 terms past the
+    seed's pinned prefix: pole bound POLE_BOUND, with the target's own
+    closed form left out."""
+    v = v_of(N, k)
+    if v < 0:
+        raise ValueError("synthesis applies to weights with v >= 0")
+    cert = certificates().get((N, k))
+    work = max(prec, (cert.check_through if cert else v + 12) + 8)
+    return build_family(N, k, POLE_BOUND, work + POLE_BOUND,
+                        exclude=((N, k),))
 
-_POLE_BOUNDS = (10, 20)
+
+def _top_pivot(N: int, k: int, members, cap: int) -> QSeries:
+    """Row-reduce on exponents below cap and return the pivot of maximal
+    vanishing order v_k(N)."""
+    v = v_of(N, k)
+    pivots = row_reduce(members, -POLE_BOUND, cap)
+    top_e = pivots[-1][0] if pivots else None
+    if top_e != v:
+        raise SynthesisError(
+            f"row reduction reached vanishing order {top_e}, not the "
+            f"registry maximum {v}, for level {N} weight {k} "
+            f"(pole bound {POLE_BOUND})")
+    return pivots[-1][2]
 
 
 def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """The monic element of maximal vanishing order v_k(N), recovered by
-    row reduction and pinned to the registry's expansion prefix."""
-    v = v_of(N, k)
-    if v < 0:
-        raise ValueError("synthesis applies to weights with v >= 0")
-    cached = _seed_cache.get((N, k))
-    if cached is not None and cached.prec >= prec:
-        return cached.truncate(prec)
+    row reduction.  A certified seed must equal the registry's
+    certificate, whose evaluation checks the pinned prefix."""
+    members = _seed_family(N, k, prec).members
+    series = _top_pivot(N, k, members, min(s.prec for _, s in members))
+    if (N, k) in certificates() and level_form(N, k, series.prec) != series:
+        raise SynthesisError(
+            f"the registry certificate of level {N} weight {k} differs "
+            f"from its re-derivation below q^{series.prec}")
+    return series.truncate(prec)
 
-    spec = _synth_spec(N, k)
-    check_through = spec.check_through if spec else v + 12
-    work = max(prec, check_through + 8)
-    achieved = None
-    for J in _POLE_BOUNDS:
-        fam = build_family(N, k, J, work + J, exclude=((N, k),))
-        cap = min(s.prec for _, s in fam.members)
-        pivots = row_reduce(fam.members, -J, cap)
-        if not pivots:
+
+def derive_certificate(N: int, k: int) -> tuple:
+    """The seed's combination of family members, as the registry's
+    Certificate terms (c, factors, psi power).
+
+    Each member is tagged with a unit coefficient at its own exponent
+    beyond the pivot range, so row reduction carries the combination along
+    with the series (the augmented-identity form of elimination)."""
+    fam = _seed_family(N, k, 0)
+    cap = min(s.prec for _, s in fam.members)
+    size = len(fam.members)
+    tagged = [(label, QSeries([*s.truncate(cap).items(), (cap + i, 1)],
+                              cap + size))
+              for i, (label, s) in enumerate(fam.members)]
+    pivot = _top_pivot(N, k, tagged, cap)
+    factor_of = {label: payload for label, _, payload in _atoms(N)
+                 if payload[0] in ("phi", "eis")}
+    terms = []
+    for e, c in pivot.items():
+        if e < cap:
             continue
-        top_e, _, series = pivots[-1]
-        achieved = top_e
-        if top_e == v:
-            _validate_prefix(N, k, series, spec)
-            series = series.truncate(work)
-            _seed_cache[(N, k)] = series
-            return series.truncate(prec)
-        if top_e > v:
+        label = fam.members[e - cap][0]
+        body, sep, power = label.partition("*psi^")
+        parts = body.split("*")
+        if (sep and not power.isdigit()) or not all(p in factor_of
+                                                    for p in parts):
             raise SynthesisError(
-                f"row reduction reached vanishing order {top_e} beyond the "
-                f"registry maximum {v} for level {N} weight {k}")
-    raise SynthesisError(
-        f"spanning family deficient; achieved v'={achieved} < v={v} "
-        f"for level {N} weight {k} (pole bounds {_POLE_BOUNDS})")
+                f"the seed of level {N} weight {k} needs the member {label}, "
+                f"which is not a product of phi_n(ez), E4(dz) and E6(dz) "
+                f"times a Hauptmodul power")
+        terms.append((c, tuple(factor_of[p] for p in parts), int(power or 0)))
+    return tuple(terms)
 
 
-def _synth_spec(N: int, k: int) -> Synth | None:
-    seed = get_level(N).seed
-    if isinstance(seed, TowerSeed):
-        s = seed.forms.get(k)
-        if isinstance(s, Synth):
-            return s
-    return None
-
-
-def _validate_prefix(N: int, k: int, series: QSeries, spec: Synth | None):
-    if spec is None:
-        return
-    expected = dict(spec.expected)
-    for e in range(series.valuation(), spec.check_through + 1):
-        want = expected.get(e, 0)
-        if series.coeff(e) != want:
-            raise SynthesisError(
-                f"synthesis contradicts pinned expansion data for level {N} "
-                f"weight {k}: coefficient at q^{e} is {series.coeff(e)}, "
-                f"expected {want}")
-
-
-def family_audit(N: int, k: int, J: int = 10,
+def family_audit(N: int, k: int, J: int = POLE_BOUND,
                  prec: int = DEFAULT_PREC) -> dict:
-    """JSON-ready audit of the spanning family: labels, valuations, rank."""
-    fam = build_family(N, k, J, prec)
+    """JSON-ready audit of the spanning family synthesis uses (the target's
+    own closed form left out): labels, valuations, rank."""
+    fam = build_family(N, k, J, prec, exclude=((N, k),))
     cap = min(s.prec for _, s in fam.members)
     pivots = row_reduce(fam.members, -J, cap)
     return {

@@ -1,0 +1,21 @@
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from gridforge import basis as basis_mod
+from gridforge.leveldata import certificates, get_level
+
+
+@pytest.fixture
+def perturb_certificate(monkeypatch):
+    """Install the (N, k) certificate of the registry with its first
+    coefficient moved, and start from an empty basis cache."""
+    def install(N, k):
+        cert = certificates()[(N, k)]
+        (c, factors, j), *rest = cert.terms
+        bad = dataclasses.replace(
+            cert, terms=((c + Fraction(1, 7), factors, j), *rest))
+        monkeypatch.setitem(get_level(N).seed.forms, k, bad)
+        monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    return install

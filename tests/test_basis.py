@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gridforge
 from gridforge import basis as basis_mod
+from gridforge import seedsynth
 from gridforge.basis import (
     HAT,
     INF,
@@ -14,7 +20,14 @@ from gridforge.basis import (
     hauptmodul_series,
     level_form,
 )
-from gridforge.leveldata import ALL_LEVELS, CONFORMANCE, u_of, v_of
+from gridforge.leveldata import (
+    ALL_LEVELS,
+    CONFORMANCE,
+    PinnedPrefixError,
+    certificates,
+    u_of,
+    v_of,
+)
 from gridforge.qseries import PrecisionError, QSeries
 
 
@@ -252,3 +265,49 @@ def test_non_integral_first_element_raises(monkeypatch):
                        match=r"level 5 weight 0 inf index 0 prec 34.*"
                              r"1/2 at q\^2"):
         build_basis(5, 0, INF, 3, 25)
+
+
+def test_runtime_path_never_synthesizes(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("seed synthesis on the runtime path")
+
+    for name in ("synthesize_seed", "build_family", "row_reduce"):
+        monkeypatch.setattr(seedsynth, name, forbidden)
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    for N, k in certificates():
+        assert duality_residual(build_grid(N, k, 20), 20, 20) == 0, (N, k)
+    pinned = {(N, k): exp for N, k, exp in CONFORMANCE}
+    for k in (8, 10):
+        s = level_form(13, k, 30)
+        assert all(s.coeff(e) == c for e, c in pinned[(13, k)].items())
+
+
+def test_perturbed_certificate_fails_pinned_prefix(perturb_certificate):
+    perturb_certificate(7, 4)
+    with pytest.raises(PinnedPrefixError, match="level 7 weight 4"):
+        level_form(7, 4, 20)
+    with pytest.raises(PinnedPrefixError):
+        build_grid(7, 4, 5)
+
+
+def test_pinned_prefix_check_survives_optimize():
+    code = """
+import sys
+from gridforge.basis import level_form
+from gridforge.leveldata import PinnedPrefixError, certificates, get_level
+assert False, "assert statements are not stripped"
+cert = certificates()[(13, 6)]
+c, factors, j = cert.terms[-1]
+bad = type(cert)((*cert.terms[:-1], (c * 2, factors, j)), cert.expected,
+                 cert.check_through)
+get_level(13).seed.forms[6] = bad
+try:
+    level_form(13, 6, 20)
+except PinnedPrefixError:
+    sys.exit(5)
+"""
+    src = str(Path(gridforge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 5, proc.stderr

@@ -138,6 +138,14 @@ def test_env_precision(capsys, monkeypatch):
     assert run(["basis", "--level", "1", "--weight", "0"]) == 2
 
 
+def test_empty_env_precision_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("GRIDFORGE_PREC", "")
+    code, out = invoke(capsys, "grid", "--level", "25", "--weight", "10",
+                       "--count", "40", "--check-duality")
+    assert code == 0
+    assert "duality residual: 0" in out
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "dump.json"
     code, _ = invoke(capsys, "registry", "--out", str(path))
@@ -165,6 +173,14 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_grid", misaligned)
     assert run(["grid", "--level", "5", "--weight", "0"]) == 3
     assert "fail to align" in capsys.readouterr().err
+
+
+def test_perturbed_certificate_exits_3(capsys, perturb_certificate):
+    perturb_certificate(10, 4)
+    assert run(["grid", "--level", "10", "--weight", "4", "--count", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "internal validation failure" in err
+    assert "level 10 weight 4 contradicts its pinned expansion" in err
 
 
 def test_closed_pipe_exits_quietly():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gridforge import generators
 from gridforge.generators import (
     EtaQuotient,
     delta,
@@ -67,6 +68,17 @@ def test_phi_prefixes():
 def test_euler_products_are_inverse():
     p = euler_product(40) * inverse_euler_product(40)
     assert p.truncate(40).agrees(QSeries.one(40))
+
+
+def test_euler_cache_keeps_the_longest_expansion(monkeypatch):
+    monkeypatch.setattr(generators, "_euler_cache", {})
+    got = [(prec, generators._euler_power(7, -4, prec))
+           for prec in (20, 45, 30, 60, 25)]
+    assert list(generators._euler_cache) == [(7, -4)]
+    assert generators._euler_cache[(7, -4)].prec == 60
+    for prec, series in got:
+        generators._euler_cache.clear()
+        assert generators._euler_power(7, -4, prec) == series
 
 
 def test_eta_quotient_prefixes():

@@ -3,13 +3,19 @@ import random
 import pytest
 
 from gridforge.basis import level_form
+from gridforge.leveldata import certificates
 from gridforge.seedsynth import (
+    POLE_BOUND,
+    _seed_family,
     build_family,
+    derive_certificate,
     family_audit,
     row_reduce,
     synthesize_seed,
     weight_pool,
 )
+
+CERTIFIED = sorted(certificates())
 
 PINNED = {
     (7, 4): {2: 1, 3: 3, 4: 8, 5: 11},
@@ -28,6 +34,20 @@ def test_synthesized_seed_prefixes(key):
     s = synthesize_seed(N, k, 30)
     for e, c in PINNED[key].items():
         assert s.coeff(e) == c, (N, k, e)
+
+
+def test_six_seeds_are_certified():
+    assert CERTIFIED == sorted(PINNED)
+
+
+@pytest.mark.parametrize("N,k", CERTIFIED)
+def test_certificate_equals_synthesis(N, k):
+    assert level_form(N, k, 100) == synthesize_seed(N, k, 100)
+
+
+@pytest.mark.parametrize("N,k", CERTIFIED)
+def test_certificate_terms_are_rederived(N, k):
+    assert derive_certificate(N, k) == certificates()[(N, k)].terms
 
 
 @pytest.mark.parametrize("N,k", [(2, 4), (3, 4), (3, 6), (5, 2), (5, 4),
@@ -92,3 +112,11 @@ def test_family_audit_shape():
     assert audit["rank"] >= 1
     assert audit["max_vanishing_achieved"] is not None
     assert all("label" in m and "valuation" in m for m in audit["members"])
+
+
+def test_family_audit_matches_synthesis_family():
+    audit = family_audit(7, 6, prec=20)
+    labels = [m["label"] for m in audit["members"]]
+    assert audit["pole_bound"] == POLE_BOUND
+    assert not any(l.startswith("seed7w6") for l in labels)
+    assert labels == [l for l, _ in _seed_family(7, 6, 20).members]
