@@ -15,7 +15,9 @@ non-integral coefficient.
 
 Completed bases are immutable and cached per (level, weight, space); a
 cached basis is reused only when its least precise element covers the
-requested precision.
+requested precision.  The series a basis is built from (Hauptmodul,
+registry forms, the inverse of a base form, first elements) are kept in
+the series store, `gridforge.qseries.cached`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from gridforge.leveldata import (
     u_of,
     v_of,
 )
-from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries
+from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries, cached
 
 INF = "inf"
 HAT = "hat"
@@ -63,20 +65,14 @@ def _check_space(space: str) -> str:
     return space
 
 
-_haupt_cache: dict[int, QSeries] = {}
-
-
 def hauptmodul_series(N: int, prec: int) -> QSeries:
     """q-expansion of the level's Hauptmodul (the j-function for N=1)."""
-    cached = _haupt_cache.get(N)
-    if cached is not None and cached.prec >= prec:
-        return cached.truncate(prec)
-    ld = get_level(N)
-    s = j_function(prec) if N == 1 else ld.hauptmodul.expand(prec)
-    if s.valuation() != -1 or s.coeff(-1) != 1:
-        raise AssertionError(f"Hauptmodul for level {N} is not monic q^-1")
-    _haupt_cache[N] = s
-    return s
+    def build(prec):
+        s = j_function(prec) if N == 1 else get_level(N).hauptmodul.expand(prec)
+        if s.valuation() != -1 or s.coeff(-1) != 1:
+            raise AssertionError(f"Hauptmodul for level {N} is not monic q^-1")
+        return s
+    return cached(("haupt", N), prec, build)
 
 
 def _eval_form(N: int, weight: int, spec, prec: int) -> QSeries:
@@ -143,7 +139,7 @@ def _eval_certificate(N: int, k: int, cert: Certificate,
             poly = poly * _FACTORS[name](n, work, scale=scale)
         total = total + poly
     cert.check(N, k, total)
-    return total.truncate(prec)
+    return total
 
 
 def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
@@ -151,12 +147,13 @@ def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
     of tower levels, or the weight-2 base of power levels)."""
     seed = get_level(N).seed
     if isinstance(seed, TowerSeed):
-        if weight not in seed.forms:
-            raise ValueError(f"level {N} has no registry form in weight {weight}")
-        return _eval_form(N, weight, seed.forms[weight], prec)
-    if weight != 2:
+        spec = seed.forms.get(weight)
+    else:
+        spec = seed.form2 if weight == 2 else None
+    if spec is None:
         raise ValueError(f"level {N} has no registry form in weight {weight}")
-    return _eval_form(N, weight, seed.form2, prec)
+    return cached(("form", N, weight), prec,
+                  lambda prec: _eval_form(N, weight, spec, prec))
 
 
 def first_element(N: int, k: int, space: str,
@@ -166,40 +163,49 @@ def first_element(N: int, k: int, space: str,
     _check_space(space)
     if k % 2:
         raise ValueError("weight must be even")
+    out = cached(("first", N, k, space), prec,
+                 lambda prec: _build_first(N, k, space, prec))
+    if out.prec < prec:
+        raise PrecisionError(
+            f"first element of level {N} weight {k} only determined mod "
+            f"q^{out.prec}; need {prec}")
+    expect = v_of(N, k) if space == INF else u_of(N, k)
+    if out.valuation() != expect or out.coeff(expect) != 1:
+        raise AssertionError(
+            f"seed for level {N} weight {k} {space} is not monic q^{expect}")
+    return out
+
+
+def _build_first(N: int, k: int, space: str, prec: int) -> QSeries:
     ld = get_level(N)
     v = v_of(N, k)
     if space == HAT:
         deg = ld.cusp_count - 1
         work = prec + deg + max(0, -v) + 1
         inf = first_element(N, k, INF, work)
-        out = (inf * leveldata.cusp_killer(N, work)).truncate(prec)
-        expect = u_of(N, k)
+        return (inf * leveldata.cusp_killer(N, work)).truncate(prec)
+    seed = ld.seed
+    if isinstance(seed, PowerSeed):
+        base_weight, power, kp = 2, k // 2, None
     else:
-        seed = ld.seed
-        if isinstance(seed, PowerSeed):
-            power, v_base, v_rest = k // 2, v_of(N, 2), 0
-        else:
-            power, kp = leveldata._decompose(k, seed.modulus, seed.kprimes)
-            v_base = v_of(N, seed.base_weight)
-            v_rest = v_of(N, kp)
-        # raising the base to a negative power costs (1-power)*v_base terms
-        work = prec + 8 + max(0, (1 - power) * v_base - v_rest)
-        if isinstance(seed, PowerSeed):
-            base = level_form(N, 2, work)
-            out = (base ** power).truncate(prec)
-        else:
-            fb = level_form(N, seed.base_weight, work)
-            fk = level_form(N, kp, work)
-            out = ((fb ** power) * fk).truncate(prec)
-        expect = v
-    if out.prec < prec:
-        raise PrecisionError(
-            f"first element of level {N} weight {k} only determined mod "
-            f"q^{out.prec}; need {prec}")
-    if out.valuation() != expect or out.coeff(expect) != 1:
-        raise AssertionError(
-            f"seed for level {N} weight {k} {space} is not monic q^{expect}")
-    return out
+        base_weight = seed.base_weight
+        power, kp = leveldata._decompose(k, seed.modulus, seed.kprimes)
+    v_base = v_of(N, base_weight)
+    v_rest = 0 if kp is None else v_of(N, kp)
+    # raising the base to a negative power costs (1-power)*v_base terms
+    work = prec + 8 + max(0, (1 - power) * v_base - v_rest)
+    if power >= 0:
+        out = level_form(N, base_weight, work) ** power
+    else:
+        # the base's inverse has valuation -v_base, known to 2*v_base terms
+        # less than the base
+        inv = cached(("inv", N, base_weight), work - 2 * v_base,
+                     lambda p: level_form(N, base_weight,
+                                          p + 2 * v_base).inverse())
+        out = inv ** -power
+    if kp is not None:
+        out = out * level_form(N, kp, work)
+    return out.truncate(prec)
 
 
 @dataclass(frozen=True)

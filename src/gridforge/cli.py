@@ -21,7 +21,7 @@ from gridforge import acceptance
 from gridforge.basis import HAT, INF, build_basis, build_grid, duality_residual
 from gridforge.leveldata import registry_dump
 from gridforge.qseries import DEFAULT_PREC
-from gridforge.seedsynth import SynthesisError, family_audit, synthesize_seed
+from gridforge.seedsynth import SynthesisError, audit_of, reduce_family, seed_of
 from gridforge.traceops import (
     classify,
     genfun_check,
@@ -192,12 +192,14 @@ def _cmd_grid(args, prec) -> int:
 
 
 def _cmd_seed(args, prec) -> int:
-    series = synthesize_seed(args.level, args.weight, prec)
+    # one reduction gives both the seed and the audit of its family
+    reduced = reduce_family(args.level, args.weight, prec)
+    series = seed_of(args.level, args.weight, prec, reduced)
     if args.audit_json or args.format == "json":
         doc = {"level": args.level, "weight": args.weight,
                "series": series.to_json_dict()}
         if args.audit_json:
-            doc["family"] = family_audit(args.level, args.weight, prec=prec)
+            doc["family"] = audit_of(reduced)
         _emit(args, json.dumps(doc, indent=2))
     else:
         _emit(args, str(series))

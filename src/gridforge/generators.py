@@ -1,8 +1,8 @@
 """Classical building blocks: eta quotients, Eisenstein series, divisor
 sums, level-one forms and the Serre derivative.
 
-Powers of the Euler product are memoized per (d, r); the cache keeps the
-longest expansion computed and truncates it for shorter requests.
+Powers of the Euler product are kept in the series store
+(`gridforge.qseries.cached`) under ("euler", d, r).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from gridforge.qseries import DEFAULT_PREC, QSeries
+from gridforge.qseries import DEFAULT_PREC, QSeries, cached
 
 # weight -> -2w/B_w for the normalized series 1 - (2w/B_w) sum sigma_{w-1}(n) q^n
 _EISENSTEIN_CONSTANT = {2: -24, 4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
@@ -114,20 +114,14 @@ def inverse_euler_product(prec: int) -> QSeries:
     return QSeries(((n, c) for n, c in enumerate(p)), prec)
 
 
-_euler_cache: dict[tuple[int, int], QSeries] = {}
-
-
 def _euler_power(d: int, r: int, prec: int) -> QSeries:
     """(prod (1 - q^{dn}))^r for nonzero integer r."""
-    key = (d, r)
-    hit = _euler_cache.get(key)
-    if hit is not None and hit.prec >= prec:
-        return hit.truncate(prec)
-    inner = (prec - 1) // d + 1
-    base = euler_product(inner) if r > 0 else inverse_euler_product(inner)
-    val = (base ** abs(r)).truncate(inner).rescale_exponents(d).truncate(prec)
-    _euler_cache[key] = val
-    return val
+    def build(prec):
+        inner = (prec - 1) // d + 1
+        base = euler_product(inner) if r > 0 else inverse_euler_product(inner)
+        return ((base ** abs(r)).truncate(inner).rescale_exponents(d)
+                .truncate(prec))
+    return cached(("euler", d, r), prec, build)
 
 
 class EtaQuotient:

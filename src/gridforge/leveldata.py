@@ -9,7 +9,8 @@ the Hauptmodul kills the non-infinity cusps.
 Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
 rederived from numeric cusp values and confirmed by the duality suite).
-Entries are immutable.
+Entries are immutable.  Values of the cusp-killing polynomial are kept in
+the series store (`gridforge.qseries.cached`) under ("cusp", N).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gridforge.generators import EtaQuotient
+from gridforge.qseries import QSeries, cached
 
 GENUS_ZERO_LEVELS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25)
 ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
@@ -467,25 +469,26 @@ def u_of(N: int, k: int) -> int:
     return v_of(N, k) - (get_level(N).cusp_count - 1)
 
 
-def cusp_killer(N: int, prec: int) -> "QSeries":
+def cusp_killer(N: int, prec: int) -> QSeries:
     """P(psi) for the registry's monic cusp polynomial P: a weight-0 form
     with a pole of order cusp_count-1 at infinity and a simple zero at
     every other cusp."""
     from gridforge.basis import hauptmodul_series  # local import, no cycle
-    ld = get_level(N)
-    deg = ld.cusp_count - 1
-    if deg == 0:
-        from gridforge.qseries import QSeries
-        return QSeries.one(prec)
-    psi = hauptmodul_series(N, prec + deg + 1)
-    from gridforge.qseries import QSeries
-    out = QSeries.zero(psi.prec)
-    power = QSeries.one(psi.prec)
-    for c in ld.cusp_poly:
-        if c:
-            out = out + power.scale(c)
-        power = (power * psi).truncate(psi.prec)
-    return out.truncate(prec)
+
+    def build(prec):
+        ld = get_level(N)
+        deg = ld.cusp_count - 1
+        if deg == 0:
+            return QSeries.one(prec)
+        psi = hauptmodul_series(N, prec + deg + 1)
+        out = QSeries.zero(psi.prec)
+        power = QSeries.one(psi.prec)
+        for c in ld.cusp_poly:
+            if c:
+                out = out + power.scale(c)
+            power = (power * psi).truncate(psi.prec)
+        return out
+    return cached(("cusp", N), prec, build)
 
 
 def registry_dump() -> dict:

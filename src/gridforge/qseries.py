@@ -4,12 +4,19 @@ A series is a finite map exponent -> nonzero Fraction together with a
 precision P: the series is known modulo O(q^P).  All arithmetic is exact;
 precision only tracks how far the coefficients are determined.  Instances
 are immutable.
+
+Named series that depend only on a key and a precision (Hauptmoduln,
+Euler-product powers, registry forms, first basis elements, ...) are kept
+in one store, `cached`: one entry per key, the longest expansion built so
+far, truncated on reuse.  `store_stats` counts its hits and misses per kind
+of key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 DEFAULT_PREC = 60
 
@@ -206,18 +213,30 @@ class QSeries:
         n = known if terms is None else min(int(terms), known)
         if n <= 0:
             return QSeries._raw({}, -v + max(n, 0))
-        a0 = self._c[v]
-        inv0 = 1 / a0
-        # b_j solve (sum a_{v+i} q^i)(sum b_j q^j) = 1 with b in q^{-v}.
-        b = [inv0]
-        tail = {i: c for i, c in ((e - v, c) for e, c in self._c.items()) if i > 0}
-        for m in range(1, n):
-            s = Fraction(0)
-            for i, c in tail.items():
-                if i <= m:
-                    s += c * b[m - i]
-            b.append(-s * inv0)
-        return QSeries(((-v + j, bj) for j, bj in enumerate(b)), -v + n)
+        # Clear denominators once: self = q^v * sum g_i q^i / d with integer
+        # g_i.  The inverse is then sum d * c_m / g_0^(m+1) q^(m-v), where
+        # c_0 = 1 and c_m = -sum_{i>=1} g_i g_0^(i-1) c_{m-i} stays integral.
+        d = _common_denominator(self._c)
+        g = [0] * n
+        for e, x in self._c.items():
+            if e - v < n:
+                g[e - v] = x.numerator * (d // x.denominator)
+        g0 = g[0]
+        weights = []
+        power = 1
+        for gi in g[1:]:
+            weights.append(gi * power)
+            power *= g0
+        c = [1]
+        for _ in range(1, n):
+            c.append(-sum(map(mul, weights, reversed(c))))
+        out = {}
+        power = g0
+        for m, cm in enumerate(c):
+            if cm:
+                out[m - v] = Fraction(d * cm, power)
+            power *= g0
+        return QSeries._raw(out, n - v)
 
     def derive(self) -> "QSeries":
         """Apply q*d/dq: the coefficient at q^n becomes n*c_n."""
@@ -226,7 +245,9 @@ class QSeries:
 
     def truncate(self, prec: int) -> "QSeries":
         """Restrict to exponents < prec (capped by the known precision)."""
-        prec = min(int(prec), self._prec)
+        prec = int(prec)
+        if prec >= self._prec:
+            return self
         return QSeries._raw({e: v for e, v in self._c.items() if e < prec}, prec)
 
     def shift(self, n: int) -> "QSeries":
@@ -318,3 +339,39 @@ def _common_denominator(c: dict[int, Fraction]) -> int:
         if dv != 1:
             d = d * dv // gcd(d, dv)
     return d
+
+
+# -- the series store ------------------------------------------------------
+
+_store: dict[tuple, QSeries] = {}
+_stats: dict[str, list[int]] = {}   # key kind -> [hits, misses]
+
+
+def cached(key: tuple, prec: int, build) -> QSeries:
+    """The series named `key`, known modulo q^prec.
+
+    The store keeps one entry per key, the longest expansion built so far,
+    and truncates it for shorter requests; a longer request calls
+    build(prec) and keeps its result.  The series must depend only on the
+    key and the precision; key[0] names its kind for store_stats.
+    """
+    counts = _stats.setdefault(key[0], [0, 0])
+    hit = _store.get(key)
+    if hit is not None and hit._prec >= prec:
+        counts[0] += 1
+        return hit.truncate(prec)
+    counts[1] += 1
+    built = _store[key] = build(prec)
+    return built.truncate(prec)
+
+
+def store_stats() -> dict[str, dict[str, int]]:
+    """Hits and misses of the series store per key kind."""
+    return {kind: {"hits": h, "misses": m}
+            for kind, (h, m) in sorted(_stats.items())}
+
+
+def clear_store() -> None:
+    """Empty the series store and its counts."""
+    _store.clear()
+    _stats.clear()

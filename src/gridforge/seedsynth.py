@@ -217,24 +217,31 @@ def row_reduce(members, e_min: int, e_cap: int):
     return pivots
 
 
-def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
+def _seed_family(N: int, k: int, prec: int,
+                 J: int = POLE_BOUND) -> SpanningFamily:
     """The family synthesis reduces, exact at least 8 terms past the
-    seed's pinned prefix: pole bound POLE_BOUND, with the target's own
-    closed form left out."""
+    seed's pinned prefix: pole bound J, with the target's own closed form
+    left out."""
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
     cert = certificates().get((N, k))
     work = max(prec, (cert.check_through if cert else v + 12) + 8)
-    return build_family(N, k, POLE_BOUND, work + POLE_BOUND,
-                        exclude=((N, k),))
+    return build_family(N, k, J, work + J, exclude=((N, k),))
 
 
-def _top_pivot(N: int, k: int, members, cap: int) -> QSeries:
-    """Row-reduce on exponents below cap and return the pivot of maximal
-    vanishing order v_k(N)."""
+def reduce_family(N: int, k: int, prec: int = DEFAULT_PREC,
+                  J: int = POLE_BOUND) -> tuple[SpanningFamily, list]:
+    """The family synthesis reduces and its row-reduction pivots, on every
+    exponent below the least member precision."""
+    fam = _seed_family(N, k, prec, J)
+    cap = min(s.prec for _, s in fam.members)
+    return fam, row_reduce(fam.members, -J, cap)
+
+
+def _top_pivot(N: int, k: int, pivots) -> QSeries:
+    """The pivot of maximal vanishing order v_k(N)."""
     v = v_of(N, k)
-    pivots = row_reduce(members, -POLE_BOUND, cap)
     top_e = pivots[-1][0] if pivots else None
     if top_e != v:
         raise SynthesisError(
@@ -244,17 +251,22 @@ def _top_pivot(N: int, k: int, members, cap: int) -> QSeries:
     return pivots[-1][2]
 
 
-def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
-    """The monic element of maximal vanishing order v_k(N), recovered by
-    row reduction.  A certified seed must equal the registry's
-    certificate, whose evaluation checks the pinned prefix."""
-    members = _seed_family(N, k, prec).members
-    series = _top_pivot(N, k, members, min(s.prec for _, s in members))
+def seed_of(N: int, k: int, prec: int, reduced) -> QSeries:
+    """The seed read off reduce_family(N, k, prec): the top pivot, which a
+    certified seed's registry certificate must equal."""
+    series = _top_pivot(N, k, reduced[1])
     if (N, k) in certificates() and level_form(N, k, series.prec) != series:
         raise SynthesisError(
             f"the registry certificate of level {N} weight {k} differs "
             f"from its re-derivation below q^{series.prec}")
     return series.truncate(prec)
+
+
+def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
+    """The monic element of maximal vanishing order v_k(N), recovered by
+    row reduction.  A certified seed must equal the registry's
+    certificate, whose evaluation checks the pinned prefix."""
+    return seed_of(N, k, prec, reduce_family(N, k, prec))
 
 
 def derive_certificate(N: int, k: int) -> tuple:
@@ -270,7 +282,7 @@ def derive_certificate(N: int, k: int) -> tuple:
     tagged = [(label, QSeries([*s.truncate(cap).items(), (cap + i, 1)],
                               cap + size))
               for i, (label, s) in enumerate(fam.members)]
-    pivot = _top_pivot(N, k, tagged, cap)
+    pivot = _top_pivot(N, k, row_reduce(tagged, -POLE_BOUND, cap))
     factor_of = {label: payload for label, _, payload in _atoms(N)
                  if payload[0] in ("phi", "eis")}
     terms = []
@@ -290,17 +302,14 @@ def derive_certificate(N: int, k: int) -> tuple:
     return tuple(terms)
 
 
-def family_audit(N: int, k: int, J: int = POLE_BOUND,
-                 prec: int = DEFAULT_PREC) -> dict:
-    """JSON-ready audit of the spanning family synthesis uses (the target's
-    own closed form left out): labels, valuations, rank."""
-    fam = build_family(N, k, J, prec, exclude=((N, k),))
-    cap = min(s.prec for _, s in fam.members)
-    pivots = row_reduce(fam.members, -J, cap)
+def audit_of(reduced) -> dict:
+    """JSON-ready audit of a reduce_family result: labels, valuations,
+    rank."""
+    fam, pivots = reduced
     return {
-        "level": N,
-        "weight": k,
-        "pole_bound": J,
+        "level": fam.level,
+        "weight": fam.weight,
+        "pole_bound": fam.pole_bound,
         "members": [
             {"label": label,
              "valuation": (None if s.is_zero else s.valuation())}
@@ -309,3 +318,10 @@ def family_audit(N: int, k: int, J: int = POLE_BOUND,
         "rank": len(pivots),
         "max_vanishing_achieved": pivots[-1][0] if pivots else None,
     }
+
+
+def family_audit(N: int, k: int, J: int = POLE_BOUND,
+                 prec: int = DEFAULT_PREC) -> dict:
+    """JSON-ready audit of the spanning family synthesis uses (the target's
+    own closed form left out): labels, valuations, rank."""
+    return audit_of(reduce_family(N, k, prec, J))

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from gridforge import basis as basis_mod
+from gridforge import qseries
 from gridforge.leveldata import certificates, get_level
 
 
 @pytest.fixture
 def perturb_certificate(monkeypatch):
     """Install the (N, k) certificate of the registry with its first
-    coefficient moved, and start from an empty basis cache."""
+    coefficient moved, and start from an empty basis cache and an empty
+    series store, so the perturbed certificate is evaluated."""
     def install(N, k):
         cert = certificates()[(N, k)]
         (c, factors, j), *rest = cert.terms
@@ -18,4 +20,5 @@ def perturb_certificate(monkeypatch):
             cert, terms=((c + Fraction(1, 7), factors, j), *rest))
         monkeypatch.setitem(get_level(N).seed.forms, k, bad)
         monkeypatch.setattr(basis_mod, "_basis_cache", {})
+        monkeypatch.setattr(qseries, "_store", {})
     return install

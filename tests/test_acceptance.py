@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import gridforge
+from gridforge import acceptance, qseries
+from gridforge import basis as basis_mod
 from gridforge.acceptance import CRITERIA
+from gridforge.basis import INF, first_element
 
 SRC = str(Path(gridforge.__file__).resolve().parents[1])
 
@@ -41,3 +44,17 @@ sys.exit(0 if acceptance.run_all() else 5)
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 4 u/v alignment")
+
+
+def test_criterion_9_times_a_cold_build(monkeypatch):
+    first_element(25, 2, INF, 30)   # leave something in the store
+    seen = []
+    real = acceptance.build_basis
+
+    def spy(*args):
+        seen.append((dict(qseries._store), dict(basis_mod._basis_cache)))
+        return real(*args)
+
+    monkeypatch.setattr(acceptance, "build_basis", spy)
+    acceptance.criterion_9_performance()
+    assert seen == [({}, {})]

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 import gridforge
 from gridforge import basis as basis_mod
-from gridforge import seedsynth
+from gridforge import qseries, seedsynth
 from gridforge.basis import (
     HAT,
     INF,
@@ -239,6 +240,32 @@ def test_kernel_matches_reference_recursion(N, monkeypatch):
 def test_kernel_matches_reference_at_larger_count(monkeypatch):
     assert_matches_reference(1, 0, INF, 25, monkeypatch)
     assert_matches_reference(13, 4, HAT, 25, monkeypatch)
+
+
+class _Forgetful(dict):
+    """A series store that keeps nothing, so every request is built cold."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_warm_store_gives_the_cold_first_elements(monkeypatch):
+    requests = []
+    for N in ALL_LEVELS:
+        for k in range(-10, 13, 2):
+            for space in (INF, HAT):
+                lead = v_of(N, k) if space == INF else u_of(N, k)
+                requests += [(N, k, space, max(lead, 0) + d) for d in (4, 16)]
+    monkeypatch.setattr(qseries, "_store", _Forgetful())
+    cold = {r: first_element(*r) for r in requests}
+    # shuffled, each key is asked for its two precisions in either order
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    random.Random(4).shuffle(requests)
+    for r in requests:
+        assert first_element(*r) == cold[r], r
+    first = qseries.store_stats()["first"]
+    assert first["hits"] > 0 and first["misses"] > 0
 
 
 def test_cached_basis_does_not_overclaim_precision(monkeypatch):

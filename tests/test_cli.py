@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import gridforge
 from gridforge import basis as basis_mod
-from gridforge import cli
+from gridforge import cli, seedsynth
 from gridforge.cli import run
 from gridforge.qseries import QSeries
 
@@ -144,6 +145,24 @@ def test_empty_env_precision_counts_as_unset(capsys, monkeypatch):
                        "--count", "40", "--check-duality")
     assert code == 0
     assert "duality residual: 0" in out
+
+
+def test_seed_audit_reduces_the_family_once(capsys, monkeypatch):
+    calls = []
+    real = seedsynth.build_family
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(seedsynth, "build_family", counted)
+    code, out = invoke(capsys, "seed", "--level", "10", "--weight", "4",
+                       "--json")
+    assert code == 0 and len(calls) == 1
+    # the digest of this command's output before the audit and the
+    # synthesis shared one reduction
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7a0927f2cbf06edf1ec4c465837a3038555682293dacd4432f0b32c84e2f021c")
 
 
 def test_out_file(tmp_path, capsys):

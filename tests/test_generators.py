@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridforge import generators
+from gridforge import generators, qseries
 from gridforge.generators import (
     EtaQuotient,
     delta,
@@ -71,13 +71,13 @@ def test_euler_products_are_inverse():
 
 
 def test_euler_cache_keeps_the_longest_expansion(monkeypatch):
-    monkeypatch.setattr(generators, "_euler_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     got = [(prec, generators._euler_power(7, -4, prec))
            for prec in (20, 45, 30, 60, 25)]
-    assert list(generators._euler_cache) == [(7, -4)]
-    assert generators._euler_cache[(7, -4)].prec == 60
+    assert list(qseries._store) == [("euler", 7, -4)]
+    assert qseries._store[("euler", 7, -4)].prec == 60
     for prec, series in got:
-        generators._euler_cache.clear()
+        qseries._store.clear()
         assert generators._euler_power(7, -4, prec) == series
 
 

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries
+from gridforge import qseries
+from gridforge.qseries import (
+    DEFAULT_PREC,
+    PrecisionError,
+    QSeries,
+    cached,
+    store_stats,
+)
 
 
 def qs(d, prec=DEFAULT_PREC):
@@ -197,3 +204,68 @@ def test_leibniz():
         lhs = (a * b).derive()
         rhs = a.derive() * b + a * b.derive()
         assert lhs.agrees(rhs)
+
+
+def reference_inverse(a, terms=None):
+    """The inverse by the Fraction recurrence b_m = -(1/a_0) sum_{i>=1}
+    a_i b_{m-i}, written independently of the integer kernel."""
+    v = a.valuation()
+    known = a.prec - v
+    n = known if terms is None else min(terms, known)
+    if n <= 0:
+        return QSeries.zero(-v + max(n, 0))
+    a0 = a.coeff(v)
+    b = [1 / a0]
+    for m in range(1, n):
+        s = sum((a.coeff(v + i) * b[m - i] for i in range(1, m + 1)),
+                Fraction(0))
+        b.append(-s / a0)
+    return QSeries(((j - v, bj) for j, bj in enumerate(b)), n - v)
+
+
+def test_inverse_matches_fraction_recurrence():
+    rng = random.Random(20261018)
+    for case in range(300):
+        v = rng.randrange(-12, 13)
+        prec = v + rng.randrange(1, 30)
+        dense = case % 2
+        exps = range(v + 1, prec) if dense else rng.sample(
+            range(v + 1, prec + 8), min(prec + 7 - v, rng.randrange(0, 8)))
+        coeffs = {e: Fraction(rng.randrange(-50, 51), rng.randrange(1, 40))
+                  for e in exps}
+        lead = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 30),
+                        rng.randrange(1, 12))
+        a = QSeries({**coeffs, v: lead}, prec)
+        for terms in (None, rng.randrange(-2, prec - v + 10),
+                      prec - v + rng.randrange(1, 10)):
+            assert a.inverse(terms) == reference_inverse(a, terms), (a, terms)
+
+
+def test_store_keeps_the_longest_expansion(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    geo = QSeries({i: 1 for i in range(100)}, 100)
+    builds = []
+
+    def build(prec):
+        builds.append(prec)
+        return geo.truncate(prec)
+
+    got = [cached(("geo",), prec, build) for prec in (20, 45, 30, 60, 25)]
+    assert builds == [20, 45, 60]
+    assert list(qseries._store) == [("geo",)]
+    assert qseries._store[("geo",)].prec == 60
+    assert got == [geo.truncate(p) for p in (20, 45, 30, 60, 25)]
+
+
+def test_store_stats_count_hits_and_misses(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    one = QSeries.one
+    for prec in (10, 5, 20, 20):
+        cached(("a", 1), prec, one)
+    cached(("a", 2), 5, one)
+    cached(("b",), 5, one)
+    assert store_stats() == {"a": {"hits": 2, "misses": 3},
+                             "b": {"hits": 0, "misses": 1}}
+    qseries.clear_store()
+    assert store_stats() == {} and not qseries._store
