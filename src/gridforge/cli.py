@@ -194,7 +194,7 @@ def _cmd_grid(args, prec) -> int:
 def _cmd_seed(args, prec) -> int:
     # one reduction gives both the seed and the audit of its family
     reduced = reduce_family(args.level, args.weight, prec)
-    series = seed_of(args.level, args.weight, prec, reduced)
+    series = seed_of(reduced, prec)
     if args.audit_json or args.format == "json":
         doc = {"level": args.level, "weight": args.weight,
                "series": series.to_json_dict()}

@@ -217,26 +217,31 @@ def row_reduce(members, e_min: int, e_cap: int):
     return pivots
 
 
-def _seed_family(N: int, k: int, prec: int,
-                 J: int = POLE_BOUND) -> SpanningFamily:
+def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
     """The family synthesis reduces, exact at least 8 terms past the
-    seed's pinned prefix: pole bound J, with the target's own closed form
-    left out."""
+    seed's pinned prefix: pole bound POLE_BOUND, with the target's own
+    closed form left out."""
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
     cert = certificates().get((N, k))
     work = max(prec, (cert.check_through if cert else v + 12) + 8)
-    return build_family(N, k, J, work + J, exclude=((N, k),))
+    return build_family(N, k, POLE_BOUND, work + POLE_BOUND,
+                        exclude=((N, k),))
 
 
-def reduce_family(N: int, k: int, prec: int = DEFAULT_PREC,
-                  J: int = POLE_BOUND) -> tuple[SpanningFamily, list]:
-    """The family synthesis reduces and its row-reduction pivots, on every
-    exponent below the least member precision."""
-    fam = _seed_family(N, k, prec, J)
+def _pivots(fam: SpanningFamily) -> list:
+    """Row-reduction pivots of a family, on every exponent below its least
+    member precision."""
     cap = min(s.prec for _, s in fam.members)
-    return fam, row_reduce(fam.members, -J, cap)
+    return row_reduce(fam.members, -fam.pole_bound, cap)
+
+
+def reduce_family(N: int, k: int,
+                  prec: int = DEFAULT_PREC) -> tuple[SpanningFamily, list]:
+    """The family synthesis reduces and its row-reduction pivots."""
+    fam = _seed_family(N, k, prec)
+    return fam, _pivots(fam)
 
 
 def _top_pivot(N: int, k: int, pivots) -> QSeries:
@@ -251,10 +256,12 @@ def _top_pivot(N: int, k: int, pivots) -> QSeries:
     return pivots[-1][2]
 
 
-def seed_of(N: int, k: int, prec: int, reduced) -> QSeries:
-    """The seed read off reduce_family(N, k, prec): the top pivot, which a
-    certified seed's registry certificate must equal."""
-    series = _top_pivot(N, k, reduced[1])
+def seed_of(reduced, prec: int) -> QSeries:
+    """The seed read off a reduce_family result, modulo q^prec: the top
+    pivot, which a certified seed's registry certificate must equal."""
+    fam, pivots = reduced
+    N, k = fam.level, fam.weight
+    series = _top_pivot(N, k, pivots)
     if (N, k) in certificates() and level_form(N, k, series.prec) != series:
         raise SynthesisError(
             f"the registry certificate of level {N} weight {k} differs "
@@ -266,7 +273,7 @@ def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """The monic element of maximal vanishing order v_k(N), recovered by
     row reduction.  A certified seed must equal the registry's
     certificate, whose evaluation checks the pinned prefix."""
-    return seed_of(N, k, prec, reduce_family(N, k, prec))
+    return seed_of(reduce_family(N, k, prec), prec)
 
 
 def derive_certificate(N: int, k: int) -> tuple:
@@ -322,6 +329,7 @@ def audit_of(reduced) -> dict:
 
 def family_audit(N: int, k: int, J: int = POLE_BOUND,
                  prec: int = DEFAULT_PREC) -> dict:
-    """JSON-ready audit of the spanning family synthesis uses (the target's
-    own closed form left out): labels, valuations, rank."""
-    return audit_of(reduce_family(N, k, prec, J))
+    """JSON-ready audit of the family of pole bound J at precision prec
+    (the target's own closed form left out): labels, valuations, rank."""
+    fam = build_family(N, k, J, prec, exclude=((N, k),))
+    return audit_of((fam, _pivots(fam)))

@@ -301,6 +301,7 @@ def test_runtime_path_never_synthesizes(monkeypatch):
     for name in ("synthesize_seed", "build_family", "row_reduce"):
         monkeypatch.setattr(seedsynth, name, forbidden)
     monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     for N, k in certificates():
         assert duality_residual(build_grid(N, k, 20), 20, 20) == 0, (N, k)
     pinned = {(N, k): exp for N, k, exp in CONFORMANCE}
