@@ -13,11 +13,15 @@ Fraction-valued series only when the basis is assembled.  Converting the
 Hauptmodul and the first element raises IntegralityError if either has a
 non-integral coefficient.
 
-Completed bases are immutable and cached per (level, weight, space); a
-cached basis is reused only when its least precise element covers the
-requested precision.  The series a basis is built from (Hauptmodul,
-registry forms, the inverse of a base form, first elements) are kept in
-the series store, `gridforge.qseries.cached`.
+Completed bases are immutable and cached, one entry per (level, weight,
+space), under the series store's rule: an entry only grows.  A request
+that the entry covers, in count and in the precision of its least precise
+element, is sliced and truncated from it; any other request rebuilds the
+entry at the larger of the two counts and the larger of the two
+precisions, so the entry still covers every earlier request.  The series
+a basis is built from (Hauptmodul, registry forms, the inverse of a base
+form, first elements) are kept in the series store,
+`gridforge.qseries.cached`.
 """
 
 from __future__ import annotations
@@ -88,10 +92,9 @@ def _eval_form(N: int, weight: int, spec, prec: int) -> QSeries:
     if isinstance(spec, Eta):
         return eta_quotient_expand(spec.quotient, prec)
     if isinstance(spec, EtaCombo):
-        total = QSeries.zero(prec)
-        for c, eq in spec.terms:
-            total = total + eta_quotient_expand(eq, prec).scale(c)
-        return total
+        return QSeries.combination(
+            ((c, eta_quotient_expand(eq, prec)) for c, eq in spec.terms),
+            prec)
     if isinstance(spec, EisDiff):
         diff = eisenstein(spec.weight, prec) - eisenstein(
             spec.weight, prec, scale=spec.d)
@@ -101,10 +104,9 @@ def _eval_form(N: int, weight: int, spec, prec: int) -> QSeries:
         return ((eisenstein(4, prec) - f2 * f2)
                 .truncate(prec).scale(Fraction(1, spec.denom)))
     if isinstance(spec, E2Combo):
-        total = QSeries.zero(prec)
-        for c, d in spec.terms:
-            total = total + eisenstein(2, prec, scale=d).scale(c)
-        return total.scale(Fraction(1, spec.denom))
+        return QSeries.combination(
+            ((c, eisenstein(2, prec, scale=d)) for c, d in spec.terms),
+            prec).scale(Fraction(1, spec.denom))
     if isinstance(spec, Product):
         a = level_form(N, spec.w1, prec)
         b = level_form(N, spec.w2, prec)
@@ -276,13 +278,23 @@ def build_basis(N: int, k: int, space: str, count: int,
             f"insufficient precision for level {N} weight {k} {space} with "
             f"count {count}: need prec >= {need}, got {prec}")
     key = (N, k, space)
-    cached = _basis_cache.get(key)
-    # a cached basis records the precision of its least precise element
-    if cached is not None and cached.count >= count and cached.prec >= prec:
-        return CanonicalBasis(N, k, space, cached.m0, cached.gap_bound, prec,
-                              tuple(e.truncate(prec)
-                                    for e in cached.elements[:count]))
+    entry = _basis_cache.get(key)
+    # An entry only grows: a miss rebuilds it to cover this request and
+    # every earlier one.  Its prec is that of its least precise element.
+    have_count, have_prec = ((0, 0) if entry is None
+                             else (entry.count, entry.prec))
+    if have_count < count or have_prec < prec:
+        entry = _basis_cache[key] = _build(
+            N, k, space, max(count, have_count), max(prec, have_prec))
+    return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
+                          tuple(e.truncate(prec)
+                                for e in entry.elements[:count]))
 
+
+def _build(N: int, k: int, space: str, count: int,
+           prec: int) -> CanonicalBasis:
+    """Run the Hauptmodul recursion for elements m0 .. m0+count-1; the
+    result records the precision of its least precise element."""
     B = v_of(N, k) if space == INF else u_of(N, k)
     m0 = -B
     work = prec + count + 6
@@ -323,9 +335,7 @@ def build_basis(N: int, k: int, space: str, count: int,
                              work - j) for j, tail in enumerate(tails))
     built = CanonicalBasis(N, k, space, m0, B, work - count + 1, elements)
     _verify_gap_form(built)
-    _basis_cache[key] = built
-    return CanonicalBasis(N, k, space, m0, B, prec,
-                          tuple(e.truncate(prec) for e in built.elements))
+    return built
 
 
 def _verify_gap_form(basis: CanonicalBasis):

@@ -15,7 +15,7 @@ of key.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 DEFAULT_PREC = 60
@@ -142,6 +142,27 @@ class QSeries:
         if not k:
             return QSeries._raw({}, self._prec)
         return QSeries._raw({e: v * k for e, v in self._c.items()}, self._prec)
+
+    @classmethod
+    def combination(cls, pairs, prec: int = DEFAULT_PREC) -> "QSeries":
+        """sum c*s over the (c, s) pairs, known modulo q^prec and modulo
+        every s's precision; the zero series for no pairs."""
+        terms = [(as_coeff(c), s) for c, s in pairs]
+        prec = min([int(prec), *(s._prec for _, s in terms)])
+        # Clear denominators once, as _mul_series does: with s = sum n_e q^e
+        # / ds for integers n_e, every c*s adds integers over one common
+        # denominator d.
+        rows = [(c, _common_denominator(s._c), s._c) for c, s in terms if c]
+        d = lcm(*(c.denominator * ds for c, ds, _ in rows))
+        acc: dict[int, int] = {}
+        for c, ds, coeffs in rows:
+            f = c.numerator * (d // (c.denominator * ds))
+            for e, v in coeffs.items():
+                if e < prec:
+                    acc[e] = acc.get(e, 0) + f * v.numerator * (
+                        ds // v.denominator)
+        return cls._raw({e: Fraction(v, d) for e, v in acc.items() if v},
+                        prec)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):

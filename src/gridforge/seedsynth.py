@@ -80,10 +80,8 @@ def _expand_spec(spec, scale: int, prec: int) -> QSeries:
     M, s = spec
     if isinstance(s, Eta):
         return s.quotient.rescale(scale).expand(prec)
-    total = QSeries.zero(prec)
-    for c, eq in s.terms:
-        total = total + eq.rescale(scale).expand(prec).scale(c)
-    return total
+    return QSeries.combination(
+        ((c, eq.rescale(scale).expand(prec)) for c, eq in s.terms), prec)
 
 
 def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:

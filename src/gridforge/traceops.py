@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from gridforge.basis import HAT, INF, build_basis
+from gridforge.basis import HAT, INF, build_basis, required_prec
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
@@ -47,6 +47,12 @@ def _check_pair(N: int, M: int):
     get_level(M)
     if N % M:
         raise ValueError(f"{M} does not divide {N}")
+
+
+def _check_positive(name: str, n: int, least: int = 1):
+    # a check over no indices compares nothing, so it must not report success
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -135,25 +141,18 @@ def trace(N: int, M: int, k: int, space: str, m: int,
 
     top = max(i for i, _ in combo)
     target = _basis_for(M, k, space, top, prec)
-    out = QSeries.zero(prec)
-    for i, c in combo:
-        out = out + target.element(i).scale(c)
+    out = QSeries.combination(((c, target.element(i)) for i, c in combo),
+                              prec)
     return TraceReport(N, M, k, space, m, True, method,
-                       combination=tuple(combo),
-                       expansion=out.truncate(prec))
+                       combination=tuple(combo), expansion=out)
 
 
 def _basis_for(N: int, k: int, space: str, max_index: int, prec: int):
-    """Basis covering indices up to max_index at >= prec, over-allocated
-    in rounded steps so repeated sweeps reuse the cache."""
-    from gridforge.basis import required_prec
-
+    """Basis covering indices up to max_index at >= prec."""
     b = v_of(N, k) if space == INF else u_of(N, k)
     count = max(max_index + b + 1, 1)
-    count = ((count + 7) // 8) * 8
-    p = max(prec, required_prec(N, k, space, count))
-    p = ((p + 15) // 16) * 16
-    return build_basis(N, k, space, count, p)
+    return build_basis(N, k, space, count,
+                       max(prec, required_prec(N, k, space, count)))
 
 
 # -- duality preservation -------------------------------------------------
@@ -285,6 +284,7 @@ def genfun_check(N: int, M: int, k: int, P: int, side: str = "both") -> bool:
     _check_pair(N, M)
     if side not in ("k", "dual", "both"):
         raise ValueError("side must be 'k', 'dual' or 'both'")
+    _check_positive("max index P", P)
     ok = True
     if side in ("k", "both"):
         ok = ok and _genfun_check_fside(N, M, k, P)
@@ -301,11 +301,13 @@ def _genfun_check_fside(N: int, M: int, k: int, P: int) -> bool:
         if not ok:
             raise ValueError(f"weight-k identity not checkable: {reason}")
     v_n, v_m = v_of(N, k), v_of(M, k)
+    _check_positive(f"max index P of the weight {k} identity", P, 1 - v_m)
     prec = P + 2
     xs = range(1, v_m - v_n + 1)
+    # top index first, so each basis is built once at its full size
     gN = {j: _basis_for(N, 2 - k, HAT, j, max(prec, P + 2))
-          for j in (v_n + x for x in xs)}
-    for m in range(-v_m, P):
+          for j in (v_n + x for x in reversed(xs))}
+    for m in reversed(range(-v_m, P)):
         lhs = (trace(N, M, k, INF, m, prec).expansion
                if m >= -v_n else QSeries.zero(prec))
         rhs = _basis_for(M, k, INF, m, prec).element(m).truncate(prec) \
@@ -329,11 +331,14 @@ def _genfun_check_gside(N: int, M: int, k: int, P: int) -> bool:
         if not ok:
             raise ValueError(f"weight-(2-k) identity not checkable: {reason}")
     u_n, u_m = u_of(N, 2 - k), u_of(M, 2 - k)
+    _check_positive(f"max index P of the weight {2 - k} identity", P,
+                    1 - u_m)
     prec = P + 2
     xs = range(1, u_m - u_n + 1)
+    # top index first, so each basis is built once at its full size
     fN = {j: _basis_for(N, k, INF, j, max(prec, P + 2))
-          for j in (u_n + x for x in xs)}
-    for n in range(-u_m, P):
+          for j in (u_n + x for x in reversed(xs))}
+    for n in reversed(range(-u_m, P)):
         lhs = (trace(N, M, 2 - k, HAT, n, prec).expansion.scale(-1)
                if n >= -u_n else QSeries.zero(prec))
         rhs = (_basis_for(M, 2 - k, HAT, n, prec).element(n)
@@ -356,6 +361,7 @@ def genfun_level4_closed_form(k: int, P: int) -> bool:
     truncated identity checked against both expansions of the grid."""
     if k % 2:
         raise ValueError("weight must be even")
+    _check_positive("max index P", P)
     ell = k // 2
     prec = P + abs(ell) + 4
     count = P + abs(ell) + 4
@@ -403,6 +409,7 @@ def empirical_preserves(N: int, M: int, k: int, box: int = 12,
     coefficients; None when principal-part matching does not apply on both
     sides."""
     _check_pair(N, M)
+    _check_positive("box", box)
     if M == N:
         return True
     if not (mk_trivial(M, k) and sk_trivial(M, 2 - k)):
@@ -412,8 +419,11 @@ def empirical_preserves(N: int, M: int, k: int, box: int = 12,
     f_indices = range(-v_n, -v_n + box)
     g_indices = range(-u_n, -u_n + box)
     need = max(prec, -u_n + box + 2, -v_n + box + 2)
-    tf = {m: trace(N, M, k, INF, m, need).expansion for m in f_indices}
-    tg = {n: trace(N, M, 2 - k, HAT, n, need).expansion for n in g_indices}
+    # top index first, so each basis is built once at its full size
+    tf = {m: trace(N, M, k, INF, m, need).expansion
+          for m in reversed(f_indices)}
+    tg = {n: trace(N, M, 2 - k, HAT, n, need).expansion
+          for n in reversed(g_indices)}
     for m in f_indices:
         for n in g_indices:
             if tf[m].coeff(n) + tg[n].coeff(m) != 0:

@@ -22,3 +22,23 @@ def perturb_certificate(monkeypatch):
         monkeypatch.setattr(basis_mod, "_basis_cache", {})
         monkeypatch.setattr(qseries, "_store", {})
     return install
+
+
+class CountingCache(dict):
+    """A basis cache that counts the builds stored per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = {}
+
+    def __setitem__(self, key, value):
+        self.builds[key] = self.builds.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def counting_basis_cache(monkeypatch):
+    """An empty basis cache that counts its builds per key."""
+    cache = CountingCache()
+    monkeypatch.setattr(basis_mod, "_basis_cache", cache)
+    return cache

@@ -279,6 +279,43 @@ def test_cached_basis_does_not_overclaim_precision(monkeypatch):
     assert build_basis(2, 0, INF, 10, 46) == b
 
 
+def test_cache_entry_only_grows(counting_basis_cache):
+    cache = counting_basis_cache
+    for count, prec in ((10, 30), (5, 46), (10, 30)):
+        b = build_basis(2, 0, INF, count, prec)
+        assert b.count == count and b.prec == prec
+    # the second request rebuilt the entry at count 10 and prec >= 46,
+    # which covers the third
+    assert cache.builds == {(2, 0, INF): 2}
+    entry = cache[(2, 0, INF)]
+    assert entry.count == 10 and entry.prec >= 46
+    # a larger count at a lower precision keeps the precision already built
+    for count, prec in ((12, 30), (10, 46), (3, 20)):
+        b = build_basis(2, 0, INF, count, prec)
+        assert b.count == count and b.prec == prec
+    assert cache.builds == {(2, 0, INF): 3}
+
+
+def test_warm_cache_gives_the_cold_bases(monkeypatch):
+    keys = [(2, 0, INF), (5, -4, HAT), (13, 4, INF)]
+    assert (13, 4) in certificates()
+    rng = random.Random(11)
+    requests = []
+    for N, k, space in keys:
+        for _ in range(12):
+            count = rng.randrange(1, 16)
+            need = basis_mod.required_prec(N, k, space, count)
+            requests.append((N, k, space, count, need + rng.randrange(0, 25)))
+    rng.shuffle(requests)
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    warm = [build_basis(*r) for r in requests]
+    for r, got in zip(requests, warm):
+        monkeypatch.setattr(basis_mod, "_basis_cache", {})
+        cold = build_basis(*r)
+        assert got == cold, r
+        assert [e.prec for e in got.elements] == [r[4]] * r[3], r
+
+
 def test_non_integral_first_element_raises(monkeypatch):
     real = basis_mod.first_element
 

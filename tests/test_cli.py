@@ -100,6 +100,17 @@ def test_genfun_check_command(capsys):
     assert code == 0 and "identity holds" in out
 
 
+def test_genfun_check_over_no_indices_is_a_usage_error(capsys):
+    for extra in (("--from", "2", "--to", "1", "--weight", "-6",
+                   "--max-index", "-3"),
+                  ("--from", "4", "--to", "1", "--weight", "0",
+                   "--max-index", "0", "--level4-closed-form")):
+        assert run(["genfun-check", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max index P must be >= 1" in captured.err
+
+
 def test_registry_command(capsys):
     code, out = invoke(capsys, "registry")
     assert code == 0

@@ -269,3 +269,39 @@ def test_store_stats_count_hits_and_misses(monkeypatch):
                              "b": {"hits": 0, "misses": 1}}
     qseries.clear_store()
     assert store_stats() == {} and not qseries._store
+
+
+def reference_combination(pairs, prec):
+    """sum c*s as the fold of QSeries additions and scalings that the
+    callers of QSeries.combination used to write out."""
+    total = QSeries.zero(prec)
+    for c, s in pairs:
+        total = total + s.scale(c)
+    return total
+
+
+def test_combination_matches_the_fold():
+    rng = random.Random(5)
+    for case in range(240):
+        pairs = []
+        for _ in range(rng.randrange(0, 6)):
+            p = rng.randrange(-5, 40)
+            lo = rng.randrange(-15, p + 1)
+            s = QSeries({e: Fraction(rng.randrange(-60, 61),
+                                     rng.choice([1, 1, 2, 3, 7, 12, 35]))
+                         for e in rng.sample(range(lo, p + 3),
+                                             rng.randrange(0, p + 4 - lo))},
+                        p)
+            c = rng.choice([0, 1, -1, rng.randrange(-99, 100),
+                            Fraction(rng.randrange(-99, 100),
+                                     rng.randrange(1, 50))])
+            pairs.append((c, s))
+        if case % 10 == 0 and pairs:
+            # terms that cancel exactly
+            c, s = pairs[0]
+            pairs.append((-Fraction(c), s))
+        prec = rng.randrange(-5, 45)
+        got = QSeries.combination(pairs, prec)
+        want = reference_combination(pairs, prec)
+        assert got == want and got.prec == want.prec, (pairs, prec)
+    assert QSeries.combination([], 17) == QSeries.zero(17)

@@ -135,6 +135,37 @@ def test_empirical_agreement_sample():
     assert empirical_preserves(4, 1, 0) is None
 
 
+@pytest.mark.parametrize("check", [
+    lambda: empirical_preserves(4, 2, -2),
+    lambda: empirical_preserves(2, 1, -4),
+    lambda: genfun_check(4, 1, 4, 10, side="dual"),
+], ids=["empirical-4-2-m2", "empirical-2-1-m4", "genfun-4-1-4-dual"])
+def test_index_sweeps_build_each_basis_once(check, counting_basis_cache):
+    assert check()
+    builds = counting_basis_cache.builds
+    assert len(builds) >= 2
+    assert all(n == 1 for n in builds.values()), builds
+
+
+def test_empty_checks_raise():
+    with pytest.raises(ValueError, match="box must be >= 1"):
+        empirical_preserves(4, 2, -2, box=0)
+    with pytest.raises(ValueError, match="box must be >= 1"):
+        empirical_preserves(5, 5, 0, box=-1)
+    for side in ("k", "dual", "both"):
+        with pytest.raises(ValueError, match="max index P must be >= 1"):
+            genfun_check(2, 1, -6, -3, side=side)
+    with pytest.raises(ValueError, match="max index P must be >= 1"):
+        genfun_check(2, 1, -6, 0)
+    with pytest.raises(ValueError, match="max index P must be >= 1"):
+        genfun_level4_closed_form(0, 0)
+    # the weight-(-6) identity at level 1 starts at index 1
+    with pytest.raises(ValueError, match="weight -6 identity must be >= 2"):
+        genfun_check(2, 1, -6, 1, side="k")
+    assert empirical_preserves(4, 2, -2, box=1)
+    assert genfun_check(2, 1, -6, 1, side="dual")
+
+
 def test_obstruction_examples():
     ob = obstructions(2, 1, -6, 15)
     assert len(ob.pairs) == 1
