@@ -8,27 +8,27 @@ subtract earlier elements (and the constant, where present) to clear
 every coefficient between the leading term and the gap bound.
 
 The Hauptmodul is monic with integer coefficients and every first element
-is integral, so the recursion runs on dense integer rows and converts to
-Fraction-valued series only when the basis is assembled.  Converting the
-Hauptmodul and the first element raises IntegralityError if either has a
-non-integral coefficient.
+is integral, so the recursion runs on the integer rows that `QSeries`
+stores and assembles the elements from them.  IntegralityError is raised
+if the Hauptmodul or the first element has a non-integral coefficient.
 
 Completed bases are immutable and cached, one entry per (level, weight,
 space), under the series store's rule: an entry only grows.  A request
 that the entry covers, in count and in the precision of its least precise
 element, is sliced and truncated from it; any other request rebuilds the
-entry at the larger of the two counts and the larger of the two
-precisions, so the entry still covers every earlier request.  The series
-a basis is built from (Hauptmodul, registry forms, the inverse of a base
-form, first elements) are kept in the series store,
-`gridforge.qseries.cached`.
+entry at the larger of the two counts and at the larger of the requested
+precision and the one the entry was built for, so the entry still covers
+every earlier request.  The series a basis is built from (Hauptmodul,
+registry forms, the inverse of a base form, first elements) are kept in
+the series store, `gridforge.qseries.cached`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 
 from gridforge import leveldata
 from gridforge.generators import (
@@ -251,16 +251,12 @@ class IntegralityError(AssertionError):
     coefficient."""
 
 
-def _int_row(s: QSeries, lo: int, hi: int, what: str) -> list[int]:
-    """The coefficients of q^lo .. q^(hi-1) of s as ints."""
-    row = []
-    for e in range(lo, hi):
-        c = s.coeff(e)
-        if c.denominator != 1:
-            raise IntegralityError(
-                f"{what} has the non-integral coefficient {c} at q^{e}")
-        row.append(c.numerator)
-    return row
+def _require_integral(s: QSeries, what: str):
+    """Raise IntegralityError unless every coefficient of s is an int."""
+    if s.denominator != 1:
+        e, c = next((e, c) for e, c in s.items() if c.denominator != 1)
+        raise IntegralityError(
+            f"{what} has the non-integral coefficient {c} at q^{e}")
 
 
 _basis_cache: dict[tuple, CanonicalBasis] = {}
@@ -280,10 +276,12 @@ def build_basis(N: int, k: int, space: str, count: int,
     key = (N, k, space)
     entry = _basis_cache.get(key)
     # An entry only grows: a miss rebuilds it to cover this request and
-    # every earlier one.  Its prec is that of its least precise element.
-    have_count, have_prec = ((0, 0) if entry is None
-                             else (entry.count, entry.prec))
-    if have_count < count or have_prec < prec:
+    # every earlier one.  Its prec is the precision it was built for; its
+    # least precise element, the last, is known beyond that.
+    have_count, have_prec, known = (
+        (0, 0, 0) if entry is None
+        else (entry.count, entry.prec, entry.elements[-1].prec))
+    if have_count < count or known < prec:
         entry = _basis_cache[key] = _build(
             N, k, space, max(count, have_count), max(prec, have_prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
@@ -293,59 +291,61 @@ def build_basis(N: int, k: int, space: str, count: int,
 
 def _build(N: int, k: int, space: str, count: int,
            prec: int) -> CanonicalBasis:
-    """Run the Hauptmodul recursion for elements m0 .. m0+count-1; the
-    result records the precision of its least precise element."""
+    """Run the Hauptmodul recursion for elements m0 .. m0+count-1, each
+    exact modulo q^prec at least; the result records prec."""
     B = v_of(N, k) if space == INF else u_of(N, k)
     m0 = -B
     work = prec + count + 6
     where = f"level {N} weight {k} {space}"
-    psi_series = hauptmodul_series(N, work + count + abs(m0) + 2)
-    first = first_element(N, k, space, work)
-    # psi[a] is the q^(a-1) coefficient of the Hauptmodul.  Element j is
-    # q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo q^(work-j):
-    # each multiplication by psi loses one term.
-    psi = _int_row(psi_series, -1, work + m0 - 1,
-                   f"Hauptmodul of level {N} (for {where} prec {work})")
+    # The recursion reads psi up to q^(work+m0-2).  psi[a] is the q^(a-1)
+    # coefficient of the Hauptmodul.
+    psi_series = hauptmodul_series(N, work + m0 - 1)
+    _require_integral(psi_series,
+                      f"Hauptmodul of level {N} (for {where} prec {work})")
+    psi = psi_series.numerators(-1, work + m0 - 1)
     # psi[0] is the leading coefficient of every product psi * element
     if psi[0] != 1:
         raise AssertionError(
             f"recursion lost the leading term at {where} index {m0 + 1}")
-    tails = [_int_row(first, B + 1, work,
-                      f"first element of {where} index {m0} prec {work}")]
+    # Element j is q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo
+    # q^(work-j): each multiplication by psi loses one term.
+    first = first_element(N, k, space, work)
+    _require_integral(first,
+                      f"first element of {where} index {m0} prec {work}")
+    tails = [first.numerators(B + 1, work)]
     psi_rev = psi[::-1]
     top = len(psi) - 1
     for i in range(1, count):
         prev = tails[-1]
         # the tail part of psi * element i-1, from q^B on
-        conv = [sum(map(mul, prev[:n + 1], psi_rev[top - n:]))
+        conv = [sum(map(mul, prev, psi_rev[top - n:]))
                 for n in range(len(prev))]
         # Gap form: clearing q^s with element -s touches only q^s and the
         # tail, so every clearing coefficient is read off the product.
         # Element j leads with q^-(m0+j), where the product's coefficient
         # is psi[i-j], plus the tail's q^B term for j = 0.
-        tail = [psi[i + 1 + y] + conv[y + 1] for y in range(len(prev) - 1)]
+        tail = list(map(add, psi[i + 1:], conv[1:]))
         for j in range(i):
             c = psi[i - j] + (conv[0] if j == 0 else 0)
             if c:
-                row = tails[j]
-                for y in range(len(tail)):
-                    tail[y] -= c * row[y]
+                tail = list(map(sub, tail, map(mul, repeat(c), tails[j])))
         tails.append(tail)
-    elements = tuple(QSeries([(-(m0 + j), 1), *enumerate(tail, B + 1)],
-                             work - j) for j, tail in enumerate(tails))
-    built = CanonicalBasis(N, k, space, m0, B, work - count + 1, elements)
+    elements = tuple(QSeries.from_row(B - j, [1, *repeat(0, j), *tail],
+                                      work - j)
+                     for j, tail in enumerate(tails))
+    built = CanonicalBasis(N, k, space, m0, B, prec, elements)
     _verify_gap_form(built)
     return built
 
 
 def _verify_gap_form(basis: CanonicalBasis):
     for m in basis.indices:
-        e = basis.element(m)
-        for s in range(-m + 1, basis.gap_bound + 1):
-            if e.coeff(s):
-                raise AssertionError(
-                    f"gap form violated at level {basis.N} weight {basis.k} "
-                    f"{basis.space} index {m}, exponent {s}")
+        gap = basis.element(m).numerators(-m + 1, basis.gap_bound + 1)
+        if any(gap):
+            s = next(s for s, c in enumerate(gap, -m + 1) if c)
+            raise AssertionError(
+                f"gap form violated at level {basis.N} weight {basis.k} "
+                f"{basis.space} index {m}, exponent {s}")
 
 
 @dataclass(frozen=True)
@@ -388,13 +388,27 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
         raise PrecisionError(
             f"duality box {m_max}x{n_max} exceeds built count "
             f"({grid.fside.count}, {grid.gside.count})")
-    worst = Fraction(0)
-    f_ind = list(grid.fside.indices)[:m_max]
-    g_ind = list(grid.gside.indices)[:n_max]
-    for m in f_ind:
-        fm = grid.fside.element(m)
-        for n in g_ind:
-            r = abs(fm.coeff(n) + grid.gside.element(n).coeff(m))
-            if r > worst:
-                worst = r
-    return worst
+    f_ind = grid.fside.indices[:m_max]
+    g_ind = grid.gside.indices[:n_max]
+    sums = _box_sums({m: grid.fside.element(m) for m in f_ind},
+                     {n: grid.gside.element(n) for n in g_ind})
+    return max((Fraction(abs(r), d) for r, d in sums if r),
+               default=Fraction(0))
+
+
+def _box_sums(f: dict, g: dict):
+    """a(m, n) + b(n, m) for every m in f and n in g, as (numerator,
+    denominator) pairs of ints, where f[m] has the coefficients a(m, .)
+    and g[n] the coefficients b(n, .); the keys of each dict are
+    consecutive ints."""
+    if not f or not g:
+        return
+    f_lo, f_hi = min(f), max(f) + 1
+    g_lo, g_hi = min(g), max(g) + 1
+    cols = [(s.numerators(f_lo, f_hi), s.denominator)
+            for _, s in sorted(g.items())]
+    for m, s in sorted(f.items()):
+        da = s.denominator
+        i = m - f_lo
+        for a, (col, db) in zip(s.numerators(g_lo, g_hi), cols):
+            yield a * db + col[i] * da, da * db

@@ -13,6 +13,7 @@ default precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,7 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: it has no
+    environment-dependent defaults, and each parse returns a new
+    namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=None,
                         help="working precision (default 60; "

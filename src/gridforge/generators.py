@@ -55,10 +55,10 @@ def eisenstein(weight: int, prec: int = DEFAULT_PREC, scale: int = 1) -> QSeries
     c = _EISENSTEIN_CONSTANT[weight]
     n_max = (prec - 1) // scale
     table = _sigma_table(weight - 1, n_max + 1)
-    coeffs = {0: Fraction(1)}
-    for n in range(1, n_max + 1):
-        coeffs[scale * n] = Fraction(c * table[n])
-    return QSeries(coeffs, prec)
+    row = [0] * (scale * max(n_max, 0) + 1)
+    row[0] = 1
+    row[scale::scale] = [c * t for t in table[1:]]
+    return QSeries.from_row(0, row, prec)
 
 
 def phi(N: int, prec: int = DEFAULT_PREC, scale: int = 1) -> QSeries:

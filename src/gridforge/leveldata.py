@@ -96,8 +96,17 @@ class Product:
     w2: int
 
 
-class PinnedPrefixError(AssertionError):
+class CertificateError(AssertionError):
+    """A seed certificate that does not determine its seed."""
+
+
+class PinnedPrefixError(CertificateError):
     """A certified seed's expansion contradicts its pinned prefix."""
+
+
+def _factor_form(name: str, a: int, b: int) -> tuple[int, int]:
+    """(weight, level) of the certificate factor (name, a, b)."""
+    return (2, a * b) if name == "phi" else (a, b)
 
 
 @dataclass(frozen=True)
@@ -107,16 +116,48 @@ class Certificate:
     with psi the level's Hauptmodul and each factor ("phi", n, e) for
     phi_n(ez) or ("eis", w, d) for E_w(dz).
 
+    The pinned prefix proves the certificate (valence formula).  phi_n(ez)
+    is a form on Gamma_0(ne) and E_w(dz) one on Gamma_0(d); when these
+    levels divide N, every factor is a form on Gamma_0(N).  psi has its
+    only pole at infinity.  So when each term's factors have weight k in
+    all, the sum is a weight-k form on Gamma_0(N) that is holomorphic away
+    from infinity.  A nonzero such form vanishes at infinity to order at
+    most v = v_k(N), so two of them that agree through q^v are equal: the
+    first element is the only one equal to q^v + O(q^(v+1)).  A sum that
+    matches the pinned prefix through check_through >= v is therefore the
+    seed.  Every evaluation runs `check`, which raises CertificateError
+    when a factor's level does not divide N, when a term's weight is not
+    k, or when check_through < v, and PinnedPrefixError when the sum
+    contradicts the prefix.
+
     `gridforge.seedsynth.derive_certificate` reproduces the terms by exact
-    row reduction.  Every evaluation is checked against the pinned
-    expansion prefix."""
+    row reduction, a second derivation."""
     terms: tuple             # of (Fraction, factors, psi power)
     expected: tuple          # of (exponent, int) nonzero coefficients
     check_through: int       # all other exponents <= this must vanish
 
     def check(self, N: int, k: int, series) -> None:
-        """Raise PinnedPrefixError unless `series`, known beyond
-        check_through, starts with the pinned prefix."""
+        """Raise CertificateError unless the certificate determines the
+        level-N weight-k seed and `series`, known beyond check_through,
+        starts with the pinned prefix."""
+        for _, factors, _ in self.terms:
+            forms = [_factor_form(*f) for f in factors]
+            for f, (_, level) in zip(factors, forms):
+                if N % level:
+                    raise CertificateError(
+                        f"seed of level {N} weight {k}: factor {f} is a "
+                        f"form of level {level}, which does not divide {N}")
+            weight = sum(w for w, _ in forms)
+            if weight != k:
+                raise CertificateError(
+                    f"seed of level {N} weight {k}: a term of factors "
+                    f"{factors} has weight {weight}")
+        v = v_of(N, k)
+        if self.check_through < v:
+            raise CertificateError(
+                f"seed of level {N} weight {k}: the pinned prefix ends at "
+                f"q^{self.check_through}, before the maximal vanishing "
+                f"order {v}, so it does not determine the seed")
         expected = dict(self.expected)
         start = min(expected)
         if not series.is_zero:

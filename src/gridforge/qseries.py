@@ -1,9 +1,14 @@
 """Truncated Laurent series in q with exact rational coefficients.
 
-A series is a finite map exponent -> nonzero Fraction together with a
-precision P: the series is known modulo O(q^P).  All arithmetic is exact;
-precision only tracks how far the coefficients are determined.  Instances
-are immutable.
+A series sum_e c_e q^e + O(q^P) is known modulo O(q^P).  It is stored as
+its valuation v, a dense row of ints r_0, r_1, ... and one positive
+denominator d, with c_(v+i) = r_i / d.  The stored form is canonical: the
+row has no zero at either end (the zero series has an empty row,
+valuation 0 and d = 1) and d shares no factor with the row, so two series
+are equal exactly when their fields are.  Arithmetic runs on the integer
+rows; a Fraction is built only when a coefficient is read (`coeff`,
+`items`).  All arithmetic is exact; precision only tracks how far the
+coefficients are determined.  Instances are immutable.
 
 Named series that depend only on a key and a precision (Hauptmoduln,
 Euler-product powers, registry forms, first basis elements, ...) are kept
@@ -15,12 +20,15 @@ of key.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg
 
 DEFAULT_PREC = 60
 
 CoeffLike = Fraction | int | str
+
+_ZERO = Fraction(0)
 
 
 class PrecisionError(ValueError):
@@ -39,28 +47,53 @@ def as_coeff(x: CoeffLike) -> Fraction:
 class QSeries:
     """A truncated Laurent series sum_e c_e q^e + O(q^prec).
 
-    Invariants: no stored coefficient is zero, and every stored exponent
-    is < prec.  Entries at or beyond prec are silently truncated on
-    construction; everything below prec is exact.
+    Invariants: the coefficient of q^(v+i) is row[i] / d; the row is empty
+    or starts and ends with a nonzero entry; d > 0 shares no factor with
+    the row; v + len(row) <= prec.  Entries at or beyond prec are silently
+    truncated on construction; everything below prec is exact.
     """
 
-    __slots__ = ("_c", "_prec")
+    __slots__ = ("_v", "_row", "_d", "_prec")
 
     def __init__(self, coeffs=None, prec: int = DEFAULT_PREC):
         prec = int(prec)
-        c: dict[int, Fraction] = {}
+        c: dict[int, Fraction | int] = {}
         if coeffs:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, v in items:
+            for e, x in items:
                 e = int(e)
-                if e >= prec:
-                    continue
-                v = as_coeff(v)
-                if v:
-                    c[e] = c[e] + v if e in c else v
-                    if not c[e]:
-                        del c[e]
-        self._c = c
+                if e < prec:
+                    c[e] = c.get(e, 0) + (x if type(x) is int
+                                          else as_coeff(x))
+        c = {e: x for e, x in c.items() if x}
+        d = lcm(*(x.denominator for x in c.values()))
+        v = min(c, default=0)
+        row = [0] * (max(c, default=v - 1) + 1 - v)
+        for e, x in c.items():
+            row[e - v] = x.numerator * (d // x.denominator)
+        self._set(v, row, d, prec)
+
+    def _set(self, v: int, row, d: int, prec: int):
+        """Store sum row[i]/d q^(v+i) + O(q^prec) in canonical form."""
+        hi = min(len(row), prec - v)
+        while hi > 0 and not row[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not row[lo]:
+            lo += 1
+        if lo >= hi:
+            v, row, d = 0, (), 1
+        else:
+            v += lo
+            row = tuple(row[lo:hi])
+            if d != 1:
+                g = gcd(d, *row)
+                if g != 1:
+                    d //= g
+                    row = tuple([x // g for x in row])
+        self._v = v
+        self._row = row
+        self._d = d
         self._prec = prec
 
     # -- constructors ------------------------------------------------
@@ -78,6 +111,18 @@ class QSeries:
                  prec: int = DEFAULT_PREC) -> "QSeries":
         return cls({exponent: coeff}, prec)
 
+    @classmethod
+    def from_row(cls, valuation: int, row, prec: int,
+                 denominator: int = 1) -> "QSeries":
+        """sum row[i]/denominator q^(valuation+i) + O(q^prec), for a
+        sequence of ints `row` and a positive int denominator."""
+        if denominator < 1:
+            raise ValueError(
+                f"denominator must be positive, got {denominator}")
+        obj = object.__new__(cls)
+        obj._set(valuation, row, denominator, prec)
+        return obj
+
     # -- accessors ---------------------------------------------------
 
     @property
@@ -86,11 +131,34 @@ class QSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._row
+
+    @property
+    def denominator(self) -> int:
+        """The least d > 0 for which d * self has integer coefficients."""
+        return self._d
+
+    def numerators(self, lo: int, hi: int) -> list[int]:
+        """The coefficients of q^lo .. q^(hi-1) times the denominator, as
+        ints; error if one is undetermined."""
+        if hi > lo and hi > self._prec:
+            raise PrecisionError(
+                f"coefficient not determined at this precision "
+                f"(n={hi - 1}, prec={self._prec})")
+        n = hi - lo
+        if n <= 0:
+            return []
+        a = lo - self._v
+        out = [0] * min(-a, n) if a < 0 else []
+        out += self._row[max(a, 0):max(a + n, 0)]
+        out += [0] * (n - len(out))
+        return out
 
     def items(self):
         """Stored (exponent, coefficient) pairs, ascending in exponent."""
-        return tuple(sorted(self._c.items()))
+        v, d = self._v, self._d
+        return tuple((v + i, Fraction(x, d))
+                     for i, x in enumerate(self._row) if x)
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of q^n; zero if absent, error if undetermined."""
@@ -98,34 +166,27 @@ class QSeries:
             raise PrecisionError(
                 f"coefficient not determined at this precision "
                 f"(n={n}, prec={self._prec})")
-        return self._c.get(n, Fraction(0))
+        i = n - self._v
+        if 0 <= i < len(self._row):
+            return Fraction(self._row[i], self._d)
+        return _ZERO
 
     def valuation(self) -> int:
         """Minimal stored exponent."""
-        if not self._c:
+        if not self._row:
             raise ValueError("valuation of zero series is undefined")
-        return min(self._c)
+        return self._v
 
     def _effective_valuation(self) -> int:
         # For precision propagation a zero series behaves as if its first
         # possibly-nonzero term sits at q^prec.
-        return min(self._c) if self._c else self._prec
+        return self._v if self._row else self._prec
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, QSeries):
-            prec = min(self._prec, other._prec)
-            c = {e: v for e, v in self._c.items() if e < prec}
-            for e, v in other._c.items():
-                if e >= prec:
-                    continue
-                s = c.get(e, 0) + v
-                if s:
-                    c[e] = s
-                elif e in c:
-                    del c[e]
-            return QSeries._raw(c, prec)
+            return QSeries.combination(((1, self), (1, other)), self._prec)
         return NotImplemented
 
     def __sub__(self, other):
@@ -134,14 +195,12 @@ class QSeries:
         return NotImplemented
 
     def __neg__(self):
-        return QSeries._raw({e: -v for e, v in self._c.items()}, self._prec)
+        return QSeries._raw(self._v, tuple(map(neg, self._row)), self._d,
+                            self._prec)
 
     def scale(self, k: CoeffLike) -> "QSeries":
         """Scalar multiple; precision is preserved."""
-        k = as_coeff(k)
-        if not k:
-            return QSeries._raw({}, self._prec)
-        return QSeries._raw({e: v * k for e, v in self._c.items()}, self._prec)
+        return QSeries.combination(((k, self),), self._prec)
 
     @classmethod
     def combination(cls, pairs, prec: int = DEFAULT_PREC) -> "QSeries":
@@ -149,20 +208,21 @@ class QSeries:
         every s's precision; the zero series for no pairs."""
         terms = [(as_coeff(c), s) for c, s in pairs]
         prec = min([int(prec), *(s._prec for _, s in terms)])
-        # Clear denominators once, as _mul_series does: with s = sum n_e q^e
-        # / ds for integers n_e, every c*s adds integers over one common
-        # denominator d.
-        rows = [(c, _common_denominator(s._c), s._c) for c, s in terms if c]
-        d = lcm(*(c.denominator * ds for c, ds, _ in rows))
-        acc: dict[int, int] = {}
-        for c, ds, coeffs in rows:
-            f = c.numerator * (d // (c.denominator * ds))
-            for e, v in coeffs.items():
-                if e < prec:
-                    acc[e] = acc.get(e, 0) + f * v.numerator * (
-                        ds // v.denominator)
-        return cls._raw({e: Fraction(v, d) for e, v in acc.items() if v},
-                        prec)
+        terms = [(c, s) for c, s in terms if c and s._row and s._v < prec]
+        if not terms:
+            return cls._raw(0, (), 1, prec)
+        # Over the common denominator d, every c*s is an integer row: the
+        # row of s times c.numerator * d / (c.denominator * s._d).
+        d = lcm(*(c.denominator * s._d for c, s in terms))
+        v = min(s._v for _, s in terms)
+        n = min(max(s._v + len(s._row) for _, s in terms), prec) - v
+        acc = [0] * n
+        for c, s in terms:
+            f = c.numerator * (d // (c.denominator * s._d))
+            a = s._v - v
+            b = min(a + len(s._row), n)
+            acc[a:b] = map(add, acc[a:b], map(mul, repeat(f), s._row))
+        return cls.from_row(v, acc, prec, d)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -175,29 +235,23 @@ class QSeries:
     def _mul_series(self, other: "QSeries") -> "QSeries":
         prec = min(self._prec + other._effective_valuation(),
                    other._prec + self._effective_valuation())
-        if not self._c or not other._c:
-            return QSeries._raw({}, prec)
-        # Clear denominators so the convolution runs over plain ints; the
-        # gcd-normalising Fraction arithmetic is only paid once per result
-        # term instead of once per product.
-        da = _common_denominator(self._c)
-        db = _common_denominator(other._c)
-        na = [(e, int(v * da)) for e, v in self._c.items()]
-        nb = sorted((e, int(v * db)) for e, v in other._c.items())
-        acc: dict[int, int] = {}
-        for ea, va in na:
-            room = prec - ea
-            for eb, vb in nb:
-                if eb >= room:
-                    break
-                e = ea + eb
-                acc[e] = acc.get(e, 0) + va * vb
-        d = da * db
-        c = {}
-        for e, v in acc.items():
-            if v:
-                c[e] = Fraction(v, d)
-        return QSeries._raw(c, prec)
+        a, b = self._row, other._row
+        if not a or not b:
+            return QSeries._raw(0, (), 1, prec)
+        v = self._v + other._v
+        n = min(prec - v, len(a) + len(b) - 1)
+        # One pass per nonzero coefficient of the sparser row, so that a
+        # rescaled factor such as E_k(dz) costs a d-th of a dense product.
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        acc = [0] * n
+        for i, x in enumerate(a):
+            if i >= n:
+                break
+            if x:
+                j = min(i + len(b), n)
+                acc[i:j] = map(add, acc[i:j], map(mul, repeat(x), b))
+        return QSeries.from_row(v, acc, prec, self._d * other._d)
 
     def __pow__(self, n: int) -> "QSeries":
         n = int(n)
@@ -205,7 +259,7 @@ class QSeries:
             # q^0 at the relative precision of the base.
             return QSeries.one(self._prec - self._effective_valuation())
         if n < 0:
-            if not self._c:
+            if not self._row:
                 raise ValueError("negative power of zero series")
             base = self.inverse(self._prec - self.valuation())
             n = -n
@@ -227,21 +281,18 @@ class QSeries:
         The result has valuation -val(self); at most prec - val(self)
         terms can be determined from self.
         """
-        if not self._c:
+        if not self._row:
             raise ValueError("cannot invert zero series")
-        v = self.valuation()
+        v = self._v
         known = self._prec - v
         n = known if terms is None else min(int(terms), known)
         if n <= 0:
-            return QSeries._raw({}, -v + max(n, 0))
-        # Clear denominators once: self = q^v * sum g_i q^i / d with integer
-        # g_i.  The inverse is then sum d * c_m / g_0^(m+1) q^(m-v), where
-        # c_0 = 1 and c_m = -sum_{i>=1} g_i g_0^(i-1) c_{m-i} stays integral.
-        d = _common_denominator(self._c)
-        g = [0] * n
-        for e, x in self._c.items():
-            if e - v < n:
-                g[e - v] = x.numerator * (d // x.denominator)
+            return QSeries._raw(0, (), 1, -v + max(n, 0))
+        # self = q^v * sum g_i q^i / d with integer g_i.  The inverse is
+        # sum d * c_m / g_0^(m+1) q^(m-v), where c_0 = 1 and
+        # c_m = -sum_{i>=1} g_i g_0^(i-1) c_{m-i} stays integral; over the
+        # common denominator g_0^n its numerators are d c_m g_0^(n-1-m).
+        g = self._row[:n]
         g0 = g[0]
         weights = []
         power = 1
@@ -251,39 +302,43 @@ class QSeries:
         c = [1]
         for _ in range(1, n):
             c.append(-sum(map(mul, weights, reversed(c))))
-        out = {}
-        power = g0
-        for m, cm in enumerate(c):
-            if cm:
-                out[m - v] = Fraction(d * cm, power)
+        power = 1
+        for m in reversed(range(n)):
+            c[m] *= self._d * power
             power *= g0
-        return QSeries._raw(out, n - v)
+        if power < 0:
+            power = -power
+            c = list(map(neg, c))
+        return QSeries.from_row(-v, c, n - v, power)
 
     def derive(self) -> "QSeries":
         """Apply q*d/dq: the coefficient at q^n becomes n*c_n."""
-        return QSeries._raw(
-            {e: e * v for e, v in self._c.items() if e != 0}, self._prec)
+        v = self._v
+        return QSeries.from_row(
+            v, [(v + i) * x for i, x in enumerate(self._row)], self._prec,
+            self._d)
 
     def truncate(self, prec: int) -> "QSeries":
         """Restrict to exponents < prec (capped by the known precision)."""
         prec = int(prec)
         if prec >= self._prec:
             return self
-        return QSeries._raw({e: v for e, v in self._c.items() if e < prec}, prec)
+        return QSeries.from_row(self._v, self._row, prec, self._d)
 
     def shift(self, n: int) -> "QSeries":
         """Multiply by q^n."""
         n = int(n)
-        return QSeries._raw({e + n: v for e, v in self._c.items()},
-                            self._prec + n)
+        return QSeries._raw(self._v + n if self._row else 0, self._row,
+                            self._d, self._prec + n)
 
     def rescale_exponents(self, d: int) -> "QSeries":
         """Substitute q -> q^d (argument scaling z -> dz)."""
         d = int(d)
         if d < 1:
             raise ValueError("exponent scale must be >= 1")
-        return QSeries._raw({e * d: v for e, v in self._c.items()},
-                            self._prec * d)
+        row = [0] * ((len(self._row) - 1) * d + 1)
+        row[::d] = self._row
+        return QSeries._raw(self._v * d, tuple(row), self._d, self._prec * d)
 
     # -- comparison --------------------------------------------------
 
@@ -294,21 +349,16 @@ class QSeries:
     def agrees(self, other: "QSeries") -> bool:
         """Equality of all coefficients below the common precision."""
         p = self.agreement_prec(other)
-        for e, v in self._c.items():
-            if e < p and other._c.get(e) != v:
-                return False
-        for e, v in other._c.items():
-            if e < p and self._c.get(e) != v:
-                return False
-        return True
+        return self.truncate(p) == other.truncate(p)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self._prec == other._prec and self._c == other._c
+        return (self._prec == other._prec and self._v == other._v
+                and self._d == other._d and self._row == other._row)
 
     def __hash__(self):
-        return hash((self._prec, frozenset(self._c.items())))
+        return hash((self._prec, self._v, self._d, self._row))
 
     # -- serialization -----------------------------------------------
 
@@ -322,7 +372,7 @@ class QSeries:
                    int(d["prec"]))
 
     def __str__(self):
-        if not self._c:
+        if not self._row:
             return f"0 + O(q^{self._prec})"
         parts = []
         for e, v in self.items():
@@ -346,20 +396,14 @@ class QSeries:
     # -- internal ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, c: dict[int, Fraction], prec: int) -> "QSeries":
+    def _raw(cls, v: int, row: tuple, d: int, prec: int) -> "QSeries":
+        """A series from fields already in canonical form."""
         obj = object.__new__(cls)
-        obj._c = c
+        obj._v = v
+        obj._row = row
+        obj._d = d
         obj._prec = prec
         return obj
-
-
-def _common_denominator(c: dict[int, Fraction]) -> int:
-    d = 1
-    for v in c.values():
-        dv = v.denominator
-        if dv != 1:
-            d = d * dv // gcd(d, dv)
-    return d
 
 
 # -- the series store ------------------------------------------------------

@@ -9,18 +9,26 @@ from gridforge.leveldata import certificates, get_level
 
 
 @pytest.fixture
-def perturb_certificate(monkeypatch):
+def install_certificate(monkeypatch):
+    """Install a certificate as the registry's (N, k) seed, and start from
+    an empty basis cache and an empty series store, so that it is
+    evaluated."""
+    def install(N, k, cert):
+        monkeypatch.setitem(get_level(N).seed.forms, k, cert)
+        monkeypatch.setattr(basis_mod, "_basis_cache", {})
+        monkeypatch.setattr(qseries, "_store", {})
+    return install
+
+
+@pytest.fixture
+def perturb_certificate(install_certificate):
     """Install the (N, k) certificate of the registry with its first
-    coefficient moved, and start from an empty basis cache and an empty
-    series store, so the perturbed certificate is evaluated."""
+    coefficient moved (see install_certificate)."""
     def install(N, k):
         cert = certificates()[(N, k)]
         (c, factors, j), *rest = cert.terms
-        bad = dataclasses.replace(
-            cert, terms=((c + Fraction(1, 7), factors, j), *rest))
-        monkeypatch.setitem(get_level(N).seed.forms, k, bad)
-        monkeypatch.setattr(basis_mod, "_basis_cache", {})
-        monkeypatch.setattr(qseries, "_store", {})
+        install_certificate(N, k, dataclasses.replace(
+            cert, terms=((c + Fraction(1, 7), factors, j), *rest)))
     return install
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from gridforge.basis import (
 from gridforge.leveldata import (
     ALL_LEVELS,
     CONFORMANCE,
+    CertificateError,
     PinnedPrefixError,
     certificates,
     u_of,
@@ -110,6 +112,23 @@ def test_gap_form():
                 assert e.coeff(s) == 0, (N, k, space, m, s)
 
 
+def test_gap_form_check_covers_the_whole_gap():
+    b = build_basis(6, -2, INF, 4, 30)
+
+    def with_term(m, s):
+        e = b.element(m) + QSeries.monomial(s, 1, b.prec)
+        return dataclasses.replace(b, elements=tuple(
+            e if i == m else b.element(i) for i in b.indices))
+
+    basis_mod._verify_gap_form(b)
+    for m in b.indices:
+        for s in range(-m + 1, b.gap_bound + 1):
+            with pytest.raises(AssertionError,
+                               match=f"index {m}, exponent {s}$"):
+                basis_mod._verify_gap_form(with_term(m, s))
+        basis_mod._verify_gap_form(with_term(m, b.gap_bound + 1))
+
+
 def test_weight_zero_inf_starts_with_constant():
     for N in (1, 5, 9, 16):
         b = build_basis(N, 0, INF, 2, 20)
@@ -146,6 +165,33 @@ def test_duality_examples():
     assert g1.fside.element(1).coeff(2) == 21493760
     assert g1.gside.element(2).coeff(1) == -21493760
     assert duality_residual(g5, 0, 0) == 0
+
+
+def reference_residual(grid, m_max, n_max):
+    """max |a_k(m,n) + b_{2-k}(n,m)|, coefficient by coefficient in
+    Fraction arithmetic."""
+    return max((abs(grid.fside.coefficient(m, n)
+                    + grid.gside.coefficient(n, m))
+                for m in grid.fside.indices[:m_max]
+                for n in grid.gside.indices[:n_max]), default=Fraction(0))
+
+
+def test_duality_residual_of_rational_grids():
+    # bases are integral, so only a perturbed grid reaches the residual's
+    # arithmetic with denominators
+    grid = build_grid(5, 0, 4)
+    rng = random.Random(3)
+    for _ in range(30):
+        sides = []
+        for side in (grid.fside, grid.gside):
+            sides.append(dataclasses.replace(side, elements=tuple(
+                e + QSeries({rng.randrange(-1, 6): Fraction(
+                    rng.randrange(-9, 10), rng.randrange(1, 7))}, e.prec)
+                if rng.random() < 0.5 else e for e in side.elements)))
+        perturbed = dataclasses.replace(grid, fside=sides[0], gside=sides[1])
+        for box in ((4, 4), (3, 2), (0, 4)):
+            assert duality_residual(perturbed, *box) == \
+                reference_residual(perturbed, *box)
 
 
 def test_duality_residual_guards():
@@ -296,6 +342,29 @@ def test_cache_entry_only_grows(counting_basis_cache):
     assert cache.builds == {(2, 0, INF): 3}
 
 
+def test_rebuilds_keep_the_requested_precision(counting_basis_cache,
+                                               monkeypatch):
+    for count in (10, 12, 14):
+        build_basis(2, 0, INF, count, 30)
+    assert counting_basis_cache.builds == {(2, 0, INF): 3}
+    warm = counting_basis_cache[(2, 0, INF)]
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    build_basis(2, 0, INF, 14, 30)
+    assert warm == basis_mod._basis_cache[(2, 0, INF)]
+
+
+@pytest.mark.parametrize("N, k", [(1, 0), (5, 0), (2, -6), (9, 4)])
+def test_recursion_expands_the_hauptmodul_as_far_as_it_reads(N, k,
+                                                             monkeypatch):
+    count, prec = 10, 30
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
+    build_basis(N, k, INF, count, prec)
+    # the recursion reads psi up to q^(work+m0-2)
+    work, m0 = prec + count + 6, -v_of(N, k)
+    assert qseries._store[("haupt", N)].prec == work + m0 - 1
+
+
 def test_warm_cache_gives_the_cold_bases(monkeypatch):
     keys = [(2, 0, INF), (5, -4, HAT), (13, 4, INF)]
     assert (13, 4) in certificates()
@@ -353,6 +422,39 @@ def test_perturbed_certificate_fails_pinned_prefix(perturb_certificate):
         level_form(7, 4, 20)
     with pytest.raises(PinnedPrefixError):
         build_grid(7, 4, 5)
+
+
+def _with_factor(cert, old, new):
+    return dataclasses.replace(cert, terms=tuple(
+        (c, tuple(new if f == old else f for f in factors), j)
+        for c, factors, j in cert.terms))
+
+
+def test_certificate_prefix_must_reach_the_maximal_order(
+        install_certificate):
+    cert = certificates()[(13, 6)]
+    v = v_of(13, 6)
+    install_certificate(13, 6, dataclasses.replace(cert, check_through=v - 1))
+    with pytest.raises(CertificateError, match="does not determine"):
+        level_form(13, 6, 20)
+
+
+def test_certificate_factor_levels_must_divide_the_level(
+        install_certificate):
+    cert = certificates()[(7, 4)]
+    install_certificate(7, 4, _with_factor(cert, ("eis", 4, 1),
+                                           ("eis", 4, 2)))
+    with pytest.raises(CertificateError,
+                       match="level 2, which does not divide 7"):
+        level_form(7, 4, 20)
+
+
+def test_certificate_terms_must_have_the_seed_weight(install_certificate):
+    cert = certificates()[(7, 4)]
+    install_certificate(7, 4, _with_factor(cert, ("eis", 4, 1),
+                                           ("eis", 6, 1)))
+    with pytest.raises(CertificateError, match="has weight 6"):
+        level_form(7, 4, 20)
 
 
 def test_pinned_prefix_check_survives_optimize():

@@ -140,6 +140,26 @@ def test_usage_errors(capsys):
     assert run(["basis", "--level", "11", "--weight", "0"]) == 2
 
 
+def test_one_parser_serves_every_request(capsys):
+    requests = (
+        ["grid", "--level", "4", "--weight", "0", "--count", "3",
+         "--check-duality"],
+        ["grid", "--level", "4", "--weight", "0", "--count", "3"],
+        ["grid", "--level", "4"],
+    )
+    alone = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        alone.append((run(argv), *capsys.readouterr()))
+    cli._build_parser.cache_clear()
+    together = [(run(argv), *capsys.readouterr()) for argv in requests]
+    assert together == alone
+    assert cli._build_parser.cache_info().misses == 1
+    assert "duality residual: 0" in alone[0][1]
+    assert "duality residual" not in alone[1][1]
+    assert alone[2][0] == 2 and "--weight" in alone[2][2]
+
+
 def test_env_precision(capsys, monkeypatch):
     monkeypatch.setenv("GRIDFORGE_PREC", "14")
     code, out = invoke(capsys, "basis", "--level", "1", "--weight", "0",

@@ -110,6 +110,12 @@ def test_valuation_truncate_scale():
         QSeries.zero().valuation()
     t = qs({0: 1, 1: 1, 5: 1}, 10).truncate(3)
     assert t == qs({0: 1, 1: 1}, 3)
+    # truncation renormalizes the denominator
+    t = qs({0: 1, 1: Fraction(1, 2)}, 5).truncate(1)
+    assert t == QSeries.one(1) and hash(t) == hash(QSeries.one(1))
+    assert t.denominator == 1
+    t = qs({0: Fraction(1, 3), 4: Fraction(1, 6)}, 9).truncate(4)
+    assert t == qs({0: Fraction(1, 3)}, 4) and t.denominator == 3
     a = QSeries.monomial(-1)
     assert a.scale(-1) == a * Fraction(-1)
 
@@ -128,6 +134,10 @@ def test_json_roundtrip():
     assert doc["prec"] == 5
     assert doc["coeffs"][0] == [-2, "1"]
     assert QSeries.from_json_dict(doc) == a
+    assert json.dumps(qs({0: 3, 2: Fraction(-5, 4)}, 4).to_json_dict()) == \
+        '{"prec": 4, "coeffs": [[0, "3"], [2, "-5/4"]]}'
+    assert json.dumps(QSeries.zero(3).to_json_dict()) == \
+        '{"prec": 3, "coeffs": []}'
 
 
 def test_text_form():
@@ -305,3 +315,84 @@ def test_combination_matches_the_fold():
         want = reference_combination(pairs, prec)
         assert got == want and got.prec == want.prec, (pairs, prec)
     assert QSeries.combination([], 17) == QSeries.zero(17)
+
+
+def _rational(rng):
+    return Fraction(rng.randrange(-60, 61),
+                    rng.choice([1, 1, 2, 3, 4, 9, 35]))
+
+
+def test_every_construction_gives_the_canonical_series():
+    rng = random.Random(8)
+    for case in range(200):
+        v = rng.randrange(-12, 13)
+        prec = v + rng.randrange(1, 20)
+        coeffs = {e: _rational(rng) for e in range(v, prec)
+                  if rng.random() < 0.6}
+        s = QSeries(coeffs, prec)
+        longer = QSeries({**coeffs, **{e: _rational(rng)
+                                       for e in range(prec, prec + 9)}},
+                         prec + 9)
+        lead = rng.randrange(0, 3)
+        den = s.denominator * rng.randrange(1, 5)
+        row = [0] * lead + [c.numerator * (den // c.denominator)
+                            for c in (s.coeff(e) for e in range(v, prec))]
+        ways = [
+            QSeries(list(coeffs.items()), prec),
+            s * QSeries.one(prec - v),
+            QSeries.one(prec - v + 7) * s,
+            QSeries.combination([(1, s)], prec + 3),
+            QSeries.combination([(2, s), (Fraction(-1, 2), s.scale(2))],
+                                prec),
+            longer.truncate(prec),
+            QSeries.from_json_dict(s.to_json_dict()),
+            # leading zeros, a term beyond prec, an unreduced denominator
+            QSeries.from_row(v - lead, row + [1, 0], prec, den),
+        ]
+        for w in ways:
+            assert w == s and hash(w) == hash(s), (case, w, s)
+            assert w.items() == s.items()
+
+
+def reference_mul(a, b):
+    """The product as a convolution of dicts of Fractions, the way the
+    series were multiplied before they stored integer rows."""
+    va = a.prec if a.is_zero else a.valuation()
+    vb = b.prec if b.is_zero else b.valuation()
+    prec = min(a.prec + vb, b.prec + va)
+    acc = {}
+    for ea, x in a.items():
+        for eb, y in b.items():
+            if ea + eb < prec:
+                acc[ea + eb] = acc.get(ea + eb, 0) + x * y
+    return QSeries(acc, prec)
+
+
+def _any_series(rng):
+    """A random series with valuation in -12..12: rational, sparse, dense
+    or rescaled q -> q^d (d up to 25) like eta(dz) and E_k(dz)."""
+    kind = rng.choice(("rational", "sparse", "dense", "rescaled"))
+    v = rng.randrange(-12, 13)
+    if kind == "rescaled":
+        d = rng.randrange(2, 26)
+        inner = QSeries({e: rng.randrange(-999, 1000)
+                         for e in range(0, rng.randrange(1, 8))},
+                        rng.randrange(2, 8))
+        s = inner.rescale_exponents(d)
+        return s if s.is_zero else s.shift(v - s.valuation())
+    prec = v + rng.randrange(1, 40)
+    if kind == "sparse":
+        exps = rng.sample(range(v, prec), min(prec - v, rng.randrange(0, 5)))
+    else:
+        exps = range(v, prec)
+    value = _rational if kind == "rational" else (
+        lambda rng: rng.randrange(-10 ** 6, 10 ** 6))
+    return QSeries({e: value(rng) for e in exps}, prec)
+
+
+def test_mul_matches_the_fraction_dict_product():
+    rng = random.Random(20261018)
+    for case in range(600):
+        a, b = _any_series(rng), _any_series(rng)
+        got, want = a * b, reference_mul(a, b)
+        assert got == want and got.prec == want.prec, (case, a, b)
