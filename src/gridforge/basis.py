@@ -7,6 +7,12 @@ built recursively: multiply the previous element by the Hauptmodul, then
 subtract earlier elements (and the constant, where present) to clear
 every coefficient between the leading term and the gap bound.
 
+The first element comes from the level's seed recipe, a product of
+registry forms.  Every registry form is a `leveldata.Combo`, a sum of
+c * (product of factors) * psi^j, and one function, `_eval_form`,
+evaluates them all (and the cusp-killing polynomial); it checks a
+`leveldata.Certificate` against its pinned prefix.
+
 The Hauptmodul is monic with integer coefficients and every first element
 is integral, so the recursion runs on the integer rows that `QSeries`
 stores and assembles the elements from them.  IntegralityError is raised
@@ -31,28 +37,10 @@ from itertools import repeat
 from operator import add, mul, sub
 
 from gridforge import leveldata
-from gridforge.generators import (
-    delta,
-    eisenstein,
-    eta_quotient_expand,
-    j_function,
-    level_one_form,
-    phi,
-)
+from gridforge.generators import eisenstein, j_function, phi
 from gridforge.leveldata import (
     Certificate,
-    DeltaForm,
-    E2Combo,
-    Eis,
-    EisDiff,
-    EisMinusSquare,
-    Eta,
-    EtaCombo,
-    One,
-    Phi,
-    PowerSeed,
-    Product,
-    TowerSeed,
+    Combo,
     get_level,
     u_of,
     v_of,
@@ -79,83 +67,55 @@ def hauptmodul_series(N: int, prec: int) -> QSeries:
     return cached(("haupt", N), prec, build)
 
 
-def _eval_form(N: int, weight: int, spec, prec: int) -> QSeries:
-    """Expand one seed-form descriptor from the level registry."""
-    if isinstance(spec, One):
-        return QSeries.one(prec)
-    if isinstance(spec, Eis):
-        return level_one_form(spec.weight, prec)
-    if isinstance(spec, DeltaForm):
-        return delta(prec)
-    if isinstance(spec, Phi):
-        return phi(spec.n, prec)
-    if isinstance(spec, Eta):
-        return eta_quotient_expand(spec.quotient, prec)
-    if isinstance(spec, EtaCombo):
-        return QSeries.combination(
-            ((c, eta_quotient_expand(eq, prec)) for c, eq in spec.terms),
-            prec)
-    if isinstance(spec, EisDiff):
-        diff = eisenstein(spec.weight, prec) - eisenstein(
-            spec.weight, prec, scale=spec.d)
-        return diff.scale(Fraction(1, spec.denom))
-    if isinstance(spec, EisMinusSquare):
-        f2 = level_form(N, 2, prec)
-        return ((eisenstein(4, prec) - f2 * f2)
-                .truncate(prec).scale(Fraction(1, spec.denom)))
-    if isinstance(spec, E2Combo):
-        return QSeries.combination(
-            ((c, eisenstein(2, prec, scale=d)) for c, d in spec.terms),
-            prec).scale(Fraction(1, spec.denom))
-    if isinstance(spec, Product):
-        a = level_form(N, spec.w1, prec)
-        b = level_form(N, spec.w2, prec)
-        return (a * b).truncate(prec)
-    if isinstance(spec, Certificate):
-        return _eval_certificate(N, weight, spec, prec)
-    raise TypeError(f"unknown form spec {spec!r}")
+def _factor(N: int, factor: tuple, prec: int) -> QSeries:
+    """Expand one factor of a registry form (see leveldata.Combo)."""
+    match factor:
+        case ("phi", n, e):
+            return phi(n, prec, scale=e)
+        case ("eis", w, d):
+            return eisenstein(w, prec, scale=d)
+        case ("eta", quotient):
+            return quotient.expand(prec)
+        case ("form", w):
+            return level_form(N, w, prec)
+    raise TypeError(f"unknown form factor {factor!r}")
 
 
-_FACTORS = {"phi": phi, "eis": eisenstein}
-
-
-def _eval_certificate(N: int, k: int, cert: Certificate,
-                      prec: int) -> QSeries:
-    """Sum a certificate's terms, as one polynomial in the Hauptmodul per
-    factor product, and check the sum against the pinned prefix."""
-    target = max(prec, cert.check_through + 1)
-    top = max(j for _, _, j in cert.terms)
+def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
+    """Sum a registry form's terms c * (product of factors) * psi^j, as one
+    polynomial in the Hauptmodul per factor product.  A Certificate is
+    checked against its pinned prefix."""
+    cert = isinstance(form, Certificate)
+    target = max(prec, form.check_through + 1) if cert else prec
+    top = max(j for _, _, j in form.terms)
     # psi^j has a pole of order j, so it costs j terms of precision
     work = target + top
-    psi = hauptmodul_series(N, work)
     psi_pows = [QSeries.one(work)]
     for _ in range(top):
-        psi_pows.append(psi_pows[-1] * psi)
-    polys: dict[tuple, QSeries] = {}
-    for c, factors, j in cert.terms:
-        polys[factors] = (polys.get(factors, QSeries.zero(work))
-                          + psi_pows[j].scale(c))
-    total = QSeries.zero(target)
-    for factors, poly in polys.items():
-        for name, n, scale in factors:
-            poly = poly * _FACTORS[name](n, work, scale=scale)
-        total = total + poly
-    cert.check(N, k, total)
+        psi_pows.append(psi_pows[-1] * hauptmodul_series(N, work))
+    polys: dict[tuple, list] = {}
+    for c, factors, j in form.terms:
+        polys.setdefault(factors, []).append((c, psi_pows[j]))
+    products = []
+    for factors, pairs in polys.items():
+        poly = QSeries.combination(pairs, work)
+        for f in factors:
+            poly = poly * _factor(N, f, work)
+        products.append((1, poly))
+    total = QSeries.combination(products, target)
+    if cert:
+        form.check(N, k, total)
     return total
 
 
 def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
-    """The registry's named weight-`weight` form for this level (the F-forms
-    of tower levels, or the weight-2 base of power levels)."""
-    seed = get_level(N).seed
-    if isinstance(seed, TowerSeed):
-        spec = seed.forms.get(weight)
-    else:
-        spec = seed.form2 if weight == 2 else None
-    if spec is None:
+    """The registry's weight-`weight` form for this level (the F-forms of
+    its seed recipe)."""
+    form = get_level(N).seed.forms.get(weight)
+    if form is None:
         raise ValueError(f"level {N} has no registry form in weight {weight}")
     return cached(("form", N, weight), prec,
-                  lambda prec: _eval_form(N, weight, spec, prec))
+                  lambda prec: _eval_form(N, weight, form, prec))
 
 
 def first_element(N: int, k: int, space: str,
@@ -187,15 +147,11 @@ def _build_first(N: int, k: int, space: str, prec: int) -> QSeries:
         inf = first_element(N, k, INF, work)
         return (inf * leveldata.cusp_killer(N, work)).truncate(prec)
     seed = ld.seed
-    if isinstance(seed, PowerSeed):
-        base_weight, power, kp = 2, k // 2, None
-    else:
-        base_weight = seed.base_weight
-        power, kp = leveldata._decompose(k, seed.modulus, seed.kprimes)
+    power, kp = leveldata._decompose(k, seed.modulus, seed.kprimes)
+    base_weight = seed.base_weight
     v_base = v_of(N, base_weight)
-    v_rest = 0 if kp is None else v_of(N, kp)
     # raising the base to a negative power costs (1-power)*v_base terms
-    work = prec + 8 + max(0, (1 - power) * v_base - v_rest)
+    work = prec + 8 + max(0, (1 - power) * v_base - v_of(N, kp))
     if power >= 0:
         out = level_form(N, base_weight, work) ** power
     else:
@@ -205,8 +161,7 @@ def _build_first(N: int, k: int, space: str, prec: int) -> QSeries:
                      lambda p: level_form(N, base_weight,
                                           p + 2 * v_base).inverse())
         out = inv ** -power
-    if kp is not None:
-        out = out * level_form(N, kp, work)
+    out = out * level_form(N, kp, work)
     return out.truncate(prec)
 
 

@@ -2,12 +2,12 @@
 
 Commands: basis, grid, seed, trace, classify, obstructions, genfun-check,
 registry, selftest.  Exit codes: 0 success, 1 mathematical negative (a
-NotPreserved classification or a failed identity check), 2 usage error,
-3 internal validation failure (a broken invariant of the library, such as a
-non-integral basis coefficient or a violated gap form).  A reader that
-closes the output early (`gridforge grid ... | head`) ends the output
-quietly without changing the exit code.  GRIDFORGE_PREC overrides the
-default precision.
+NotPreserved classification or a failed identity check), 2 usage error
+(including an --out path that cannot be written), 3 internal validation
+failure (a broken invariant of the library, such as a non-integral basis
+coefficient or a violated gap form).  A reader that closes the output
+early (`gridforge grid ... | head`) ends the output quietly without
+changing the exit code.  GRIDFORGE_PREC overrides the default precision.
 """
 
 from __future__ import annotations
@@ -142,8 +142,11 @@ def _print(text: str):
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc}")
     else:
         _print(text)
 

@@ -28,72 +28,22 @@ ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
 
 # -- seed recipes ---------------------------------------------------------
 #
-# The first basis element of the weight-k space is either a power of the
-# level's weight-2 form, or F_base^l * F_{k'} for the decomposition
-# k = modulus*l + k'.  Individual F-forms are described by small spec
-# objects evaluated in gridforge.basis.  The six F-forms with no closed
-# form are Certificates: exact combinations of phi_n(ez), E4(dz), E6(dz)
-# and Hauptmodul powers, found by row reduction in gridforge.seedsynth.
+# The first basis element of the weight-k space is F_base^l * F_{k'} for
+# the decomposition k = modulus*l + k' (a power of the weight-2 form where
+# the modulus is 2).  Every F-form is a Combo: a sum of c * (product of
+# factors) * psi^j, evaluated in gridforge.basis.  The six F-forms with no
+# closed form are Certificates: exact combinations of phi_n(ez), E4(dz),
+# E6(dz) and Hauptmodul powers, found by row reduction in
+# gridforge.seedsynth.
 
 @dataclass(frozen=True)
-class One:
-    pass
-
-
-@dataclass(frozen=True)
-class Eis:
-    """The one-dimensional level-one space at this weight (E4, E6, ...)."""
-    weight: int
-
-
-@dataclass(frozen=True)
-class DeltaForm:
-    pass
-
-
-@dataclass(frozen=True)
-class Phi:
-    """(n E2(nz) - E2(z)) / (n - 1)."""
-    n: int
-
-
-@dataclass(frozen=True)
-class Eta:
-    quotient: EtaQuotient
-
-
-@dataclass(frozen=True)
-class EtaCombo:
-    """A rational linear combination of eta quotients."""
-    terms: tuple  # of (Fraction, EtaQuotient)
-
-
-@dataclass(frozen=True)
-class EisDiff:
-    """(E_w(z) - E_w(dz)) / denom."""
-    weight: int
-    d: int
-    denom: int
-
-
-@dataclass(frozen=True)
-class EisMinusSquare:
-    """(E4 - F2^2) / denom, with F2 the same level's weight-2 form."""
-    denom: int
-
-
-@dataclass(frozen=True)
-class E2Combo:
-    """(sum c * E2(dz) over (c, d) pairs) / denom."""
-    terms: tuple
-    denom: int = 1
-
-
-@dataclass(frozen=True)
-class Product:
-    """Product of two lower-weight forms of the same level."""
-    w1: int
-    w2: int
+class Combo:
+    """The sum of c * (product of factors) * psi^j over the (c, factors, j)
+    terms, with psi the level's Hauptmodul.  A factor is ("phi", n, e) for
+    phi_n(ez) = (n E2(nez) - E2(ez)) / (n - 1), ("eis", w, d) for E_w(dz),
+    ("eta", q) for the eta quotient q, or ("form", w) for the same level's
+    weight-w registry form; the empty product is 1."""
+    terms: tuple             # of (Fraction, factors, psi power)
 
 
 class CertificateError(AssertionError):
@@ -104,17 +54,25 @@ class PinnedPrefixError(CertificateError):
     """A certified seed's expansion contradicts its pinned prefix."""
 
 
-def _factor_form(name: str, a: int, b: int) -> tuple[int, int]:
-    """(weight, level) of the certificate factor (name, a, b)."""
-    return (2, a * b) if name == "phi" else (a, b)
+def _factor_form(N: int, k: int, factor: tuple) -> tuple[int, int]:
+    """(weight, level) of a certificate factor: phi_n(ez) is a weight-2
+    form on Gamma_0(ne), E_w(dz) for w >= 4 one of weight w on
+    Gamma_0(d)."""
+    match factor:
+        case ("phi", n, e):
+            return 2, n * e
+        case ("eis", w, d) if w != 2:
+            return w, d
+    raise CertificateError(
+        f"seed of level {N} weight {k}: factor {factor} is not phi_n(ez) or "
+        f"E_w(dz) with w >= 4, so the valence argument does not cover it")
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Seed with no closed form, stored as an exact certificate: the sum
-    of c * (product of factors) * psi^j over its (c, factors, j) terms,
-    with psi the level's Hauptmodul and each factor ("phi", n, e) for
-    phi_n(ez) or ("eis", w, d) for E_w(dz).
+class Certificate(Combo):
+    """Seed with no closed form, stored as an exact certificate: a Combo
+    whose factors are all phi_n(ez) or E_w(dz) (w >= 4), with its pinned
+    expansion prefix.
 
     The pinned prefix proves the certificate (valence formula).  phi_n(ez)
     is a form on Gamma_0(ne) and E_w(dz) one on Gamma_0(d); when these
@@ -126,13 +84,13 @@ class Certificate:
     first element is the only one equal to q^v + O(q^(v+1)).  A sum that
     matches the pinned prefix through check_through >= v is therefore the
     seed.  Every evaluation runs `check`, which raises CertificateError
-    when a factor's level does not divide N, when a term's weight is not
-    k, or when check_through < v, and PinnedPrefixError when the sum
-    contradicts the prefix.
+    when a factor is not phi_n(ez) or E_w(dz) with w >= 4 (E2 is not
+    modular), when a factor's level does not divide N, when a term's
+    weight is not k, or when check_through < v, and PinnedPrefixError when
+    the sum contradicts the prefix.
 
     `gridforge.seedsynth.derive_certificate` reproduces the terms by exact
     row reduction, a second derivation."""
-    terms: tuple             # of (Fraction, factors, psi power)
     expected: tuple          # of (exponent, int) nonzero coefficients
     check_through: int       # all other exponents <= this must vanish
 
@@ -141,7 +99,7 @@ class Certificate:
         level-N weight-k seed and `series`, known beyond check_through,
         starts with the pinned prefix."""
         for _, factors, _ in self.terms:
-            forms = [_factor_form(*f) for f in factors]
+            forms = [_factor_form(N, k, f) for f in factors]
             for f, (_, level) in zip(factors, forms):
                 if N % level:
                     raise CertificateError(
@@ -179,10 +137,22 @@ def _eis(w: int, d: int = 1) -> tuple:
     return ("eis", w, d)
 
 
-@dataclass(frozen=True)
-class PowerSeed:
-    """seed(k) = form2^(k/2)."""
-    form2: object
+def _form(*factors) -> Combo:
+    """The product of the factors."""
+    return Combo(((1, factors, 0),))
+
+
+def _eta(exps) -> Combo:
+    return _form(("eta", EtaQuotient(exps)))
+
+
+def _eta_combo(*pairs) -> Combo:
+    """A rational linear combination of eta quotients, from (c, exps)."""
+    return Combo(tuple((c, (("eta", EtaQuotient(exps)),), 0)
+                       for c, exps in pairs))
+
+
+_ONE = _form()
 
 
 @dataclass(frozen=True)
@@ -194,6 +164,11 @@ class TowerSeed:
     forms: dict
 
 
+def _power_seed(form2: Combo) -> TowerSeed:
+    """seed(k) = form2^(k/2)."""
+    return TowerSeed(2, (0,), 2, {0: _ONE, 2: form2})
+
+
 @dataclass(frozen=True)
 class LevelData:
     N: int
@@ -201,31 +176,27 @@ class LevelData:
     cusps: tuple                 # non-infinity cusps as (a, c) with gcd 1
     hauptmodul: EtaQuotient
     cusp_poly: tuple             # monic, ascending coefficients, P(0) = 0
-    seed: object                 # PowerSeed | TowerSeed
+    seed: TowerSeed
     flags: tuple = ()
 
 
-def _eta(exps) -> Eta:
-    return Eta(EtaQuotient(exps))
+_L12_SEED = _eta_combo(
+    (Fraction(1, 27), {1: 10, 4: 1, 6: 9, 2: -7, 3: -6, 12: -3}),
+    (Fraction(11, 72), {1: 7, 4: 4, 6: 9, 2: -7, 3: -5, 12: -4}),
+    (Fraction(-1, 12), {1: 4, 4: 7, 6: 9, 2: -7, 3: -4, 12: -5}),
+    (Fraction(1, 54), {1: 1, 4: 10, 6: 9, 2: -7, 3: -3, 12: -6}),
+    (Fraction(-1, 8), {1: 9, 4: 3, 6: 2, 2: -6, 3: -3, 12: -1}),
+)
 
-
-_L12_SEED = EtaCombo((
-    (Fraction(1, 27), EtaQuotient({1: 10, 4: 1, 6: 9, 2: -7, 3: -6, 12: -3})),
-    (Fraction(11, 72), EtaQuotient({1: 7, 4: 4, 6: 9, 2: -7, 3: -5, 12: -4})),
-    (Fraction(-1, 12), EtaQuotient({1: 4, 4: 7, 6: 9, 2: -7, 3: -4, 12: -5})),
-    (Fraction(1, 54), EtaQuotient({1: 1, 4: 10, 6: 9, 2: -7, 3: -3, 12: -6})),
-    (Fraction(-1, 8), EtaQuotient({1: 9, 4: 3, 6: 2, 2: -6, 3: -3, 12: -1})),
-))
-
-_L18_SEED = EtaCombo((
-    (Fraction(25, 216), EtaQuotient({1: 8, 6: 2, 9: 4, 2: -4, 3: -4, 18: -2})),
-    (Fraction(-11, 144), EtaQuotient({1: 3, 6: 8, 9: 7, 2: -3, 3: -6, 18: -5})),
-    (Fraction(-121, 972), EtaQuotient({1: 6, 6: 7, 9: 1, 2: -3, 3: -5, 18: -2})),
-    (Fraction(-41, 144), EtaQuotient({1: 6, 6: 2, 9: 6, 2: -3, 3: -4, 18: -3})),
-    (Fraction(67, 144), EtaQuotient({1: 4, 6: 7, 9: 3, 2: -2, 3: -5, 18: -3})),
-    (Fraction(1, 972), EtaQuotient({2: 9, 3: 8, 18: 1, 1: -6, 6: -6, 9: -2})),
-    (Fraction(-125, 1296), EtaQuotient({1: 1, 2: 4, 9: 2, 3: -1, 6: -1, 18: -1})),
-))
+_L18_SEED = _eta_combo(
+    (Fraction(25, 216), {1: 8, 6: 2, 9: 4, 2: -4, 3: -4, 18: -2}),
+    (Fraction(-11, 144), {1: 3, 6: 8, 9: 7, 2: -3, 3: -6, 18: -5}),
+    (Fraction(-121, 972), {1: 6, 6: 7, 9: 1, 2: -3, 3: -5, 18: -2}),
+    (Fraction(-41, 144), {1: 6, 6: 2, 9: 6, 2: -3, 3: -4, 18: -3}),
+    (Fraction(67, 144), {1: 4, 6: 7, 9: 3, 2: -2, 3: -5, 18: -3}),
+    (Fraction(1, 972), {2: 9, 3: 8, 18: 1, 1: -6, 6: -6, 9: -2}),
+    (Fraction(-125, 1296), {1: 1, 2: 4, 9: 2, 3: -1, 6: -1, 18: -1}),
+)
 
 _L7_W4 = Certificate((
     (Fraction(139, 2744), (_phi(7), _phi(7)), 0),
@@ -299,8 +270,10 @@ _add(LevelData(
     hauptmodul=EtaQuotient({}),  # placeholder; level 1 uses the j-function
     cusp_poly=(1,),
     seed=TowerSeed(12, (0, 4, 6, 8, 10, 14), 12, {
-        0: One(), 4: Eis(4), 6: Eis(6), 8: Eis(8), 10: Eis(10), 14: Eis(14),
-        12: DeltaForm()}),
+        0: _ONE, 4: _form(_eis(4)), 6: _form(_eis(6)), 8: _form(_eis(8)),
+        10: _form(_eis(10)), 14: _form(_eis(14)),
+        12: Combo(((Fraction(1, 1728), (_eis(4), _eis(4), _eis(4)), 0),
+                   (Fraction(-1, 1728), (_eis(6), _eis(6)), 0)))}),
 ))
 
 _add(LevelData(
@@ -308,7 +281,9 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 24, 2: -24}),
     cusp_poly=(0, 1),
     seed=TowerSeed(4, (0, 2), 4, {
-        0: One(), 2: Phi(2), 4: EisDiff(4, 2, 240)}),
+        0: _ONE, 2: _form(_phi(2)),
+        4: Combo(((Fraction(1, 240), (_eis(4),), 0),
+                  (Fraction(-1, 240), (_eis(4, 2),), 0)))}),
 ))
 
 _add(LevelData(
@@ -316,7 +291,9 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 12, 3: -12}),
     cusp_poly=(0, 1),
     seed=TowerSeed(6, (0, 2, 4), 6, {
-        0: One(), 2: Phi(3), 4: EisMinusSquare(216),
+        0: _ONE, 2: _form(_phi(3)),
+        4: Combo(((Fraction(1, 216), (_eis(4),), 0),
+                  (Fraction(-1, 216), (_phi(3), _phi(3)), 0))),
         6: _eta({3: 18, 1: -6})}),
 ))
 
@@ -324,7 +301,9 @@ _add(LevelData(
     N=4, cusp_count=3, cusps=((0, 1), (1, 2)),
     hauptmodul=EtaQuotient({1: 8, 4: -8}),
     cusp_poly=(0, 16, 1),
-    seed=PowerSeed(E2Combo(((3, 2), (-1, 1), (-2, 4)), 24)),
+    # (phi_2(z) - phi_2(2z)) / 24 = (3E2(2z) - E2(z) - 2E2(4z)) / 24
+    seed=_power_seed(Combo(((Fraction(1, 24), (_phi(2),), 0),
+                            (Fraction(-1, 24), (_phi(2, 2),), 0)))),
     flags=("paper_typo: source prints the Hauptmodul tail term -62 at q^2; "
            "the expansion has it at q^3",
            "paper_typo: source weight-2 seed formula omits the factor 1/24 "
@@ -336,14 +315,14 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 6, 5: -6}),
     cusp_poly=(0, 1),
     seed=TowerSeed(4, (0, 2), 4, {
-        0: One(), 2: Phi(5), 4: _eta({5: 10, 1: -2})}),
+        0: _ONE, 2: _form(_phi(5)), 4: _eta({5: 10, 1: -2})}),
 ))
 
 _add(LevelData(
     N=6, cusp_count=4, cusps=((0, 1), (1, 3), (1, 2)),
     hauptmodul=EtaQuotient({2: 8, 3: 4, 1: -4, 6: -8}),
     cusp_poly=(0, 9, -10, 1),
-    seed=PowerSeed(_eta({1: 2, 6: 12, 2: -4, 3: -6})),
+    seed=_power_seed(_eta({1: 2, 6: 12, 2: -4, 3: -6})),
     flags=("paper_typo: source cusp polynomial is malformed (x^3-10x+9x); "
            "x^3-10x^2+9x was derived from numeric cusp values 0, 1, 9",),
 ))
@@ -353,7 +332,7 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 4, 7: -4}),
     cusp_poly=(0, 1),
     seed=TowerSeed(6, (0, 2, 4), 6, {
-        0: One(), 2: Phi(7),
+        0: _ONE, 2: _form(_phi(7)),
         4: _L7_W4,
         6: _eta({7: 14, 1: -2})}),
 ))
@@ -362,14 +341,14 @@ _add(LevelData(
     N=8, cusp_count=4, cusps=((0, 1), (1, 4), (1, 2)),
     hauptmodul=EtaQuotient({1: 4, 4: 2, 2: -2, 8: -4}),
     cusp_poly=(0, 32, 12, 1),
-    seed=PowerSeed(_eta({8: 8, 4: -4})),
+    seed=_power_seed(_eta({8: 8, 4: -4})),
 ))
 
 _add(LevelData(
     N=9, cusp_count=4, cusps=((0, 1), (1, 3), (-1, 3)),
     hauptmodul=EtaQuotient({1: 3, 9: -3}),
     cusp_poly=(0, 27, 9, 1),
-    seed=PowerSeed(_eta({9: 6, 3: -2})),
+    seed=_power_seed(_eta({9: 6, 3: -2})),
     flags=("paper_typo: source Hauptmodul line duplicates the level-8 "
            "quotient; registry stores eta(1)^3 * eta(9)^-3",),
 ))
@@ -379,7 +358,7 @@ _add(LevelData(
     hauptmodul=EtaQuotient({2: 1, 5: 5, 1: -1, 10: -5}),
     cusp_poly=(0, -4, -3, 1),
     seed=TowerSeed(4, (0, 2), 4, {
-        0: One(),
+        0: _ONE,
         2: _L10_W2,
         4: _L10_W4}),
 ))
@@ -388,7 +367,7 @@ _add(LevelData(
     N=12, cusp_count=6, cusps=((0, 1), (1, 6), (1, 4), (1, 3), (1, 2)),
     hauptmodul=EtaQuotient({4: 4, 6: 2, 2: -2, 12: -4}),
     cusp_poly=(0, 9, 0, -10, 0, 1),
-    seed=PowerSeed(_L12_SEED),
+    seed=_power_seed(_L12_SEED),
 ))
 
 _add(LevelData(
@@ -396,10 +375,11 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 2, 13: -2}),
     cusp_poly=(0, 1),
     seed=TowerSeed(12, (0, 2, 4, 6, 8, 10), 12, {
-        0: One(), 2: Phi(13),
+        0: _ONE, 2: _form(_phi(13)),
         4: _L13_W4,
         6: _L13_W6,
-        8: Product(4, 4), 10: Product(4, 6),
+        8: _form(("form", 4), ("form", 4)),
+        10: _form(("form", 4), ("form", 6)),
         12: _eta({13: 26, 1: -2})}),
     flags=("paper_typo: source expansions of the weight-4 and weight-6 "
            "seeds (and their weight-8/10 products) are not forms on "
@@ -411,7 +391,7 @@ _add(LevelData(
     N=16, cusp_count=6, cusps=((0, 1), (1, 8), (1, 4), (-1, 4), (1, 2)),
     hauptmodul=EtaQuotient({1: 2, 8: 1, 2: -1, 16: -2}),
     cusp_poly=(0, 64, 80, 40, 10, 1),
-    seed=PowerSeed(_eta({16: 8, 8: -4})),
+    seed=_power_seed(_eta({16: 8, 8: -4})),
 ))
 
 _add(LevelData(
@@ -419,7 +399,7 @@ _add(LevelData(
     cusps=((0, 1), (1, 9), (1, 6), (-1, 6), (1, 3), (-1, 3), (1, 2)),
     hauptmodul=EtaQuotient({6: 1, 9: 3, 3: -1, 18: -3}),
     cusp_poly=(0, -8, 0, 0, -7, 0, 0, 1),
-    seed=PowerSeed(_L18_SEED),
+    seed=_power_seed(_L18_SEED),
 ))
 
 _add(LevelData(
@@ -428,7 +408,7 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 1, 25: -1}),
     cusp_poly=(0, 25, 25, 15, 5, 1),
     seed=TowerSeed(4, (0, 2), 4, {
-        0: One(),
+        0: _ONE,
         2: _L25_W2,
         4: _eta({25: 10, 5: -2})}),
 ))
@@ -444,13 +424,9 @@ def get_level(N: int) -> LevelData:
 
 def certificates() -> dict:
     """(level, weight) -> Certificate for every seed stored as one."""
-    out = {}
-    for N in ALL_LEVELS:
-        seed = get_level(N).seed
-        if isinstance(seed, TowerSeed):
-            out.update({(N, w): s for w, s in seed.forms.items()
-                        if isinstance(s, Certificate)})
-    return out
+    return {(N, w): form for N in ALL_LEVELS
+            for w, form in get_level(N).seed.forms.items()
+            if isinstance(form, Certificate)}
 
 
 # -- maximal orders of vanishing -----------------------------------------
@@ -514,22 +490,12 @@ def cusp_killer(N: int, prec: int) -> QSeries:
     """P(psi) for the registry's monic cusp polynomial P: a weight-0 form
     with a pole of order cusp_count-1 at infinity and a simple zero at
     every other cusp."""
-    from gridforge.basis import hauptmodul_series  # local import, no cycle
+    from gridforge.basis import _eval_form  # local import, no cycle
 
-    def build(prec):
-        ld = get_level(N)
-        deg = ld.cusp_count - 1
-        if deg == 0:
-            return QSeries.one(prec)
-        psi = hauptmodul_series(N, prec + deg + 1)
-        out = QSeries.zero(psi.prec)
-        power = QSeries.one(psi.prec)
-        for c in ld.cusp_poly:
-            if c:
-                out = out + power.scale(c)
-            power = (power * psi).truncate(psi.prec)
-        return out
-    return cached(("cusp", N), prec, build)
+    poly = Combo(tuple((c, (), j)
+                       for j, c in enumerate(get_level(N).cusp_poly) if c))
+    return cached(("cusp", N), prec,
+                  lambda prec: _eval_form(N, 0, poly, prec))
 
 
 def registry_dump() -> dict:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 from gridforge.basis import hauptmodul_series, level_form
 from gridforge.generators import eisenstein, phi, serre_derivative
-from gridforge.leveldata import (
-    Eta,
-    EtaCombo,
-    TowerSeed,
-    certificates,
-    get_level,
-    v_of,
-)
+from gridforge.leveldata import certificates, get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
 # Highest Hauptmodul power in a synthesis family; it suffices for all six
@@ -49,11 +42,18 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _is_eta_form(form) -> bool:
+    """Whether a registry form is a combination of eta quotients: each term
+    one eta factor at psi^0."""
+    return all(len(factors) == 1 and factors[0][0] == "eta" and j == 0
+               for _, factors, j in form.terms)
+
+
 def _closed_eta_seeds(N: int, exclude=()) -> list[tuple[str, int, object]]:
     """Closed-form holomorphic seed forms of divisor levels, as
-    (label, weight, spec) with spec an Eta or EtaCombo.  Pairs (level,
-    weight) in `exclude` are left out (so a seed under cross-validation
-    cannot appear in its own spanning family)."""
+    (label, weight, (level, form)) with form a combination of eta
+    quotients.  Pairs (level, weight) in `exclude` are left out (so a seed
+    under cross-validation cannot appear in its own spanning family)."""
     out = []
     for M in _divisors(N):
         if M == 1:
@@ -62,26 +62,19 @@ def _closed_eta_seeds(N: int, exclude=()) -> list[tuple[str, int, object]]:
             ld = get_level(M)
         except ValueError:
             continue
-        specs = []
-        seed = ld.seed
-        if isinstance(seed, TowerSeed):
-            specs = [(w, s) for w, s in seed.forms.items()
-                     if isinstance(s, (Eta, EtaCombo))]
-        else:
-            if isinstance(seed.form2, (Eta, EtaCombo)):
-                specs = [(2, seed.form2)]
-        for w, s in specs:
-            if v_of(M, w) >= 0 and (M, w) not in exclude:
-                out.append((f"seed{M}w{w}", w, (M, s)))
+        for w, form in ld.seed.forms.items():
+            if (_is_eta_form(form) and v_of(M, w) >= 0
+                    and (M, w) not in exclude):
+                out.append((f"seed{M}w{w}", w, (M, form)))
     return out
 
 
 def _expand_spec(spec, scale: int, prec: int) -> QSeries:
-    M, s = spec
-    if isinstance(s, Eta):
-        return s.quotient.rescale(scale).expand(prec)
+    """An eta-quotient seed form of spec = (level, form) at scale*z."""
+    _, form = spec
     return QSeries.combination(
-        ((c, eq.rescale(scale).expand(prec)) for c, eq in s.terms), prec)
+        ((c, q.rescale(scale).expand(prec))
+         for c, ((_, q),), _ in form.terms), prec)
 
 
 def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:

@@ -287,69 +287,42 @@ def genfun_check(N: int, M: int, k: int, P: int, side: str = "both") -> bool:
     _check_positive("max index P", P)
     ok = True
     if side in ("k", "both"):
-        ok = ok and _genfun_check_fside(N, M, k, P)
+        ok = ok and _genfun_side(N, M, k, INF, P)
     if side in ("dual", "both"):
-        ok = ok and _genfun_check_gside(N, M, k, P)
+        ok = ok and _genfun_side(N, M, 2 - k, HAT, P)
     return ok
 
 
-def _genfun_check_fside(N: int, M: int, k: int, P: int) -> bool:
-    """Traces of the weight-k family against the level-M family minus the
-    obstruction products, compared per power of the second variable."""
+def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
+    """Traces of the weight-k family in `space` against the level-M family
+    minus the obstruction products, compared per power of the other
+    variable.  The weight-k identity is the INF case; the dual one is the
+    HAT case at weight 2-k, with u in place of v (its two negations
+    cancel)."""
+    other, order, name = ((HAT, v_of, "weight-k") if space == INF
+                          else (INF, u_of, "weight-(2-k)"))
     if M != N:
-        ok, _, reason = _trace_applicable(M, k, INF)
+        ok, _, reason = _trace_applicable(M, k, space)
         if not ok:
-            raise ValueError(f"weight-k identity not checkable: {reason}")
-    v_n, v_m = v_of(N, k), v_of(M, k)
-    _check_positive(f"max index P of the weight {k} identity", P, 1 - v_m)
+            raise ValueError(f"{name} identity not checkable: {reason}")
+    b_n, b_m = order(N, k), order(M, k)
+    _check_positive(f"max index P of the weight {k} identity", P, 1 - b_m)
     prec = P + 2
-    xs = range(1, v_m - v_n + 1)
+    xs = range(1, b_m - b_n + 1)
     # top index first, so each basis is built once at its full size
-    gN = {j: _basis_for(N, 2 - k, HAT, j, max(prec, P + 2))
-          for j in (v_n + x for x in reversed(xs))}
-    for m in reversed(range(-v_m, P)):
-        lhs = (trace(N, M, k, INF, m, prec).expansion
-               if m >= -v_n else QSeries.zero(prec))
-        rhs = _basis_for(M, k, INF, m, prec).element(m).truncate(prec) \
-            if m >= -v_m else QSeries.zero(prec)
+    dual_n = {j: _basis_for(N, 2 - k, other, j, prec)
+              for j in (b_n + x for x in reversed(xs))}
+    for m in reversed(range(-b_m, P)):
+        lhs = (trace(N, M, k, space, m, prec).expansion
+               if m >= -b_n else QSeries.zero(prec))
+        rhs = (_basis_for(M, k, space, m, prec).element(m).truncate(prec)
+               if m >= -b_m else QSeries.zero(prec))
         for x in xs:
-            j = v_n + x
-            c = gN[j].element(j).coeff(m)
+            j = b_n + x
+            c = dual_n[j].element(j).coeff(m)
             if c:
-                fb = _basis_for(M, k, INF, -j, prec)
-                rhs = rhs - fb.element(-j).scale(c)
-        if not lhs.agrees(rhs.truncate(prec)):
-            return False
-    return True
-
-
-def _genfun_check_gside(N: int, M: int, k: int, P: int) -> bool:
-    """Traces of the weight-(2-k) family, compared per power of the first
-    variable; the obstruction products enter with the opposite sign."""
-    if M != N:
-        ok, _, reason = _trace_applicable(M, 2 - k, HAT)
-        if not ok:
-            raise ValueError(f"weight-(2-k) identity not checkable: {reason}")
-    u_n, u_m = u_of(N, 2 - k), u_of(M, 2 - k)
-    _check_positive(f"max index P of the weight {2 - k} identity", P,
-                    1 - u_m)
-    prec = P + 2
-    xs = range(1, u_m - u_n + 1)
-    # top index first, so each basis is built once at its full size
-    fN = {j: _basis_for(N, k, INF, j, max(prec, P + 2))
-          for j in (u_n + x for x in reversed(xs))}
-    for n in reversed(range(-u_m, P)):
-        lhs = (trace(N, M, 2 - k, HAT, n, prec).expansion.scale(-1)
-               if n >= -u_n else QSeries.zero(prec))
-        rhs = (_basis_for(M, 2 - k, HAT, n, prec).element(n)
-               .truncate(prec).scale(-1)
-               if n >= -u_m else QSeries.zero(prec))
-        for x in xs:
-            j = u_n + x
-            c = fN[j].element(j).coeff(n)
-            if c:
-                gb = _basis_for(M, 2 - k, HAT, -j, prec)
-                rhs = rhs + gb.element(-j).scale(c)
+                low = _basis_for(M, k, space, -j, prec)
+                rhs = rhs - low.element(-j).scale(c)
         if not lhs.agrees(rhs.truncate(prec)):
             return False
     return True

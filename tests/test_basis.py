@@ -31,6 +31,7 @@ from gridforge.leveldata import (
     u_of,
     v_of,
 )
+from gridforge.generators import EtaQuotient
 from gridforge.qseries import PrecisionError, QSeries
 
 
@@ -446,6 +447,25 @@ def test_certificate_factor_levels_must_divide_the_level(
                                            ("eis", 4, 2)))
     with pytest.raises(CertificateError,
                        match="level 2, which does not divide 7"):
+        level_form(7, 4, 20)
+
+
+def test_certificate_rejects_e2_factors(install_certificate):
+    # E2(dz) is not modular, so the valence argument does not cover it
+    cert = certificates()[(7, 4)]
+    install_certificate(7, 4, _with_factor(cert, ("eis", 4, 1),
+                                           ("eis", 2, 7)))
+    with pytest.raises(CertificateError,
+                       match=r"factor \('eis', 2, 7\) is not phi_n"):
+        level_form(7, 4, 20)
+
+
+@pytest.mark.parametrize("factor", [("eta", EtaQuotient({1: 16, 2: -8})),
+                                    ("form", 2)], ids=["eta", "form"])
+def test_certificate_rejects_other_factor_kinds(factor, install_certificate):
+    cert = certificates()[(7, 4)]
+    install_certificate(7, 4, _with_factor(cert, ("eis", 4, 1), factor))
+    with pytest.raises(CertificateError, match="is not phi_n"):
         level_form(7, 4, 20)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,10 +7,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import gridforge
 from gridforge import basis as basis_mod
 from gridforge import cli, seedsynth
 from gridforge.cli import run
+from gridforge.generators import EtaQuotient
+from gridforge.leveldata import certificates
 from gridforge.qseries import QSeries
 
 SRC = str(Path(gridforge.__file__).resolve().parents[1])
@@ -231,6 +236,29 @@ def test_perturbed_certificate_exits_3(capsys, perturb_certificate):
     err = capsys.readouterr().err
     assert "internal validation failure" in err
     assert "level 10 weight 4 contradicts its pinned expansion" in err
+
+
+def test_certificate_outside_the_valence_argument_exits_3(
+        capsys, install_certificate):
+    cert = certificates()[(7, 4)]
+    eta = ("eta", EtaQuotient({1: 16, 2: -8}))
+    install_certificate(7, 4, dataclasses.replace(cert, terms=tuple(
+        (c, tuple(eta if f == ("eis", 4, 1) else f for f in factors), j)
+        for c, factors, j in cert.terms)))
+    assert run(["grid", "--level", "7", "--weight", "4", "--count", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "internal validation failure" in err
+    assert "seed of level 7 weight 4: factor ('eta'" in err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
+    path = tmp_path / "absent" / "x" if where == "missing" else tmp_path
+    assert run(["classify", "--from", "4", "--to", "2", "--weight", "0",
+                "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write --out {path}: ")
 
 
 def test_closed_pipe_exits_quietly():

@@ -168,21 +168,18 @@ def test_serre_derivative_is_a_derivation():
 
 
 def test_registry_eta_lead_exponents():
-    from gridforge.leveldata import ALL_LEVELS, Eta, EtaCombo, TowerSeed, get_level
+    from gridforge.leveldata import ALL_LEVELS, get_level
 
+    quotients = []
     for N in ALL_LEVELS:
         ld = get_level(N)
         if N != 1:
             assert ld.hauptmodul.lead_exponent == -1, N
-        seed = ld.seed
-        specs = (list(seed.forms.values()) if isinstance(seed, TowerSeed)
-                 else [seed.form2])
-        for spec in specs:
-            if isinstance(spec, Eta):
-                eq = spec.quotient
-                lead = eq.lead_exponent
-                assert lead.denominator == 1
-                assert eq.expand(int(lead) + 3).valuation() == lead, (N, eq)
-            elif isinstance(spec, EtaCombo):
-                for _, eq in spec.terms:
-                    assert eq.lead_exponent.denominator == 1, (N, eq)
+        for form in ld.seed.forms.values():
+            for _, factors, _ in form.terms:
+                quotients += [(N, f[1]) for f in factors if f[0] == "eta"]
+    assert len(quotients) == 21
+    for N, eq in quotients:
+        lead = eq.lead_exponent
+        assert lead.denominator == 1, (N, eq)
+        assert eq.expand(int(lead) + 3).valuation() == lead, (N, eq)

@@ -1,11 +1,21 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from gridforge.basis import hauptmodul_series
+from gridforge import qseries
+from gridforge.basis import hauptmodul_series, level_form
+from gridforge.generators import (
+    EtaQuotient,
+    delta,
+    eisenstein,
+    level_one_form,
+    phi,
+)
 from gridforge.leveldata import (
     ALL_LEVELS,
     GENUS_ZERO_LEVELS,
+    Certificate,
     cusp_killer,
     get_level,
     registry_dump,
@@ -13,6 +23,7 @@ from gridforge.leveldata import (
     u_of,
     v_of,
 )
+from gridforge.qseries import QSeries
 
 
 def test_registry_membership():
@@ -110,3 +121,100 @@ def test_registry_dump():
     # deterministic and JSON-round-trippable
     assert registry_dump_json() == registry_dump_json()
     assert json.loads(registry_dump_json()) == dump
+
+
+# Each registry form by its definition before every form became a Combo:
+# eta forms as (c, eta exponents) pairs, the rest in _old_definition.
+_ETA_FORMS = {
+    (3, 6): [(1, {3: 18, 1: -6})],
+    (5, 4): [(1, {5: 10, 1: -2})],
+    (6, 2): [(1, {1: 2, 6: 12, 2: -4, 3: -6})],
+    (7, 6): [(1, {7: 14, 1: -2})],
+    (8, 2): [(1, {8: 8, 4: -4})],
+    (9, 2): [(1, {9: 6, 3: -2})],
+    (13, 12): [(1, {13: 26, 1: -2})],
+    (16, 2): [(1, {16: 8, 8: -4})],
+    (25, 4): [(1, {25: 10, 5: -2})],
+    (12, 2): [
+        (Fraction(1, 27), {1: 10, 4: 1, 6: 9, 2: -7, 3: -6, 12: -3}),
+        (Fraction(11, 72), {1: 7, 4: 4, 6: 9, 2: -7, 3: -5, 12: -4}),
+        (Fraction(-1, 12), {1: 4, 4: 7, 6: 9, 2: -7, 3: -4, 12: -5}),
+        (Fraction(1, 54), {1: 1, 4: 10, 6: 9, 2: -7, 3: -3, 12: -6}),
+        (Fraction(-1, 8), {1: 9, 4: 3, 6: 2, 2: -6, 3: -3, 12: -1})],
+    (18, 2): [
+        (Fraction(25, 216), {1: 8, 6: 2, 9: 4, 2: -4, 3: -4, 18: -2}),
+        (Fraction(-11, 144), {1: 3, 6: 8, 9: 7, 2: -3, 3: -6, 18: -5}),
+        (Fraction(-121, 972), {1: 6, 6: 7, 9: 1, 2: -3, 3: -5, 18: -2}),
+        (Fraction(-41, 144), {1: 6, 6: 2, 9: 6, 2: -3, 3: -4, 18: -3}),
+        (Fraction(67, 144), {1: 4, 6: 7, 9: 3, 2: -2, 3: -5, 18: -3}),
+        (Fraction(1, 972), {2: 9, 3: 8, 18: 1, 1: -6, 6: -6, 9: -2}),
+        (Fraction(-125, 1296), {1: 1, 2: 4, 9: 2, 3: -1, 6: -1, 18: -1})],
+}
+
+
+def _old_definition(N, w, prec):
+    def e(w, d=1):
+        return eisenstein(w, prec, scale=d)
+
+    if N == 1:
+        return delta(prec) if w == 12 else level_one_form(w, prec)
+    if (N, w) in _ETA_FORMS:
+        return QSeries.combination(
+            ((c, EtaQuotient(exps).expand(prec))
+             for c, exps in _ETA_FORMS[(N, w)]), prec)
+    if w == 0:
+        return QSeries.one(prec)
+    if w == 2 and N in (2, 3, 5, 7, 13):
+        return phi(N, prec)
+    if (N, w) == (2, 4):
+        return (e(4) - e(4, 2)).scale(Fraction(1, 240))
+    if (N, w) == (3, 4):
+        f2 = phi(3, prec)
+        return (e(4) - f2 * f2).truncate(prec).scale(Fraction(1, 216))
+    if (N, w) == (4, 2):
+        return QSeries.combination(
+            ((3, e(2, 2)), (-1, e(2)), (-2, e(2, 4))),
+            prec).scale(Fraction(1, 24))
+    if (N, w) in ((13, 8), (13, 10)):
+        return (level_form(13, 4, prec) * level_form(13, w - 4, prec)) \
+            .truncate(prec)
+    raise AssertionError(f"no old definition of level {N} weight {w}")
+
+
+@pytest.mark.parametrize("prec", [25, 60])
+def test_registry_forms_match_their_old_definitions(prec, monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    checked = 0
+    for N in ALL_LEVELS:
+        for w, form in get_level(N).seed.forms.items():
+            if isinstance(form, Certificate):
+                continue
+            assert level_form(N, w, prec) == _old_definition(N, w, prec), \
+                (N, w)
+            checked += 1
+    # 35 closed forms, and the weight-0 form 1 of the 7 levels whose seed
+    # is a power of the weight-2 form
+    assert checked == 42
+
+
+@pytest.mark.parametrize("prec", [12, 40])
+def test_cusp_killers_match_horner(prec, monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    for N in ALL_LEVELS:
+        poly = get_level(N).cusp_poly
+        deg = len(poly) - 1
+        work = prec + deg
+        acc = QSeries.monomial(0, poly[-1], work)
+        for c in reversed(poly[:-1]):
+            acc = acc * hauptmodul_series(N, work) \
+                + QSeries.monomial(0, c, work)
+        assert cusp_killer(N, prec) == acc.truncate(prec), N
+
+
+def test_forms_without_psi_terms_never_expand_the_hauptmodul(monkeypatch):
+    # the level-1 Hauptmodul is j, whose expansion costs an inversion
+    monkeypatch.setattr(qseries, "_store", {})
+    for w in get_level(1).seed.forms:
+        level_form(1, w, 30)
+    cusp_killer(1, 30)
+    assert ("haupt", 1) not in qseries._store

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from gridforge import traceops
 from gridforge.basis import HAT, INF, build_basis
 from gridforge.leveldata import ALL_LEVELS, GENUS_ZERO_LEVELS, u_of, v_of
 from gridforge.qseries import QSeries
@@ -206,6 +208,49 @@ def test_genfun_check_nonempty_dual_obstruction():
 def test_genfun_check_requires_applicable_side():
     with pytest.raises(ValueError, match="not checkable"):
         genfun_check(2, 1, 8, 10, side="k")
+
+
+@pytest.mark.parametrize("side, space, index", [("k", INF, 3),
+                                                 ("dual", HAT, 2)])
+def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
+                                                 monkeypatch):
+    real = traceops.trace
+    hits = []
+
+    def perturbed(N, M, k, sp, m, prec):
+        rep = real(N, M, k, sp, m, prec)
+        if (sp, m) != (space, index):
+            return rep
+        hits.append(m)
+        return dataclasses.replace(rep, expansion=rep.expansion
+                                   + QSeries.monomial(1, 1, prec))
+
+    assert genfun_check(2, 1, -6, 15, side=side)
+    monkeypatch.setattr(traceops, "trace", perturbed)
+    assert not genfun_check(2, 1, -6, 15, side=side)
+    assert not genfun_check(2, 1, -6, 15, side="both")
+    assert hits
+
+
+# the weight-2 family, and the weight-0 one vanishing at the other cusps
+@pytest.mark.parametrize("key", [(4, 2, INF), (4, 0, HAT)])
+def test_level4_closed_form_fails_on_a_perturbed_basis(key, monkeypatch):
+    real = traceops._basis_for
+    hits = []
+
+    def perturbed(N, k, sp, max_index, prec):
+        b = real(N, k, sp, max_index, prec)
+        if (N, k, sp) != key:
+            return b
+        hits.append(b.m0)
+        first, second, *rest = b.elements
+        second = second + QSeries.monomial(1, 1, second.prec)
+        return dataclasses.replace(b, elements=(first, second, *rest))
+
+    assert genfun_level4_closed_form(2, 8)
+    monkeypatch.setattr(traceops, "_basis_for", perturbed)
+    assert not genfun_level4_closed_form(2, 8)
+    assert hits
 
 
 def test_level4_closed_form():
