@@ -125,13 +125,17 @@ def first_element(N: int, k: int, space: str,
     _check_space(space)
     if k % 2:
         raise ValueError("weight must be even")
+    expect = v_of(N, k) if space == INF else u_of(N, k)
+    if prec <= expect:
+        raise PrecisionError(
+            f"first element of level {N} weight {k} {space} starts at "
+            f"q^{expect}, so prec {prec} determines none of its terms")
     out = cached(("first", N, k, space), prec,
                  lambda prec: _build_first(N, k, space, prec))
     if out.prec < prec:
         raise PrecisionError(
             f"first element of level {N} weight {k} only determined mod "
             f"q^{out.prec}; need {prec}")
-    expect = v_of(N, k) if space == INF else u_of(N, k)
     if out.valuation() != expect or out.coeff(expect) != 1:
         raise AssertionError(
             f"seed for level {N} weight {k} {space} is not monic q^{expect}")
@@ -147,7 +151,7 @@ def _build_first(N: int, k: int, space: str, prec: int) -> QSeries:
         inf = first_element(N, k, INF, work)
         return (inf * leveldata.cusp_killer(N, work)).truncate(prec)
     seed = ld.seed
-    power, kp = leveldata._decompose(k, seed.modulus, seed.kprimes)
+    power, kp = seed.split(k)
     base_weight = seed.base_weight
     v_base = v_of(N, base_weight)
     # raising the base to a negative power costs (1-power)*v_base terms

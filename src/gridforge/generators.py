@@ -1,16 +1,18 @@
 """Classical building blocks: eta quotients, Eisenstein series, divisor
 sums, level-one forms and the Serre derivative.
 
-Powers of the Euler product are kept in the series store
-(`gridforge.qseries.cached`) under ("euler", d, r).
+An eta quotient expands by one integer recurrence from its logarithmic
+derivative (`EtaQuotient.expand`); the j-function is E4^3 times the
+expansion of eta(z)^-24.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
-from gridforge.qseries import DEFAULT_PREC, QSeries, cached
+from gridforge.qseries import DEFAULT_PREC, QSeries
 
 # weight -> -2w/B_w for the normalized series 1 - (2w/B_w) sum sigma_{w-1}(n) q^n
 _EISENSTEIN_CONSTANT = {2: -24, 4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
@@ -73,57 +75,6 @@ def phi(N: int, prec: int = DEFAULT_PREC, scale: int = 1) -> QSeries:
 
 # -- eta quotients -------------------------------------------------------
 
-def euler_product(prec: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) via the pentagonal number theorem."""
-    coeffs = {0: 1}
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= prec and e2 >= prec:
-            break
-        s = -1 if k % 2 else 1
-        if e1 < prec:
-            coeffs[e1] = s
-        if e2 < prec:
-            coeffs[e2] = s
-        k += 1
-    return QSeries(coeffs, prec)
-
-
-def inverse_euler_product(prec: int) -> QSeries:
-    """1 / prod (1 - q^n), the partition generating function, by the
-    pentagonal-number recurrence."""
-    p = [0] * max(prec, 1)
-    if prec > 0:
-        p[0] = 1
-    pent = []
-    k = 1
-    while k * (3 * k - 1) // 2 < prec:
-        pent.append((k * (3 * k - 1) // 2, -1 if k % 2 == 0 else 1))
-        if k * (3 * k + 1) // 2 < prec:
-            pent.append((k * (3 * k + 1) // 2, -1 if k % 2 == 0 else 1))
-        k += 1
-    for n in range(1, prec):
-        s = 0
-        for g, sign in pent:
-            if g > n:
-                break
-            s += sign * p[n - g]
-        p[n] = s
-    return QSeries(((n, c) for n, c in enumerate(p)), prec)
-
-
-def _euler_power(d: int, r: int, prec: int) -> QSeries:
-    """(prod (1 - q^{dn}))^r for nonzero integer r."""
-    def build(prec):
-        inner = (prec - 1) // d + 1
-        base = euler_product(inner) if r > 0 else inverse_euler_product(inner)
-        return ((base ** abs(r)).truncate(inner).rescale_exponents(d)
-                .truncate(prec))
-    return cached(("euler", d, r), prec, build)
-
-
 class EtaQuotient:
     """A finite product prod_d eta(d z)^{r_d}, stored as the exponent map."""
 
@@ -157,15 +108,22 @@ class EtaQuotient:
         return EtaQuotient({d * e: r for d, r in self._exps.items()})
 
     def expand(self, prec: int = DEFAULT_PREC) -> QSeries:
+        """q^lead * prod_d prod_n (1 - q^(dn))^(r_d) modulo q^prec (and at
+        least through the lead term), for exponents of either sign, by the
+        recurrence n a_n = sum_{j=1..n} c_j a_(n-j) of its logarithmic
+        derivative, c_j = -sum_{d | j} r_d d sigma_1(j/d)."""
         lead = self.lead_exponent
         if lead.denominator != 1:
             raise ValueError("fractional leading exponent")
         e0 = int(lead)
         inner = max(prec - e0, 1)
-        out = QSeries.one(inner)
-        for d in sorted(self._exps):
-            out = out * _euler_power(d, self._exps[d], inner)
-        return out.truncate(inner).shift(e0)
+        sig = _sigma_table(1, inner)
+        c = [-sum(r * d * sig[j // d] for d, r in self._exps.items()
+                  if j % d == 0) for j in range(1, inner)]
+        a = [1]
+        for n in range(1, inner):
+            a.append(sum(map(mul, c, reversed(a))) // n)
+        return QSeries.from_row(e0, a, e0 + inner)
 
     def to_text(self) -> str:
         return " * ".join(f"eta({d})^{r}" for d, r in sorted(self._exps.items()))
@@ -232,11 +190,10 @@ def delta(prec: int = DEFAULT_PREC) -> QSeries:
 
 
 def j_function(prec: int = DEFAULT_PREC) -> QSeries:
-    """The modular j-invariant E4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
-    work = prec + 2
-    e4 = eisenstein(4, work)
-    num = (e4 * e4 * e4).truncate(work)
-    return (num * delta(work).inverse(work)).truncate(prec)
+    """The modular j-invariant E4^3 * eta(z)^-24 = E4^3 / Delta
+    = q^-1 + 744 + 196884 q + ..."""
+    e4 = eisenstein(4, prec + 1)
+    return e4 * e4 * e4 * EtaQuotient({1: -24}).expand(prec)
 
 
 def serre_derivative(f: QSeries, weight: int, prec: int | None = None) -> QSeries:

@@ -2,9 +2,10 @@
 
 For each N in {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25} the
 registry records the cusps, a Hauptmodul with a simple pole at infinity,
-the maximal-vanishing formulas v_k(N) and u_k(N), the recipe for the first
-basis element in each even weight, and the monic polynomial whose value at
-the Hauptmodul kills the non-infinity cusps.
+the recipe for the first basis element in each even weight, and the monic
+polynomial whose value at the Hauptmodul kills the non-infinity cusps.  The
+maximal vanishing orders v_k(N) and u_k(N) follow from the valence formula,
+with the index and the elliptic-point counts of Gamma_0(N) derived from N.
 
 Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from gridforge.generators import EtaQuotient
@@ -29,12 +31,12 @@ ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
 # -- seed recipes ---------------------------------------------------------
 #
 # The first basis element of the weight-k space is F_base^l * F_{k'} for
-# the decomposition k = modulus*l + k' (a power of the weight-2 form where
-# the modulus is 2).  Every F-form is a Combo: a sum of c * (product of
-# factors) * psi^j, evaluated in gridforge.basis.  The six F-forms with no
-# closed form are Certificates: exact combinations of phi_n(ez), E4(dz),
-# E6(dz) and Hauptmodul powers, found by row reduction in
-# gridforge.seedsynth.
+# the decomposition k = base_weight*l + k' (a power of the weight-2 form
+# where the base weight is 2).  Every F-form is a Combo: a sum of
+# c * (product of factors) * psi^j, evaluated in gridforge.basis.  The six
+# F-forms with no closed form are Certificates: exact combinations of
+# phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers, found by row reduction
+# in gridforge.seedsynth.
 
 @dataclass(frozen=True)
 class Combo:
@@ -157,27 +159,52 @@ _ONE = _form()
 
 @dataclass(frozen=True)
 class TowerSeed:
-    """seed(k) = F_base^l * F_{k'} for k = modulus*l + k'."""
-    modulus: int
-    kprimes: tuple
+    """seed(k) = F_base^l * F_{k'} for k = base_weight*l + k', where k' is
+    the one other form weight congruent to k modulo base_weight."""
     base_weight: int
     forms: dict
+
+    def split(self, k: int) -> tuple[int, int]:
+        """(l, k') with k = base_weight*l + k'."""
+        for kp in self.forms:
+            if kp != self.base_weight and (k - kp) % self.base_weight == 0:
+                return (k - kp) // self.base_weight, kp
+        raise ValueError(
+            f"no decomposition of weight {k} mod {self.base_weight}")
 
 
 def _power_seed(form2: Combo) -> TowerSeed:
     """seed(k) = form2^(k/2)."""
-    return TowerSeed(2, (0,), 2, {0: _ONE, 2: form2})
+    return TowerSeed(2, {0: _ONE, 2: form2})
 
 
 @dataclass(frozen=True)
 class LevelData:
     N: int
-    cusp_count: int
     cusps: tuple                 # non-infinity cusps as (a, c) with gcd 1
     hauptmodul: EtaQuotient
     cusp_poly: tuple             # monic, ascending coefficients, P(0) = 0
     seed: TowerSeed
     flags: tuple = ()
+
+    @property
+    def cusp_count(self) -> int:
+        return len(self.cusps) + 1
+
+    @cached_property
+    def valence(self) -> tuple[int, int, int]:
+        """The index mu of Gamma_0(N) and its numbers eps2, eps3 of elliptic
+        points of orders 2, 3: over the primes p | N, mu = N prod (1 + 1/p),
+        eps2 = prod (1 + (-1/p)) or 0 if 4 | N, eps3 = prod (1 + (-3/p)) or 0
+        if 9 | N, with (-1/2) = (-3/3) = 0 (Diamond-Shurman, ch. 3)."""
+        N = self.N
+        mu, eps2, eps3 = N, int(N % 4 != 0), int(N % 9 != 0)
+        for p in range(2, N + 1):
+            if N % p == 0 and all(p % q for q in range(2, p)):
+                mu += mu // p
+                eps2 *= 1 if p == 2 else 2 * (p % 4 == 1)
+                eps3 *= 1 if p == 3 else 2 * (p % 3 == 1)
+        return mu, eps2, eps3
 
 
 _L12_SEED = _eta_combo(
@@ -266,10 +293,10 @@ def _add(ld: LevelData):
 
 
 _add(LevelData(
-    N=1, cusp_count=1, cusps=(),
+    N=1, cusps=(),
     hauptmodul=EtaQuotient({}),  # placeholder; level 1 uses the j-function
     cusp_poly=(1,),
-    seed=TowerSeed(12, (0, 4, 6, 8, 10, 14), 12, {
+    seed=TowerSeed(12, {
         0: _ONE, 4: _form(_eis(4)), 6: _form(_eis(6)), 8: _form(_eis(8)),
         10: _form(_eis(10)), 14: _form(_eis(14)),
         12: Combo(((Fraction(1, 1728), (_eis(4), _eis(4), _eis(4)), 0),
@@ -277,20 +304,20 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=2, cusp_count=2, cusps=((0, 1),),
+    N=2, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 24, 2: -24}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(4, (0, 2), 4, {
+    seed=TowerSeed(4, {
         0: _ONE, 2: _form(_phi(2)),
         4: Combo(((Fraction(1, 240), (_eis(4),), 0),
                   (Fraction(-1, 240), (_eis(4, 2),), 0)))}),
 ))
 
 _add(LevelData(
-    N=3, cusp_count=2, cusps=((0, 1),),
+    N=3, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 12, 3: -12}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(6, (0, 2, 4), 6, {
+    seed=TowerSeed(6, {
         0: _ONE, 2: _form(_phi(3)),
         4: Combo(((Fraction(1, 216), (_eis(4),), 0),
                   (Fraction(-1, 216), (_phi(3), _phi(3)), 0))),
@@ -298,7 +325,7 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=4, cusp_count=3, cusps=((0, 1), (1, 2)),
+    N=4, cusps=((0, 1), (1, 2)),
     hauptmodul=EtaQuotient({1: 8, 4: -8}),
     cusp_poly=(0, 16, 1),
     # (phi_2(z) - phi_2(2z)) / 24 = (3E2(2z) - E2(z) - 2E2(4z)) / 24
@@ -311,15 +338,15 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=5, cusp_count=2, cusps=((0, 1),),
+    N=5, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 6, 5: -6}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(4, (0, 2), 4, {
+    seed=TowerSeed(4, {
         0: _ONE, 2: _form(_phi(5)), 4: _eta({5: 10, 1: -2})}),
 ))
 
 _add(LevelData(
-    N=6, cusp_count=4, cusps=((0, 1), (1, 3), (1, 2)),
+    N=6, cusps=((0, 1), (1, 3), (1, 2)),
     hauptmodul=EtaQuotient({2: 8, 3: 4, 1: -4, 6: -8}),
     cusp_poly=(0, 9, -10, 1),
     seed=_power_seed(_eta({1: 2, 6: 12, 2: -4, 3: -6})),
@@ -328,24 +355,24 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=7, cusp_count=2, cusps=((0, 1),),
+    N=7, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 4, 7: -4}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(6, (0, 2, 4), 6, {
+    seed=TowerSeed(6, {
         0: _ONE, 2: _form(_phi(7)),
         4: _L7_W4,
         6: _eta({7: 14, 1: -2})}),
 ))
 
 _add(LevelData(
-    N=8, cusp_count=4, cusps=((0, 1), (1, 4), (1, 2)),
+    N=8, cusps=((0, 1), (1, 4), (1, 2)),
     hauptmodul=EtaQuotient({1: 4, 4: 2, 2: -2, 8: -4}),
     cusp_poly=(0, 32, 12, 1),
     seed=_power_seed(_eta({8: 8, 4: -4})),
 ))
 
 _add(LevelData(
-    N=9, cusp_count=4, cusps=((0, 1), (1, 3), (-1, 3)),
+    N=9, cusps=((0, 1), (1, 3), (-1, 3)),
     hauptmodul=EtaQuotient({1: 3, 9: -3}),
     cusp_poly=(0, 27, 9, 1),
     seed=_power_seed(_eta({9: 6, 3: -2})),
@@ -354,27 +381,27 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=10, cusp_count=4, cusps=((0, 1), (1, 5), (1, 2)),
+    N=10, cusps=((0, 1), (1, 5), (1, 2)),
     hauptmodul=EtaQuotient({2: 1, 5: 5, 1: -1, 10: -5}),
     cusp_poly=(0, -4, -3, 1),
-    seed=TowerSeed(4, (0, 2), 4, {
+    seed=TowerSeed(4, {
         0: _ONE,
         2: _L10_W2,
         4: _L10_W4}),
 ))
 
 _add(LevelData(
-    N=12, cusp_count=6, cusps=((0, 1), (1, 6), (1, 4), (1, 3), (1, 2)),
+    N=12, cusps=((0, 1), (1, 6), (1, 4), (1, 3), (1, 2)),
     hauptmodul=EtaQuotient({4: 4, 6: 2, 2: -2, 12: -4}),
     cusp_poly=(0, 9, 0, -10, 0, 1),
     seed=_power_seed(_L12_SEED),
 ))
 
 _add(LevelData(
-    N=13, cusp_count=2, cusps=((0, 1),),
+    N=13, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 2, 13: -2}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(12, (0, 2, 4, 6, 8, 10), 12, {
+    seed=TowerSeed(12, {
         0: _ONE, 2: _form(_phi(13)),
         4: _L13_W4,
         6: _L13_W6,
@@ -388,14 +415,14 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=16, cusp_count=6, cusps=((0, 1), (1, 8), (1, 4), (-1, 4), (1, 2)),
+    N=16, cusps=((0, 1), (1, 8), (1, 4), (-1, 4), (1, 2)),
     hauptmodul=EtaQuotient({1: 2, 8: 1, 2: -1, 16: -2}),
     cusp_poly=(0, 64, 80, 40, 10, 1),
     seed=_power_seed(_eta({16: 8, 8: -4})),
 ))
 
 _add(LevelData(
-    N=18, cusp_count=8,
+    N=18,
     cusps=((0, 1), (1, 9), (1, 6), (-1, 6), (1, 3), (-1, 3), (1, 2)),
     hauptmodul=EtaQuotient({6: 1, 9: 3, 3: -1, 18: -3}),
     cusp_poly=(0, -8, 0, 0, -7, 0, 0, 1),
@@ -403,11 +430,11 @@ _add(LevelData(
 ))
 
 _add(LevelData(
-    N=25, cusp_count=6,
+    N=25,
     cusps=((0, 1), (1, 5), (-1, 5), (2, 5), (-2, 5)),
     hauptmodul=EtaQuotient({1: 1, 25: -1}),
     cusp_poly=(0, 25, 25, 15, 5, 1),
-    seed=TowerSeed(4, (0, 2), 4, {
+    seed=TowerSeed(4, {
         0: _ONE,
         2: _L25_W2,
         4: _eta({25: 10, 5: -2})}),
@@ -431,53 +458,15 @@ def certificates() -> dict:
 
 # -- maximal orders of vanishing -----------------------------------------
 
-def _decompose(k: int, modulus: int, kprimes) -> tuple[int, int]:
-    """Write k = modulus*l + k' with k' in the allowed set."""
-    for kp in kprimes:
-        if (k - kp) % modulus == 0:
-            return (k - kp) // modulus, kp
-    raise ValueError(f"no decomposition of weight {k} mod {modulus}")
-
-
 def v_of(N: int, k: int) -> int:
     """Maximal order of vanishing at infinity in the weight-k space with
-    poles allowed only at infinity (negative when a pole is forced)."""
+    poles allowed only at infinity (negative when a pole is forced), by the
+    valence formula: 12 v = k mu - 6 eps2 [k = 2 mod 4] - 4 eps3 ((-k/2)
+    mod 3), the orders that the elliptic points force."""
     if k % 2:
         raise ValueError("weight must be even")
-    get_level(N)
-    if N == 1:
-        l, _ = _decompose(k, 12, (0, 4, 6, 8, 10, 14))
-        return l
-    if N == 2:
-        l, _ = _decompose(k, 4, (0, 2))
-        return l
-    if N == 3:
-        l, kp = _decompose(k, 6, (0, 2, 4))
-        return 2 * l + kp // 3
-    if N == 4:
-        return k // 2
-    if N == 5:
-        l, _ = _decompose(k, 4, (0, 2))
-        return 2 * l
-    if N in (6, 8, 9):
-        return k
-    if N == 7:
-        l, kp = _decompose(k, 6, (0, 2, 4))
-        return 4 * l + 2 * (kp // 3)
-    if N == 10:
-        l, kp = _decompose(k, 4, (0, 2))
-        return 6 * l + kp
-    if N in (12, 16):
-        return 2 * k
-    if N == 13:
-        l, kp = _decompose(k, 12, (0, 2, 4, 6, 8, 10))
-        return 14 * l if kp == 2 else 14 * l + kp
-    if N == 18:
-        return 3 * k
-    if N == 25:
-        l, kp = _decompose(k, 4, (0, 2))
-        return 10 * l + 2 * kp
-    raise AssertionError(N)
+    mu, eps2, eps3 = get_level(N).valence
+    return (k * mu - 6 * eps2 * (k % 4 == 2) - 4 * eps3 * (-k // 2 % 3)) // 12
 
 
 def u_of(N: int, k: int) -> int:

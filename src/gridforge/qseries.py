@@ -11,9 +11,9 @@ rows; a Fraction is built only when a coefficient is read (`coeff`,
 coefficients are determined.  Instances are immutable.
 
 Named series that depend only on a key and a precision (Hauptmoduln,
-Euler-product powers, registry forms, first basis elements, ...) are kept
-in one store, `cached`: one entry per key, the longest expansion built so
-far, truncated on reuse.  `store_stats` counts its hits and misses per kind
+registry forms, cusp-killing polynomials, first basis elements, ...) are
+kept in one store, `cached`: one entry per key, the longest expansion built
+so far, truncated on reuse.  `store_stats` counts its hits and misses per kind
 of key.
 """
 
@@ -330,15 +330,6 @@ class QSeries:
         n = int(n)
         return QSeries._raw(self._v + n if self._row else 0, self._row,
                             self._d, self._prec + n)
-
-    def rescale_exponents(self, d: int) -> "QSeries":
-        """Substitute q -> q^d (argument scaling z -> dz)."""
-        d = int(d)
-        if d < 1:
-            raise ValueError("exponent scale must be >= 1")
-        row = [0] * ((len(self._row) - 1) * d + 1)
-        row[::d] = self._row
-        return QSeries._raw(self._v * d, tuple(row), self._d, self._prec * d)
 
     # -- comparison --------------------------------------------------
 

@@ -23,11 +23,8 @@ from gridforge.qseries import DEFAULT_PREC, QSeries
 
 
 def mk_trivial(M: int, k: int) -> bool:
-    """Whether the holomorphic weight-k space at level M is zero."""
-    get_level(M)
-    if M == 1:
-        return k == 2 or k < 0
-    return k < 0
+    """Whether the holomorphic weight-k space at level M is zero: v < 0."""
+    return v_of(M, k) < 0
 
 
 def sk_trivial(M: int, k: int) -> bool:
@@ -332,20 +329,21 @@ def genfun_level4_closed_form(k: int, P: int) -> bool:
     """Verify the level-4 closed form: the grid generating function times
     (f_{0,1}(tau) - f_{0,1}(z)) equals f_{k,-l}(z) g_{2-k,l+1}(tau), as a
     truncated identity checked against both expansions of the grid."""
-    if k % 2:
-        raise ValueError("weight must be even")
+    v, u = v_of(4, k), u_of(4, 2 - k)
     _check_positive("max index P", P)
-    ell = k // 2
-    prec = P + abs(ell) + 4
-    count = P + abs(ell) + 4
-    fb = _basis_for(4, k, INF, max(P + 1, -v_of(4, k)), prec + count)
-    gb = _basis_for(4, 2 - k, HAT, max(P + 1, -u_of(4, 2 - k)), prec + count)
+    # side (A) compares p^r for r in [-v-1, P), side (B) q^n for n in
+    # [-u-1, P); u = -v-1
+    _check_positive("max index P of side (A)", P, -v)
+    _check_positive("max index P of side (B)", P, -u)
+    prec = P + abs(v) + 4
+    count = P + abs(v) + 4
+    fb = _basis_for(4, k, INF, P + 1, prec + count)
+    gb = _basis_for(4, 2 - k, HAT, P + 1, prec + count)
     f01 = _basis_for(4, 0, INF, 1, prec + count).element(1)
-    num_f = fb.element(-ell)
-    num_g = gb.element(ell + 1)
+    num_f = fb.element(-v)
+    num_g = gb.element(-u)
 
     # (A) expand via sum_m f_{k,m}(z) p^m: compare coefficients of p^r.
-    v = v_of(4, k)
     for r in range(-v - 1, P):
         lhs = QSeries.zero(prec)
         for j, c in f01.items():
@@ -359,7 +357,6 @@ def genfun_level4_closed_form(k: int, P: int) -> bool:
             return False
 
     # (B) expand via -sum_n g_{2-k,n}(tau) q^n: compare coefficients of q^n.
-    u = u_of(4, 2 - k)
     for n in range(-u - 1, P):
         lhs = QSeries.zero(prec)
         if n >= -u:

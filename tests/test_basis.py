@@ -92,6 +92,20 @@ def test_first_element_examples():
     assert coeffs(inf13, (14, 15, 16, 17, 18)) == [1, 2, 5, 10, 20]
 
 
+@pytest.mark.parametrize("N, k, space, prec", [(18, 10, INF, 30),
+                                               (25, 12, INF, 30),
+                                               (18, 10, HAT, 23)])
+def test_first_element_below_its_lead_is_a_precision_error(N, k, space,
+                                                           prec):
+    lead = v_of(N, k) if space == INF else u_of(N, k)
+    assert lead == prec
+    with pytest.raises(PrecisionError,
+                       match=rf"level {N} weight {k} {space} .* prec {prec} "):
+        first_element(N, k, space, prec)
+    assert first_element(N, k, space, prec + 1) == \
+        QSeries.monomial(lead, 1, prec + 1)
+
+
 def test_first_element_negative_weights():
     s = first_element(2, -6, INF, 12)
     assert coeffs(s, (-2, -1, 0, 1)) == [1, 8, -224, 2144]

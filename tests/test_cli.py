@@ -106,14 +106,20 @@ def test_genfun_check_command(capsys):
 
 
 def test_genfun_check_over_no_indices_is_a_usage_error(capsys):
-    for extra in (("--from", "2", "--to", "1", "--weight", "-6",
-                   "--max-index", "-3"),
-                  ("--from", "4", "--to", "1", "--weight", "0",
-                   "--max-index", "0", "--level4-closed-form")):
+    closed = ("--from", "4", "--to", "1", "--level4-closed-form")
+    for extra, message in (
+            (("--from", "2", "--to", "1", "--weight", "-6",
+              "--max-index", "-3"), "max index P must be >= 1"),
+            ((*closed, "--weight", "0", "--max-index", "0"),
+             "max index P must be >= 1"),
+            ((*closed, "--weight", "20", "--max-index", "8"),
+             "max index P of side (B) must be >= 11, got 8"),
+            ((*closed, "--weight", "-20", "--max-index", "8"),
+             "max index P of side (A) must be >= 10, got 8")):
         assert run(["genfun-check", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "max index P must be >= 1" in captured.err
+        assert message in captured.err
 
 
 def test_registry_command(capsys):
@@ -125,6 +131,13 @@ def test_registry_command(capsys):
     assert all(lvl2["u"][k] == lvl2["v"][k] - 1 for k in lvl2["v"])
     lvl9 = next(lv for lv in doc["levels"] if lv["level"] == 9)
     assert any("paper_typo" in f for f in lvl9["flags"])
+
+
+def test_registry_output_is_pinned(capsys):
+    # the dump carries every level's cusp count and its v and u tables
+    _, out = invoke(capsys, "registry")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6068f36af5c4178821fa11a3024b7ef7f312ccf769d096ced510ac26ddad98ba")
 
 
 def test_output_determinism(capsys):

@@ -3,20 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from gridforge import generators, qseries
+from gridforge import seedsynth
 from gridforge.generators import (
     EtaQuotient,
     delta,
     eisenstein,
     eta_quotient_expand,
-    euler_product,
-    inverse_euler_product,
     j_function,
     level_one_form,
     phi,
     serre_derivative,
     sigma,
 )
+from gridforge.leveldata import ALL_LEVELS, get_level
 from gridforge.qseries import QSeries
 
 
@@ -65,20 +64,115 @@ def test_phi_prefixes():
         phi(1, 5)
 
 
-def test_euler_products_are_inverse():
-    p = euler_product(40) * inverse_euler_product(40)
-    assert p.truncate(40).agrees(QSeries.one(40))
+# The eta-quotient expansion before it became one recurrence: the Euler
+# product by the pentagonal number theorem, its inverse by the partition
+# recurrence, each power by repeated squaring, then q -> q^d.
+
+def _euler_product(prec):
+    coeffs = {0: 1}
+    k = 1
+    while k * (3 * k - 1) // 2 < prec:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < prec:
+                coeffs[e] = -1 if k % 2 else 1
+        k += 1
+    return QSeries(coeffs, prec)
 
 
-def test_euler_cache_keeps_the_longest_expansion(monkeypatch):
-    monkeypatch.setattr(qseries, "_store", {})
-    got = [(prec, generators._euler_power(7, -4, prec))
-           for prec in (20, 45, 30, 60, 25)]
-    assert list(qseries._store) == [("euler", 7, -4)]
-    assert qseries._store[("euler", 7, -4)].prec == 60
-    for prec, series in got:
-        qseries._store.clear()
-        assert generators._euler_power(7, -4, prec) == series
+def _partitions(prec):
+    p = [0] * max(prec, 1)
+    if prec > 0:
+        p[0] = 1
+    pent = []
+    k = 1
+    while k * (3 * k - 1) // 2 < prec:
+        pent.append((k * (3 * k - 1) // 2, -1 if k % 2 == 0 else 1))
+        if k * (3 * k + 1) // 2 < prec:
+            pent.append((k * (3 * k + 1) // 2, -1 if k % 2 == 0 else 1))
+        k += 1
+    for n in range(1, prec):
+        p[n] = sum(sign * p[n - g] for g, sign in pent if g <= n)
+    return QSeries(enumerate(p), prec)
+
+
+def reference_eta_expand(q: EtaQuotient, prec: int) -> QSeries:
+    e0 = int(q.lead_exponent)
+    inner = max(prec - e0, 1)
+    out = QSeries.one(inner)
+    for d, r in sorted(q.exps.items()):
+        n = (inner - 1) // d + 1
+        base = _euler_product(n) if r > 0 else _partitions(n)
+        power = (base ** abs(r)).truncate(n)
+        out = out * QSeries({e * d: c for e, c in power.items()}, inner)
+    return out.truncate(inner).shift(e0)
+
+
+def reference_j(prec):
+    """E4^3 / Delta, with Delta inverted as a series."""
+    work = prec + 2
+    e4 = eisenstein(4, work)
+    num = (e4 * e4 * e4).truncate(work)
+    return (num * delta(work).inverse(work)).truncate(prec)
+
+
+def _registry_quotients():
+    """(level, quotient) for every eta quotient of the registry: the
+    Hauptmoduln and the eta factors of the seed forms."""
+    out = []
+    for N in ALL_LEVELS:
+        ld = get_level(N)
+        if N != 1:
+            out.append((N, ld.hauptmodul))
+        for form in ld.seed.forms.values():
+            for _, factors, _ in form.terms:
+                out += [(N, f[1]) for f in factors if f[0] == "eta"]
+    return out
+
+
+def _assert_expands_like_reference(q, prec):
+    # QSeries equality compares the precision as well as the coefficients
+    assert q.expand(prec) == reference_eta_expand(q, prec), (q, prec)
+
+
+@pytest.mark.parametrize("prec", [1, 8, 40, 120])
+def test_registry_eta_quotients_match_the_reference(prec):
+    quotients = _registry_quotients()
+    assert len(quotients) == 35
+    for _, q in quotients:
+        _assert_expands_like_reference(q, prec)
+
+
+def test_seedsynth_eta_atoms_match_the_reference():
+    checked = 0
+    for N in ALL_LEVELS:
+        for _, _, payload in seedsynth._atoms(N):
+            if payload[0] != "seed":
+                continue
+            (_, form), e = payload[1], payload[2]
+            for _, ((_, q),), _ in form.terms:
+                for prec in (20, 90):
+                    _assert_expands_like_reference(q.rescale(e), prec)
+                    checked += 1
+    assert checked > 0
+
+
+def test_random_eta_quotients_match_the_reference():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        while True:
+            exps = {rng.randrange(1, 51): rng.randrange(-30, 31)
+                    for _ in range(rng.randrange(1, 5))}
+            if sum(d * r for d, r in exps.items()) % 24 == 0:
+                break
+        q = EtaQuotient(exps)
+        lead = int(q.lead_exponent)
+        _assert_expands_like_reference(
+            q, rng.randrange(lead - 5, max(lead, 150) + 1))
+
+
+def test_j_matches_e4_cubed_over_delta():
+    for prec in (0, 1, 2, 5, 30, 100):
+        assert j_function(prec) == reference_j(prec), prec
 
 
 def test_eta_quotient_prefixes():
@@ -168,18 +262,9 @@ def test_serre_derivative_is_a_derivation():
 
 
 def test_registry_eta_lead_exponents():
-    from gridforge.leveldata import ALL_LEVELS, get_level
-
-    quotients = []
-    for N in ALL_LEVELS:
-        ld = get_level(N)
-        if N != 1:
-            assert ld.hauptmodul.lead_exponent == -1, N
-        for form in ld.seed.forms.values():
-            for _, factors, _ in form.terms:
-                quotients += [(N, f[1]) for f in factors if f[0] == "eta"]
-    assert len(quotients) == 21
-    for N, eq in quotients:
+    for N in ALL_LEVELS[1:]:
+        assert get_level(N).hauptmodul.lead_exponent == -1, N
+    for N, eq in _registry_quotients():
         lead = eq.lead_exponent
         assert lead.denominator == 1, (N, eq)
         assert eq.expand(int(lead) + 3).valuation() == lead, (N, eq)

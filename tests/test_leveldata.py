@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,6 +25,7 @@ from gridforge.leveldata import (
     v_of,
 )
 from gridforge.qseries import QSeries
+from gridforge.traceops import mk_trivial
 
 
 def test_registry_membership():
@@ -36,9 +38,12 @@ def test_registry_membership():
 
 
 def test_cusp_counts_match_cusp_lists():
+    # Gamma_0(N) has sum over d | N of phi(gcd(d, N/d)) cusps
     for N in ALL_LEVELS:
-        ld = get_level(N)
-        assert ld.cusp_count == len(ld.cusps) + 1
+        count = sum(sum(gcd(a, g) == 1 for a in range(g))
+                    for d in range(1, N + 1) if N % d == 0
+                    for g in [gcd(d, N // d)])
+        assert get_level(N).cusp_count == len(get_level(N).cusps) + 1 == count
 
 
 def test_hauptmoduln_have_simple_pole():
@@ -65,6 +70,65 @@ def test_v_examples():
     assert v_of(25, 2) == 4 and v_of(10, 2) == 2
     with pytest.raises(ValueError):
         v_of(5, 3)
+
+
+# The maximal orders of vanishing and the triviality of M_k(M) as they
+# were tabulated per level before both were derived from the valence
+# formula: the first element of weight k is F_base^l * F_k' for
+# k = modulus*l + k'.
+
+def _decompose(k, modulus, kprimes):
+    for kp in kprimes:
+        if (k - kp) % modulus == 0:
+            return (k - kp) // modulus, kp
+    raise AssertionError((k, modulus))
+
+
+def reference_v_of(N, k):
+    if N == 1:
+        return _decompose(k, 12, (0, 4, 6, 8, 10, 14))[0]
+    if N == 2:
+        return _decompose(k, 4, (0, 2))[0]
+    if N == 3:
+        l, kp = _decompose(k, 6, (0, 2, 4))
+        return 2 * l + kp // 3
+    if N == 4:
+        return k // 2
+    if N == 5:
+        return 2 * _decompose(k, 4, (0, 2))[0]
+    if N in (6, 8, 9):
+        return k
+    if N == 7:
+        l, kp = _decompose(k, 6, (0, 2, 4))
+        return 4 * l + 2 * (kp // 3)
+    if N == 10:
+        l, kp = _decompose(k, 4, (0, 2))
+        return 6 * l + kp
+    if N in (12, 16):
+        return 2 * k
+    if N == 13:
+        l, kp = _decompose(k, 12, (0, 2, 4, 6, 8, 10))
+        return 14 * l if kp == 2 else 14 * l + kp
+    if N == 18:
+        return 3 * k
+    if N == 25:
+        l, kp = _decompose(k, 4, (0, 2))
+        return 10 * l + 2 * kp
+    raise AssertionError(N)
+
+
+def reference_mk_trivial(M, k):
+    return k == 2 or k < 0 if M == 1 else k < 0
+
+
+def test_v_matches_the_per_level_table():
+    for N in ALL_LEVELS:
+        for k in range(-80, 82, 2):
+            assert v_of(N, k) == reference_v_of(N, k), (N, k)
+            assert mk_trivial(N, k) == reference_mk_trivial(N, k), (N, k)
+        for k in (-79, -1, 1, 3, 79):
+            with pytest.raises(ValueError, match="weight must be even"):
+                v_of(N, k)
 
 
 def test_uv_alignment():

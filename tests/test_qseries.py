@@ -375,10 +375,9 @@ def _any_series(rng):
     v = rng.randrange(-12, 13)
     if kind == "rescaled":
         d = rng.randrange(2, 26)
-        inner = QSeries({e: rng.randrange(-999, 1000)
-                         for e in range(0, rng.randrange(1, 8))},
-                        rng.randrange(2, 8))
-        s = inner.rescale_exponents(d)
+        s = QSeries({e * d: rng.randrange(-999, 1000)
+                     for e in range(0, rng.randrange(1, 8))},
+                    d * rng.randrange(2, 8))
         return s if s.is_zero else s.shift(v - s.valuation())
     prec = v + rng.randrange(1, 40)
     if kind == "sparse":

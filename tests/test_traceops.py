@@ -161,6 +161,14 @@ def test_empty_checks_raise():
         genfun_check(2, 1, -6, 0)
     with pytest.raises(ValueError, match="max index P must be >= 1"):
         genfun_level4_closed_form(0, 0)
+    # side (B) compares n in [k/2, P), side (A) r in [-k/2-1, P)
+    for k, side, least in ((16, "B", 9), (20, "B", 11), (-18, "A", 9),
+                           (-20, "A", 10)):
+        with pytest.raises(ValueError, match=rf"side \({side}\) must be >= "
+                                             rf"{least}, got 8"):
+            genfun_level4_closed_form(k, 8)
+    assert genfun_level4_closed_form(14, 8)
+    assert genfun_level4_closed_form(-16, 8)
     # the weight-(-6) identity at level 1 starts at index 1
     with pytest.raises(ValueError, match="weight -6 identity must be >= 2"):
         genfun_check(2, 1, -6, 1, side="k")
