@@ -10,7 +10,7 @@ for M = N.  Everywhere else an obstruction pair witnesses the failure.
 
 from gridforge import classify, obstructions, genfun_check
 from gridforge.leveldata import ALL_LEVELS, GENUS_ZERO_LEVELS
-from gridforge.traceops import genfun_level4_closed_form
+from gridforge.traceops import genfun_closed_form
 
 print("Preserved cells (N, M, k) for even k in [-8, 8], proper divisors:")
 for N in GENUS_ZERO_LEVELS:
@@ -44,4 +44,4 @@ print("Level 4 has a closed-form grid generating function: the kernel")
 print("times (f_0,1(tau) - f_0,1(z)) collapses to a single product")
 print("f_k,-l(z) g_2-k,l+1(tau).  Verified coefficientwise:")
 for k in (0, 2, 4):
-    print(f"  k = {k}:", genfun_level4_closed_form(k, 10))
+    print(f"  k = {k}:", genfun_closed_form(4, k, 10))

@@ -54,7 +54,7 @@ from gridforge.traceops import (
     classify,
     obstructions,
     genfun_check,
-    genfun_level4_closed_form,
+    genfun_closed_form,
 )
 
 __version__ = "0.1.0"

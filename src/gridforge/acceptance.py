@@ -28,7 +28,7 @@ from gridforge.traceops import (
     classify,
     empirical_preserves,
     genfun_check,
-    genfun_level4_closed_form,
+    genfun_closed_form,
     theorem_list_preserved,
     trace,
 )
@@ -193,12 +193,14 @@ def criterion_7_seed_synthesis():
 
 def criterion_8_generating_functions():
     """The traced generating-function identities on both sides for the
-    level-2 weight -6 grid, and the level-4 closed form for k in
-    {0, 2, 4}."""
+    level-2 weight -6 grid, and the closed form of the grid generating
+    function on every level for k in {0, 2, 4}, modulo q^max(12, |v|+2)."""
     _require(genfun_check(2, 1, -6, 15, side="k"))
     _require(genfun_check(2, 1, -6, 15, side="dual"))
-    for k in (0, 2, 4):
-        _require(genfun_level4_closed_form(k, 12), k)
+    for N in ALL_LEVELS:
+        for k in (0, 2, 4):
+            _require(genfun_closed_form(N, k, max(12, abs(v_of(N, k)) + 2)),
+                     (N, k))
 
 
 def criterion_9_performance():

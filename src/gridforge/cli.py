@@ -8,6 +8,8 @@ failure (a broken invariant of the library, such as a non-integral basis
 coefficient or a violated gap form).  A reader that closes the output
 early (`gridforge grid ... | head`) ends the output quietly without
 changing the exit code.  GRIDFORGE_PREC overrides the default precision.
+`genfun-check --closed-form` checks the closed form of the level --from
+grid generating function; a different --to is a usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from gridforge.seedsynth import SynthesisError, audit_of, reduce_family, seed_of
 from gridforge.traceops import (
     classify,
     genfun_check,
-    genfun_level4_closed_form,
+    genfun_closed_form,
     obstructions,
     trace,
 )
@@ -121,8 +123,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--side", choices=("k", "dual", "both"), default="both")
     sp.add_argument("--max-index", type=int, default=12)
-    sp.add_argument("--level4-closed-form", action="store_true",
-                    help="check the level-4 closed form instead")
+    sp.add_argument("--closed-form", action="store_true",
+                    help="check the closed form of the level --from grid "
+                         "generating function instead (--to must equal "
+                         "--from)")
 
     add_parser("registry", help="dump the level registry as JSON")
     add_parser("selftest", help="run the acceptance suite")
@@ -260,8 +264,12 @@ def _cmd_obstructions(args, prec) -> int:
 
 
 def _cmd_genfun(args) -> int:
-    if args.level4_closed_form:
-        ok = genfun_level4_closed_form(args.weight, args.max_index)
+    if args.closed_form:
+        if args.to_level != args.from_level:
+            raise UsageError(f"--closed-form checks one level: --to "
+                             f"{args.to_level} differs from --from "
+                             f"{args.from_level}")
+        ok = genfun_closed_form(args.from_level, args.weight, args.max_index)
     else:
         ok = genfun_check(args.from_level, args.to_level, args.weight,
                           args.max_index, side=args.side)

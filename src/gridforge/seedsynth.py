@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gridforge.basis import hauptmodul_series, level_form
-from gridforge.generators import eisenstein, phi, serre_derivative
+from gridforge.basis import _factor, hauptmodul_series, level_form
+from gridforge.generators import serre_derivative
 from gridforge.leveldata import certificates, get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
@@ -107,16 +107,11 @@ def weight_pool(N: int, weight: int, prec: int,
         return [("1", QSeries.one(prec))]
     if weight < 0 or weight % 2:
         return []
-    atoms = _atoms(N, exclude)
-
-    def realize(idx: int) -> QSeries:
-        _, _, payload = atoms[idx]
-        kind = payload[0]
-        if kind == "phi":
-            return phi(payload[1], prec, scale=payload[2])
-        if kind == "eis":
-            return eisenstein(payload[1], prec, scale=payload[2])
-        return _expand_spec(payload[1], payload[2], prec)
+    # each atom that fits the weight is expanded once; phi and eis atoms
+    # are registry form factors
+    atoms = [(label, w, _expand_spec(payload[1], payload[2], prec)
+              if payload[0] == "seed" else _factor(N, payload, prec))
+             for label, w, payload in _atoms(N, exclude) if w <= weight]
 
     pool: list[tuple[str, QSeries]] = []
     seen: set[tuple] = set()
@@ -131,12 +126,11 @@ def weight_pool(N: int, weight: int, prec: int,
                 pool.append(("*".join(label_parts), s.truncate(prec)))
             return
         for i in range(start, len(atoms)):
-            w = atoms[i][1]
+            label, w, base = atoms[i]
             if w > remaining:
                 continue
-            base = realize(i)
             nxt = base if series is None else (series * base).truncate(prec)
-            extend(i, remaining - w, label_parts + [atoms[i][0]], nxt)
+            extend(i, remaining - w, label_parts + [label], nxt)
 
     extend(0, weight, [], None)
     return pool

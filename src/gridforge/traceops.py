@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from gridforge.basis import HAT, INF, _box_sums, build_basis, required_prec
+from gridforge.basis import (HAT, INF, _box_sums, build_basis,
+                             hauptmodul_series, required_prec)
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
@@ -249,20 +250,19 @@ def obstructions(N: int, M: int, k: int,
         return ObstructionList(N, M, k)
     pairs = []
     v_n, v_m = v_of(N, k), v_of(M, k)
-    if v_n <= v_m and (mk_trivial(M, k) or v_n == v_m):
-        for x in range(1, v_m - v_n + 1):
-            j = v_n + x
-            fb = _basis_for(M, k, INF, -j, prec)
-            gb = _basis_for(N, 2 - k, HAT, j, prec)
+    # each family is requested at its top index, so it is built once
+    if v_n < v_m and mk_trivial(M, k):
+        fb = _basis_for(M, k, INF, -v_n - 1, prec)
+        gb = _basis_for(N, 2 - k, HAT, v_m, prec)
+        for j in range(v_n + 1, v_m + 1):
             pairs.append(ObstructionPair(
                 "f", M, k, -j, fb.element(-j).truncate(prec),
                 N, 2 - k, j, gb.element(j).truncate(prec)))
     u_n, u_m = u_of(N, 2 - k), u_of(M, 2 - k)
-    if u_n <= u_m and (sk_trivial(M, 2 - k) or u_n == u_m):
-        for x in range(1, u_m - u_n + 1):
-            j = u_n + x
-            fb = _basis_for(N, k, INF, j, prec)
-            gb = _basis_for(M, 2 - k, HAT, -j, prec)
+    if u_n < u_m and sk_trivial(M, 2 - k):
+        fb = _basis_for(N, k, INF, u_m, prec)
+        gb = _basis_for(M, 2 - k, HAT, -u_n - 1, prec)
+        for j in range(u_n + 1, u_m + 1):
             pairs.append(ObstructionPair(
                 "g", N, k, j, fb.element(j).truncate(prec),
                 M, 2 - k, -j, gb.element(-j).truncate(prec)))
@@ -320,53 +320,47 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
             if c:
                 low = _basis_for(M, k, space, -j, prec)
                 rhs = rhs - low.element(-j).scale(c)
-        if not lhs.agrees(rhs.truncate(prec)):
+        if lhs != rhs.truncate(prec):
             return False
     return True
 
 
-def genfun_level4_closed_form(k: int, P: int) -> bool:
-    """Verify the level-4 closed form: the grid generating function times
-    (f_{0,1}(tau) - f_{0,1}(z)) equals f_{k,-l}(z) g_{2-k,l+1}(tau), as a
-    truncated identity checked against both expansions of the grid."""
-    v, u = v_of(4, k), u_of(4, 2 - k)
+def genfun_closed_form(N: int, k: int, P: int) -> bool:
+    """Verify the closed form of the level-N grid generating function,
+    (psi(tau) - psi(z)) sum_m f_{k,m}(z) p^m = f_{k,-v}(z) g_{2-k,v+1}(tau)
+    with psi the Hauptmodul, modulo q^P against both expansions of the
+    grid (Duke-Jenkins at level 1, Griffin-Jenkins-Molnar in genus zero)."""
+    v, u = v_of(N, k), u_of(N, 2 - k)
     _check_positive("max index P", P)
-    # side (A) compares p^r for r in [-v-1, P), side (B) q^n for n in
-    # [-u-1, P); u = -v-1
+    # side (A) compares r in [-v-1, P), side (B) r in [-u-1, P); u = -v-1
     _check_positive("max index P of side (A)", P, -v)
     _check_positive("max index P of side (B)", P, -u)
-    prec = P + abs(v) + 4
-    count = P + abs(v) + 4
-    fb = _basis_for(4, k, INF, P + 1, prec + count)
-    gb = _basis_for(4, 2 - k, HAT, P + 1, prec + count)
-    f01 = _basis_for(4, 0, INF, 1, prec + count).element(1)
-    num_f = fb.element(-v)
-    num_g = gb.element(-u)
+    # psi's constant term cancels in psi(tau) - psi(z)
+    psi = hauptmodul_series(N, 2 * P)
+    fb = _basis_for(N, k, INF, P + 1, P + 1)
+    gb = _basis_for(N, 2 - k, HAT, P + 1, P + 1)
+    # (A) in powers of p, through sum_m f_{k,m}(z) p^m; (B) in powers of q,
+    # through -sum_n g_{2-k,n}(tau) q^n
+    return (_closed_form_side(psi, fb, gb.element(-u), P)
+            and _closed_form_side(psi, gb, fb.element(-v), P))
 
-    # (A) expand via sum_m f_{k,m}(z) p^m: compare coefficients of p^r.
-    for r in range(-v - 1, P):
-        lhs = QSeries.zero(prec)
-        for j, c in f01.items():
-            m = r - j
-            if m >= -v and m <= fb.m0 + fb.count - 1:
-                lhs = lhs + fb.element(m).scale(c)
-        if r >= -v:
-            lhs = lhs - (f01 * fb.element(r)).truncate(prec)
-        rhs = num_f.scale(num_g.coeff(r)) if r < num_g.prec else None
-        if rhs is None or not lhs.truncate(P).agrees(rhs.truncate(P)):
-            return False
 
-    # (B) expand via -sum_n g_{2-k,n}(tau) q^n: compare coefficients of q^n.
-    for n in range(-u - 1, P):
-        lhs = QSeries.zero(prec)
-        if n >= -u:
-            lhs = lhs - (f01 * gb.element(n)).truncate(prec)
-        for e, c in f01.items():
-            idx = n - e
-            if idx >= -u and idx <= gb.m0 + gb.count - 1:
-                lhs = lhs + gb.element(idx).scale(c)
-        rhs = num_g.scale(num_f.coeff(n)) if n < num_f.prec else None
-        if rhs is None or not lhs.truncate(P).agrees(rhs.truncate(P)):
+def _closed_form_side(psi: QSeries, family, other: QSeries, P: int) -> bool:
+    """One expansion of the closed form, with b_m the family's element m
+    (zero below its first index lo) and lead = b_lo: for each power r in
+    [lo-1, P), sum_j psi_j b_{r-j} - psi b_r = lead * other_r modulo q^P.
+    psi * b_r is known to q^P only when psi is known to q^(P+r), which
+    also covers every psi_j the sum reads; `==` compares precisions too,
+    so a term known below q^P fails the check."""
+    lo = family.m0
+    lead = family.element(lo)
+    for r in range(lo - 1, P):
+        terms = [(c, family.element(r - j))
+                 for j, c in psi.items() if r - j >= lo]
+        if r >= lo:
+            terms.append((-1, psi * family.element(r)))
+        if (QSeries.combination(terms, P)
+                != lead.scale(other.coeff(r)).truncate(P)):
             return False
     return True
 

@@ -106,7 +106,7 @@ def test_genfun_check_command(capsys):
 
 
 def test_genfun_check_over_no_indices_is_a_usage_error(capsys):
-    closed = ("--from", "4", "--to", "1", "--level4-closed-form")
+    closed = ("--from", "4", "--to", "4", "--closed-form")
     for extra, message in (
             (("--from", "2", "--to", "1", "--weight", "-6",
               "--max-index", "-3"), "max index P must be >= 1"),
@@ -120,6 +120,17 @@ def test_genfun_check_over_no_indices_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_closed_form_checks_the_from_level(capsys):
+    code, out = invoke(capsys, "genfun-check", "--from", "5", "--to", "5",
+                       "--weight", "2", "--max-index", "8", "--closed-form")
+    assert code == 0 and "identity holds" in out
+    assert run(["genfun-check", "--from", "5", "--to", "1", "--weight", "2",
+                "--max-index", "8", "--closed-form"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--to 1 differs from --from 5" in captured.err
 
 
 def test_registry_command(capsys):

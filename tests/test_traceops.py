@@ -11,7 +11,7 @@ from gridforge.traceops import (
     classify,
     empirical_preserves,
     genfun_check,
-    genfun_level4_closed_form,
+    genfun_closed_form,
     mk_trivial,
     obstructions,
     sk_trivial,
@@ -141,7 +141,13 @@ def test_empirical_agreement_sample():
     lambda: empirical_preserves(4, 2, -2),
     lambda: empirical_preserves(2, 1, -4),
     lambda: genfun_check(4, 1, 4, 10, side="dual"),
-], ids=["empirical-4-2-m2", "empirical-2-1-m4", "genfun-4-1-4-dual"])
+    lambda: not obstructions(18, 1, 10).is_empty,
+    lambda: not obstructions(3, 1, -10).is_empty,
+    lambda: genfun_closed_form(4, 2, 8),
+    lambda: genfun_closed_form(25, 4, 12),
+], ids=["empirical-4-2-m2", "empirical-2-1-m4", "genfun-4-1-4-dual",
+        "obstructions-18-1-10", "obstructions-3-1-m10", "closed-form-4-2",
+        "closed-form-25-4"])
 def test_index_sweeps_build_each_basis_once(check, counting_basis_cache):
     assert check()
     builds = counting_basis_cache.builds
@@ -160,15 +166,18 @@ def test_empty_checks_raise():
     with pytest.raises(ValueError, match="max index P must be >= 1"):
         genfun_check(2, 1, -6, 0)
     with pytest.raises(ValueError, match="max index P must be >= 1"):
-        genfun_level4_closed_form(0, 0)
-    # side (B) compares n in [k/2, P), side (A) r in [-k/2-1, P)
-    for k, side, least in ((16, "B", 9), (20, "B", 11), (-18, "A", 9),
-                           (-20, "A", 10)):
+        genfun_closed_form(4, 0, 0)
+    # side (B) compares q^r for r in [v, P), side (A) p^r in [-v-1, P); at
+    # level 4, v = k/2
+    for N, k, side, least, P in ((4, 16, "B", 9, 8), (4, 20, "B", 11, 8),
+                                 (4, -18, "A", 9, 8), (4, -20, "A", 10, 8),
+                                 (18, 6, "B", 19, 18)):
         with pytest.raises(ValueError, match=rf"side \({side}\) must be >= "
-                                             rf"{least}, got 8"):
-            genfun_level4_closed_form(k, 8)
-    assert genfun_level4_closed_form(14, 8)
-    assert genfun_level4_closed_form(-16, 8)
+                                             rf"{least}, got {P}"):
+            genfun_closed_form(N, k, P)
+    assert genfun_closed_form(4, 14, 8)
+    assert genfun_closed_form(4, -16, 8)
+    assert genfun_closed_form(18, 6, 19)
     # the weight-(-6) identity at level 1 starts at index 1
     with pytest.raises(ValueError, match="weight -6 identity must be >= 2"):
         genfun_check(2, 1, -6, 1, side="k")
@@ -240,9 +249,37 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
     assert hits
 
 
-# the weight-2 family, and the weight-0 one vanishing at the other cusps
-@pytest.mark.parametrize("key", [(4, 2, INF), (4, 0, HAT)])
-def test_level4_closed_form_fails_on_a_perturbed_basis(key, monkeypatch):
+def test_genfun_check_fails_on_a_short_trace(monkeypatch):
+    # a trace known one term below the working precision must fail the
+    # check instead of comparing fewer coefficients
+    real = traceops.trace
+
+    def short(N, M, k, sp, m, prec):
+        rep = real(N, M, k, sp, m, prec)
+        return dataclasses.replace(rep,
+                                   expansion=rep.expansion.truncate(prec - 1))
+
+    monkeypatch.setattr(traceops, "trace", short)
+    assert not genfun_check(2, 1, -6, 15, side="k")
+
+
+def _closed_form_prec(N, k):
+    return max(8, abs(v_of(N, k)) + 2)
+
+
+@pytest.mark.parametrize("N", [1, 4, 13, 18, 25])
+def test_closed_form(N):
+    for k in (-2, 0, 2, 4):
+        assert genfun_closed_form(N, k, _closed_form_prec(N, k)), k
+    assert genfun_closed_form(N, 0, 2)
+
+
+# the weight-k family, and the weight-(2-k) one vanishing at the other cusps
+@pytest.mark.parametrize("N, k", [(4, 2), (13, 4), (25, -2)],
+                         ids=["4-2", "13-4", "25-m2"])
+@pytest.mark.parametrize("family", ["f", "g"])
+def test_closed_form_fails_on_a_perturbed_basis(N, k, family, monkeypatch):
+    key = (N, k, INF) if family == "f" else (N, 2 - k, HAT)
     real = traceops._basis_for
     hits = []
 
@@ -251,18 +288,23 @@ def test_level4_closed_form_fails_on_a_perturbed_basis(key, monkeypatch):
         if (N, k, sp) != key:
             return b
         hits.append(b.m0)
+        # one added term at the second element's first tail exponent
         first, second, *rest = b.elements
-        second = second + QSeries.monomial(1, 1, second.prec)
+        second = second + QSeries.monomial(b.gap_bound + 1, 1, second.prec)
         return dataclasses.replace(b, elements=(first, second, *rest))
 
-    assert genfun_level4_closed_form(2, 8)
+    P = _closed_form_prec(N, k)
+    assert genfun_closed_form(N, k, P)
     monkeypatch.setattr(traceops, "_basis_for", perturbed)
-    assert not genfun_level4_closed_form(2, 8)
+    assert not genfun_closed_form(N, k, P)
     assert hits
 
 
-def test_level4_closed_form():
-    assert genfun_level4_closed_form(0, 8)
-    assert genfun_level4_closed_form(2, 8)
-    assert genfun_level4_closed_form(0, 2)
-    assert genfun_level4_closed_form(-2, 8)
+def test_closed_form_fails_on_a_short_hauptmodul(monkeypatch):
+    # psi * b_r needs psi to q^(P+r); known only to q^(P+1), the check must
+    # fail instead of comparing fewer coefficients
+    N, k, P = 4, 2, 8
+    real = traceops.hauptmodul_series
+    monkeypatch.setattr(traceops, "hauptmodul_series",
+                        lambda N, prec: real(N, prec).truncate(P + 1))
+    assert not genfun_closed_form(N, k, P)
