@@ -9,7 +9,11 @@ coefficient or a violated gap form).  A reader that closes the output
 early (`gridforge grid ... | head`) ends the output quietly without
 changing the exit code.  GRIDFORGE_PREC overrides the default precision.
 `genfun-check --closed-form` checks the closed form of the level --from
-grid generating function; a different --to is a usage error.
+grid generating function; a different --to, or --side other than both, is a
+usage error.  Every JSON document is indented by 2 and written by one
+writer, `_json_text`, whose bytes are those of the standard library's
+`json.dumps` at that indent (`genfun-check --format json` prints one
+compact line).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from gridforge import acceptance
 from gridforge.basis import HAT, INF, build_basis, build_grid, duality_residual
@@ -126,7 +131,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--closed-form", action="store_true",
                     help="check the closed form of the level --from grid "
                          "generating function instead (--to must equal "
-                         "--from)")
+                         "--from; it checks both sides)")
 
     add_parser("registry", help="dump the level registry as JSON")
     add_parser("selftest", help="run the acceptance suite")
@@ -142,6 +147,57 @@ def _print(text: str):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _json_text(obj) -> str:
+    """The text `json.dumps` gives `obj` at an indent of 2, byte for byte,
+    for the documents the CLI prints: dicts with str keys, lists, tuples,
+    str, int, bool, None and float.  Any other type, a subclass of one of
+    these included, and a key that is not a str raise TypeError.  With an
+    indent the standard library encodes through its pure-Python
+    generators; this writer appends the pieces to one list and joins them
+    once."""
+    out = []
+    put = out.append
+
+    def write(o, pad):
+        t = type(o)
+        if t is str:
+            put(encode_basestring_ascii(o))
+        elif t is list or t is tuple:
+            if not o:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in o:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif t is int:
+            put(repr(o))
+        elif t is dict:
+            if not o:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, value in o.items():
+                if type(key) is not str:
+                    raise TypeError(f"JSON object keys must be str, not "
+                                    f"{type(key).__name__}: {key!r}")
+                put(sep + encode_basestring_ascii(key) + ": ")
+                write(value, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif o is None or t is bool or t is float:
+            put(json.dumps(o))
+        else:
+            raise TypeError(f"cannot write {t.__name__} as JSON: {o!r}")
+
+    write(obj, "\n")
+    return "".join(out)
 
 
 def _emit(args, text: str):
@@ -160,7 +216,7 @@ def _cmd_basis(args, prec) -> int:
     if args.format == "json":
         doc = [{"N": b.N, "k": b.k, "space": b.space, "m": m,
                 "series": b.element(m).to_json_dict()} for m in b.indices]
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, _json_text(doc))
     else:
         lines = [f"f_{{{b.k},{m}}}^({b.N}) = {b.element(m)}"
                  if b.space == INF else
@@ -187,7 +243,7 @@ def _cmd_grid(args, prec) -> int:
         }
         if args.check_duality:
             doc["duality_residual"] = str(residual)
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, _json_text(doc))
     else:
         lines = [f"weight {g.k} side:"]
         lines += [f"  f_{{{g.k},{m}}} = {g.fside.element(m)}"
@@ -212,7 +268,7 @@ def _cmd_seed(args, prec) -> int:
                "series": series.to_json_dict()}
         if args.audit_json:
             doc["family"] = audit_of(reduced)
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, _json_text(doc))
     else:
         _emit(args, str(series))
     return EXIT_OK
@@ -222,7 +278,7 @@ def _cmd_trace(args, prec) -> int:
     rep = trace(args.from_level, args.to_level, args.weight, args.space,
                 args.index, prec)
     if args.format == "json":
-        _emit(args, json.dumps(rep.to_json_dict(), indent=2))
+        _emit(args, _json_text(rep.to_json_dict()))
     else:
         if rep.applicable:
             combo = " + ".join(f"({c})*[{i}]" for i, c in rep.combination) \
@@ -236,7 +292,7 @@ def _cmd_trace(args, prec) -> int:
 def _cmd_classify(args) -> int:
     c = classify(args.from_level, args.to_level, args.weight)
     if args.format == "json":
-        _emit(args, json.dumps(c.to_json_dict(), indent=2))
+        _emit(args, _json_text(c.to_json_dict()))
     else:
         _emit(args, "Preserved" if c.preserved
               else f"NotPreserved ({c.case})")
@@ -246,7 +302,7 @@ def _cmd_classify(args) -> int:
 def _cmd_obstructions(args, prec) -> int:
     ob = obstructions(args.from_level, args.to_level, args.weight, prec)
     if args.format == "json":
-        _emit(args, json.dumps(ob.to_json_dict(), indent=2))
+        _emit(args, _json_text(ob.to_json_dict()))
     else:
         if ob.is_empty:
             _emit(args, "no obstruction pairs (duality preserved)")
@@ -269,6 +325,9 @@ def _cmd_genfun(args) -> int:
             raise UsageError(f"--closed-form checks one level: --to "
                              f"{args.to_level} differs from --from "
                              f"{args.from_level}")
+        if args.side != "both":
+            raise UsageError(f"--closed-form checks both expansions: "
+                             f"--side {args.side} cannot narrow it")
         ok = genfun_closed_form(args.from_level, args.weight, args.max_index)
     else:
         ok = genfun_check(args.from_level, args.to_level, args.weight,
@@ -302,7 +361,7 @@ def run(argv=None) -> int:
         if args.command == "genfun-check":
             return _cmd_genfun(args)
         if args.command == "registry":
-            _emit(args, json.dumps(registry_dump(), indent=2))
+            _emit(args, _json_text(registry_dump()))
             return EXIT_OK
         if args.command == "selftest":
             return EXIT_OK if acceptance.run_all(_print) else EXIT_INTERNAL

@@ -16,7 +16,6 @@ the series store (`gridforge.qseries.cached`) under ("cusp", N).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -511,10 +510,6 @@ def registry_dump() -> dict:
             "example and is treated as a typo",
         ],
     }
-
-
-def registry_dump_json() -> str:
-    return json.dumps(registry_dump(), indent=2, sort_keys=False)
 
 
 # -- conformance data -----------------------------------------------------

@@ -354,8 +354,10 @@ class QSeries:
     # -- serialization -----------------------------------------------
 
     def to_json_dict(self) -> dict:
+        d = self._d
         return {"prec": self._prec,
-                "coeffs": [[e, str(v)] for e, v in self.items()]}
+                "coeffs": [[e, str(x) if d == 1 else str(Fraction(x, d))]
+                           for e, x in enumerate(self._row, self._v) if x]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QSeries":

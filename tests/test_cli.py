@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +16,17 @@ from gridforge import basis as basis_mod
 from gridforge import cli, seedsynth
 from gridforge.cli import run
 from gridforge.generators import EtaQuotient
-from gridforge.leveldata import certificates
+from gridforge.leveldata import certificates, registry_dump
 from gridforge.qseries import QSeries
+from gridforge.traceops import (
+    Classification,
+    ObstructionList,
+    ObstructionPair,
+    TraceReport,
+    classify,
+    obstructions,
+    trace,
+)
 
 SRC = str(Path(gridforge.__file__).resolve().parents[1])
 
@@ -133,15 +144,160 @@ def test_closed_form_checks_the_from_level(capsys):
     assert "--to 1 differs from --from 5" in captured.err
 
 
+def test_closed_form_refuses_a_side(capsys):
+    for side in ("k", "dual"):
+        assert run(["genfun-check", "--from", "4", "--to", "4", "--weight",
+                    "2", "--closed-form", "--side", side]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--side {side} cannot narrow it" in captured.err
+    code, out = invoke(capsys, "genfun-check", "--from", "4", "--to", "4",
+                       "--weight", "2", "--closed-form", "--side", "both")
+    assert code == 0 and out == "identity holds\n"
+
+
 def test_registry_command(capsys):
     code, out = invoke(capsys, "registry")
     assert code == 0
     doc = json.loads(out)
+    assert doc == registry_dump()
     assert len(doc["levels"]) == 15
     lvl2 = next(lv for lv in doc["levels"] if lv["level"] == 2)
     assert all(lvl2["u"][k] == lvl2["v"][k] - 1 for k in lvl2["v"])
     lvl9 = next(lv for lv in doc["levels"] if lv["level"] == 9)
     assert any("paper_typo" in f for f in lvl9["flags"])
+
+
+_STRING_ALPHABET = ('ab"\\/ \x00\x01\x08\t\n\x0c\r\x1f\x7f'
+                    '\u00e9\u2028\u221e\U0001f600')
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_STRING_ALPHABET)
+                   for _ in range(rng.randrange(0, 6)))
+
+
+def _random_document(rng, depth=0):
+    """A random JSON document of the types the CLI writes, nested up to
+    five levels; containers are often empty."""
+    kind = rng.randrange(7 if depth < 5 else 4)
+    if kind == 0:
+        return _random_string(rng)
+    if kind == 1:
+        return rng.choice((
+            rng.randrange(-10 ** 6, 10 ** 6),
+            rng.choice((-1, 1)) * rng.randrange(10 ** 999, 10 ** 1100)))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.choice((rng.uniform(-1e6, 1e6), -0.0, 1e300, 5e-324,
+                           float("inf"), float("-inf"), float("nan")))
+    items = [_random_document(rng, depth + 1)
+             for _ in range(rng.choice((0, 1, 2, 4)))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {_random_string(rng): item for item in items}
+
+
+def _report_documents():
+    rational = QSeries({-3: Fraction(-7, 3), 0: 5, 2: Fraction(1, 9)}, 4)
+    pair = ObstructionPair("g", 2, 8, -1, rational, 1, -6, 1,
+                           QSeries.zero(9))
+    return [
+        trace(2, 1, -6, "inf", 2, 12).to_json_dict(),
+        trace(2, 1, 8, "inf", -2, 60).to_json_dict(),
+        TraceReport(6, 2, -2, "hat", 3, True, "principal_part", "",
+                    ((3, Fraction(-1, 2)), (1, Fraction(4))),
+                    rational).to_json_dict(),
+        classify(5, 1, -2).to_json_dict(),
+        classify(5, 1, 0).to_json_dict(),
+        Classification(4, 2, -6, False, "g-side").to_json_dict(),
+        obstructions(2, 1, -6, 12).to_json_dict(),
+        obstructions(2, 1, -4, 12).to_json_dict(),
+        ObstructionList(2, 1, 8, (pair, pair)).to_json_dict(),
+    ]
+
+
+def test_json_text_is_the_standard_library_text():
+    rng = random.Random(20261018)
+    reports = _report_documents()
+    docs = [[], {}, (), "", 0, -1, 10 ** 1200, -(10 ** 1000), True, None,
+            1.5, {"": []}, [[[]], {"k": ()}], *reports]
+    for _ in range(500):
+        doc = _random_document(rng)
+        if rng.random() < 0.1:
+            doc = {"report": rng.choice(reports), "rest": doc}
+        docs.append(doc)
+    for doc in docs:
+        assert cli._json_text(doc) == json.dumps(doc, indent=2), doc
+    for bad in ({1: "x"}, [{"a": {None: 0}}], {("N", 1): 2}, {True: 1}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._json_text(bad)
+    for bad in ([Fraction(1, 2)], OrderedDict(a=1)):
+        with pytest.raises(TypeError, match="cannot write"):
+            cli._json_text(bad)
+
+
+# sha256 of stdout before the CLI's JSON came from one writer; each entry
+# is (argv, exit code, digest)
+PINNED_JSON = [
+    (["grid", "--level", "1", "--weight", "-2"], 0,
+     "f21693221fda71e4a6d507aebd8472254a6c41d878b760d8cd80cfe55f639e91"),
+    (["grid", "--level", "1", "--weight", "-2", "--check-duality"], 0,
+     "74822264e12f15172da0e65e959cf3417c8f9fa3f671d4287f4032d3e75b9d51"),
+    (["grid", "--level", "1", "--weight", "4"], 0,
+     "98132e5c1166d76c802028bb0a641f2bd5e53df70a3b257ce124a5410578ae2a"),
+    (["grid", "--level", "1", "--weight", "4", "--check-duality"], 0,
+     "bef6f950239d7e8e5c73094535dd91b0a768baa5c47437dde5f3c3e608c6973e"),
+    (["grid", "--level", "4", "--weight", "-2"], 0,
+     "3d237d82cdffc2e1c1c8520ad3584f5aa4c301678eb98a9f5af6936cdc2f9499"),
+    (["grid", "--level", "4", "--weight", "-2", "--check-duality"], 0,
+     "3b3bd47a489793b3048f5dbbbac57e342017d17156d2ef8668ef5477110ce481"),
+    (["grid", "--level", "4", "--weight", "4"], 0,
+     "cf70458953e079b0974511929295f2c5e2e72b8751ce6e1e1f051c4225e4b9e6"),
+    (["grid", "--level", "4", "--weight", "4", "--check-duality"], 0,
+     "4fe0b6c2944ec5ffdb04a628663a2aaee0b3093013c2d3eb50df2a7151a6607c"),
+    (["grid", "--level", "13", "--weight", "-2"], 0,
+     "a33306b1af3b704fca471851e63dace93f9be90acc4abd7a5efda38fdb146e17"),
+    (["grid", "--level", "13", "--weight", "-2", "--check-duality"], 0,
+     "25daae8c10615218b05d08b628f318f8d28e1ea9bc86e378df081ccc7097b19f"),
+    (["grid", "--level", "13", "--weight", "4"], 0,
+     "2d84f72eaab335a2c24e6495ed31567a9172fbb6ae0c730e85736ce70f0502a1"),
+    (["grid", "--level", "13", "--weight", "4", "--check-duality"], 0,
+     "b93cf4219e39aca12e45a84e78e529c540eeeaa1303755dc40f2cccf5f6bc93c"),
+    (["grid", "--level", "25", "--weight", "-2"], 0,
+     "9b78ad479f1de858f40513fe54b0b849fec2e0970cf4347287c2b590a686c498"),
+    (["grid", "--level", "25", "--weight", "-2", "--check-duality"], 0,
+     "e600d55112775b3f195a336c0940554e7e3fc976c04cbdbe7da06b27b000ff05"),
+    (["grid", "--level", "25", "--weight", "4"], 0,
+     "ed6a1724759fe39c3c18f8fc38c717fd604ca00d0e8679630a1df3caeeb2d2f8"),
+    (["grid", "--level", "25", "--weight", "4", "--check-duality"], 0,
+     "98b9c822183141c78bcf44e3775360e065327b8b3bc6a5dc22b55ecc6233f99f"),
+    (["basis", "--level", "6", "--weight", "-4", "--space", "hat",
+      "--count", "3", "--prec", "20"], 0,
+     "389d57668b07395bb2da437fe482f70114ce52761ff0b1fb367bbe8b9dd86d25"),
+    (["trace", "--from", "2", "--to", "1", "--weight", "-6", "--space",
+      "inf", "--index", "2", "--prec", "12"], 0,
+     "f30e5c24917b115295f325f2f9ce9582c463bef0b03a5bcf7841b3928da1eda7"),
+    (["trace", "--from", "2", "--to", "1", "--weight", "8", "--space",
+      "inf", "--index", "-2"], 1,
+     "b94659add264d501185ab0dfa1de051e87d72906d26ce547b78afdd1b9a4b209"),
+    (["classify", "--from", "5", "--to", "1", "--weight", "-2"], 1,
+     "aa98e6c2392c6581ab3538ea2b91e7cad0ee2f5a3924328fa93368344b167263"),
+    (["obstructions", "--from", "2", "--to", "1", "--weight", "-6",
+      "--prec", "12"], 1,
+     "67f61c0147d10eef6877042eff5ee2ac4414244811c060ea6e27951b34610849"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_JSON,
+                         ids=[" ".join(a) for a, _, _ in PINNED_JSON])
+def test_json_output_is_pinned(argv, code, digest, capsys):
+    got, out = invoke(capsys, *argv, "--format", "json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_registry_output_is_pinned(capsys):

@@ -395,3 +395,40 @@ def test_mul_matches_the_fraction_dict_product():
         a, b = _any_series(rng), _any_series(rng)
         got, want = a * b, reference_mul(a, b)
         assert got == want and got.prec == want.prec, (case, a, b)
+
+
+def reference_to_json_dict(s):
+    """The JSON form as it was built before it read the integer row: one
+    Fraction per stored coefficient, through `items`."""
+    return {"prec": s.prec, "coeffs": [[e, str(c)] for e, c in s.items()]}
+
+
+def test_to_json_dict_matches_the_fraction_items():
+    rng = random.Random(20261019)
+    kinds = ("integral", "rational", "zero", "padded_row")
+    seen = dict.fromkeys(kinds, 0)
+    for case in range(300):
+        kind = kinds[case % len(kinds)]
+        v = rng.randrange(-15, 10)
+        prec = v + rng.randrange(1, 30)
+        exps = [e for e in range(v, prec) if rng.random() < 0.7]
+        if kind == "integral":
+            s = QSeries({e: rng.randrange(-10 ** 30, 10 ** 30)
+                         for e in exps}, prec)
+        elif kind == "rational":
+            s = QSeries({e: _rational(rng) for e in exps}, prec)
+        elif kind == "zero":
+            s = QSeries({e: 0 for e in exps}, prec)
+        else:
+            # zeros at both ends, a term beyond prec and a denominator
+            # that shares a factor with the row
+            g, den = rng.randrange(1, 13), rng.randrange(1, 13)
+            row = ([0] * rng.randrange(0, 4)
+                   + [g * rng.randrange(-99, 100) for _ in exps]
+                   + [0] * rng.randrange(0, 4))
+            s = QSeries.from_row(v - 2, row + [1], v - 2 + len(row),
+                                 g * den)
+        seen[kind] += not s.is_zero or kind == "zero"
+        assert s.to_json_dict() == reference_to_json_dict(s), (case, s)
+        assert QSeries.from_json_dict(s.to_json_dict()) == s
+    assert all(seen.values()), seen
