@@ -16,9 +16,6 @@ from gridforge.generators import (
     sigma,
     eisenstein,
     phi,
-    eta_quotient_expand,
-    level_one_form,
-    delta,
     j_function,
     serre_derivative,
 )

@@ -161,7 +161,7 @@ def criterion_5_trace_examples():
 
 
 def criterion_6_classification():
-    """classify agrees with the theorem's explicit list everywhere, and
+    """classify matches the theorem's explicit list everywhere, and
     with direct 12x12 duality of the traced grids wherever principal-part
     matching applies on both sides."""
     for N in GENUS_ZERO_LEVELS:

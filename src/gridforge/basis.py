@@ -51,10 +51,15 @@ INF = "inf"
 HAT = "hat"
 
 
-def _check_space(space: str) -> str:
-    if space not in (INF, HAT):
-        raise ValueError(f"space must be {INF!r} or {HAT!r}, got {space!r}")
-    return space
+def gap_bound(N: int, k: int, space: str) -> int:
+    """The order through which every basis element of the space is in gap
+    form: v for the full space, u for the subspace vanishing at the other
+    cusps."""
+    if space == INF:
+        return v_of(N, k)
+    if space == HAT:
+        return u_of(N, k)
+    raise ValueError(f"space must be {INF!r} or {HAT!r}, got {space!r}")
 
 
 def hauptmodul_series(N: int, prec: int) -> QSeries:
@@ -122,10 +127,9 @@ def first_element(N: int, k: int, space: str,
                   prec: int = DEFAULT_PREC) -> QSeries:
     """The basis element of maximal vanishing order: the seed recipe for
     the full space, times the cusp-killing polynomial for the subspace."""
-    _check_space(space)
     if k % 2:
         raise ValueError("weight must be even")
-    expect = v_of(N, k) if space == INF else u_of(N, k)
+    expect = gap_bound(N, k, space)
     if prec <= expect:
         raise PrecisionError(
             f"first element of level {N} weight {k} {space} starts at "
@@ -147,15 +151,19 @@ def _build_first(N: int, k: int, space: str, prec: int) -> QSeries:
     v = v_of(N, k)
     if space == HAT:
         deg = ld.cusp_count - 1
-        work = prec + deg + max(0, -v) + 1
+        # the cusp killer (valuation -deg) times the INF element (valuation
+        # v), each known to work, is known to work - max(deg, -v)
+        work = prec + max(deg, -v)
         inf = first_element(N, k, INF, work)
         return (inf * leveldata.cusp_killer(N, work)).truncate(prec)
     seed = ld.seed
     power, kp = seed.split(k)
     base_weight = seed.base_weight
     v_base = v_of(N, base_weight)
-    # raising the base to a negative power costs (1-power)*v_base terms
-    work = prec + 8 + max(0, (1 - power) * v_base - v_of(N, kp))
+    # base^power (valuation power*v_base) is known to work - (1-power)*v_base
+    # for either sign of power; times F_kp (valuation v_kp <= v_base, known
+    # to work) that is work - max(0, (1-power)*v_base - v_kp)
+    work = prec + max(0, (1 - power) * v_base - v_of(N, kp))
     if power >= 0:
         out = level_form(N, base_weight, work) ** power
     else:
@@ -191,18 +199,14 @@ class CanonicalBasis:
     def element(self, m: int) -> QSeries:
         if m not in self.indices:
             raise IndexError(
-                f"basis index {m} outside built range {self.indices}")
+                f"basis index {m} of level {self.N} weight {self.k} "
+                f"{self.space} outside built range {self.indices}")
         return self.elements[m - self.m0]
-
-    def coefficient(self, m: int, n: int) -> Fraction:
-        """a_k(m, n) resp. b_k(m, n): the q^n coefficient of element m."""
-        return self.element(m).coeff(n)
 
 
 def required_prec(N: int, k: int, space: str, count: int) -> int:
     """Minimal working precision accepted by build_basis."""
-    b = v_of(N, k) if space == INF else u_of(N, k)
-    return count + abs(b) + 5
+    return count + abs(gap_bound(N, k, space)) + 5
 
 
 class IntegralityError(AssertionError):
@@ -224,7 +228,6 @@ _basis_cache: dict[tuple, CanonicalBasis] = {}
 def build_basis(N: int, k: int, space: str, count: int,
                 prec: int = DEFAULT_PREC) -> CanonicalBasis:
     """Build elements m0 .. m0+count-1, each exact modulo q^prec."""
-    _check_space(space)
     if count < 1:
         raise ValueError("count must be >= 1")
     need = required_prec(N, k, space, count)
@@ -252,7 +255,7 @@ def _build(N: int, k: int, space: str, count: int,
            prec: int) -> CanonicalBasis:
     """Run the Hauptmodul recursion for elements m0 .. m0+count-1, each
     exact modulo q^prec at least; the result records prec."""
-    B = v_of(N, k) if space == INF else u_of(N, k)
+    B = gap_bound(N, k, space)
     m0 = -B
     work = prec + count + 6
     where = f"level {N} weight {k} {space}"

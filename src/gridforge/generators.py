@@ -1,5 +1,6 @@
-"""Classical building blocks: eta quotients, Eisenstein series, divisor
-sums, level-one forms and the Serre derivative.
+"""Classical building blocks: eta quotients, Eisenstein series and the
+phi_N combinations of E2, divisor sums, the j-function and the Serre
+derivative.
 
 An eta quotient expands by one integer recurrence from its logarithmic
 derivative (`EtaQuotient.expand`); the j-function is E4^3 times the
@@ -8,7 +9,6 @@ expansion of eta(z)^-24.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import mul
 
@@ -128,21 +128,6 @@ class EtaQuotient:
     def to_text(self) -> str:
         return " * ".join(f"eta({d})^{r}" for d, r in sorted(self._exps.items()))
 
-    @classmethod
-    def from_text(cls, text: str) -> "EtaQuotient":
-        exps = {}
-        for part in text.split("*"):
-            part = part.strip()
-            if not part:
-                continue
-            m = re.fullmatch(r"eta\((\d+)\)(?:\^(-?\d+))?", part)
-            if not m:
-                raise ValueError(f"cannot parse eta quotient factor: {part!r}")
-            d = int(m.group(1))
-            r = int(m.group(2)) if m.group(2) else 1
-            exps[d] = exps.get(d, 0) + r
-        return cls(exps)
-
     def __eq__(self, other):
         if not isinstance(other, EtaQuotient):
             return NotImplemented
@@ -153,40 +138,6 @@ class EtaQuotient:
 
     def __repr__(self):
         return f"EtaQuotient({self.to_text()})"
-
-
-def eta_quotient_expand(e: EtaQuotient, prec: int = DEFAULT_PREC) -> QSeries:
-    return e.expand(prec)
-
-
-# -- level-one forms -----------------------------------------------------
-
-_LEVEL_ONE_WEIGHTS = (0, 4, 6, 8, 10, 14)
-
-
-def level_one_form(weight: int, prec: int = DEFAULT_PREC) -> QSeries:
-    """The one-dimensional holomorphic level-one space at the given weight:
-    1, E4, E6, E4^2, E4*E6 or E4^2*E6."""
-    if weight == 0:
-        return QSeries.one(prec)
-    if weight in (4, 6):
-        return eisenstein(weight, prec)
-    if weight == 8:
-        e4 = eisenstein(4, prec)
-        return (e4 * e4).truncate(prec)
-    if weight == 10:
-        return (eisenstein(4, prec) * eisenstein(6, prec)).truncate(prec)
-    if weight == 14:
-        e4 = eisenstein(4, prec)
-        return (e4 * e4 * eisenstein(6, prec)).truncate(prec)
-    raise ValueError(f"no one-dimensional level-one space in weight {weight}")
-
-
-def delta(prec: int = DEFAULT_PREC) -> QSeries:
-    """The weight-12 cusp form (E4^3 - E6^2) / 1728."""
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    return ((e4 * e4 * e4 - e6 * e6).truncate(prec)).scale(Fraction(1, 1728))
 
 
 def j_function(prec: int = DEFAULT_PREC) -> QSeries:

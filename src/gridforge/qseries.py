@@ -107,11 +107,6 @@ class QSeries:
         return cls({0: 1}, prec)
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: CoeffLike = 1,
-                 prec: int = DEFAULT_PREC) -> "QSeries":
-        return cls({exponent: coeff}, prec)
-
-    @classmethod
     def from_row(cls, valuation: int, row, prec: int,
                  denominator: int = 1) -> "QSeries":
         """sum row[i]/denominator q^(valuation+i) + O(q^prec), for a
@@ -325,22 +320,7 @@ class QSeries:
             return self
         return QSeries.from_row(self._v, self._row, prec, self._d)
 
-    def shift(self, n: int) -> "QSeries":
-        """Multiply by q^n."""
-        n = int(n)
-        return QSeries._raw(self._v + n if self._row else 0, self._row,
-                            self._d, self._prec + n)
-
     # -- comparison --------------------------------------------------
-
-    def agreement_prec(self, other: "QSeries") -> int:
-        """The precision to which two series can be compared."""
-        return min(self._prec, other._prec)
-
-    def agrees(self, other: "QSeries") -> bool:
-        """Equality of all coefficients below the common precision."""
-        p = self.agreement_prec(other)
-        return self.truncate(p) == other.truncate(p)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -358,11 +338,6 @@ class QSeries:
         return {"prec": self._prec,
                 "coeffs": [[e, str(x) if d == 1 else str(Fraction(x, d))]
                            for e, x in enumerate(self._row, self._v) if x]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QSeries":
-        return cls(((int(e), Fraction(s)) for e, s in d["coeffs"]),
-                   int(d["prec"]))
 
     def __str__(self):
         if not self._row:

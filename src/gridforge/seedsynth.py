@@ -56,13 +56,7 @@ def _closed_eta_seeds(N: int, exclude=()) -> list[tuple[str, int, object]]:
     under cross-validation cannot appear in its own spanning family)."""
     out = []
     for M in _divisors(N):
-        if M == 1:
-            continue
-        try:
-            ld = get_level(M)
-        except ValueError:
-            continue
-        for w, form in ld.seed.forms.items():
+        for w, form in get_level(M).seed.forms.items():
             if (_is_eta_form(form) and v_of(M, w) >= 0
                     and (M, w) not in exclude):
                 out.append((f"seed{M}w{w}", w, (M, form)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from gridforge.basis import (HAT, INF, _box_sums, build_basis,
+from gridforge.basis import (HAT, INF, _box_sums, build_basis, gap_bound,
                              hauptmodul_series, required_prec)
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
@@ -105,14 +105,13 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     """Trace of the index-m basis element of the level-N weight-k space
     down to level M, expressed in the level-M canonical basis."""
     _check_pair(N, M)
-    if space not in (INF, HAT):
-        raise ValueError(f"space must be {INF!r} or {HAT!r}")
     if k % 2:
         raise ValueError("weight must be even")
 
-    b_n = v_of(N, k) if space == INF else u_of(N, k)
+    b_n = gap_bound(N, k, space)
     if m < -b_n:
-        raise ValueError(f"no basis element of index {m} at level {N}")
+        raise ValueError(f"no basis element of index {m} at level {N} "
+                         f"weight {k} {space}")
 
     if M == N:
         basis = _basis_for(N, k, space, m, prec)
@@ -124,7 +123,7 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     if not ok:
         return TraceReport(N, M, k, space, m, False, method, reason=reason)
 
-    b_m = v_of(M, k) if space == INF else u_of(M, k)
+    b_m = gap_bound(M, k, space)
     src_prec = max(prec, b_m + 2)
     src = _basis_for(N, k, space, m, src_prec).element(m)
 
@@ -147,8 +146,7 @@ def trace(N: int, M: int, k: int, space: str, m: int,
 
 def _basis_for(N: int, k: int, space: str, max_index: int, prec: int):
     """Basis covering indices up to max_index at >= prec."""
-    b = v_of(N, k) if space == INF else u_of(N, k)
-    count = max(max_index + b + 1, 1)
+    count = max(max_index + gap_bound(N, k, space) + 1, 1)
     return build_basis(N, k, space, count,
                        max(prec, required_prec(N, k, space, count)))
 
@@ -296,13 +294,13 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     variable.  The weight-k identity is the INF case; the dual one is the
     HAT case at weight 2-k, with u in place of v (its two negations
     cancel)."""
-    other, order, name = ((HAT, v_of, "weight-k") if space == INF
-                          else (INF, u_of, "weight-(2-k)"))
+    other, name = ((HAT, "weight-k") if space == INF
+                   else (INF, "weight-(2-k)"))
     if M != N:
         ok, _, reason = _trace_applicable(M, k, space)
         if not ok:
             raise ValueError(f"{name} identity not checkable: {reason}")
-    b_n, b_m = order(N, k), order(M, k)
+    b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
     _check_positive(f"max index P of the weight {k} identity", P, 1 - b_m)
     prec = P + 2
     xs = range(1, b_m - b_n + 1)
@@ -367,8 +365,7 @@ def _closed_form_side(psi: QSeries, family, other: QSeries, P: int) -> bool:
 
 # -- empirical duality of traced grids ------------------------------------
 
-def empirical_preserves(N: int, M: int, k: int, box: int = 12,
-                        prec: int = DEFAULT_PREC) -> bool | None:
+def empirical_preserves(N: int, M: int, k: int, box: int = 12) -> bool | None:
     """Direct duality check of the traced families on a box-by-box grid of
     coefficients; None when principal-part matching does not apply on both
     sides."""
@@ -382,7 +379,7 @@ def empirical_preserves(N: int, M: int, k: int, box: int = 12,
     u_n = u_of(N, 2 - k)
     f_indices = range(-v_n, -v_n + box)
     g_indices = range(-u_n, -u_n + box)
-    need = max(prec, -u_n + box + 2, -v_n + box + 2)
+    need = max(DEFAULT_PREC, -u_n + box + 2, -v_n + box + 2)
     # top index first, so each basis is built once at its full size
     tf = {m: trace(N, M, k, INF, m, need).expansion
           for m in reversed(f_indices)}

@@ -21,6 +21,7 @@ from gridforge.basis import (
     first_element,
     hauptmodul_series,
     level_form,
+    required_prec,
 )
 from gridforge.leveldata import (
     ALL_LEVELS,
@@ -33,6 +34,7 @@ from gridforge.leveldata import (
 )
 from gridforge.generators import EtaQuotient
 from gridforge.qseries import PrecisionError, QSeries
+from gridforge.traceops import trace
 
 
 def coeffs(series, exps):
@@ -103,7 +105,7 @@ def test_first_element_below_its_lead_is_a_precision_error(N, k, space,
                        match=rf"level {N} weight {k} {space} .* prec {prec} "):
         first_element(N, k, space, prec)
     assert first_element(N, k, space, prec + 1) == \
-        QSeries.monomial(lead, 1, prec + 1)
+        QSeries({lead: 1}, prec + 1)
 
 
 def test_first_element_negative_weights():
@@ -131,7 +133,7 @@ def test_gap_form_check_covers_the_whole_gap():
     b = build_basis(6, -2, INF, 4, 30)
 
     def with_term(m, s):
-        e = b.element(m) + QSeries.monomial(s, 1, b.prec)
+        e = b.element(m) + QSeries({s: 1}, b.prec)
         return dataclasses.replace(b, elements=tuple(
             e if i == m else b.element(i) for i in b.indices))
 
@@ -167,7 +169,7 @@ def test_hat_elements_reduce_against_inf_basis():
                 c = g.coeff(j)
                 if c:
                     combo = combo + inf.element(-j).scale(c)
-            assert g.agrees(combo), (N, k, m)
+            assert g == combo, (N, k, m)
 
 
 def test_duality_examples():
@@ -185,8 +187,8 @@ def test_duality_examples():
 def reference_residual(grid, m_max, n_max):
     """max |a_k(m,n) + b_{2-k}(n,m)|, coefficient by coefficient in
     Fraction arithmetic."""
-    return max((abs(grid.fside.coefficient(m, n)
-                    + grid.gside.coefficient(n, m))
+    return max((abs(grid.fside.element(m).coeff(n)
+                    + grid.gside.element(n).coeff(m))
                 for m in grid.fside.indices[:m_max]
                 for n in grid.gside.indices[:n_max]), default=Fraction(0))
 
@@ -224,8 +226,20 @@ def test_build_basis_precision_audit():
 
 def test_basis_element_range_guard():
     b = build_basis(5, 0, INF, 3, 20)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError,
+                       match=r"index 5 of level 5 weight 0 inf outside"):
         b.element(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_basis(5, 0, "cusp", 3),
+    lambda: first_element(5, 0, "cusp"),
+    lambda: trace(10, 5, 0, "cusp", 1),
+    lambda: required_prec(5, 0, "cusp", 3),
+], ids=["build_basis", "first_element", "trace", "required_prec"])
+def test_unknown_space_is_refused(call):
+    with pytest.raises(ValueError, match="got 'cusp'"):
+        call()
 
 
 def test_grid_index_alignment():
@@ -335,7 +349,7 @@ def test_cached_basis_does_not_overclaim_precision(monkeypatch):
     b = build_basis(2, 0, INF, 10, 46)
     assert b.prec == 46
     assert all(e.prec == 46 for e in b.elements)
-    b.coefficient(b.m0 + 9, 45)
+    b.element(b.m0 + 9).coeff(45)
     monkeypatch.setattr(basis_mod, "_basis_cache", {})
     assert build_basis(2, 0, INF, 10, 46) == b
 
@@ -405,7 +419,7 @@ def test_non_integral_first_element_raises(monkeypatch):
 
     def halved(N, k, space, prec):
         s = real(N, k, space, prec)
-        return s + QSeries.monomial(s.valuation() + 2, Fraction(1, 2), prec)
+        return s + QSeries({s.valuation() + 2: Fraction(1, 2)}, prec)
 
     monkeypatch.setattr(basis_mod, "_basis_cache", {})
     monkeypatch.setattr(basis_mod, "first_element", halved)

@@ -27,6 +27,7 @@ from gridforge.traceops import (
     obstructions,
     trace,
 )
+from test_qseries import series_from_json
 
 SRC = str(Path(gridforge.__file__).resolve().parents[1])
 
@@ -54,7 +55,7 @@ def test_basis_json_roundtrip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [d["m"] for d in doc] == [2, 3]
-    s = QSeries.from_json_dict(doc[0]["series"])
+    s = series_from_json(doc[0]["series"])
     assert s.coeff(-2) == 1 and s.coeff(-1) == 8
 
 
@@ -94,7 +95,7 @@ def test_seed_json(capsys):
                        "--prec", "12", "--json")
     assert code == 0
     doc = json.loads(out)
-    s = QSeries.from_json_dict(doc["series"])
+    s = series_from_json(doc["series"])
     assert [s.coeff(i) for i in (2, 3, 4, 5)] == [1, 3, 8, 11]
     assert doc["family"]["rank"] >= 1
 
@@ -393,7 +394,7 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
 
     def halved(N, k, space, prec):
         s = real(N, k, space, prec)
-        return s + QSeries.monomial(s.valuation() + 2, Fraction(1, 2), prec)
+        return s + QSeries({s.valuation() + 2: Fraction(1, 2)}, prec)
 
     monkeypatch.setattr(basis_mod, "_basis_cache", {})
     monkeypatch.setattr(basis_mod, "first_element", halved)
@@ -444,13 +445,13 @@ def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
 def test_closed_pipe_exits_quietly():
     # the output (about 300 kB) overflows the pipe buffer, so the writer
     # sees the reader close the pipe after the first line
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gridforge.cli", "basis", "--level", "1",
-         "--weight", "0", "--count", "40", "--prec", "60"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.stdout.readline().startswith(b"f_{0,0}^(1) = 1")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "gridforge.cli", "basis", "--level", "1",
+             "--weight", "0", "--count", "40", "--prec", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+        assert proc.stdout.readline().startswith(b"f_{0,0}^(1) = 1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert err == b""

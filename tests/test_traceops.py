@@ -107,7 +107,7 @@ def test_trace_linearity_of_matching():
             direct = direct + tgt.element(-j).scale(c)
     combo = trace(N, M, k, INF, 2, 25).expansion.scale(alpha) + \
         trace(N, M, k, INF, 4, 25).expansion.scale(beta)
-    assert direct.agrees(combo)
+    assert direct == combo
 
 
 def test_classify_examples():
@@ -153,6 +153,13 @@ def test_index_sweeps_build_each_basis_once(check, counting_basis_cache):
     builds = counting_basis_cache.builds
     assert len(builds) >= 2
     assert all(n == 1 for n in builds.values()), builds
+
+
+def test_trace_below_the_first_index_names_the_space():
+    # the weight-0 hat space of level 5 starts at index 1, as u = -1
+    with pytest.raises(ValueError,
+                       match="index 0 at level 5 weight 0 hat$"):
+        trace(5, 1, 0, HAT, 0)
 
 
 def test_empty_checks_raise():
@@ -240,7 +247,7 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
             return rep
         hits.append(m)
         return dataclasses.replace(rep, expansion=rep.expansion
-                                   + QSeries.monomial(1, 1, prec))
+                                   + QSeries({1: 1}, prec))
 
     assert genfun_check(2, 1, -6, 15, side=side)
     monkeypatch.setattr(traceops, "trace", perturbed)
@@ -290,7 +297,7 @@ def test_closed_form_fails_on_a_perturbed_basis(N, k, family, monkeypatch):
         hits.append(b.m0)
         # one added term at the second element's first tail exponent
         first, second, *rest = b.elements
-        second = second + QSeries.monomial(b.gap_bound + 1, 1, second.prec)
+        second = second + QSeries({b.gap_bound + 1: 1}, second.prec)
         return dataclasses.replace(b, elements=(first, second, *rest))
 
     P = _closed_form_prec(N, k)
