@@ -19,14 +19,14 @@ stores and assembles the elements from them.  IntegralityError is raised
 if the Hauptmodul or the first element has a non-integral coefficient.
 
 Completed bases are immutable and cached, one entry per (level, weight,
-space), under the series store's rule: an entry only grows.  A request
-that the entry covers, in count and in the precision of its least precise
-element, is sliced and truncated from it; any other request rebuilds the
-entry at the larger of the two counts and at the larger of the requested
-precision and the one the entry was built for, so the entry still covers
-every earlier request.  The series a basis is built from (Hauptmodul,
-registry forms, the inverse of a base form, first elements) are kept in
-the series store, `gridforge.qseries.cached`.
+space), under the series store's rule: an entry only grows.  An entry has
+one precision, to which its last and least precise element is known.  A
+request that the entry covers, in count and precision, is sliced and
+truncated from it; any other request rebuilds the entry at the larger
+count and the larger precision, so it still covers every earlier request.
+The series a basis is built from (Hauptmodul, registry forms, the inverse
+of a base form, first elements) are kept in the series store,
+`gridforge.qseries.cached`.
 """
 
 from __future__ import annotations
@@ -237,13 +237,9 @@ def build_basis(N: int, k: int, space: str, count: int,
             f"count {count}: need prec >= {need}, got {prec}")
     key = (N, k, space)
     entry = _basis_cache.get(key)
-    # An entry only grows: a miss rebuilds it to cover this request and
-    # every earlier one.  Its prec is the precision it was built for; its
-    # least precise element, the last, is known beyond that.
-    have_count, have_prec, known = (
-        (0, 0, 0) if entry is None
-        else (entry.count, entry.prec, entry.elements[-1].prec))
-    if have_count < count or known < prec:
+    # a miss rebuilds the entry to cover this request and every earlier one
+    have_count, have_prec = (entry.count, entry.prec) if entry else (0, 0)
+    if have_count < count or have_prec < prec:
         entry = _basis_cache[key] = _build(
             N, k, space, max(count, have_count), max(prec, have_prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
@@ -253,11 +249,11 @@ def build_basis(N: int, k: int, space: str, count: int,
 
 def _build(N: int, k: int, space: str, count: int,
            prec: int) -> CanonicalBasis:
-    """Run the Hauptmodul recursion for elements m0 .. m0+count-1, each
-    exact modulo q^prec at least; the result records prec."""
+    """Run the Hauptmodul recursion for elements m0 .. m0+count-1; the
+    last, and least precise, is exact modulo q^prec."""
     B = gap_bound(N, k, space)
     m0 = -B
-    work = prec + count + 6
+    work = prec + count - 1
     where = f"level {N} weight {k} {space}"
     # The recursion reads psi up to q^(work+m0-2).  psi[a] is the q^(a-1)
     # coefficient of the Hauptmodul.
@@ -324,15 +320,13 @@ def build_grid(N: int, k: int, count: int,
                prec: int | None = None) -> ModularGrid:
     """Build both sides of the weight-(k, 2-k) grid with `count` elements.
 
-    The default precision is chosen so that a count-by-count duality box
-    is fully determined on both sides.
+    The default precision count + |v| + 6 determines a count-by-count
+    duality box and is at least the required_prec of both sides.
     """
     v = v_of(N, k)
     u = u_of(N, 2 - k)
     if prec is None:
-        prec = max(required_prec(N, k, INF, count),
-                   required_prec(N, 2 - k, HAT, count),
-                   v + count + 6, -v + count + 6)
+        prec = count + abs(v) + 6
     fside = build_basis(N, k, INF, count, prec)
     gside = build_basis(N, 2 - k, HAT, count, prec)
     if gside.m0 != v + 1 or fside.m0 != u + 1:

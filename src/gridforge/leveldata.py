@@ -93,7 +93,14 @@ class Certificate(Combo):
     `gridforge.seedsynth.derive_certificate` reproduces the terms by exact
     row reduction, a second derivation."""
     expected: tuple          # of (exponent, int) nonzero coefficients
-    check_through: int       # all other exponents <= this must vanish
+
+    @property
+    def check_through(self) -> int:
+        """The last pinned exponent."""
+        if not self.expected:
+            raise CertificateError(
+                "an empty pinned prefix does not determine a seed")
+        return max(e for e, _ in self.expected)
 
     def check(self, N: int, k: int, series) -> None:
         """Raise CertificateError unless the certificate determines the
@@ -229,14 +236,14 @@ _L7_W4 = Certificate((
     (Fraction(29, 134456), (_phi(7), _phi(7)), 1),
     (Fraction(-83, 134456), (_eis(4),), 0),
     (Fraction(-29, 134456), (_eis(4),), 1),
-), ((2, 1), (3, 3), (4, 8), (5, 11)), 5)
+), ((2, 1), (3, 3), (4, 8), (5, 11)))
 
 _L10_W2 = Certificate((
     (Fraction(-1, 48), (_phi(2),), 0),
     (Fraction(1, 96), (_phi(2),), 1),
     (Fraction(-11, 48), (_phi(2, 5),), 0),
     (Fraction(-1, 96), (_phi(2, 5),), 1),
-), ((2, 1), (4, 3), (5, -4), (6, 4), (8, 7)), 8)
+), ((2, 1), (4, 3), (5, -4), (6, 4), (8, 7)))
 
 _L10_W4 = Certificate((
     (Fraction(-209, 3600000), (_phi(2), _phi(2)), 0),
@@ -247,7 +254,7 @@ _L10_W4 = Certificate((
     (Fraction(17, 23040), (_phi(2, 5), _phi(2, 5)), 1),
     (Fraction(41, 600000), (_eis(4),), 0),
     (Fraction(19, 600000), (_eis(4),), 1),
-), ((6, 1), (7, -2), (8, 3), (9, -6), (10, 11)), 10)
+), ((6, 1), (7, -2), (8, 3), (9, -6), (10, 11)))
 
 _L13_W4 = Certificate((
     (Fraction(-5331, 17576), (_phi(13), _phi(13)), 0),
@@ -258,7 +265,7 @@ _L13_W4 = Certificate((
     (Fraction(12401, 14480427), (_eis(4),), 1),
     (Fraction(23495, 115843416), (_eis(4),), 2),
     (Fraction(467, 57921708), (_eis(4),), 3),
-), ((4, 1), (5, 1), (6, 3), (7, 3), (8, 4), (9, 6)), 9)
+), ((4, 1), (5, 1), (6, 3), (7, 3), (8, 4), (9, 6)))
 
 _L13_W6 = Certificate((
     (Fraction(-2174923, 6169176), (_phi(13), _phi(13), _phi(13)), 0),
@@ -271,7 +278,7 @@ _L13_W6 = Certificate((
     (Fraction(791689, 13553679672), (_phi(13), _eis(4)), 3),
     (Fraction(12605, 1042590744), (_eis(6),), 0),
     (Fraction(253, 521295372), (_eis(6),), 1),
-), ((6, 1), (7, 2), (8, 4), (9, 6), (10, 13), (11, 16)), 11)
+), ((6, 1), (7, 2), (8, 4), (9, 6), (10, 13), (11, 16)))
 
 _L25_W2 = Certificate((
     (Fraction(1, 75), (_phi(5),), 0),
@@ -282,7 +289,7 @@ _L25_W2 = Certificate((
     (Fraction(-1, 10), (_phi(5, 5),), 1),
     (Fraction(-2, 75), (_phi(5, 5),), 2),
     (Fraction(-1, 375), (_phi(5, 5),), 3),
-), ((4, 1), (6, 1), (9, 2), (14, 3), (16, 2)), 16)
+), ((4, 1), (6, 1), (9, 2), (14, 3), (16, 2)))
 
 _REGISTRY: dict[int, LevelData] = {}
 
@@ -520,7 +527,8 @@ def registry_dump() -> dict:
 # last listed one must vanish.  Values were cross-checked against the
 # numeric cusp oracle and the duality suite.
 
-CONFORMANCE: tuple = (
+CONFORMANCE: tuple = tuple((N, w, dict(cert.expected))
+                           for (N, w), cert in certificates().items()) + (
     (1, None, {-1: 1, 0: 744, 1: 196884, 2: 21493760, 3: 864299970}),
     (2, None, {-1: 1, 0: -24, 1: 276, 2: -2048}),
     (2, 2, {0: 1, 1: 24, 2: 24, 3: 96, 4: 24}),
@@ -538,22 +546,17 @@ CONFORMANCE: tuple = (
     (6, 2, {2: 1, 3: -2, 4: 3, 6: -1, 8: 7}),
     (7, None, {-1: 1, 0: -4, 1: 2, 2: 8, 3: -5}),
     (7, 2, {0: 1, 1: 4, 2: 12, 3: 16, 4: 28}),
-    (7, 4, {2: 1, 3: 3, 4: 8, 5: 11}),
     (7, 6, {4: 1, 5: 2, 6: 5, 7: 10, 8: 20}),
     (8, None, {-1: 1, 0: -4, 1: 4, 3: 2, 5: -8}),
     (8, 2, {2: 1, 6: 4, 10: 6, 14: 8, 18: 13}),
     (9, None, {-1: 1, 0: -3, 2: 5, 5: -7, 8: 3}),
     (9, 2, {2: 1, 5: 2, 8: 5, 11: 4, 14: 8}),
     (10, None, {-1: 1, 0: 1, 1: 1, 2: 2, 3: 2}),
-    (10, 2, {2: 1, 4: 3, 5: -4, 6: 4, 8: 7}),
-    (10, 4, {6: 1, 7: -2, 8: 3, 9: -6, 10: 11}),
     (12, None, {-1: 1, 1: 2, 3: 1, 7: -2}),
     (12, 2, {4: 1, 6: -2, 8: 3, 12: -1, 16: 7}),
-    # weights 4-10 carry corrected expansions; see the level-13 flag
+    # weights 8 and 10 carry corrected expansions; see the level-13 flag
     (13, None, {-1: 1, 0: -2, 1: -1, 2: 2, 3: 1}),
     (13, 2, {0: 1, 1: 2, 2: 6, 3: 8, 4: 14}),
-    (13, 4, {4: 1, 5: 1, 6: 3, 7: 3, 8: 4, 9: 6}),
-    (13, 6, {6: 1, 7: 2, 8: 4, 9: 6, 10: 13, 11: 16}),
     (13, 8, {8: 1, 9: 2, 10: 7, 11: 12, 12: 23, 13: 38}),
     (13, 10, {10: 1, 11: 3, 12: 9, 13: 19, 14: 41}),
     (13, 12, {14: 1, 15: 2, 16: 5, 17: 10, 18: 20}),
@@ -562,6 +565,5 @@ CONFORMANCE: tuple = (
     (18, None, {-1: 1, 2: 1, 5: 1, 8: -1}),
     (18, 2, {6: 1, 9: -2, 12: 3, 18: -1, 24: 7}),
     (25, None, {-1: 1, 0: -1, 1: -1, 4: 1, 6: 1}),
-    (25, 2, {4: 1, 6: 1, 9: 2, 14: 3, 16: 2}),
     (25, 4, {10: 1, 15: 2, 20: 5, 25: 10, 30: 20}),
 )

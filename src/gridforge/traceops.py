@@ -123,9 +123,9 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     if not ok:
         return TraceReport(N, M, k, space, m, False, method, reason=reason)
 
+    # _basis_for builds to required_prec >= b_m + 1, since |b_n| >= |b_m|
     b_m = gap_bound(M, k, space)
-    src_prec = max(prec, b_m + 2)
-    src = _basis_for(N, k, space, m, src_prec).element(m)
+    src = _basis_for(N, k, space, m, prec).element(m)
 
     combo = []
     for j in range(src.valuation(), b_m + 1):
@@ -379,7 +379,8 @@ def empirical_preserves(N: int, M: int, k: int, box: int = 12) -> bool | None:
     u_n = u_of(N, 2 - k)
     f_indices = range(-v_n, -v_n + box)
     g_indices = range(-u_n, -u_n + box)
-    need = max(DEFAULT_PREC, -u_n + box + 2, -v_n + box + 2)
+    # _box_sums reads f below q^(box - u_n) and g below q^(box - v_n)
+    need = max(-u_n, -v_n) + box
     # top index first, so each basis is built once at its full size
     tf = {m: trace(N, M, k, INF, m, need).expansion
           for m in reversed(f_indices)}

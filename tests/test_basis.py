@@ -249,6 +249,27 @@ def test_grid_index_alignment():
         assert g.fside.m0 == u_of(N, 2 - k) + 1
 
 
+class _Asked(Exception):
+    pass
+
+
+def test_grid_default_precision_matches_the_four_term_bound(monkeypatch):
+    def ask(N, k, space, count, prec):
+        raise _Asked(prec)
+
+    monkeypatch.setattr(basis_mod, "build_basis", ask)
+    for N in ALL_LEVELS:
+        for k in range(-20, 21, 2):
+            v = v_of(N, k)
+            for count in range(1, 31):
+                old = max(required_prec(N, k, INF, count),
+                          required_prec(N, 2 - k, HAT, count),
+                          v + count + 6, -v + count + 6)
+                with pytest.raises(_Asked) as got:
+                    build_grid(N, k, count)
+                assert got.value.args == (old,), (N, k, count)
+
+
 def test_conformance_table():
     for N, weight, expected in CONFORMANCE:
         hi = max(expected)
@@ -296,11 +317,14 @@ def assert_matches_reference(N, k, space, count, monkeypatch):
     prec = basis_mod.required_prec(N, k, space, count)
     monkeypatch.setattr(basis_mod, "_basis_cache", {})
     got = build_basis(N, k, space, count, prec)
-    work = basis_mod._basis_cache[(N, k, space)].elements
+    stored = basis_mod._basis_cache[(N, k, space)].elements
     want = reference_basis(N, k, space, count, prec)
-    assert len(work) == len(want) == count
-    for w, e in zip(work, want):
-        assert w.prec == e.prec and w.items() == e.items(), (N, k, space)
+    assert len(stored) == len(want) == count
+    # element j is stored exactly as far as the recursion determines it,
+    # and every stored coefficient is the reference's
+    for j, (w, e) in enumerate(zip(stored, want)):
+        assert w.prec == prec + count - 1 - j <= e.prec, (N, k, space, j)
+        assert w == e.truncate(w.prec), (N, k, space, j)
     for g, e in zip(got.elements, want):
         assert g == e.truncate(prec), (N, k, space)
 
@@ -371,6 +395,21 @@ def test_cache_entry_only_grows(counting_basis_cache):
     assert cache.builds == {(2, 0, INF): 3}
 
 
+def test_cached_entries_have_one_precision(monkeypatch):
+    # the last element is the least precise, and it is known exactly to
+    # the precision its entry records
+    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    rng = random.Random(5)
+    for _ in range(30):
+        N, k, space = rng.choice([(2, 0, INF), (5, -4, HAT), (9, 4, INF)])
+        count = rng.randrange(1, 16)
+        prec = required_prec(N, k, space, count) + rng.randrange(0, 25)
+        build_basis(N, k, space, count, prec)
+        for entry in basis_mod._basis_cache.values():
+            assert entry.elements[-1].prec == entry.prec, (
+                entry.N, entry.k, entry.space)
+
+
 def test_rebuilds_keep_the_requested_precision(counting_basis_cache,
                                                monkeypatch):
     for count in (10, 12, 14):
@@ -390,7 +429,7 @@ def test_recursion_expands_the_hauptmodul_as_far_as_it_reads(N, k,
     monkeypatch.setattr(qseries, "_store", {})
     build_basis(N, k, INF, count, prec)
     # the recursion reads psi up to q^(work+m0-2)
-    work, m0 = prec + count + 6, -v_of(N, k)
+    work, m0 = prec + count - 1, -v_of(N, k)
     assert qseries._store[("haupt", N)].prec == work + m0 - 1
 
 
@@ -424,7 +463,7 @@ def test_non_integral_first_element_raises(monkeypatch):
     monkeypatch.setattr(basis_mod, "_basis_cache", {})
     monkeypatch.setattr(basis_mod, "first_element", halved)
     with pytest.raises(IntegralityError,
-                       match=r"level 5 weight 0 inf index 0 prec 34.*"
+                       match=r"level 5 weight 0 inf index 0 prec 27.*"
                              r"1/2 at q\^2"):
         build_basis(5, 0, INF, 3, 25)
 
@@ -463,7 +502,9 @@ def test_certificate_prefix_must_reach_the_maximal_order(
         install_certificate):
     cert = certificates()[(13, 6)]
     v = v_of(13, 6)
-    install_certificate(13, 6, dataclasses.replace(cert, check_through=v - 1))
+    # the seed leads with q^v, so the prefix pinned below q^v is empty
+    short = tuple((e, c) for e, c in cert.expected if e < v)
+    install_certificate(13, 6, dataclasses.replace(cert, expected=short))
     with pytest.raises(CertificateError, match="does not determine"):
         level_form(13, 6, 20)
 
@@ -513,8 +554,7 @@ from gridforge.leveldata import PinnedPrefixError, certificates, get_level
 assert False, "assert statements are not stripped"
 cert = certificates()[(13, 6)]
 c, factors, j = cert.terms[-1]
-bad = type(cert)((*cert.terms[:-1], (c * 2, factors, j)), cert.expected,
-                 cert.check_through)
+bad = type(cert)((*cert.terms[:-1], (c * 2, factors, j)), cert.expected)
 get_level(13).seed.forms[6] = bad
 try:
     level_form(13, 6, 20)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gridforge import traceops
-from gridforge.basis import HAT, INF, build_basis
+from gridforge.basis import HAT, INF, build_basis, required_prec
 from gridforge.leveldata import ALL_LEVELS, GENUS_ZERO_LEVELS, u_of, v_of
 from gridforge.qseries import QSeries
 from gridforge.traceops import (
@@ -153,6 +153,26 @@ def test_index_sweeps_build_each_basis_once(check, counting_basis_cache):
     builds = counting_basis_cache.builds
     assert len(builds) >= 2
     assert all(n == 1 for n in builds.values()), builds
+
+
+@pytest.mark.parametrize("N, M, k", [(2, 1, -4), (4, 2, -2), (9, 3, -2)])
+def test_empirical_duality_asks_only_for_the_box_it_reads(N, M, k,
+                                                          monkeypatch):
+    # the traced box reads each side below q^need; a basis request above
+    # that must be one build_basis itself requires
+    box = 12
+    need = max(-u_of(N, 2 - k), -v_of(N, k)) + box
+    asked = []
+
+    def recording(*request):
+        asked.append(request)
+        return build_basis(*request)
+
+    monkeypatch.setattr(traceops, "build_basis", recording)
+    assert empirical_preserves(N, M, k, box) is not None
+    assert asked
+    for r in asked:
+        assert r[4] <= max(required_prec(*r[:4]), need), r
 
 
 def test_trace_below_the_first_index_names_the_space():
