@@ -13,7 +13,6 @@ identities.
 from gridforge.qseries import QSeries, PrecisionError, DEFAULT_PREC, as_coeff
 from gridforge.generators import (
     EtaQuotient,
-    sigma,
     eisenstein,
     phi,
     j_function,

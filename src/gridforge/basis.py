@@ -7,10 +7,14 @@ built recursively: multiply the previous element by the Hauptmodul, then
 subtract earlier elements (and the constant, where present) to clear
 every coefficient between the leading term and the gap bound.
 
-The first element comes from the level's seed recipe, a product of
-registry forms.  Every registry form is a `leveldata.Combo`, a sum of
+Every series built from registry data is a `leveldata.Combo`, a sum of
 c * (product of factors) * psi^j, and one function, `_eval_form`,
-evaluates them all (and the cusp-killing polynomial); it checks a
+evaluates them all: the registry forms, the cusp-killing polynomial, the
+seed atoms of `gridforge.seedsynth` and the first elements.  A first
+element is a recipe, the one-term Combo F_base^l * F_k' of the level's
+seed (the inverse of F_base for l < 0), times the cusp-killing polynomial
+for the subspace.  `_eval_form` asks each factor for as many terms as the
+product needs, found from the factors' valuations, and checks a
 `leveldata.Certificate` against its pinned prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
@@ -24,13 +28,14 @@ one precision, to which its last and least precise element is known.  A
 request that the entry covers, in count and precision, is sliced and
 truncated from it; any other request rebuilds the entry at the larger
 count and the larger precision, so it still covers every earlier request.
-The series a basis is built from (Hauptmodul, registry forms, the inverse
-of a base form, first elements) are kept in the series store,
-`gridforge.qseries.cached`.
+The series a first element is built from (Hauptmodul, registry forms, the
+inverse of a base form, the cusp-killing polynomial) are kept in the series
+store, `gridforge.qseries.cached`; a build asks for its first element once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -83,30 +88,74 @@ def _factor(N: int, factor: tuple, prec: int) -> QSeries:
             return quotient.expand(prec)
         case ("form", w):
             return level_form(N, w, prec)
+        case ("inv", w):
+            # the inverse of q^v + ... is known to 2v terms less than it
+            v = v_of(N, w)
+            return cached(("inv", N, w), prec,
+                          lambda prec: level_form(N, w, prec + 2 * v).inverse())
+        case ("cusp",):
+            return leveldata.cusp_killer(N, prec)
+    raise TypeError(f"unknown form factor {factor!r}")
+
+
+def _valuation(N: int, factor: tuple) -> int:
+    """The valuation of a factor's expansion, known before expanding it."""
+    match factor:
+        case ("phi", _, _) | ("eis", _, _):
+            return 0
+        case ("eta", quotient):
+            return int(quotient.lead_exponent)
+        case ("form", w):
+            return v_of(N, w)
+        case ("inv", w):
+            return -v_of(N, w)
+        case ("cusp",):
+            return 1 - get_level(N).cusp_count
     raise TypeError(f"unknown form factor {factor!r}")
 
 
 def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
-    """Sum a registry form's terms c * (product of factors) * psi^j, as one
-    polynomial in the Hauptmodul per factor product.  A Certificate is
-    checked against its pinned prefix."""
+    """Sum a Combo's terms c * (product of factors) * psi^j, as one
+    polynomial in the Hauptmodul per factor product, known modulo q^prec.
+    This is the one place where registry factors are multiplied.  A
+    Certificate is checked against its pinned prefix."""
     cert = isinstance(form, Certificate)
     target = max(prec, form.check_through + 1) if cert else prec
-    top = max(j for _, _, j in form.terms)
-    # psi^j has a pole of order j, so it costs j terms of precision
-    work = target + top
-    psi_pows = [QSeries.one(work)]
-    for _ in range(top):
-        psi_pows.append(psi_pows[-1] * hauptmodul_series(N, work))
-    polys: dict[tuple, list] = {}
+    groups: dict[tuple, list] = {}
     for c, factors, j in form.terms:
-        polys.setdefault(factors, []).append((c, psi_pows[j]))
+        groups.setdefault(factors, []).append((c, j))
+    # A product is known as far beyond its valuation as its least precise
+    # factor, and psi^j (valuation -j) as far beyond its own as psi.  So a
+    # group with top psi power `top` and factor valuations summing to sv is
+    # known to target when psi is known to rel - 1 and each factor rel
+    # terms beyond its valuation, rel = target + top - sv (at least 1, so
+    # that every lead is known).
+    rel = {factors: max(target + max(j for _, j in pairs)
+                        - sum(_valuation(N, f) for f in factors), 1)
+           for factors, pairs in groups.items()}
+    top = max(j for _, _, j in form.terms)
+    if top:
+        reach = max(rel.values())
+        psi = hauptmodul_series(N, reach - 1)
+        psi_pows = [QSeries.one(reach)]
+        for _ in range(top):
+            psi_pows.append(psi_pows[-1] * psi)
     products = []
-    for factors, pairs in polys.items():
-        poly = QSeries.combination(pairs, work)
-        for f in factors:
-            poly = poly * _factor(N, f, work)
-        products.append((1, poly))
+    for factors, pairs in groups.items():
+        r = rel[factors]
+        group_top = max(j for _, j in pairs)
+        # a constant polynomial is a coefficient, not a product
+        if group_top:
+            c, series = 1, QSeries.combination(
+                ((c, psi_pows[j]) for c, j in pairs), r - group_top)
+        else:
+            c, series = sum(c for c, _ in pairs), None
+        for f, n in Counter(factors).items():
+            s = _factor(N, f, _valuation(N, f) + r)
+            if n > 1:
+                s = s ** n
+            series = s if series is None else series * s
+        products.append((c, QSeries.one(r) if series is None else series))
     total = QSeries.combination(products, target)
     if cert:
         form.check(N, k, total)
@@ -125,8 +174,9 @@ def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
 
 def first_element(N: int, k: int, space: str,
                   prec: int = DEFAULT_PREC) -> QSeries:
-    """The basis element of maximal vanishing order: the seed recipe for
-    the full space, times the cusp-killing polynomial for the subspace."""
+    """The basis element of maximal vanishing order: the seed recipe
+    F_base^l * F_k' for the full space, times the cusp-killing polynomial
+    for the subspace, evaluated as a one-term Combo."""
     if k % 2:
         raise ValueError("weight must be even")
     expect = gap_bound(N, k, space)
@@ -134,8 +184,13 @@ def first_element(N: int, k: int, space: str,
         raise PrecisionError(
             f"first element of level {N} weight {k} {space} starts at "
             f"q^{expect}, so prec {prec} determines none of its terms")
-    out = cached(("first", N, k, space), prec,
-                 lambda prec: _build_first(N, k, space, prec))
+    seed = get_level(N).seed
+    power, kp = seed.split(k)
+    base = ("form" if power >= 0 else "inv", seed.base_weight)
+    factors = (base,) * abs(power) + ((("form", kp),) if kp else ())
+    if space == HAT:
+        factors += (("cusp",),)
+    out = _eval_form(N, k, Combo(((1, factors, 0),)), prec)
     if out.prec < prec:
         raise PrecisionError(
             f"first element of level {N} weight {k} only determined mod "
@@ -144,37 +199,6 @@ def first_element(N: int, k: int, space: str,
         raise AssertionError(
             f"seed for level {N} weight {k} {space} is not monic q^{expect}")
     return out
-
-
-def _build_first(N: int, k: int, space: str, prec: int) -> QSeries:
-    ld = get_level(N)
-    v = v_of(N, k)
-    if space == HAT:
-        deg = ld.cusp_count - 1
-        # the cusp killer (valuation -deg) times the INF element (valuation
-        # v), each known to work, is known to work - max(deg, -v)
-        work = prec + max(deg, -v)
-        inf = first_element(N, k, INF, work)
-        return (inf * leveldata.cusp_killer(N, work)).truncate(prec)
-    seed = ld.seed
-    power, kp = seed.split(k)
-    base_weight = seed.base_weight
-    v_base = v_of(N, base_weight)
-    # base^power (valuation power*v_base) is known to work - (1-power)*v_base
-    # for either sign of power; times F_kp (valuation v_kp <= v_base, known
-    # to work) that is work - max(0, (1-power)*v_base - v_kp)
-    work = prec + max(0, (1 - power) * v_base - v_of(N, kp))
-    if power >= 0:
-        out = level_form(N, base_weight, work) ** power
-    else:
-        # the base's inverse has valuation -v_base, known to 2*v_base terms
-        # less than the base
-        inv = cached(("inv", N, base_weight), work - 2 * v_base,
-                     lambda p: level_form(N, base_weight,
-                                          p + 2 * v_base).inverse())
-        out = inv ** -power
-    out = out * level_form(N, kp, work)
-    return out.truncate(prec)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Classical building blocks: eta quotients, Eisenstein series and the
-phi_N combinations of E2, divisor sums, the j-function and the Serre
-derivative.
+phi_N combinations of E2, the j-function and the Serre derivative.
 
 An eta quotient expands by one integer recurrence from its logarithmic
 derivative (`EtaQuotient.expand`); the j-function is E4^3 times the
@@ -16,22 +15,6 @@ from gridforge.qseries import DEFAULT_PREC, QSeries
 
 # weight -> -2w/B_w for the normalized series 1 - (2w/B_w) sum sigma_{w-1}(n) q^n
 _EISENSTEIN_CONSTANT = {2: -24, 4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
-
-
-def sigma(r: int, n: int) -> int:
-    """Sum of the r-th powers of the divisors of n."""
-    if n < 1:
-        raise ValueError("sigma is defined for n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** r
-            e = n // d
-            if e != d:
-                total += e ** r
-        d += 1
-    return total
 
 
 def _sigma_table(r: int, limit: int) -> list[int]:
@@ -96,10 +79,6 @@ class EtaQuotient:
         return dict(self._exps)
 
     @property
-    def weight(self) -> Fraction:
-        return Fraction(sum(self._exps.values()), 2)
-
-    @property
     def lead_exponent(self) -> Fraction:
         """(1/24) sum d*r_d, the exponent of the q-power prefactor."""
         return Fraction(sum(d * r for d, r in self._exps.items()), 24)
@@ -152,6 +131,8 @@ def serre_derivative(f: QSeries, weight: int, prec: int | None = None) -> QSerie
     moving poles."""
     if prec is None:
         prec = f.prec
+    # E2 * f is known to min(P + v, f.prec) for E2 known to P, f of
+    # valuation v
     shift = f.valuation() if not f.is_zero else 0
-    e2 = eisenstein(2, prec - min(shift, 0) + 1)
+    e2 = eisenstein(2, prec - min(shift, 0))
     return (f.derive() - (e2 * f).scale(Fraction(weight, 12))).truncate(prec)

@@ -3,7 +3,10 @@
 For each N in {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25} the
 registry records the cusps, a Hauptmodul with a simple pole at infinity,
 the recipe for the first basis element in each even weight, and the monic
-polynomial whose value at the Hauptmodul kills the non-infinity cusps.  The
+polynomial whose value at the Hauptmodul kills the non-infinity cusps.  A
+recipe is data: the first element is the product of registry forms, their
+inverses and the cusp killer that `gridforge.basis.first_element` writes
+as a one-term Combo and `gridforge.basis._eval_form` evaluates.  The
 maximal vanishing orders v_k(N) and u_k(N) follow from the valence formula,
 with the index and the elliptic-point counts of Gamma_0(N) derived from N.
 
@@ -11,7 +14,9 @@ Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
 rederived from numeric cusp values and confirmed by the duality suite).
 Entries are immutable.  Values of the cusp-killing polynomial are kept in
-the series store (`gridforge.qseries.cached`) under ("cusp", N).
+the series store (`gridforge.qseries.cached`) under ("cusp", N), next to
+the registry forms ("form", N, w) and the inverses of base forms
+("inv", N, w) that `gridforge.basis` keeps there.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ class Combo:
     """The sum of c * (product of factors) * psi^j over the (c, factors, j)
     terms, with psi the level's Hauptmodul.  A factor is ("phi", n, e) for
     phi_n(ez) = (n E2(nez) - E2(ez)) / (n - 1), ("eis", w, d) for E_w(dz),
-    ("eta", q) for the eta quotient q, or ("form", w) for the same level's
-    weight-w registry form; the empty product is 1."""
+    ("eta", q) for the eta quotient q, ("form", w) for the same level's
+    weight-w registry form, ("inv", w) for its inverse, or ("cusp",) for
+    the cusp-killing polynomial; the empty product is 1."""
     terms: tuple             # of (Fraction, factors, psi power)
 
 

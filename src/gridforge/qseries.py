@@ -11,7 +11,7 @@ rows; a Fraction is built only when a coefficient is read (`coeff`,
 coefficients are determined.  Instances are immutable.
 
 Named series that depend only on a key and a precision (Hauptmoduln,
-registry forms, cusp-killing polynomials, first basis elements, ...) are
+registry forms, inverses of base forms, cusp-killing polynomials) are
 kept in one store, `cached`: one entry per key, the longest expansion built
 so far, truncated on reuse.  `store_stats` counts its hits and misses per kind
 of key.

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gridforge.basis import _factor, hauptmodul_series, level_form
+from gridforge.basis import _eval_form, _factor, hauptmodul_series, level_form
 from gridforge.generators import serre_derivative
-from gridforge.leveldata import certificates, get_level, v_of
+from gridforge.leveldata import Combo, certificates, get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
 # Highest Hauptmodul power in a synthesis family; it suffices for all six
@@ -63,19 +63,11 @@ def _closed_eta_seeds(N: int, exclude=()) -> list[tuple[str, int, object]]:
     return out
 
 
-def _expand_spec(spec, scale: int, prec: int) -> QSeries:
-    """An eta-quotient seed form of spec = (level, form) at scale*z."""
-    _, form = spec
-    return QSeries.combination(
-        ((c, q.rescale(scale).expand(prec))
-         for c, ((_, q),), _ in form.terms), prec)
-
-
-def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:
+def _atoms(N: int, exclude=()) -> list[tuple[str, int, object]]:
     """The generator atoms of level N as (label, weight, payload): the
-    phi_d(ez), rescaled E4/E6 and closed-form seed forms of divisor
-    levels."""
-    atoms: list[tuple[str, int, tuple]] = []
+    phi_d(ez) and rescaled E4/E6 as registry form factors, and the
+    closed-form seed forms of divisor levels at ez as Combos."""
+    atoms: list[tuple[str, int, object]] = []
     for d in _divisors(N):
         if d > 1:
             for e in _divisors(N // d):
@@ -84,11 +76,12 @@ def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:
     for d in _divisors(N):
         atoms.append((f"E4({d}z)", 4, ("eis", 4, d)))
         atoms.append((f"E6({d}z)", 6, ("eis", 6, d)))
-    for label, w, spec in _closed_eta_seeds(N, exclude):
-        M = spec[0]
+    for label, w, (M, form) in _closed_eta_seeds(N, exclude):
         for e in _divisors(N // M):
             lab = label if e == 1 else f"{label}({e}z)"
-            atoms.append((lab, w, ("seed", spec, e)))
+            atoms.append((lab, w, Combo(tuple(
+                (c, (("eta", q.rescale(e)),), 0)
+                for c, ((_, q),), _ in form.terms))))
     return atoms
 
 
@@ -101,23 +94,18 @@ def weight_pool(N: int, weight: int, prec: int,
         return [("1", QSeries.one(prec))]
     if weight < 0 or weight % 2:
         return []
-    # each atom that fits the weight is expanded once; phi and eis atoms
-    # are registry form factors
-    atoms = [(label, w, _expand_spec(payload[1], payload[2], prec)
-              if payload[0] == "seed" else _factor(N, payload, prec))
+    # each atom that fits the weight is expanded once
+    atoms = [(label, w, _eval_form(N, w, payload, prec)
+              if isinstance(payload, Combo) else _factor(N, payload, prec))
              for label, w, payload in _atoms(N, exclude) if w <= weight]
 
     pool: list[tuple[str, QSeries]] = []
-    seen: set[tuple] = set()
 
+    # non-decreasing atom indices give each multiset of atoms once
     def extend(start: int, remaining: int, label_parts: list[str],
                series: QSeries | None):
         if remaining == 0:
-            s = series if series is not None else QSeries.one(prec)
-            key = tuple(sorted(label_parts))
-            if key not in seen:
-                seen.add(key)
-                pool.append(("*".join(label_parts), s.truncate(prec)))
+            pool.append(("*".join(label_parts), series.truncate(prec)))
             return
         for i in range(start, len(atoms)):
             label, w, base = atoms[i]
@@ -270,7 +258,7 @@ def derive_certificate(N: int, k: int) -> tuple:
               for i, (label, s) in enumerate(fam.members)]
     pivot = _top_pivot(N, k, row_reduce(tagged, -POLE_BOUND, cap))
     factor_of = {label: payload for label, _, payload in _atoms(N)
-                 if payload[0] in ("phi", "eis")}
+                 if not isinstance(payload, Combo)}
     terms = []
     for e, c in pivot.items():
         if e < cap:

@@ -19,6 +19,7 @@ from gridforge.basis import (
     build_grid,
     duality_residual,
     first_element,
+    gap_bound,
     hauptmodul_series,
     level_form,
     required_prec,
@@ -27,12 +28,15 @@ from gridforge.leveldata import (
     ALL_LEVELS,
     CONFORMANCE,
     CertificateError,
+    Combo,
     PinnedPrefixError,
     certificates,
+    cusp_killer,
+    get_level,
     u_of,
     v_of,
 )
-from gridforge.generators import EtaQuotient
+from gridforge.generators import EtaQuotient, eisenstein
 from gridforge.qseries import PrecisionError, QSeries
 from gridforge.traceops import trace
 
@@ -106,6 +110,129 @@ def test_first_element_below_its_lead_is_a_precision_error(N, k, space,
         first_element(N, k, space, prec)
     assert first_element(N, k, space, prec + 1) == \
         QSeries({lead: 1}, prec + 1)
+
+
+def reference_first_element(N, k, space, prec):
+    """The first element as it was built before it became a Combo: the
+    INF element times the cusp killer for HAT, and F_base^l * F_k' for
+    INF, each at a working precision derived by hand from the factors'
+    valuations."""
+    v = v_of(N, k)
+    if space == HAT:
+        # the cusp killer (valuation -deg) times the INF element (valuation
+        # v), each known to work, is known to work - max(deg, -v)
+        deg = get_level(N).cusp_count - 1
+        work = prec + max(deg, -v)
+        inf = reference_first_element(N, k, INF, work)
+        return (inf * cusp_killer(N, work)).truncate(prec)
+    seed = get_level(N).seed
+    power, kp = seed.split(k)
+    v_base = v_of(N, seed.base_weight)
+    # base^power (valuation power*v_base) is known to work - (1-power)*v_base
+    # for either sign of power; times F_kp (valuation v_kp, known to work)
+    # that is work - max(0, (1-power)*v_base - v_kp)
+    work = prec + max(0, (1 - power) * v_base - v_of(N, kp))
+    if power >= 0:
+        out = level_form(N, seed.base_weight, work) ** power
+    else:
+        # the base's inverse is known to 2*v_base terms less than the base
+        out = level_form(N, seed.base_weight, work).inverse() ** -power
+    return (out * level_form(N, kp, work)).truncate(prec)
+
+
+def first_element_cases():
+    """Every level, even k in [-20, 20], both spaces, at the precisions
+    B + 1, B + 7 and max(B, 0) + 40 for the gap bound B."""
+    for N in ALL_LEVELS:
+        for k in range(-20, 21, 2):
+            for space in (INF, HAT):
+                B = gap_bound(N, k, space)
+                for prec in (B + 1, B + 7, max(B, 0) + 40):
+                    yield N, k, space, prec
+
+
+def test_first_elements_match_the_hand_derived_precisions():
+    cases = list(first_element_cases())
+    assert len(cases) == 1890
+    # QSeries equality compares the precision as well as the coefficients
+    for case in cases:
+        assert first_element(*case) == reference_first_element(*case), case
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_first_element_factors_are_asked_for_no_more_than_needed(
+        N, monkeypatch):
+    # each factor is asked for exactly as many terms as the product needs,
+    # so one term fewer of any one kind of factor leaves the product short
+    real = basis_mod._factor
+    for kind in ("form", "inv", "cusp", "phi", "eis", "eta"):
+        shortened = []
+
+        def short(N, factor, prec):
+            if factor[0] == kind:
+                shortened.append(factor)
+                prec -= 1
+            return real(N, factor, prec)
+
+        monkeypatch.setattr(basis_mod, "_factor", short)
+        for k in (-4, 2, 6):
+            for space in (INF, HAT):
+                monkeypatch.setattr(qseries, "_store", {})
+                shortened.clear()
+                prec = max(gap_bound(N, k, space), 0) + 12
+                try:
+                    first_element(N, k, space, prec)
+                except PrecisionError:
+                    assert shortened, (kind, k, space)
+                else:
+                    assert not shortened, (kind, k, space)
+
+
+def test_form_products_are_known_as_far_as_asked(monkeypatch):
+    # Delta(z) * Delta(2z) * E4 * (1 + 3 psi^2) on level 2: factors of
+    # valuations 1, 2 and 0 times a polynomial in psi
+    delta1, delta2 = EtaQuotient({1: 24}), EtaQuotient({2: 24})
+    factors = (("eta", delta1), ("eta", delta2), ("eis", 4, 1))
+    combo = Combo(((1, factors, 0), (3, factors, 2)))
+    psi = hauptmodul_series(2, 40)
+    want = (delta1.expand(40) * delta2.expand(40) * eisenstein(4, 40)
+            * (QSeries.one(40) + (psi * psi).scale(3)))
+    for prec in (1, 4, 10, 20):
+        assert basis_mod._eval_form(2, 0, combo, prec) == \
+            want.truncate(prec), prec
+    # and no further: one term fewer of either kind of factor is one short
+    real = basis_mod._factor
+    for kind in ("eta", "eis"):
+        monkeypatch.setattr(basis_mod, "_factor", lambda N, f, prec: real(
+            N, f, prec - (f[0] == kind)))
+        assert basis_mod._eval_form(2, 0, combo, 10).prec == 9, kind
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS[1:])
+def test_cusp_killer_expands_the_hauptmodul_as_far_as_it_needs(
+        N, monkeypatch):
+    # P(psi) has degree deg = cusp_count - 1, and psi^deg is known as far
+    # beyond its valuation -deg as psi is beyond -1
+    deg = get_level(N).cusp_count - 1
+    for prec in (1, 9, 30):
+        monkeypatch.setattr(qseries, "_store", {})
+        assert cusp_killer(N, prec).prec == prec
+        assert qseries._store[("haupt", N)].prec == prec + deg - 1
+
+
+def test_registry_forms_below_their_lead(monkeypatch):
+    # a request that determines none of a form's terms still returns the
+    # zero series at the precision asked for, for a product of registry
+    # forms (level 13, weights 8 and 10) too
+    for N in ALL_LEVELS:
+        for w in get_level(N).seed.forms:
+            v = v_of(N, w)
+            monkeypatch.setattr(qseries, "_store", {})
+            full = level_form(N, w, max(v, 0) + 3)
+            for prec in range(0, max(v, 0) + 3):
+                monkeypatch.setattr(qseries, "_store", {})
+                got = level_form(N, w, prec)
+                assert got == full.truncate(prec), (N, w, prec)
 
 
 def test_first_element_negative_weights():
@@ -363,8 +490,44 @@ def test_warm_store_gives_the_cold_first_elements(monkeypatch):
     random.Random(4).shuffle(requests)
     for r in requests:
         assert first_element(*r) == cold[r], r
-    first = qseries.store_stats()["first"]
-    assert first["hits"] > 0 and first["misses"] > 0
+    stats = qseries.store_stats()
+    assert "first" not in stats
+    for kind in ("form", "inv", "cusp"):
+        assert stats[kind]["hits"] > 0 and stats[kind]["misses"] > 0, kind
+
+
+def test_each_build_asks_for_one_first_element(counting_basis_cache,
+                                               monkeypatch):
+    # perfbench/spans.py counts a build_basis call as a build when one of
+    # its direct children is a first_element call, so every build asks for
+    # exactly one first element, and no first element asks for another
+    real_build, real_first = basis_mod._build, basis_mod.first_element
+    open_calls, callers = [], []
+
+    def build(*args):
+        open_calls.append("_build")
+        try:
+            return real_build(*args)
+        finally:
+            open_calls.pop()
+
+    def first(*args):
+        callers.append(tuple(open_calls))
+        open_calls.append("first_element")
+        try:
+            return real_first(*args)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(basis_mod, "_build", build)
+    monkeypatch.setattr(basis_mod, "first_element", first)
+    monkeypatch.setattr(qseries, "_store", {})
+    for N in ALL_LEVELS:
+        for k in (-4, 0, 2, 6):
+            build_grid(N, k, 5)
+    builds = sum(counting_basis_cache.builds.values())
+    assert builds == 2 * len(ALL_LEVELS) * 4
+    assert callers == [("_build",)] * builds
 
 
 def test_cached_basis_does_not_overclaim_precision(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridforge import seedsynth
+from gridforge import generators, seedsynth
 from gridforge.basis import level_form
 from gridforge.generators import (
     EtaQuotient,
@@ -11,10 +11,26 @@ from gridforge.generators import (
     j_function,
     phi,
     serre_derivative,
-    sigma,
 )
-from gridforge.leveldata import ALL_LEVELS, get_level
+from gridforge.leveldata import ALL_LEVELS, Combo, get_level
 from gridforge.qseries import QSeries
+
+
+def sigma(r, n):
+    """Sum of the r-th powers of the divisors of n, pair by pair up to
+    sqrt(n); an oracle independent of the divisor sieve in eisenstein."""
+    if n < 1:
+        raise ValueError("sigma is defined for n >= 1")
+    total = 0
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            total += d ** r
+            e = n // d
+            if e != d:
+                total += e ** r
+        d += 1
+    return total
 
 
 def test_sigma():
@@ -170,12 +186,12 @@ def test_seedsynth_eta_atoms_match_the_reference():
     checked = 0
     for N in ALL_LEVELS:
         for _, _, payload in seedsynth._atoms(N):
-            if payload[0] != "seed":
+            if not isinstance(payload, Combo):
                 continue
-            (_, form), e = payload[1], payload[2]
-            for _, ((_, q),), _ in form.terms:
+            for _, ((kind, q),), j in payload.terms:
+                assert kind == "eta" and j == 0
                 for prec in (20, 90):
-                    _assert_expands_like_reference(q.rescale(e), prec)
+                    _assert_expands_like_reference(q, prec)
                     checked += 1
     assert checked > 0
 
@@ -223,9 +239,21 @@ def test_eta_lead_exponents_match_valuations():
         assert eq.expand(lead + 3).valuation() == lead
 
 
+def eta_weight(q):
+    """The weight of an eta quotient: half the sum of its exponents."""
+    return Fraction(sum(q.exps.values()), 2)
+
+
 def test_eta_weight():
-    assert EtaQuotient({1: 24, 2: -24}).weight == 0
-    assert EtaQuotient({5: 10, 1: -2}).weight == 4
+    assert eta_weight(EtaQuotient({1: 24, 2: -24})) == 0
+    assert eta_weight(EtaQuotient({5: 10, 1: -2})) == 4
+    # every eta factor of a registry form has the weight of its form
+    for N in ALL_LEVELS:
+        for w, form in get_level(N).seed.forms.items():
+            for _, factors, _ in form.terms:
+                for f in factors:
+                    if f[0] == "eta":
+                        assert eta_weight(f[1]) == w, (N, w, f)
 
 
 def test_eta_to_text():
@@ -282,6 +310,24 @@ def test_serre_derivative_is_a_derivation():
         lhs = serre_derivative((a * b).truncate(18), 16)
         rhs = (serre_derivative(a, 4) * b + a * serre_derivative(b, 12))
         assert lhs == rhs.truncate(18)
+
+
+@pytest.mark.parametrize("valuation", [-3, 0, 2])
+def test_serre_derivative_asks_for_e2_as_far_as_the_product_needs(
+        valuation, monkeypatch):
+    # E2 * f is known to min(P + v, f.prec) for E2 known to P and f of
+    # valuation v, so E2 is needed to prec - min(v, 0) and no further
+    asked = []
+    real = generators.eisenstein
+
+    def recording(weight, prec, scale=1):
+        asked.append((weight, prec))
+        return real(weight, prec, scale=scale)
+
+    monkeypatch.setattr(generators, "eisenstein", recording)
+    f = QSeries({valuation: 1, valuation + 1: 5}, 20)
+    serre_derivative(f, 4, 12)
+    assert asked == [(2, 12 - min(valuation, 0))]
 
 
 def test_registry_eta_lead_exponents():

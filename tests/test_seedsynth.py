@@ -3,9 +3,10 @@ import random
 import pytest
 
 from gridforge.basis import level_form
-from gridforge.leveldata import certificates
+from gridforge.leveldata import ALL_LEVELS, certificates, get_level
 from gridforge.seedsynth import (
     POLE_BOUND,
+    _atoms,
     _seed_family,
     build_family,
     derive_certificate,
@@ -104,6 +105,18 @@ def test_weight_pool_exclusion():
     without = [l for l, _ in weight_pool(5, 4, 20, exclude=((5, 4),))]
     assert any(l.startswith("seed5w4") for l in with_seed)
     assert not any(l.startswith("seed5w4") for l in without)
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_atom_labels_are_unique(N):
+    # weight_pool walks non-decreasing atom indices, so it gives each
+    # multiset of atoms once, under one label, only if no two atoms share
+    # a label
+    for exclude in ((), *(((N, w),) for w in get_level(N).seed.forms)):
+        labels = [label for label, _, _ in _atoms(N, exclude)]
+        assert len(labels) == len(set(labels)), (N, exclude)
+    pool = [label for label, _ in weight_pool(N, 4, 6)]
+    assert len(pool) == len(set(pool)), N
 
 
 def test_family_audit_shape():
