@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Seeds with no closed form: stored certificates and their re-derivation.
+"""Seed certificates and their re-derivation.
 
-Six seeds (levels 7, 10, 13 and 25) are not expressible as eta quotients
-or Eisenstein combinations.  The registry stores each as a certificate: a
-short rational combination of phi_d(ez), E4(dz), E6(dz) and Hauptmodul
-powers.  gridforge.seedsynth re-derives them by exact Gaussian elimination
-over a spanning family: holomorphic generators times Hauptmodul powers,
-their Serre derivatives, and Hauptmodul-derivative products.  The monic
-element of maximal valuation drops out, it equals the certificate, and
-duality validates it end to end.
+Six seeds (levels 7, 10, 13 and 25) are stored as certificates.  Five are
+not expressible as eta quotients or Eisenstein combinations; the level-10
+weight-4 seed equals eta(z)^2 eta(2z)^-4 eta(5z)^-10 eta(10z)^20, and is
+kept as a certificate.  Each certificate is a short rational combination
+of phi_d(ez), E4(dz), E6(dz) and Hauptmodul powers.  gridforge.seedsynth
+re-derives them by exact Gaussian elimination over a spanning family:
+holomorphic generators times Hauptmodul powers, their Serre derivatives,
+and Hauptmodul-derivative products.  The monic element of maximal
+valuation drops out, it equals the certificate, and duality validates it
+end to end.
 """
 
 from gridforge import build_grid, duality_residual, synthesize_seed

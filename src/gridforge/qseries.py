@@ -10,11 +10,13 @@ rows; a Fraction is built only when a coefficient is read (`coeff`,
 `items`).  All arithmetic is exact; precision only tracks how far the
 coefficients are determined.  Instances are immutable.
 
-Named series that depend only on a key and a precision (Hauptmoduln,
-registry forms, inverses of base forms, cusp-killing polynomials) are
-kept in one store, `cached`: one entry per key, the longest expansion built
-so far, truncated on reuse.  `store_stats` counts its hits and misses per kind
-of key.
+Named values that depend only on a key and a size are kept in one store,
+`cached`: series (Hauptmoduln, registry forms, inverses of base forms,
+cusp-killing polynomials) at a size (prec,), and the canonical bases of
+`gridforge.basis` at a size (count, prec).  Each key has one entry that
+only grows, to the componentwise max of the sizes asked for; a caller cuts
+it down to its request.  `store_stats` counts hits and misses per kind of
+key.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, ge, mul, neg
 
 DEFAULT_PREC = 60
 
@@ -374,37 +376,43 @@ class QSeries:
         return obj
 
 
-# -- the series store ------------------------------------------------------
+# -- the store of named series and bases ----------------------------------
 
-_store: dict[tuple, QSeries] = {}
+_store: dict[tuple, tuple] = {}     # key -> (size, value)
 _stats: dict[str, list[int]] = {}   # key kind -> [hits, misses]
 
 
-def cached(key: tuple, prec: int, build) -> QSeries:
-    """The series named `key`, known modulo q^prec.
+def cached(key: tuple, need: tuple, build):
+    """The value named `key`, built at a size that covers `need`: (prec,)
+    for a series, (count, prec) for a basis.
 
-    The store keeps one entry per key, the longest expansion built so far,
-    and truncates it for shorter requests; a longer request calls
-    build(prec) and keeps its result.  The series must depend only on the
-    key and the precision; key[0] names its kind for store_stats.
+    The store keeps one entry per key and the size it was built at.  A
+    request that size covers in every component is a hit; a miss calls
+    build(*size) at the componentwise max of the two sizes and keeps it, so
+    an entry only grows and covers every earlier request.  The caller cuts
+    the value down to its request.  The value must depend only on the key
+    and the size; key[0] names its kind for store_stats.
     """
     counts = _stats.setdefault(key[0], [0, 0])
-    hit = _store.get(key)
-    if hit is not None and hit._prec >= prec:
-        counts[0] += 1
-        return hit.truncate(prec)
+    entry = _store.get(key)
+    if entry is not None:
+        if all(map(ge, entry[0], need)):
+            counts[0] += 1
+            return entry[1]
+        need = tuple(map(max, entry[0], need))
     counts[1] += 1
-    built = _store[key] = build(prec)
-    return built.truncate(prec)
+    value = build(*need)
+    _store[key] = need, value
+    return value
 
 
 def store_stats() -> dict[str, dict[str, int]]:
-    """Hits and misses of the series store per key kind."""
+    """Hits and misses of the store per key kind."""
     return {kind: {"hits": h, "misses": m}
             for kind, (h, m) in sorted(_stats.items())}
 
 
 def clear_store() -> None:
-    """Empty the series store and its counts."""
+    """Empty the store and its counts."""
     _store.clear()
     _stats.clear()

@@ -1,11 +1,13 @@
 """Derivation and audit of the registry's seed certificates.
 
-Six seeds (levels 7, 10, 13, 25) have no closed form; the registry stores
-each as a Certificate, an exact combination of phi_n(ez), E4(dz), E6(dz)
-and Hauptmodul powers.  This module re-derives them by exact Gaussian
-elimination over a spanning family of weight-k forms with poles confined
-to infinity: holomorphic generator-pool members times powers of the
-Hauptmodul, their Serre derivatives, and Hauptmodul-derivative products.
+The registry stores six seeds (levels 7, 10, 13, 25) as Certificates,
+exact combinations of phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers;
+five have no closed form, and the (10, 4) one equals the eta quotient
+eta(z)^2 eta(2z)^-4 eta(5z)^-10 eta(10z)^20.  This module re-derives
+them by exact Gaussian elimination over a spanning family of weight-k
+forms with poles confined to infinity: holomorphic generator-pool members
+times powers of the Hauptmodul, their Serre derivatives, and
+Hauptmodul-derivative products.
 The result must achieve the registry's maximal vanishing order, reproduce
 the pinned expansion prefix and equal the registry's certificate,
 otherwise synthesis fails loudly.  Nothing on the path that builds bases

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from gridforge.basis import (HAT, INF, _box_sums, build_basis, gap_bound,
-                             hauptmodul_series, required_prec)
+                             hauptmodul_series)
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
@@ -123,9 +123,9 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     if not ok:
         return TraceReport(N, M, k, space, m, False, method, reason=reason)
 
-    # _basis_for builds to required_prec >= b_m + 1, since |b_n| >= |b_m|
+    # the principal part is read through q^b_m
     b_m = gap_bound(M, k, space)
-    src = _basis_for(N, k, space, m, prec).element(m)
+    src = _basis_for(N, k, space, m, max(prec, b_m + 1)).element(m)
 
     combo = []
     for j in range(src.valuation(), b_m + 1):
@@ -146,9 +146,9 @@ def trace(N: int, M: int, k: int, space: str, m: int,
 
 def _basis_for(N: int, k: int, space: str, max_index: int, prec: int):
     """Basis covering indices up to max_index at >= prec."""
-    count = max(max_index + gap_bound(N, k, space) + 1, 1)
-    return build_basis(N, k, space, count,
-                       max(prec, required_prec(N, k, space, count)))
+    B = gap_bound(N, k, space)
+    return build_basis(N, k, space, max(max_index + B + 1, 1),
+                       max(prec, B + 1))
 
 
 # -- duality preservation -------------------------------------------------

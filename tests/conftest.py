@@ -11,11 +11,9 @@ from gridforge.leveldata import certificates, get_level
 @pytest.fixture
 def install_certificate(monkeypatch):
     """Install a certificate as the registry's (N, k) seed, and start from
-    an empty basis cache and an empty series store, so that it is
-    evaluated."""
+    an empty store, so that it is evaluated."""
     def install(N, k, cert):
         monkeypatch.setitem(get_level(N).seed.forms, k, cert)
-        monkeypatch.setattr(basis_mod, "_basis_cache", {})
         monkeypatch.setattr(qseries, "_store", {})
     return install
 
@@ -32,21 +30,17 @@ def perturb_certificate(install_certificate):
     return install
 
 
-class CountingCache(dict):
-    """A basis cache that counts the builds stored per key."""
-
-    def __init__(self):
-        super().__init__()
-        self.builds = {}
-
-    def __setitem__(self, key, value):
-        self.builds[key] = self.builds.get(key, 0) + 1
-        super().__setitem__(key, value)
-
-
 @pytest.fixture
-def counting_basis_cache(monkeypatch):
-    """An empty basis cache that counts its builds per key."""
-    cache = CountingCache()
-    monkeypatch.setattr(basis_mod, "_basis_cache", cache)
-    return cache
+def counting_builds(monkeypatch):
+    """Start from an empty store and count the runs of the basis recursion
+    per (N, k, space)."""
+    monkeypatch.setattr(qseries, "_store", {})
+    builds = {}
+    real = basis_mod._build
+
+    def build(N, k, space, count, prec):
+        builds[(N, k, space)] = builds.get((N, k, space), 0) + 1
+        return real(N, k, space, count, prec)
+
+    monkeypatch.setattr(basis_mod, "_build", build)
+    return builds

@@ -22,7 +22,6 @@ from gridforge.basis import (
     gap_bound,
     hauptmodul_series,
     level_form,
-    required_prec,
 )
 from gridforge.leveldata import (
     ALL_LEVELS,
@@ -38,7 +37,7 @@ from gridforge.leveldata import (
 )
 from gridforge.generators import EtaQuotient, eisenstein
 from gridforge.qseries import PrecisionError, QSeries
-from gridforge.traceops import trace
+from gridforge.traceops import _basis_for, trace
 
 
 def coeffs(series, exps):
@@ -217,7 +216,7 @@ def test_cusp_killer_expands_the_hauptmodul_as_far_as_it_needs(
     for prec in (1, 9, 30):
         monkeypatch.setattr(qseries, "_store", {})
         assert cusp_killer(N, prec).prec == prec
-        assert qseries._store[("haupt", N)].prec == prec + deg - 1
+        assert qseries._store[("haupt", N)][1].prec == prec + deg - 1
 
 
 def test_registry_forms_below_their_lead(monkeypatch):
@@ -346,9 +345,50 @@ def test_duality_residual_guards():
         duality_residual(g, -1, 2)
 
 
+def test_duality_box_past_the_grid_precision_is_named():
+    # count 6 at precision 6: the level-5 weight-0 box reads the f-side at
+    # the g-indices 1..6, so a 6x6 box reads q^6, one past the precision,
+    # and a 6x5 box stops at q^5
+    g = build_grid(5, 0, 6, 6)
+    assert duality_residual(g, 6, 5) == 0
+    with pytest.raises(PrecisionError,
+                       match=r"box 6x6 of level 5 weight 0 reads q\^6 of "
+                             r"the inf side, known only mod q\^6"):
+        duality_residual(g, 6, 6)
+
+
 def test_build_basis_precision_audit():
-    with pytest.raises(PrecisionError, match="need prec >="):
+    with pytest.raises(PrecisionError,
+                       match="level 18 weight 8 inf with count 10: "
+                             "need prec >= 25, got 12"):
         build_basis(18, 8, INF, 10, 12)
+    assert build_basis(18, 8, INF, 10, 25).element(-24).coeff(24) == 1
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_bases_at_the_gap_bound_floor(N, monkeypatch):
+    # the recursion runs at prec + count - 1, so the least precision past
+    # the gap bound already gives every element exactly
+    for k in (-10, -2, 0, 4, 10):
+        for space in (INF, HAT):
+            floor = gap_bound(N, k, space) + 1
+            for count in (1, 6):
+                monkeypatch.setattr(qseries, "_store", {})
+                got = build_basis(N, k, space, count, floor)
+                monkeypatch.setattr(qseries, "_store", {})
+                high = build_basis(N, k, space, count, floor + 30)
+                assert got.elements == tuple(
+                    e.truncate(floor) for e in high.elements), (k, space)
+
+
+def test_store_stats_count_basis_hits_and_misses(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    for count, prec in ((5, 20), (3, 20), (5, 30), (4, 25)):
+        build_basis(2, 0, INF, count, prec)
+    # at precision 11 the grid's f-side is a hit, its g-side a miss
+    build_grid(2, 0, 5)
+    assert qseries.store_stats()["basis"] == {"hits": 3, "misses": 3}
 
 
 def test_basis_element_range_guard():
@@ -362,8 +402,8 @@ def test_basis_element_range_guard():
     lambda: build_basis(5, 0, "cusp", 3),
     lambda: first_element(5, 0, "cusp"),
     lambda: trace(10, 5, 0, "cusp", 1),
-    lambda: required_prec(5, 0, "cusp", 3),
-], ids=["build_basis", "first_element", "trace", "required_prec"])
+    lambda: _basis_for(5, 0, "cusp", 3, 20),
+], ids=["build_basis", "first_element", "trace", "basis_for"])
 def test_unknown_space_is_refused(call):
     with pytest.raises(ValueError, match="got 'cusp'"):
         call()
@@ -387,10 +427,10 @@ def test_grid_default_precision_matches_the_four_term_bound(monkeypatch):
     monkeypatch.setattr(basis_mod, "build_basis", ask)
     for N in ALL_LEVELS:
         for k in range(-20, 21, 2):
-            v = v_of(N, k)
+            v, u = v_of(N, k), u_of(N, 2 - k)
             for count in range(1, 31):
-                old = max(required_prec(N, k, INF, count),
-                          required_prec(N, 2 - k, HAT, count),
+                # the two sides' old precision floors count + |B| + 5
+                old = max(count + abs(v) + 5, count + abs(u) + 5,
                           v + count + 6, -v + count + 6)
                 with pytest.raises(_Asked) as got:
                     build_grid(N, k, count)
@@ -441,10 +481,10 @@ def reference_basis(N, k, space, count, prec):
 
 
 def assert_matches_reference(N, k, space, count, monkeypatch):
-    prec = basis_mod.required_prec(N, k, space, count)
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    prec = count + abs(gap_bound(N, k, space)) + 5
+    monkeypatch.setattr(qseries, "_store", {})
     got = build_basis(N, k, space, count, prec)
-    stored = basis_mod._basis_cache[(N, k, space)].elements
+    stored = qseries._store[("basis", N, k, space)][1].elements
     want = reference_basis(N, k, space, count, prec)
     assert len(stored) == len(want) == count
     # element j is stored exactly as far as the recursion determines it,
@@ -496,7 +536,7 @@ def test_warm_store_gives_the_cold_first_elements(monkeypatch):
         assert stats[kind]["hits"] > 0 and stats[kind]["misses"] > 0, kind
 
 
-def test_each_build_asks_for_one_first_element(counting_basis_cache,
+def test_each_build_asks_for_one_first_element(counting_builds,
                                                monkeypatch):
     # perfbench/spans.py counts a build_basis call as a build when one of
     # its direct children is a first_element call, so every build asks for
@@ -521,79 +561,78 @@ def test_each_build_asks_for_one_first_element(counting_basis_cache,
 
     monkeypatch.setattr(basis_mod, "_build", build)
     monkeypatch.setattr(basis_mod, "first_element", first)
-    monkeypatch.setattr(qseries, "_store", {})
     for N in ALL_LEVELS:
         for k in (-4, 0, 2, 6):
             build_grid(N, k, 5)
-    builds = sum(counting_basis_cache.builds.values())
+    builds = sum(counting_builds.values())
     assert builds == 2 * len(ALL_LEVELS) * 4
     assert callers == [("_build",)] * builds
 
 
 def test_cached_basis_does_not_overclaim_precision(monkeypatch):
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     build_basis(2, 0, INF, 10, 30)
     b = build_basis(2, 0, INF, 10, 46)
     assert b.prec == 46
     assert all(e.prec == 46 for e in b.elements)
     b.element(b.m0 + 9).coeff(45)
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     assert build_basis(2, 0, INF, 10, 46) == b
 
 
-def test_cache_entry_only_grows(counting_basis_cache):
-    cache = counting_basis_cache
+def test_cache_entry_only_grows(counting_builds):
     for count, prec in ((10, 30), (5, 46), (10, 30)):
         b = build_basis(2, 0, INF, count, prec)
         assert b.count == count and b.prec == prec
-    # the second request rebuilt the entry at count 10 and prec >= 46,
-    # which covers the third
-    assert cache.builds == {(2, 0, INF): 2}
-    entry = cache[(2, 0, INF)]
-    assert entry.count == 10 and entry.prec >= 46
+    # the second request rebuilt the entry at count 10 and prec 46, which
+    # covers the third
+    assert counting_builds == {(2, 0, INF): 2}
+    size, entry = qseries._store[("basis", 2, 0, INF)]
+    assert size == (10, 46) and (entry.count, entry.prec) == size
     # a larger count at a lower precision keeps the precision already built
     for count, prec in ((12, 30), (10, 46), (3, 20)):
         b = build_basis(2, 0, INF, count, prec)
         assert b.count == count and b.prec == prec
-    assert cache.builds == {(2, 0, INF): 3}
+    assert counting_builds == {(2, 0, INF): 3}
+    assert qseries._store[("basis", 2, 0, INF)][0] == (12, 46)
 
 
 def test_cached_entries_have_one_precision(monkeypatch):
     # the last element is the least precise, and it is known exactly to
     # the precision its entry records
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     rng = random.Random(5)
     for _ in range(30):
         N, k, space = rng.choice([(2, 0, INF), (5, -4, HAT), (9, 4, INF)])
         count = rng.randrange(1, 16)
-        prec = required_prec(N, k, space, count) + rng.randrange(0, 25)
+        prec = gap_bound(N, k, space) + 1 + rng.randrange(0, count + 30)
         build_basis(N, k, space, count, prec)
-        for entry in basis_mod._basis_cache.values():
-            assert entry.elements[-1].prec == entry.prec, (
-                entry.N, entry.k, entry.space)
+        for key, (size, entry) in qseries._store.items():
+            if key[0] == "basis":
+                assert entry.elements[-1].prec == entry.prec, key
+                assert (entry.count, entry.prec) == size, key
 
 
-def test_rebuilds_keep_the_requested_precision(counting_basis_cache,
+def test_rebuilds_keep_the_requested_precision(counting_builds,
                                                monkeypatch):
     for count in (10, 12, 14):
         build_basis(2, 0, INF, count, 30)
-    assert counting_basis_cache.builds == {(2, 0, INF): 3}
-    warm = counting_basis_cache[(2, 0, INF)]
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    assert counting_builds == {(2, 0, INF): 3}
+    warm = qseries._store[("basis", 2, 0, INF)]
+    monkeypatch.setattr(qseries, "_store", {})
     build_basis(2, 0, INF, 14, 30)
-    assert warm == basis_mod._basis_cache[(2, 0, INF)]
+    assert warm == qseries._store[("basis", 2, 0, INF)]
 
 
 @pytest.mark.parametrize("N, k", [(1, 0), (5, 0), (2, -6), (9, 4)])
 def test_recursion_expands_the_hauptmodul_as_far_as_it_reads(N, k,
                                                              monkeypatch):
     count, prec = 10, 30
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
     monkeypatch.setattr(qseries, "_store", {})
     build_basis(N, k, INF, count, prec)
     # the recursion reads psi up to q^(work+m0-2)
     work, m0 = prec + count - 1, -v_of(N, k)
-    assert qseries._store[("haupt", N)].prec == work + m0 - 1
+    assert qseries._store[("haupt", N)][1].prec == work + m0 - 1
 
 
 def test_warm_cache_gives_the_cold_bases(monkeypatch):
@@ -604,13 +643,14 @@ def test_warm_cache_gives_the_cold_bases(monkeypatch):
     for N, k, space in keys:
         for _ in range(12):
             count = rng.randrange(1, 16)
-            need = basis_mod.required_prec(N, k, space, count)
-            requests.append((N, k, space, count, need + rng.randrange(0, 25)))
+            floor = gap_bound(N, k, space) + 1
+            requests.append((N, k, space, count,
+                             floor + rng.randrange(0, count + 30)))
     rng.shuffle(requests)
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     warm = [build_basis(*r) for r in requests]
     for r, got in zip(requests, warm):
-        monkeypatch.setattr(basis_mod, "_basis_cache", {})
+        monkeypatch.setattr(qseries, "_store", {})
         cold = build_basis(*r)
         assert got == cold, r
         assert [e.prec for e in got.elements] == [r[4]] * r[3], r
@@ -623,7 +663,7 @@ def test_non_integral_first_element_raises(monkeypatch):
         s = real(N, k, space, prec)
         return s + QSeries({s.valuation() + 2: Fraction(1, 2)}, prec)
 
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     monkeypatch.setattr(basis_mod, "first_element", halved)
     with pytest.raises(IntegralityError,
                        match=r"level 5 weight 0 inf index 0 prec 27.*"
@@ -637,7 +677,6 @@ def test_runtime_path_never_synthesizes(monkeypatch):
 
     for name in ("synthesize_seed", "build_family", "row_reduce"):
         monkeypatch.setattr(seedsynth, name, forbidden)
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
     monkeypatch.setattr(qseries, "_store", {})
     for N, k in certificates():
         assert duality_residual(build_grid(N, k, 20), 20, 20) == 0, (N, k)

@@ -13,7 +13,8 @@ import pytest
 
 import gridforge
 from gridforge import basis as basis_mod
-from gridforge import cli, seedsynth
+from gridforge import cli, qseries, seedsynth
+from gridforge.basis import build_basis
 from gridforge.cli import run
 from gridforge.generators import EtaQuotient
 from gridforge.leveldata import certificates, registry_dump
@@ -47,6 +48,23 @@ def test_basis_text(capsys):
     assert lines[0].startswith("f_{0,0}^(5) = 1")
     assert "q^-1 + 9*q + 10*q^2" in lines[1]
     assert "q^-2 + 20*q + 21*q^2" in lines[2]
+
+
+@pytest.mark.parametrize("level, weight, space, count, prec", [
+    (5, 0, "inf", 40, 20), (1, -4, "inf", 30, 10), (18, 4, "hat", 25, 12)])
+def test_basis_below_the_old_precision_floor(level, weight, space, count,
+                                             prec, capsys, monkeypatch):
+    # these requests asked for less than count + |B| + 5 and exited 2; each
+    # element is now answered exactly to the precision asked for
+    code, out = invoke(capsys, "basis", "--level", str(level), "--weight",
+                       str(weight), "--space", space, "--count", str(count),
+                       "--prec", str(prec), "--format", "json")
+    assert code == 0
+    monkeypatch.setattr(qseries, "_store", {})
+    high = build_basis(level, weight, space, count, prec + count + 40)
+    assert [(d["m"], series_from_json(d["series"]))
+            for d in json.loads(out)] == [
+        (m, high.element(m).truncate(prec)) for m in high.indices]
 
 
 def test_basis_json_roundtrip(capsys):
@@ -396,7 +414,7 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
         s = real(N, k, space, prec)
         return s + QSeries({s.valuation() + 2: Fraction(1, 2)}, prec)
 
-    monkeypatch.setattr(basis_mod, "_basis_cache", {})
+    monkeypatch.setattr(qseries, "_store", {})
     monkeypatch.setattr(basis_mod, "first_element", halved)
     assert run(["basis", "--level", "5", "--weight", "0", "--count", "3",
                 "--prec", "25"]) == 3

@@ -252,6 +252,15 @@ def test_registry_forms_match_their_old_definitions(prec, monkeypatch):
     assert checked == 42
 
 
+def test_level_ten_weight_four_certificate_is_an_eta_quotient(monkeypatch):
+    # both sides are weight-4 forms on Gamma_0(10), whose Sturm bound is 6,
+    # so agreement through q^40 proves the identity
+    monkeypatch.setattr(qseries, "_store", {})
+    assert isinstance(get_level(10).seed.forms[4], Certificate)
+    eta = EtaQuotient({1: 2, 2: -4, 5: -10, 10: 20})
+    assert level_form(10, 4, 40) == eta.expand(40)
+
+
 @pytest.mark.parametrize("prec", [12, 40])
 def test_cusp_killers_match_horner(prec, monkeypatch):
     monkeypatch.setattr(qseries, "_store", {})

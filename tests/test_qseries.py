@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from operator import ge
 
 import pytest
 
@@ -258,11 +259,35 @@ def test_store_keeps_the_longest_expansion(monkeypatch):
         builds.append(prec)
         return geo.truncate(prec)
 
-    got = [cached(("geo",), prec, build) for prec in (20, 45, 30, 60, 25)]
+    got = [cached(("geo",), (prec,), build).truncate(prec)
+           for prec in (20, 45, 30, 60, 25)]
     assert builds == [20, 45, 60]
-    assert list(qseries._store) == [("geo",)]
-    assert qseries._store[("geo",)].prec == 60
+    assert qseries._store == {("geo",): ((60,), geo.truncate(60))}
     assert got == [geo.truncate(p) for p in (20, 45, 30, 60, 25)]
+
+
+@pytest.mark.parametrize("requests, builds", [
+    # a miss on count alone keeps the larger precision already built
+    (((10, 30), (5, 46), (12, 30), (12, 46)), [(10, 30), (10, 46), (12, 46)]),
+    # and a miss on precision alone keeps the larger count
+    (((10, 30), (12, 20), (8, 40), (12, 40)), [(10, 30), (12, 30), (12, 40)]),
+], ids=["count-miss", "prec-miss"])
+def test_store_grows_each_component_of_a_size(requests, builds,
+                                               monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    built = []
+
+    def build(count, prec):
+        built.append((count, prec))
+        return count, prec
+
+    for need in requests:
+        size = cached(("pair",), need, build)
+        assert all(map(ge, size, need)), (size, need)
+    assert built == builds
+    assert qseries._store == {("pair",): (builds[-1], builds[-1])}
+    assert store_stats() == {"pair": {"hits": 1, "misses": 3}}
 
 
 def test_store_stats_count_hits_and_misses(monkeypatch):
@@ -270,9 +295,9 @@ def test_store_stats_count_hits_and_misses(monkeypatch):
     monkeypatch.setattr(qseries, "_stats", {})
     one = QSeries.one
     for prec in (10, 5, 20, 20):
-        cached(("a", 1), prec, one)
-    cached(("a", 2), 5, one)
-    cached(("b",), 5, one)
+        cached(("a", 1), (prec,), one)
+    cached(("a", 2), (5,), one)
+    cached(("b",), (5,), one)
     assert store_stats() == {"a": {"hits": 2, "misses": 3},
                              "b": {"hits": 0, "misses": 1}}
     qseries.clear_store()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gridforge import traceops
-from gridforge.basis import HAT, INF, build_basis, required_prec
+from gridforge.basis import HAT, INF, build_basis, gap_bound
 from gridforge.leveldata import ALL_LEVELS, GENUS_ZERO_LEVELS, u_of, v_of
 from gridforge.qseries import QSeries
 from gridforge.traceops import (
@@ -148,9 +148,9 @@ def test_empirical_agreement_sample():
 ], ids=["empirical-4-2-m2", "empirical-2-1-m4", "genfun-4-1-4-dual",
         "obstructions-18-1-10", "obstructions-3-1-m10", "closed-form-4-2",
         "closed-form-25-4"])
-def test_index_sweeps_build_each_basis_once(check, counting_basis_cache):
+def test_index_sweeps_build_each_basis_once(check, counting_builds):
     assert check()
-    builds = counting_basis_cache.builds
+    builds = counting_builds
     assert len(builds) >= 2
     assert all(n == 1 for n in builds.values()), builds
 
@@ -172,7 +172,7 @@ def test_empirical_duality_asks_only_for_the_box_it_reads(N, M, k,
     assert empirical_preserves(N, M, k, box) is not None
     assert asked
     for r in asked:
-        assert r[4] <= max(required_prec(*r[:4]), need), r
+        assert r[4] <= max(gap_bound(*r[:3]) + 1, need), r
 
 
 def test_trace_below_the_first_index_names_the_space():
