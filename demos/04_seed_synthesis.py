@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """Seed certificates and their re-derivation.
 
-Six seeds (levels 7, 10, 13 and 25) are stored as certificates.  Five are
-not expressible as eta quotients or Eisenstein combinations; the level-10
-weight-4 seed equals eta(z)^2 eta(2z)^-4 eta(5z)^-10 eta(10z)^20, and is
-kept as a certificate.  Each certificate is a short rational combination
+Five seeds (levels 7, 10, 13 and 25) are stored as certificates; none
+has a closed form here.  Each certificate is a short rational combination
 of phi_d(ez), E4(dz), E6(dz) and Hauptmodul powers.  gridforge.seedsynth
 re-derives them by exact Gaussian elimination over a spanning family:
 holomorphic generators times Hauptmodul powers, their Serre derivatives,
@@ -18,7 +16,7 @@ from gridforge.basis import level_form
 from gridforge.leveldata import certificates
 from gridforge.seedsynth import build_family, family_audit
 
-print("The six certified seeds, each equal to its re-derivation:")
+print("The five certified seeds, each equal to its re-derivation:")
 for (N, k), cert in sorted(certificates().items()):
     s = level_form(N, k, 20)
     same = s == synthesize_seed(N, k, 20)

@@ -12,10 +12,11 @@ c * (product of factors) * psi^j, and one function, `_eval_form`,
 evaluates them all: the registry forms, the cusp-killing polynomial, the
 seed atoms of `gridforge.seedsynth` and the first elements.  A first
 element is a recipe, the one-term Combo F_base^l * F_k' of the level's
-seed (the inverse of F_base for l < 0), times the cusp-killing polynomial
-for the subspace.  `_eval_form` asks each factor for as many terms as the
-product needs, found from the factors' valuations, and checks a
-`leveldata.Certificate` against its pinned prefix.
+seed, times the cusp-killing polynomial for the subspace; F_base is an eta
+quotient, so F_base^l is one for l of either sign.  `_eval_form` asks each
+factor for as many terms as the product needs, found from the factors'
+valuations, and checks a `leveldata.Certificate` against its pinned
+prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
 is integral, so the recursion runs on the integer rows that `QSeries`
@@ -25,10 +26,10 @@ if the Hauptmodul or the first element has a non-integral coefficient.
 Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
 (count, prec), beside the series a first element is built from
-(Hauptmodul, registry forms, the inverse of a base form, the cusp-killing
-polynomial).  An entry only grows: a request it covers in count and
-precision is sliced and truncated from it, any other rebuilds it at the
-larger count and the larger precision.  The recursion runs at
+(Hauptmodul, registry forms, the cusp-killing polynomial).  An entry only
+grows: a request it covers in count and precision is sliced and truncated
+from it, any other rebuilds it at the larger count and the larger
+precision.  The recursion runs at
 prec + count - 1, so every element is exact modulo q^prec, and the only
 floor on prec is the gap bound.  A build asks for its first element once.
 """
@@ -88,11 +89,6 @@ def _factor(N: int, factor: tuple, prec: int) -> QSeries:
             return quotient.expand(prec)
         case ("form", w):
             return level_form(N, w, prec)
-        case ("inv", w):
-            # the inverse of q^v + ... is known to 2v terms less than it
-            v = v_of(N, w)
-            return cached(("inv", N, w), (prec,), lambda prec: level_form(
-                N, w, prec + 2 * v).inverse()).truncate(prec)
         case ("cusp",):
             return leveldata.cusp_killer(N, prec)
     raise TypeError(f"unknown form factor {factor!r}")
@@ -107,8 +103,6 @@ def _valuation(N: int, factor: tuple) -> int:
             return int(quotient.lead_exponent)
         case ("form", w):
             return v_of(N, w)
-        case ("inv", w):
-            return -v_of(N, w)
         case ("cusp",):
             return 1 - get_level(N).cusp_count
     raise TypeError(f"unknown form factor {factor!r}")
@@ -176,9 +170,8 @@ def first_element(N: int, k: int, space: str,
                   prec: int = DEFAULT_PREC) -> QSeries:
     """The basis element of maximal vanishing order: the seed recipe
     F_base^l * F_k' for the full space, times the cusp-killing polynomial
-    for the subspace, evaluated as a one-term Combo."""
-    if k % 2:
-        raise ValueError("weight must be even")
+    for the subspace, evaluated as a one-term Combo.  F_base^l is the one
+    eta quotient with every exponent of the base times l."""
     expect = gap_bound(N, k, space)
     if prec <= expect:
         raise PrecisionError(
@@ -186,8 +179,8 @@ def first_element(N: int, k: int, space: str,
             f"q^{expect}, so prec {prec} determines none of its terms")
     seed = get_level(N).seed
     power, kp = seed.split(k)
-    base = ("form" if power >= 0 else "inv", seed.base_weight)
-    factors = (base,) * abs(power) + ((("form", kp),) if kp else ())
+    factors = ((("eta", seed.base ** power),) if power else ()) + (
+        (("form", kp),) if kp else ())
     if space == HAT:
         factors += (("cusp",),)
     out = _eval_form(N, k, Combo(((1, factors, 0),)), prec)

@@ -86,6 +86,9 @@ class EtaQuotient:
     def rescale(self, e: int) -> "EtaQuotient":
         return EtaQuotient({d * e: r for d, r in self._exps.items()})
 
+    def __pow__(self, n: int) -> "EtaQuotient":
+        return EtaQuotient({d: r * n for d, r in self._exps.items()})
+
     def expand(self, prec: int = DEFAULT_PREC) -> QSeries:
         """q^lead * prod_d prod_n (1 - q^(dn))^(r_d) modulo q^prec (and at
         least through the lead term), for exponents of either sign, by the

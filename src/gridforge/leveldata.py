@@ -4,24 +4,25 @@ For each N in {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25} the
 registry records the cusps, a Hauptmodul with a simple pole at infinity,
 the recipe for the first basis element in each even weight, and the monic
 polynomial whose value at the Hauptmodul kills the non-infinity cusps.  A
-recipe is data: the first element is the product of registry forms, their
-inverses and the cusp killer that `gridforge.basis.first_element` writes
-as a one-term Combo and `gridforge.basis._eval_form` evaluates.  The
-maximal vanishing orders v_k(N) and u_k(N) follow from the valence formula,
-with the index and the elliptic-point counts of Gamma_0(N) derived from N.
+recipe is data: the first element is the product of a power of the base
+eta quotient, one registry form and the cusp killer that
+`gridforge.basis.first_element` writes as a one-term Combo and
+`gridforge.basis._eval_form` evaluates.  The maximal vanishing orders
+v_k(N) and u_k(N) follow from the valence formula, with the index and the
+elliptic-point counts of Gamma_0(N) derived from N.
 
 Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
 rederived from numeric cusp values and confirmed by the duality suite).
 Entries are immutable.  Values of the cusp-killing polynomial are kept in
 the store `gridforge.qseries.cached` under ("cusp", N), next to the
-registry forms ("form", N, w), the inverses of base forms ("inv", N, w)
-and the bases ("basis", N, k, space) that `gridforge.basis` keeps there.
+registry forms ("form", N, w) and the bases ("basis", N, k, space) that
+`gridforge.basis` keeps there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -36,12 +37,12 @@ ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
 #
 # The first basis element of the weight-k space is F_base^l * F_{k'} for
 # the decomposition k = base_weight*l + k' (a power of the weight-2 form
-# where the base weight is 2).  Every F-form is a Combo: a sum of
-# c * (product of factors) * psi^j, evaluated in gridforge.basis.  Six
-# F-forms are Certificates: exact combinations of phi_n(ez), E4(dz), E6(dz)
-# and Hauptmodul powers, found by row reduction in gridforge.seedsynth.
-# Five have no closed form here; the (10, 4) one also equals the eta
-# quotient eta(z)^2 eta(2z)^-4 eta(5z)^-10 eta(10z)^20.
+# where the base weight is 2).  Every base F_base is an eta quotient, so
+# F_base^l is one eta quotient for l of either sign.  Every F-form is a
+# Combo: a sum of c * (product of factors) * psi^j, evaluated in
+# gridforge.basis.  Five F-forms are Certificates: exact combinations of
+# phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers, found by row reduction
+# in gridforge.seedsynth; none has a closed form here.
 
 @dataclass(frozen=True)
 class Combo:
@@ -49,8 +50,8 @@ class Combo:
     terms, with psi the level's Hauptmodul.  A factor is ("phi", n, e) for
     phi_n(ez) = (n E2(nez) - E2(ez)) / (n - 1), ("eis", w, d) for E_w(dz),
     ("eta", q) for the eta quotient q, ("form", w) for the same level's
-    weight-w registry form, ("inv", w) for its inverse, or ("cusp",) for
-    the cusp-killing polynomial; the empty product is 1."""
+    weight-w registry form, or ("cusp",) for the cusp-killing polynomial;
+    the empty product is 1."""
     terms: tuple             # of (Fraction, factors, psi power)
 
 
@@ -156,19 +157,26 @@ def _form(*factors) -> Combo:
     return Combo(((1, factors, 0),))
 
 
-def _eta(exps) -> Combo:
-    return _form(("eta", EtaQuotient(exps)))
-
-
 _ONE = _form()
 
 
 @dataclass(frozen=True)
 class TowerSeed:
-    """seed(k) = F_base^l * F_{k'} for k = base_weight*l + k', where k' is
-    the one other form weight congruent to k modulo base_weight."""
-    base_weight: int
-    forms: dict
+    """seed(k) = F_base^l * F_{k'} for k = base_weight*l + k', where F_base
+    is the eta quotient `base`, of weight base_weight, and k' is the one
+    other form weight congruent to k modulo base_weight."""
+    base: EtaQuotient
+    others: dict = field(default_factory=dict)   # weight -> Combo
+
+    @cached_property
+    def base_weight(self) -> int:
+        return sum(self.base.exps.values()) // 2
+
+    @cached_property
+    def forms(self) -> dict:
+        """Every F-form by weight: 1, the others and F_base."""
+        return {0: _ONE, **self.others,
+                self.base_weight: _form(("eta", self.base))}
 
     def split(self, k: int) -> tuple[int, int]:
         """(l, k') with k = base_weight*l + k'."""
@@ -177,11 +185,6 @@ class TowerSeed:
                 return (k - kp) // self.base_weight, kp
         raise ValueError(
             f"no decomposition of weight {k} mod {self.base_weight}")
-
-
-def _power_seed(form2: Combo) -> TowerSeed:
-    """seed(k) = form2^(k/2)."""
-    return TowerSeed(2, {0: _ONE, 2: form2})
 
 
 @dataclass(frozen=True)
@@ -226,17 +229,6 @@ _L10_W2 = Certificate((
     (Fraction(-11, 48), (_phi(2, 5),), 0),
     (Fraction(-1, 96), (_phi(2, 5),), 1),
 ), ((2, 1), (4, 3), (5, -4), (6, 4), (8, 7)))
-
-_L10_W4 = Certificate((
-    (Fraction(-209, 3600000), (_phi(2), _phi(2)), 0),
-    (Fraction(-2731, 14400000), (_phi(2), _phi(2)), 1),
-    (Fraction(197, 72000), (_phi(2), _phi(2, 5)), 0),
-    (Fraction(-167, 288000), (_phi(2), _phi(2, 5)), 1),
-    (Fraction(73, 5760), (_phi(2, 5), _phi(2, 5)), 0),
-    (Fraction(17, 23040), (_phi(2, 5), _phi(2, 5)), 1),
-    (Fraction(41, 600000), (_eis(4),), 0),
-    (Fraction(19, 600000), (_eis(4),), 1),
-), ((6, 1), (7, -2), (8, 3), (9, -6), (10, 11)))
 
 _L13_W4 = Certificate((
     (Fraction(-5331, 17576), (_phi(13), _phi(13)), 0),
@@ -284,32 +276,28 @@ _add(LevelData(
     N=1, cusps=(),
     hauptmodul=EtaQuotient({}),  # placeholder; level 1 uses the j-function
     cusp_poly=(1,),
-    seed=TowerSeed(12, {
-        0: _ONE, 4: _form(_eis(4)), 6: _form(_eis(6)), 8: _form(_eis(8)),
-        10: _form(_eis(10)), 14: _form(_eis(14)),
-        12: Combo(((Fraction(1, 1728), (_eis(4), _eis(4), _eis(4)), 0),
-                   (Fraction(-1, 1728), (_eis(6), _eis(6)), 0)))}),
+    # Delta = (E4^3 - E6^2) / 1728
+    seed=TowerSeed(EtaQuotient({1: 24}), {
+        4: _form(_eis(4)), 6: _form(_eis(6)), 8: _form(_eis(8)),
+        10: _form(_eis(10)), 14: _form(_eis(14))}),
 ))
 
 _add(LevelData(
     N=2, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 24, 2: -24}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(4, {
-        0: _ONE, 2: _form(_phi(2)),
-        4: Combo(((Fraction(1, 240), (_eis(4),), 0),
-                  (Fraction(-1, 240), (_eis(4, 2),), 0)))}),
+    # (E4(z) - E4(2z)) / 240
+    seed=TowerSeed(EtaQuotient({2: 16, 1: -8}), {2: _form(_phi(2))}),
 ))
 
 _add(LevelData(
     N=3, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 12, 3: -12}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(6, {
-        0: _ONE, 2: _form(_phi(3)),
+    seed=TowerSeed(EtaQuotient({3: 18, 1: -6}), {
+        2: _form(_phi(3)),
         4: Combo(((Fraction(1, 216), (_eis(4),), 0),
-                  (Fraction(-1, 216), (_phi(3), _phi(3)), 0))),
-        6: _eta({3: 18, 1: -6})}),
+                  (Fraction(-1, 216), (_phi(3), _phi(3)), 0)))}),
 ))
 
 _add(LevelData(
@@ -317,8 +305,7 @@ _add(LevelData(
     hauptmodul=EtaQuotient({1: 8, 4: -8}),
     cusp_poly=(0, 16, 1),
     # (phi_2(z) - phi_2(2z)) / 24 = (3E2(2z) - E2(z) - 2E2(4z)) / 24
-    seed=_power_seed(Combo(((Fraction(1, 24), (_phi(2),), 0),
-                            (Fraction(-1, 24), (_phi(2, 2),), 0)))),
+    seed=TowerSeed(EtaQuotient({4: 8, 2: -4})),
     flags=("paper_typo: source prints the Hauptmodul tail term -62 at q^2; "
            "the expansion has it at q^3",
            "paper_typo: source weight-2 seed formula omits the factor 1/24 "
@@ -329,15 +316,14 @@ _add(LevelData(
     N=5, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 6, 5: -6}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(4, {
-        0: _ONE, 2: _form(_phi(5)), 4: _eta({5: 10, 1: -2})}),
+    seed=TowerSeed(EtaQuotient({5: 10, 1: -2}), {2: _form(_phi(5))}),
 ))
 
 _add(LevelData(
     N=6, cusps=((0, 1), (1, 3), (1, 2)),
     hauptmodul=EtaQuotient({2: 8, 3: 4, 1: -4, 6: -8}),
     cusp_poly=(0, 9, -10, 1),
-    seed=_power_seed(_eta({1: 2, 6: 12, 2: -4, 3: -6})),
+    seed=TowerSeed(EtaQuotient({1: 2, 6: 12, 2: -4, 3: -6})),
     flags=("paper_typo: source cusp polynomial is malformed (x^3-10x+9x); "
            "x^3-10x^2+9x was derived from numeric cusp values 0, 1, 9",),
 ))
@@ -346,24 +332,22 @@ _add(LevelData(
     N=7, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 4, 7: -4}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(6, {
-        0: _ONE, 2: _form(_phi(7)),
-        4: _L7_W4,
-        6: _eta({7: 14, 1: -2})}),
+    seed=TowerSeed(EtaQuotient({7: 14, 1: -2}), {
+        2: _form(_phi(7)), 4: _L7_W4}),
 ))
 
 _add(LevelData(
     N=8, cusps=((0, 1), (1, 4), (1, 2)),
     hauptmodul=EtaQuotient({1: 4, 4: 2, 2: -2, 8: -4}),
     cusp_poly=(0, 32, 12, 1),
-    seed=_power_seed(_eta({8: 8, 4: -4})),
+    seed=TowerSeed(EtaQuotient({8: 8, 4: -4})),
 ))
 
 _add(LevelData(
     N=9, cusps=((0, 1), (1, 3), (-1, 3)),
     hauptmodul=EtaQuotient({1: 3, 9: -3}),
     cusp_poly=(0, 27, 9, 1),
-    seed=_power_seed(_eta({9: 6, 3: -2})),
+    seed=TowerSeed(EtaQuotient({9: 6, 3: -2})),
     flags=("paper_typo: source Hauptmodul line duplicates the level-8 "
            "quotient; registry stores eta(1)^3 * eta(9)^-3",),
 ))
@@ -372,10 +356,8 @@ _add(LevelData(
     N=10, cusps=((0, 1), (1, 5), (1, 2)),
     hauptmodul=EtaQuotient({2: 1, 5: 5, 1: -1, 10: -5}),
     cusp_poly=(0, -4, -3, 1),
-    seed=TowerSeed(4, {
-        0: _ONE,
-        2: _L10_W2,
-        4: _L10_W4}),
+    seed=TowerSeed(EtaQuotient({1: 2, 2: -4, 5: -10, 10: 20}),
+                   {2: _L10_W2}),
 ))
 
 _add(LevelData(
@@ -383,20 +365,19 @@ _add(LevelData(
     hauptmodul=EtaQuotient({4: 4, 6: 2, 2: -2, 12: -4}),
     cusp_poly=(0, 9, 0, -10, 0, 1),
     # the level-6 weight-2 form at 2z
-    seed=_power_seed(_eta({2: 2, 12: 12, 4: -4, 6: -6})),
+    seed=TowerSeed(EtaQuotient({2: 2, 12: 12, 4: -4, 6: -6})),
 ))
 
 _add(LevelData(
     N=13, cusps=((0, 1),),
     hauptmodul=EtaQuotient({1: 2, 13: -2}),
     cusp_poly=(0, 1),
-    seed=TowerSeed(12, {
-        0: _ONE, 2: _form(_phi(13)),
+    seed=TowerSeed(EtaQuotient({13: 26, 1: -2}), {
+        2: _form(_phi(13)),
         4: _L13_W4,
         6: _L13_W6,
         8: _form(("form", 4), ("form", 4)),
-        10: _form(("form", 4), ("form", 6)),
-        12: _eta({13: 26, 1: -2})}),
+        10: _form(("form", 4), ("form", 6))}),
     flags=("paper_typo: source expansions of the weight-4 and weight-6 "
            "seeds (and their weight-8/10 products) are not forms on "
            "Gamma_0(13); corrected values verified by exact row reduction, "
@@ -407,7 +388,7 @@ _add(LevelData(
     N=16, cusps=((0, 1), (1, 8), (1, 4), (-1, 4), (1, 2)),
     hauptmodul=EtaQuotient({1: 2, 8: 1, 2: -1, 16: -2}),
     cusp_poly=(0, 64, 80, 40, 10, 1),
-    seed=_power_seed(_eta({16: 8, 8: -4})),
+    seed=TowerSeed(EtaQuotient({16: 8, 8: -4})),
 ))
 
 _add(LevelData(
@@ -416,7 +397,7 @@ _add(LevelData(
     hauptmodul=EtaQuotient({6: 1, 9: 3, 3: -1, 18: -3}),
     cusp_poly=(0, -8, 0, 0, -7, 0, 0, 1),
     # the level-6 weight-2 form at 3z
-    seed=_power_seed(_eta({3: 2, 18: 12, 6: -4, 9: -6})),
+    seed=TowerSeed(EtaQuotient({3: 2, 18: 12, 6: -4, 9: -6})),
 ))
 
 _add(LevelData(
@@ -424,10 +405,7 @@ _add(LevelData(
     cusps=((0, 1), (1, 5), (-1, 5), (2, 5), (-2, 5)),
     hauptmodul=EtaQuotient({1: 1, 25: -1}),
     cusp_poly=(0, 25, 25, 15, 5, 1),
-    seed=TowerSeed(4, {
-        0: _ONE,
-        2: _L25_W2,
-        4: _eta({25: 10, 5: -2})}),
+    seed=TowerSeed(EtaQuotient({25: 10, 5: -2}), {2: _L25_W2}),
 ))
 
 
@@ -536,6 +514,7 @@ CONFORMANCE: tuple = tuple((N, w, dict(cert.expected))
     (9, None, {-1: 1, 0: -3, 2: 5, 5: -7, 8: 3}),
     (9, 2, {2: 1, 5: 2, 8: 5, 11: 4, 14: 8}),
     (10, None, {-1: 1, 0: 1, 1: 1, 2: 2, 3: 2}),
+    (10, 4, {6: 1, 7: -2, 8: 3, 9: -6, 10: 11}),
     (12, None, {-1: 1, 1: 2, 3: 1, 7: -2}),
     (12, 2, {4: 1, 6: -2, 8: 3, 12: -1, 16: 7}),
     # weights 8 and 10 carry corrected expansions; see the level-13 flag

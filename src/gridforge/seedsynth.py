@@ -1,13 +1,13 @@
 """Derivation and audit of the registry's seed certificates.
 
-The registry stores six seeds (levels 7, 10, 13, 25) as Certificates,
+The registry stores five seeds (levels 7, 10, 13, 25) as Certificates,
 exact combinations of phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers;
-five have no closed form, and the (10, 4) one equals the eta quotient
-eta(z)^2 eta(2z)^-4 eta(5z)^-10 eta(10z)^20.  This module re-derives
-them by exact Gaussian elimination over a spanning family of weight-k
-forms with poles confined to infinity: holomorphic generator-pool members
-times powers of the Hauptmodul, their Serre derivatives, and
-Hauptmodul-derivative products.
+none has a closed form here.  This module re-derives them by exact
+Gaussian elimination over a spanning family of weight-k forms with poles
+confined to infinity: holomorphic generator-pool members times powers of
+the Hauptmodul, their Serre derivatives, and Hauptmodul-derivative
+products.  The closed-form seed forms of divisor levels, the tower bases
+among them, are eta quotients and join the pool as atoms.
 The result must achieve the registry's maximal vanishing order, reproduce
 the pinned expansion prefix and equal the registry's certificate,
 otherwise synthesis fails loudly.  Nothing on the path that builds bases
@@ -23,8 +23,8 @@ from gridforge.generators import serre_derivative
 from gridforge.leveldata import Combo, certificates, get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
-# Highest Hauptmodul power in a synthesis family; it suffices for all six
-# certified seeds and every closed-form seed the tests cross-validate.
+# Highest Hauptmodul power in a synthesis family; it suffices for every
+# certified seed and every closed-form seed the tests cross-validate.
 POLE_BOUND = 10
 
 
@@ -125,14 +125,17 @@ def build_family(N: int, k: int, J: int, prec: int,
     """All family members with pole order at most J at infinity."""
     if k % 2 or k < 2:
         raise ValueError("synthesis families are built for even weight >= 2")
-    psi_prec = prec + J + 2
-    psi = hauptmodul_series(N, psi_prec)
-    psi_pows = [QSeries.one(psi_prec)]
+    # psi^j (valuation -j) is known to prec + J - j when psi is known to
+    # prec + J - 1, so h * psi^j (j <= J) and Dpsi * h * psi^j (j < J), for
+    # h holomorphic and known to prec + J, are known to prec
+    work = prec + J
+    psi = hauptmodul_series(N, work - 1)
+    psi_pows = [QSeries.one(work)]
     for _ in range(J):
-        psi_pows.append((psi_pows[-1] * psi).truncate(psi_prec))
+        psi_pows.append((psi_pows[-1] * psi).truncate(work))
 
     members: list[tuple[str, QSeries]] = []
-    main_pool = weight_pool(N, k, prec + J + 2, exclude)
+    main_pool = weight_pool(N, k, work, exclude)
     if not main_pool:
         raise SynthesisError(
             f"empty generator pool for level {N} weight {k}")
@@ -140,10 +143,10 @@ def build_family(N: int, k: int, J: int, prec: int,
         for j in range(J + 1):
             members.append((f"{label}*psi^{j}" if j else label,
                             (h * psi_pows[j]).truncate(prec)))
-    lower_pool = weight_pool(N, k - 2, prec + J + 2, exclude)
+    lower_pool = weight_pool(N, k - 2, work, exclude)
     for label, h in lower_pool:
         for j in range(J + 1):
-            base = (h * psi_pows[j]).truncate(prec + 2)
+            base = (h * psi_pows[j]).truncate(prec)
             lab = f"{label}*psi^{j}" if j else label
             members.append((f"theta({lab})",
                             serre_derivative(base, k - 2, prec)))

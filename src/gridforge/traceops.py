@@ -105,9 +105,6 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     """Trace of the index-m basis element of the level-N weight-k space
     down to level M, expressed in the level-M canonical basis."""
     _check_pair(N, M)
-    if k % 2:
-        raise ValueError("weight must be even")
-
     b_n = gap_bound(N, k, space)
     if m < -b_n:
         raise ValueError(f"no basis element of index {m} at level {N} "
@@ -310,8 +307,7 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     for m in reversed(range(-b_m, P)):
         lhs = (trace(N, M, k, space, m, prec).expansion
                if m >= -b_n else QSeries.zero(prec))
-        rhs = (_basis_for(M, k, space, m, prec).element(m).truncate(prec)
-               if m >= -b_m else QSeries.zero(prec))
+        rhs = _basis_for(M, k, space, m, prec).element(m).truncate(prec)
         for x in xs:
             j = b_n + x
             c = dual_n[j].element(j).coeff(m)
@@ -333,10 +329,11 @@ def genfun_closed_form(N: int, k: int, P: int) -> bool:
     # side (A) compares r in [-v-1, P), side (B) r in [-u-1, P); u = -v-1
     _check_positive("max index P of side (A)", P, -v)
     _check_positive("max index P of side (B)", P, -u)
-    # psi's constant term cancels in psi(tau) - psi(z)
-    psi = hauptmodul_series(N, 2 * P)
-    fb = _basis_for(N, k, INF, P + 1, P + 1)
-    gb = _basis_for(N, 2 - k, HAT, P + 1, P + 1)
+    # the sides read family indices up to P and psi below q^(P+r) for r up
+    # to P - 1; psi's constant term cancels in psi(tau) - psi(z)
+    psi = hauptmodul_series(N, 2 * P - 1)
+    fb = _basis_for(N, k, INF, P, P + 1)
+    gb = _basis_for(N, 2 - k, HAT, P, P + 1)
     # (A) in powers of p, through sum_m f_{k,m}(z) p^m; (B) in powers of q,
     # through -sum_n g_{2-k,n}(tau) q^n
     return (_closed_form_side(psi, fb, gb.element(-u), P)

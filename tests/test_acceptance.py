@@ -3,6 +3,7 @@ and prints one pass line.  Run with `pytest -s tests/test_acceptance.py`
 to see the lines, or `gridforge selftest` for the standalone runner.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,6 +44,16 @@ sys.exit(0 if acceptance.run_all() else 5)
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 4 u/v alignment")
+
+
+def test_library_has_no_assert_statements():
+    # -O strips assert statements, so every invariant of the library is an
+    # explicit raise
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(gridforge.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 def test_criterion_9_times_a_cold_build(monkeypatch):

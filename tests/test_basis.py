@@ -164,7 +164,7 @@ def test_first_element_factors_are_asked_for_no_more_than_needed(
     # each factor is asked for exactly as many terms as the product needs,
     # so one term fewer of any one kind of factor leaves the product short
     real = basis_mod._factor
-    for kind in ("form", "inv", "cusp", "phi", "eis", "eta"):
+    for kind in ("form", "cusp", "phi", "eis", "eta"):
         shortened = []
 
         def short(N, factor, prec):
@@ -532,7 +532,7 @@ def test_warm_store_gives_the_cold_first_elements(monkeypatch):
         assert first_element(*r) == cold[r], r
     stats = qseries.store_stats()
     assert "first" not in stats
-    for kind in ("form", "inv", "cusp"):
+    for kind in ("form", "cusp"):
         assert stats[kind]["hits"] > 0 and stats[kind]["misses"] > 0, kind
 
 

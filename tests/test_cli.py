@@ -394,10 +394,11 @@ def test_seed_audit_reduces_the_family_once(capsys, monkeypatch):
     code, out = invoke(capsys, "seed", "--level", "10", "--weight", "4",
                        "--json")
     assert code == 0 and len(calls) == 1
-    # the digest of this command's output before the audit and the
-    # synthesis shared one reduction
+    # the digest of this command's output since the level-2 weight-4 form,
+    # an eta quotient, became a synthesis atom of level 10 (seed2w4 and
+    # seed2w4(5z)); the seed and the rank did not change
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7a0927f2cbf06edf1ec4c465837a3038555682293dacd4432f0b32c84e2f021c")
+        "fa0690fec9f5724f2b20654afe78a184a89934669889f39ee8c0ea2a8d4590e4")
 
 
 def test_out_file(tmp_path, capsys):
@@ -430,11 +431,12 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
 
 
 def test_perturbed_certificate_exits_3(capsys, perturb_certificate):
-    perturb_certificate(10, 4)
-    assert run(["grid", "--level", "10", "--weight", "4", "--count", "5"]) == 3
+    # the weight-6 first element is F_base * F_2, the certificate of weight 2
+    perturb_certificate(10, 2)
+    assert run(["grid", "--level", "10", "--weight", "6", "--count", "5"]) == 3
     err = capsys.readouterr().err
     assert "internal validation failure" in err
-    assert "level 10 weight 4 contradicts its pinned expansion" in err
+    assert "level 10 weight 2 contradicts its pinned expansion" in err
 
 
 def test_certificate_outside_the_valence_argument_exits_3(

@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "03_duality_classification.py":
         "d3f66801e47f8aca61f29d5de614a82335f85a7b41eae55ba3ff202f9b84afc9",
     "04_seed_synthesis.py":
-        "542e0ad9263d5e8e8c2b2cab9da5a2a66c5c4df0fd11fa91ce98fbed87f1ce22",
+        "4879ef89f393f355f39f8bb0b8ca87d031b1018e8bffb76f671607bc89efb1f2",
 }
 
 

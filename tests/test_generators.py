@@ -177,8 +177,8 @@ def _assert_expands_like_reference(q, prec):
 @pytest.mark.parametrize("prec", [1, 8, 40, 120])
 def test_registry_eta_quotients_match_the_reference(prec):
     quotients = _registry_quotients()
-    # 14 Hauptmoduln and 11 seed forms, each one eta quotient
-    assert len(quotients) == 25
+    # 14 Hauptmoduln and the 15 bases of the seeds
+    assert len(quotients) == 29
     for _, q in quotients:
         _assert_expands_like_reference(q, prec)
 

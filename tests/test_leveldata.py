@@ -8,6 +8,7 @@ from gridforge.basis import hauptmodul_series, level_form
 from gridforge.generators import EtaQuotient, eisenstein, phi
 from gridforge.leveldata import (
     ALL_LEVELS,
+    CONFORMANCE,
     GENUS_ZERO_LEVELS,
     Certificate,
     cusp_killer,
@@ -206,6 +207,36 @@ _ETA_FORMS = {
 }
 
 
+# The level-10 weight-4 seed as it was stored before it became the eta
+# quotient of its base: its certificate terms (c, factors, psi power).
+L10_W4_CERTIFICATE = (
+    (Fraction(-209, 3600000), (("phi", 2, 1), ("phi", 2, 1)), 0),
+    (Fraction(-2731, 14400000), (("phi", 2, 1), ("phi", 2, 1)), 1),
+    (Fraction(197, 72000), (("phi", 2, 1), ("phi", 2, 5)), 0),
+    (Fraction(-167, 288000), (("phi", 2, 1), ("phi", 2, 5)), 1),
+    (Fraction(73, 5760), (("phi", 2, 5), ("phi", 2, 5)), 0),
+    (Fraction(17, 23040), (("phi", 2, 5), ("phi", 2, 5)), 1),
+    (Fraction(41, 600000), (("eis", 4, 1),), 0),
+    (Fraction(19, 600000), (("eis", 4, 1),), 1),
+)
+
+
+def _old_l10_w4(prec):
+    """L10_W4_CERTIFICATE summed with the generators: each term is a
+    holomorphic product times psi^0 or psi^1 (valuation -1), so factors
+    known to prec + 1 determine it modulo q^prec."""
+    work = prec + 1
+    psi = hauptmodul_series(10, work)
+    terms = []
+    for c, factors, j in L10_W4_CERTIFICATE:
+        s = QSeries.one(work)
+        for kind, n, e in factors:
+            s = s * (phi(n, work, scale=e) if kind == "phi"
+                     else eisenstein(n, work, scale=e))
+        terms.append((c, s * psi if j else s))
+    return QSeries.combination(terms, prec)
+
+
 def _old_definition(N, w, prec):
     def e(w, d=1):
         return eisenstein(w, prec, scale=d)
@@ -230,6 +261,8 @@ def _old_definition(N, w, prec):
         return QSeries.combination(
             ((3, e(2, 2)), (-1, e(2)), (-2, e(2, 4))),
             prec).scale(Fraction(1, 24))
+    if (N, w) == (10, 4):
+        return _old_l10_w4(prec)
     if (N, w) in ((13, 8), (13, 10)):
         return (level_form(13, 4, prec) * level_form(13, w - 4, prec)) \
             .truncate(prec)
@@ -247,18 +280,33 @@ def test_registry_forms_match_their_old_definitions(prec, monkeypatch):
             assert level_form(N, w, prec) == _old_definition(N, w, prec), \
                 (N, w)
             checked += 1
-    # 35 closed forms, and the weight-0 form 1 of the 7 levels whose seed
-    # is a power of the weight-2 form
-    assert checked == 42
+    # 28 closed forms of nonzero weight and the form 1 of each level
+    assert checked == 43
 
 
 def test_level_ten_weight_four_certificate_is_an_eta_quotient(monkeypatch):
     # both sides are weight-4 forms on Gamma_0(10), whose Sturm bound is 6,
     # so agreement through q^40 proves the identity
     monkeypatch.setattr(qseries, "_store", {})
-    assert isinstance(get_level(10).seed.forms[4], Certificate)
-    eta = EtaQuotient({1: 2, 2: -4, 5: -10, 10: 20})
-    assert level_form(10, 4, 40) == eta.expand(40)
+    assert get_level(10).seed.base == EtaQuotient({1: 2, 2: -4, 5: -10,
+                                                   10: 20})
+    assert level_form(10, 4, 40) == _old_l10_w4(40)
+
+
+def test_every_base_is_an_eta_quotient_of_maximal_order():
+    for N in ALL_LEVELS:
+        seed = get_level(N).seed
+        assert isinstance(seed.base, EtaQuotient), N
+        assert seed.base.lead_exponent == v_of(N, seed.base_weight), N
+
+
+def test_every_registry_form_and_hauptmodul_has_a_conformance_row():
+    rows = [(N, w) for N, w, _ in CONFORMANCE]
+    assert len(rows) == len(set(rows)) == 42
+    forms = {(N, w) for N in GENUS_ZERO_LEVELS
+             for w in get_level(N).seed.forms if w}
+    hauptmoduln = {(N, None) for N in ALL_LEVELS}
+    assert forms | hauptmoduln <= set(rows)
 
 
 @pytest.mark.parametrize("prec", [12, 40])

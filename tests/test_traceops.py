@@ -327,6 +327,33 @@ def test_closed_form_fails_on_a_perturbed_basis(N, k, family, monkeypatch):
     assert hits
 
 
+@pytest.mark.parametrize("N, k", [(4, 2), (13, 4), (25, -2)],
+                         ids=["4-2", "13-4", "25-m2"])
+@pytest.mark.parametrize("short", ["f-index", "f-prec", "g-index", "g-prec",
+                                   "psi"])
+def test_closed_form_asks_for_what_it_reads(N, k, short, monkeypatch):
+    # each family to index P at precision P + 1 and psi to q^(2P-1); one
+    # index, one term or one psi term less and the check cannot hold
+    P = _closed_form_prec(N, k)
+    family, _, what = short.partition("-")
+    real_basis, real_psi = traceops._basis_for, traceops.hauptmodul_series
+
+    def basis_for(N, k, space, max_index, prec):
+        if space == (INF if family == "f" else HAT):
+            max_index -= what == "index"
+            prec -= what == "prec"
+        return real_basis(N, k, space, max_index, prec)
+
+    monkeypatch.setattr(traceops, "_basis_for", basis_for)
+    monkeypatch.setattr(traceops, "hauptmodul_series", lambda N, prec: (
+        real_psi(N, prec - (short == "psi"))))
+    if what == "index":
+        with pytest.raises(IndexError):
+            genfun_closed_form(N, k, P)
+    else:
+        assert not genfun_closed_form(N, k, P)
+
+
 def test_closed_form_fails_on_a_short_hauptmodul(monkeypatch):
     # psi * b_r needs psi to q^(P+r); known only to q^(P+1), the check must
     # fail instead of comparing fewer coefficients
