@@ -32,6 +32,19 @@ from it, any other rebuilds it at the larger count and the larger
 precision.  The recursion runs at
 prec + count - 1, so every element is exact modulo q^prec, and the only
 floor on prec is the gap bound.  A build asks for its first element once.
+
+A grid pairs the weight-k f-side with the weight-(2-k) g-side, and only
+its side of weight w <= 0 (the f-side for k <= 0, the g-side for k >= 2)
+comes from the recursion.  The other side follows by Bol's identity: with
+D = q d/dq, D^(1-w) maps the source space into the other one, so each
+target element above the source's gap is D^(1-w) of the source element of
+the same index, minus multiples of the low target elements, divided by
+its lead.  The low target elements, the max(0, -2B-1) indices between the
+two gaps (B the source's gap bound), come from the recursion.  Derived
+elements are checked for integrality and gap form but not stored, so the
+store holds recursion results only.  On a derived grid the duality
+residual cannot see an error in a diagonal coefficient a(m, m): Bol's
+relation and duality coincide there (see `duality_residual`).
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from gridforge import leveldata
 from gridforge.generators import eisenstein, j_function, phi
@@ -234,9 +247,9 @@ def _require_integral(s: QSeries, what: str):
             f"{what} has the non-integral coefficient {c} at q^{e}")
 
 
-def build_basis(N: int, k: int, space: str, count: int,
-                prec: int = DEFAULT_PREC) -> CanonicalBasis:
-    """Build elements m0 .. m0+count-1, each exact modulo q^prec."""
+def _check_request(N: int, k: int, space: str, count: int, prec: int):
+    """Refuse a basis request that asks for no element, or whose precision
+    does not reach past the gap bound."""
     if count < 1:
         raise ValueError("count must be >= 1")
     # every element is in gap form through q^B, so prec must reach past it
@@ -245,6 +258,12 @@ def build_basis(N: int, k: int, space: str, count: int,
         raise PrecisionError(
             f"insufficient precision for level {N} weight {k} {space} with "
             f"count {count}: need prec >= {B + 1}, got {prec}")
+
+
+def build_basis(N: int, k: int, space: str, count: int,
+                prec: int = DEFAULT_PREC) -> CanonicalBasis:
+    """Build elements m0 .. m0+count-1, each exact modulo q^prec."""
+    _check_request(N, k, space, count, prec)
     entry = cached(("basis", N, k, space), (count, prec),
                    lambda count, prec: _build(N, k, space, count, prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
@@ -325,6 +344,9 @@ def build_grid(N: int, k: int, count: int,
                prec: int | None = None) -> ModularGrid:
     """Build both sides of the weight-(k, 2-k) grid with `count` elements.
 
+    The side of weight <= 0 comes from the recursion and the other from it
+    by Bol's identity (`_bol_side`).
+
     The default precision count + |v| + 6 determines a count-by-count
     duality box.
     """
@@ -332,22 +354,87 @@ def build_grid(N: int, k: int, count: int,
     u = u_of(N, 2 - k)
     if prec is None:
         prec = count + abs(v) + 6
-    fside = build_basis(N, k, INF, count, prec)
-    gside = build_basis(N, 2 - k, HAT, count, prec)
-    if gside.m0 != v + 1 or fside.m0 != u + 1:
-        raise AssertionError("index ranges of the two sides fail to align")
-    return ModularGrid(N, k, fside, gside)
+    if u != -v - 1:
+        raise AssertionError(
+            f"index ranges of the two sides fail to align at level {N} "
+            f"weight {k}: the f-side starts at m0 = {-v}, the g-side at "
+            f"m0 = {-u}, not {v + 1}")
+    _check_request(N, k, INF, count, prec)
+    _check_request(N, 2 - k, HAT, count, prec)
+    w, space = (k, INF) if k <= 0 else (2 - k, HAT)
+    # the source must reach the target's last index, Bs + count
+    Bs = gap_bound(N, w, space)
+    source = build_basis(N, w, space, count + max(0, 2 * Bs + 1), prec)
+    target = _bol_side(source, count)
+    source = CanonicalBasis(N, w, space, source.m0, Bs, prec,
+                            source.elements[:count])
+    if k <= 0:
+        return ModularGrid(N, k, source, target)
+    return ModularGrid(N, k, target, source)
+
+
+def _bol_side(source: CanonicalBasis, count: int) -> CanonicalBasis:
+    """The first `count` elements of the other side of the source's grid,
+    exact to the source's precision.
+
+    The source has weight w <= 0 and elements s_m = q^-m + sum a(m, n) q^n
+    in gap form through Bs; the target, of weight 2 - w in the other space,
+    has gap bound Bt = -Bs - 1.  With D = q d/dq and e = 1 - w, D^e s_m lies
+    in the target space (Bol's identity), so matching principal parts gives,
+    for m >= -Bs,
+
+        t_m = [D^e s_m - sum_{n=Bs+1, n!=0}^{Bt} n^e a(m, n) t_-n] / (-m)^e.
+
+    The low target elements Bs+1 .. -Bs-1, index 0 among them, come from the
+    recursion.  The derived elements are not stored, so every basis in the
+    store is a recursion result.
+    """
+    N, w, prec, Bs = source.N, source.k, source.prec, source.gap_bound
+    k, space, Bt, e = 2 - w, HAT if source.space == INF else INF, -Bs - 1, 1 - w
+    m0 = Bs + 1
+    n_low = min(count, max(0, -2 * Bs - 1))
+    elements = list(build_basis(N, k, space, n_low, prec).elements
+                    if n_low else ())
+    # source and low elements are recursion results, so integral: their
+    # numerators are their coefficients
+    low_tails = [t.numerators(Bt + 1, prec) for t in elements]
+    powers = [n ** e for n in range(Bt + 1, prec)]
+    for m in range(m0 + n_low, m0 + count):
+        s = source.element(m)
+        tail = list(map(mul, powers, s.numerators(Bt + 1, prec)))
+        for n, a in enumerate(s.numerators(Bs + 1, Bt + 1), Bs + 1):
+            if a and n:
+                c = n ** e * a
+                tail = list(map(sub, tail,
+                                map(mul, repeat(c), low_tails[-n - m0])))
+        # w is even, so e is odd and t_m = q^-m - tail / m^e
+        lead = m ** e
+        t = QSeries.from_row(-m, [lead, *repeat(0, Bt + m), *map(neg, tail)],
+                             prec, lead)
+        _require_integral(t, f"derived element of level {N} weight {k} "
+                             f"{space} index {m} prec {prec}")
+        elements.append(t)
+    derived = CanonicalBasis(N, k, space, m0, Bt, prec, tuple(elements))
+    _verify_gap_form(derived)
+    return derived
 
 
 def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
     """max |a_k(m,n) + b_{2-k}(n,m)| over the box of the first m_max
     f-indices against the first n_max g-indices; exact zero iff duality
-    holds there."""
+    holds there.
+
+    A grid from `build_grid` derives one side from the other, and its
+    derived t_m moves with a source coefficient a(m, n) by n^e / (-m)^e.  For
+    odd e = 1 - w that is -1 on the diagonal n = m, so an error in a
+    diagonal source coefficient moves both terms of a(m,m) + b(m,m) and the
+    residual stays zero.  Only a comparison with the recursion finds it."""
     if m_max < 0 or n_max < 0:
         raise ValueError("box dimensions must be nonnegative")
     if m_max > grid.fside.count or n_max > grid.gside.count:
         raise PrecisionError(
-            f"duality box {m_max}x{n_max} exceeds built count "
+            f"duality box {m_max}x{n_max} of level {grid.N} weight "
+            f"{grid.k} exceeds built count "
             f"({grid.fside.count}, {grid.gside.count})")
     f_ind = grid.fside.indices[:m_max]
     g_ind = grid.gside.indices[:n_max]

@@ -357,6 +357,88 @@ def test_duality_box_past_the_grid_precision_is_named():
         duality_residual(g, 6, 6)
 
 
+def _derived_side(grid):
+    """The side of the grid derived by Bol's identity, and the recursion's
+    basis of the same key, cut to the grid's count and precision."""
+    if grid.k <= 0:
+        side, k, space = grid.gside, 2 - grid.k, HAT
+    else:
+        side, k, space = grid.fside, grid.k, INF
+    ref = basis_mod._build(grid.N, k, space, side.count, side.prec)
+    return side, dataclasses.replace(ref, elements=tuple(
+        e.truncate(side.prec) for e in ref.elements))
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_derived_side_equals_the_recursion(N, monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    for k in range(-10, 14, 2):
+        side, ref = _derived_side(build_grid(N, k, 20))
+        assert side == ref, k
+
+
+@pytest.mark.parametrize("N, k, count", [(1, 8, 80), (16, -10, 100)])
+def test_derived_side_equals_the_recursion_at_depth(N, k, count,
+                                                    monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    side, ref = _derived_side(build_grid(N, k, count))
+    assert side == ref
+
+
+def _add_to_source(monkeypatch, key, i, j):
+    """Start from an empty store, and add q^j to element i of every
+    recursion result of the (N, k, space) key."""
+    real = basis_mod._build
+
+    def build(*key_size):
+        b = real(*key_size)
+        if key_size[:3] != key:
+            return b
+        elements = list(b.elements)
+        s = elements[i - b.m0]
+        elements[i - b.m0] = s + QSeries({j: 1}, s.prec)
+        return dataclasses.replace(b, elements=tuple(elements))
+
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(basis_mod, "_build", build)
+
+
+@pytest.mark.parametrize("N, k", [(1, -4), (4, -2), (5, 0), (13, 4),
+                                  (9, 6)])
+def test_duality_cannot_see_a_diagonal_error_of_a_derived_grid(
+        N, k, monkeypatch):
+    # Add 1 to one coefficient a(i, j) of a source element.  The derived
+    # element t_i moves by j^e / (-i)^e at q^j, e = 1 - w odd; duality pairs
+    # a(i, j) with the unmoved b(j, i) off the diagonal, but on it the two
+    # moves cancel, and only the cross-check with the recursion sees them.
+    w, space = (k, INF) if k <= 0 else (2 - k, HAT)
+    Bs = gap_bound(N, w, space)
+    # i is the first derived index, and the box reaches the target's 2i
+    i = max(Bs + 1, -Bs)
+    count = max(8, -3 * Bs + 1)
+    for j in (2 * i, i):
+        with monkeypatch.context() as mp:
+            _add_to_source(mp, (N, w, space), i, j)
+            grid = build_grid(N, k, count)
+            side, ref = _derived_side(grid)
+        assert side != ref
+        if j == i:
+            assert duality_residual(grid, count, count) == 0
+        else:
+            assert duality_residual(grid, count, count) > 0
+
+
+def test_non_integral_derived_element_raises(monkeypatch):
+    # e = 1 at weight 0, so q^3 added to the source's f_{0,2} moves the
+    # derived g_{2,2} by 3/(-2) q^3, from -288 to -579/2
+    _add_to_source(monkeypatch, (5, 0, INF), 2, 3)
+    with pytest.raises(IntegralityError,
+                       match=r"derived element of level 5 weight 2 hat "
+                             r"index 2 prec 13 has the non-integral "
+                             r"coefficient -579/2 at q\^3"):
+        build_grid(5, 0, 6, 13)
+
+
 def test_build_basis_precision_audit():
     with pytest.raises(PrecisionError,
                        match="level 18 weight 8 inf with count 10: "
@@ -386,9 +468,10 @@ def test_store_stats_count_basis_hits_and_misses(monkeypatch):
     monkeypatch.setattr(qseries, "_stats", {})
     for count, prec in ((5, 20), (3, 20), (5, 30), (4, 25)):
         build_basis(2, 0, INF, count, prec)
-    # at precision 11 the grid's f-side is a hit, its g-side a miss
+    # the grid asks for its source, the f-side, once at count 5 + 1, a
+    # miss; its g-side is derived from the f-side and never asks the store
     build_grid(2, 0, 5)
-    assert qseries.store_stats()["basis"] == {"hits": 3, "misses": 3}
+    assert qseries.store_stats()["basis"] == {"hits": 2, "misses": 3}
 
 
 def test_basis_element_range_guard():
@@ -565,8 +648,17 @@ def test_each_build_asks_for_one_first_element(counting_builds,
         for k in (-4, 0, 2, 6):
             build_grid(N, k, 5)
     builds = sum(counting_builds.values())
-    assert builds == 2 * len(ALL_LEVELS) * 4
+    # one build of each grid's source, and one of the low elements of the
+    # other side for the 44 grids whose source gap bound is negative
+    assert builds == len(ALL_LEVELS) * 4 + 44
     assert callers == [("_build",)] * builds
+
+
+def test_a_cold_grid_builds_its_source_once(counting_builds):
+    # the source is asked for once, at every element the derivation reads,
+    # so the store does not rebuild it for one more element
+    build_grid(1, 0, 5)
+    assert counting_builds == {(1, 0, INF): 1}
 
 
 def test_cached_basis_does_not_overclaim_precision(monkeypatch):
