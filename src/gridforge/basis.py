@@ -29,22 +29,21 @@ Completed bases are immutable and kept in the store
 (Hauptmodul, registry forms, the cusp-killing polynomial).  An entry only
 grows: a request it covers in count and precision is sliced and truncated
 from it, any other rebuilds it at the larger count and the larger
-precision.  The recursion runs at
-prec + count - 1, so every element is exact modulo q^prec, and the only
-floor on prec is the gap bound.  A build asks for its first element once.
+precision.
 
-A grid pairs the weight-k f-side with the weight-(2-k) g-side, and only
-its side of weight w <= 0 (the f-side for k <= 0, the g-side for k >= 2)
-comes from the recursion.  The other side follows by Bol's identity: with
-D = q d/dq, D^(1-w) maps the source space into the other one, so each
-target element above the source's gap is D^(1-w) of the source element of
-the same index, minus multiples of the low target elements, divided by
-its lead.  The low target elements, the max(0, -2B-1) indices between the
-two gaps (B the source's gap bound), come from the recursion.  Derived
-elements are checked for integrality and gap form but not stored, so the
-store holds recursion results only.  On a derived grid the duality
-residual cannot see an error in a diagonal coefficient a(m, m): Bol's
-relation and duality coincide there (see `duality_residual`).
+A key's weight picks its builder.  Weight k <= 0 runs the recursion at
+prec + count - 1, so every element is exact modulo q^prec and the only
+floor on prec is the gap bound; a run asks for its first element once.
+Weight k >= 2 follows from the other space of weight 2 - k by Bol's
+identity: with D = q d/dq, D^(k-1) maps that space into this one, so each
+element above the source's gap is D^(k-1) of the source element of the
+same index, minus multiples of the low elements, divided by its lead.  The
+low elements, the max(0, -2B-1) indices between the two gaps (B the
+source's gap bound), come from the recursion.  Derived elements are
+checked for integrality and gap form.  So one side of every grid is
+derived from the other, and the duality residual cannot see an error in a
+diagonal coefficient a(m, m): Bol's relation and duality coincide there
+(see `duality_residual`).
 """
 
 from __future__ import annotations
@@ -262,10 +261,12 @@ def _check_request(N: int, k: int, space: str, count: int, prec: int):
 
 def build_basis(N: int, k: int, space: str, count: int,
                 prec: int = DEFAULT_PREC) -> CanonicalBasis:
-    """Build elements m0 .. m0+count-1, each exact modulo q^prec."""
+    """Build elements m0 .. m0+count-1, each exact modulo q^prec: by the
+    recursion for weight k <= 0, by Bol's identity for k >= 2."""
     _check_request(N, k, space, count, prec)
+    build = _build if k <= 0 else _bol_build
     entry = cached(("basis", N, k, space), (count, prec),
-                   lambda count, prec: _build(N, k, space, count, prec))
+                   lambda count, prec: build(N, k, space, count, prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
                           tuple(e.truncate(prec)
                                 for e in entry.elements[:count]))
@@ -344,9 +345,6 @@ def build_grid(N: int, k: int, count: int,
                prec: int | None = None) -> ModularGrid:
     """Build both sides of the weight-(k, 2-k) grid with `count` elements.
 
-    The side of weight <= 0 comes from the recursion and the other from it
-    by Bol's identity (`_bol_side`).
-
     The default precision count + |v| + 6 determines a count-by-count
     duality box.
     """
@@ -361,42 +359,43 @@ def build_grid(N: int, k: int, count: int,
             f"m0 = {-u}, not {v + 1}")
     _check_request(N, k, INF, count, prec)
     _check_request(N, 2 - k, HAT, count, prec)
-    w, space = (k, INF) if k <= 0 else (2 - k, HAT)
-    # the source must reach the target's last index, Bs + count
-    Bs = gap_bound(N, w, space)
-    source = build_basis(N, w, space, count + max(0, 2 * Bs + 1), prec)
-    target = _bol_side(source, count)
-    source = CanonicalBasis(N, w, space, source.m0, Bs, prec,
-                            source.elements[:count])
+    # the weight >= 2 side first: its derivation asks for the other side at
+    # a larger count, so that side's own request is then a hit
     if k <= 0:
-        return ModularGrid(N, k, source, target)
-    return ModularGrid(N, k, target, source)
+        gside = build_basis(N, 2 - k, HAT, count, prec)
+        fside = build_basis(N, k, INF, count, prec)
+    else:
+        fside = build_basis(N, k, INF, count, prec)
+        gside = build_basis(N, 2 - k, HAT, count, prec)
+    return ModularGrid(N, k, fside, gside)
 
 
-def _bol_side(source: CanonicalBasis, count: int) -> CanonicalBasis:
-    """The first `count` elements of the other side of the source's grid,
-    exact to the source's precision.
+def _bol_build(N: int, k: int, space: str, count: int,
+               prec: int) -> CanonicalBasis:
+    """Elements m0 .. m0+count-1 of a weight k >= 2 space, exact modulo
+    q^prec, derived from the other space, of weight w = 2 - k.
 
-    The source has weight w <= 0 and elements s_m = q^-m + sum a(m, n) q^n
-    in gap form through Bs; the target, of weight 2 - w in the other space,
-    has gap bound Bt = -Bs - 1.  With D = q d/dq and e = 1 - w, D^e s_m lies
-    in the target space (Bol's identity), so matching principal parts gives,
-    for m >= -Bs,
+    The source has elements s_m = q^-m + sum a(m, n) q^n in gap form through
+    Bs, and this space has gap bound Bt = -Bs - 1.  With D = q d/dq and
+    e = 1 - w, D^e s_m lies in this space (Bol's identity), so matching
+    principal parts gives, for m >= -Bs,
 
         t_m = [D^e s_m - sum_{n=Bs+1, n!=0}^{Bt} n^e a(m, n) t_-n] / (-m)^e.
 
-    The low target elements Bs+1 .. -Bs-1, index 0 among them, come from the
-    recursion.  The derived elements are not stored, so every basis in the
-    store is a recursion result.
+    The low elements Bs+1 .. -Bs-1, index 0 among them, come from the
+    recursion.
     """
-    N, w, prec, Bs = source.N, source.k, source.prec, source.gap_bound
-    k, space, Bt, e = 2 - w, HAT if source.space == INF else INF, -Bs - 1, 1 - w
-    m0 = Bs + 1
+    w, e, other = 2 - k, k - 1, HAT if space == INF else INF
+    Bs = gap_bound(N, w, other)
+    Bt, m0 = -Bs - 1, Bs + 1
     n_low = min(count, max(0, -2 * Bs - 1))
-    elements = list(build_basis(N, k, space, n_low, prec).elements
-                    if n_low else ())
-    # source and low elements are recursion results, so integral: their
-    # numerators are their coefficients
+    if n_low < count:
+        # the source reaches index Bs + count and past its gap bound; built
+        # first, it leaves the Hauptmodul as long as the low elements read
+        source = build_basis(N, w, other, count + max(0, 2 * Bs + 1),
+                             max(prec, Bs + 1))
+    elements = list(_build(N, k, space, n_low, prec).elements) if n_low else []
+    # recursion results are integral: their numerators are their coefficients
     low_tails = [t.numerators(Bt + 1, prec) for t in elements]
     powers = [n ** e for n in range(Bt + 1, prec)]
     for m in range(m0 + n_low, m0 + count):

@@ -37,7 +37,7 @@ from gridforge.leveldata import (
 )
 from gridforge.generators import EtaQuotient, eisenstein
 from gridforge.qseries import PrecisionError, QSeries
-from gridforge.traceops import _basis_for, trace
+from gridforge.traceops import _basis_for, empirical_preserves, trace
 
 
 def coeffs(series, exps):
@@ -357,16 +357,79 @@ def test_duality_box_past_the_grid_precision_is_named():
         duality_residual(g, 6, 6)
 
 
+def _cut(basis, count, prec):
+    """The basis's first `count` elements, each cut to prec."""
+    return dataclasses.replace(basis, prec=prec, elements=tuple(
+        e.truncate(prec) for e in basis.elements[:count]))
+
+
+def _recursion(N, k, space, count, prec):
+    """The recursion's basis of the key, every element cut to prec."""
+    return _cut(basis_mod._build(N, k, space, count, prec), count, prec)
+
+
 def _derived_side(grid):
     """The side of the grid derived by Bol's identity, and the recursion's
     basis of the same key, cut to the grid's count and precision."""
-    if grid.k <= 0:
-        side, k, space = grid.gside, 2 - grid.k, HAT
-    else:
-        side, k, space = grid.fside, grid.k, INF
-    ref = basis_mod._build(grid.N, k, space, side.count, side.prec)
-    return side, dataclasses.replace(ref, elements=tuple(
-        e.truncate(side.prec) for e in ref.elements))
+    side = grid.gside if grid.k <= 0 else grid.fside
+    return side, _recursion(grid.N, side.k, side.space, side.count,
+                            side.prec)
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_derived_bases_equal_the_recursion(N, monkeypatch):
+    # every weight >= 2 key is derived from the other space of weight 2 - k;
+    # n_low is the number of its elements that come from the recursion
+    monkeypatch.setattr(qseries, "_store", {})
+    cases = [(1, 2, HAT, 1, 0), (1, 2, HAT, 3, 1)] if N == 1 else []
+    for k in (2, 4, 8, 12):
+        for space in (INF, HAT):
+            B = gap_bound(N, k, space)
+            n_low = max(0, 2 * B + 1)
+            for count in sorted({1, n_low, n_low + 1, n_low + 5} - {0}):
+                cases += [(N, k, space, count, prec)
+                          for prec in (B + 1, B + 2, qseries.DEFAULT_PREC)]
+    for N, k, space, count, prec in cases:
+        # each case is derived at its own size, not cut from a larger entry
+        qseries._store.pop(("basis", N, k, space), None)
+        assert build_basis(N, k, space, count, prec) == _recursion(
+            N, k, space, count, prec), (k, space, count, prec)
+
+
+def test_warm_grids_are_store_hits(counting_builds, monkeypatch):
+    grids = {(N, k): build_grid(N, k, 10) for N, k in ((1, 4), (13, -2))}
+    derivations = []
+    real = basis_mod._bol_build
+
+    def derive(*args):
+        derivations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(basis_mod, "_bol_build", derive)
+    monkeypatch.setattr(qseries, "_stats", {})
+    counting_builds.clear()
+    for (N, k), grid in grids.items():
+        assert build_grid(N, k, 10) == grid
+        side = grid.gside if k <= 0 else grid.fside
+        assert build_basis(N, side.k, side.space, 7, side.prec - 2) == \
+            _cut(side, 7, side.prec - 2)
+    assert counting_builds == {} and derivations == []
+    assert qseries.store_stats() == {"basis": {"hits": 6, "misses": 0}}
+
+
+def test_every_stored_basis_is_the_recursions(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    for N, k in ((1, 4), (6, -2), (13, 8)):
+        build_grid(N, k, 12)
+    assert empirical_preserves(4, 2, -2) is True
+    assert empirical_preserves(9, 1, 2) is False
+    trace(10, 5, 4, HAT, 3)
+    stored = [(key, size) for key, (size, _) in qseries._store.items()
+              if key[0] == "basis"]
+    assert {k >= 2 for (_, _, k, _), _ in stored} == {True, False}
+    for key, (count, prec) in stored:
+        assert _cut(qseries._store[key][1], count, prec) == _recursion(
+            *key[1:], count, prec), key
 
 
 @pytest.mark.parametrize("N", ALL_LEVELS)
@@ -468,10 +531,11 @@ def test_store_stats_count_basis_hits_and_misses(monkeypatch):
     monkeypatch.setattr(qseries, "_stats", {})
     for count, prec in ((5, 20), (3, 20), (5, 30), (4, 25)):
         build_basis(2, 0, INF, count, prec)
-    # the grid asks for its source, the f-side, once at count 5 + 1, a
-    # miss; its g-side is derived from the f-side and never asks the store
+    # the grid asks for its derived g-side first, a miss, whose derivation
+    # asks for the f-side at count 5 + 1, a miss; the grid's own request
+    # for the f-side at count 5 is then a hit
     build_grid(2, 0, 5)
-    assert qseries.store_stats()["basis"] == {"hits": 2, "misses": 3}
+    assert qseries.store_stats()["basis"] == {"hits": 3, "misses": 4}
 
 
 def test_basis_element_range_guard():
@@ -567,12 +631,12 @@ def assert_matches_reference(N, k, space, count, monkeypatch):
     prec = count + abs(gap_bound(N, k, space)) + 5
     monkeypatch.setattr(qseries, "_store", {})
     got = build_basis(N, k, space, count, prec)
-    stored = qseries._store[("basis", N, k, space)][1].elements
+    built = basis_mod._build(N, k, space, count, prec).elements
     want = reference_basis(N, k, space, count, prec)
-    assert len(stored) == len(want) == count
-    # element j is stored exactly as far as the recursion determines it,
-    # and every stored coefficient is the reference's
-    for j, (w, e) in enumerate(zip(stored, want)):
+    assert len(built) == len(want) == count
+    # the recursion gives element j exactly as far as it determines it, and
+    # every coefficient it gives is the reference's
+    for j, (w, e) in enumerate(zip(built, want)):
         assert w.prec == prec + count - 1 - j <= e.prec, (N, k, space, j)
         assert w == e.truncate(w.prec), (N, k, space, j)
     for g, e in zip(got.elements, want):
@@ -721,7 +785,7 @@ def test_recursion_expands_the_hauptmodul_as_far_as_it_reads(N, k,
                                                              monkeypatch):
     count, prec = 10, 30
     monkeypatch.setattr(qseries, "_store", {})
-    build_basis(N, k, INF, count, prec)
+    basis_mod._build(N, k, INF, count, prec)
     # the recursion reads psi up to q^(work+m0-2)
     work, m0 = prec + count - 1, -v_of(N, k)
     assert qseries._store[("haupt", N)][1].prec == work + m0 - 1
