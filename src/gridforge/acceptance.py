@@ -91,15 +91,16 @@ def criterion_3_duality_sweep():
     """Exact duality residual 0 on a 20x20 box for every genus-zero level
     and every even weight in [-10, 10].  A grid derives its weight >= 2 side
     from the other by Bol's identity; that side must equal a direct run of
-    the recursion, so the residual compares two recursions."""
+    the recursion, so the residual compares a source built by the walk or
+    the recursion against a recursion-built other side."""
     for N in GENUS_ZERO_LEVELS:
         for k in SWEEP_WEIGHTS:
             grid = build_grid(N, k, 20)
             side = grid.fside if k >= 2 else grid.gside
-            ref = basis_mod._build(N, side.k, side.space, 20, side.prec)
-            _require(side.elements == tuple(
-                e.truncate(side.prec) for e in ref.elements),
-                f"derived side at N={N}, k={k} differs from the recursion")
+            ref = basis_mod._recursion(N, side.k, side.space, 20, side.prec)
+            _require(side.elements == ref.elements,
+                     f"derived side at N={N}, k={k} differs from the "
+                     f"recursion")
             r = duality_residual(grid, 20, 20)
             _require(r == 0, f"duality residual {r} at N={N}, k={k}")
 

@@ -19,8 +19,8 @@ valuations, and checks a `leveldata.Certificate` against its pinned
 prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
-is integral, so the recursion runs on the integer rows that `QSeries`
-stores and assembles the elements from them.  IntegralityError is raised
+is integral, so the builders run on the integer rows that `QSeries`
+stores and assemble the elements from them.  IntegralityError is raised
 if the Hauptmodul or the first element has a non-integral coefficient.
 
 Completed bases are immutable and kept in the store
@@ -31,9 +31,18 @@ grows: a request it covers in count and precision is sliced and truncated
 from it, any other rebuilds it at the larger count and the larger
 precision.
 
-A key's weight picks its builder.  Weight k <= 0 runs the recursion at
-prec + count - 1, so every element is exact modulo q^prec and the only
-floor on prec is the gap bound; a run asks for its first element once.
+A key's weight picks its builder.  Weight k <= 0 has two, which read the
+same Hauptmodul and first element, ask for the first element once, and
+cut every element to q^prec, so the only floor on prec is the gap bound.
+The recursion carries element j to q^(prec + count - 1 - j), since each
+multiplication by the Hauptmodul loses one term.  The anti-diagonal walk
+(`_walk`) fills the coefficients a(M, n) by anti-diagonals M + n from two
+identities: the recursion's chain a(M+1, n) = a(M, n+1) + K(M, n), and
+the symmetry m^e a(n, m) = n^e a(m, n) + corr(m, n), e = 1 - k, that
+Bol's identity and duality give together.  It closes each long diagonal
+at its middle by one exact division, so it never computes the padding
+triangle the recursion carries.  `_build` picks one from the request's
+shape: the walk when count >= 2|B| + 12 and prec <= 1.5 count.
 Weight k >= 2 follows from the other space of weight 2 - k by Bol's
 identity: with D = q d/dq, D^(k-1) maps that space into this one, so each
 element above the source's gap is D^(k-1) of the source element of the
@@ -48,7 +57,7 @@ diagonal coefficient a(m, m): Bol's relation and duality coincide there
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -274,14 +283,29 @@ def build_basis(N: int, k: int, space: str, count: int,
 
 def _build(N: int, k: int, space: str, count: int,
            prec: int) -> CanonicalBasis:
-    """Run the Hauptmodul recursion for elements m0 .. m0+count-1; the
-    last, and least precise, is exact modulo q^prec."""
+    """Elements m0 .. m0+count-1, each exact modulo q^prec: by the
+    anti-diagonal walk for weight k <= 0 when count is large against the
+    gap bound B and against prec, else by the recursion.
+
+    The walk fills about a square of side max(prec, m0 + count) where the
+    recursion fills count rows of length about prec + count, and it pays
+    more per coefficient in its 2|B| - 1 low columns (B < 0) and for small
+    squares; measured on both builders, it is the faster one from
+    count >= 2|B| + 12 and prec <= 1.5 count on."""
+    B = gap_bound(N, k, space)
+    if k <= 0 and count >= 2 * abs(B) + 12 and 2 * prec <= 3 * count:
+        return _walk(N, k, space, count, prec)
+    return _recursion(N, k, space, count, prec)
+
+
+def _inputs(N: int, k: int, space: str, count: int, prec: int):
+    """What both builders read, each checked integral: the Hauptmodul's
+    coefficients psi[a] at q^(a-1) up to q^(work+m0-2), and the first
+    element's from q^(B+1) up to q^(work-1), work = prec + count - 1."""
     B = gap_bound(N, k, space)
     m0 = -B
     work = prec + count - 1
     where = f"level {N} weight {k} {space}"
-    # The recursion reads psi up to q^(work+m0-2).  psi[a] is the q^(a-1)
-    # coefficient of the Hauptmodul.
     psi_series = hauptmodul_series(N, work + m0 - 1)
     _require_integral(psi_series,
                       f"Hauptmodul of level {N} (for {where} prec {work})")
@@ -290,12 +314,22 @@ def _build(N: int, k: int, space: str, count: int,
     if psi[0] != 1:
         raise AssertionError(
             f"recursion lost the leading term at {where} index {m0 + 1}")
-    # Element j is q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo
-    # q^(work-j): each multiplication by psi loses one term.
     first = first_element(N, k, space, work)
     _require_integral(first,
                       f"first element of {where} index {m0} prec {work}")
-    tails = [first.numerators(B + 1, work)]
+    return psi, first.numerators(B + 1, work)
+
+
+def _recursion(N: int, k: int, space: str, count: int,
+               prec: int) -> CanonicalBasis:
+    """Run the Hauptmodul recursion for elements m0 .. m0+count-1, each
+    cut to q^prec once it is built."""
+    B = gap_bound(N, k, space)
+    m0 = -B
+    psi, first = _inputs(N, k, space, count, prec)
+    # Element j is q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo
+    # q^(prec+count-1-j): each multiplication by psi loses one term.
+    tails = [first]
     psi_rev = psi[::-1]
     top = len(psi) - 1
     for i in range(1, count):
@@ -313,9 +347,143 @@ def _build(N: int, k: int, space: str, count: int,
             if c:
                 tail = list(map(sub, tail, map(mul, repeat(c), tails[j])))
         tails.append(tail)
-    elements = tuple(QSeries.from_row(B - j, [1, *repeat(0, j), *tail],
-                                      work - j)
+    elements = tuple(QSeries.from_row(B - j, [1, *repeat(0, j), *tail], prec)
                      for j, tail in enumerate(tails))
+    built = CanonicalBasis(N, k, space, m0, B, prec, elements)
+    _verify_gap_form(built)
+    return built
+
+
+def _walk(N: int, k: int, space: str, count: int,
+          prec: int) -> CanonicalBasis:
+    """Elements m0 .. m0+count-1 of a weight k <= 0 space, each exact
+    modulo q^prec, filled by anti-diagonals D = M + n of the coefficients
+    a(M, n), n > B, of the elements M, from two identities.
+
+    The chain is the recursion read coefficient by coefficient: with psi_s
+    the q^s coefficient of the Hauptmodul,
+
+        a(M+1, n) = a(M, n+1) + K(M, n),
+        K(M, n) = psi_(n+M) + sum_{j=B+1..n} psi_(n-j) a(M, j)
+                  - sum_{M'=m0..M} psi_(M-M') a(M', n) - a(m0, n) a(M, B+1),
+
+    its two sums the recursion's product and clearing; K reads only earlier
+    diagonals.  The symmetry is Bol's identity (see `_bol_build`) and
+    duality together: for m, n >= s0 = max(m0, B+1) and e = 1 - k,
+
+        m^e a(n, m) = n^e a(m, n) + corr(m, n),
+        corr(m, n) = sum_{l=B+1..-B-1} l^e a(m, l) a(n, -l),
+
+    which reads only the low columns l < s0 of earlier diagonals (none when
+    B >= 0).
+
+    A diagonal D > 2 s0 is closed at its middle by one exact division: for
+    odd D the chain step from a(M, M+1) to a(M+1, M) and the symmetry
+    between them give a(M, M+1); for even D the two chain steps from
+    a(M-1, M+1) to a(M+1, M-1) do.  It is then walked up toward row m0 by
+    the chain, and where it reaches row m0 it must give the first element's
+    coefficient; below the middle it is filled by the symmetry, and by the
+    chain in the low columns.  A shorter diagonal is walked down by the
+    chain from the first element.  Only rows m0 .. C-1 and columns
+    B+1 .. C-1, C = max(prec, m0 + count), are filled, and only on the
+    diagonals up to the last one a requested coefficient lies on (plus the
+    low columns of row C, which the last even diagonal reads, and the
+    shorter diagonals whole); the recursion instead carries element j to
+    q^(prec + count - 1 - j).
+
+    The divisions and the first-element check also refuse a wrong psi_s,
+    except where the first element is 1 (weight 0, B = 0): the elements
+    are then the Faber polynomials of psi, whose coefficients have the
+    symmetry for every series q^-1 + O(q).
+    """
+    B = gap_bound(N, k, space)
+    m0, e, s0 = -B, 1 - k, max(-B, B + 1)
+    # the diagonal of a(m0 + count - 1, prec - 1), the last a requested
+    # coefficient lies on; the first, of a(m0, B + 1), is 1
+    last = prec + count + m0 - 2
+    psi, top = _inputs(N, k, space, count, prec)
+    h = psi[1:]
+    where = f"level {N} weight {k} {space}"
+    C = max(prec, m0 + count)
+    # Rows and columns keep their coefficients newest first, so each sum
+    # of K is a dot product with h from its start.
+    rows = [deque() for _ in range(m0, C + 1)]
+    cols = [deque() for _ in range(B + 1, max(C, min(2 * s0, last) - m0 + 1))]
+    powers = [i ** e for i in range(C + 2)]
+    n_low = max(0, -2 * B - 1)
+    low_powers = [l ** e for l in range(B + 1, B + 1 + n_low)]
+    # per row m, once its low columns are in: l^e a(m, l) and a(m, -l)
+    weighted, mirrored = {}, {}
+
+    def K(M, n):
+        row, col = rows[M - m0], cols[n - B - 1]
+        return (h[M + n] + sum(map(mul, row, h)) - sum(map(mul, col, h))
+                - row[-1] * col[-1])
+
+    def corr(m, n):
+        return sum(map(mul, weighted[m], mirrored[n])) if n_low else 0
+
+    def exact(num, den, M, n):
+        a, r = divmod(num, den)
+        if r:
+            raise IntegralityError(
+                f"anti-diagonal walk of {where} index {M} prec {prec} has "
+                f"a non-integral coefficient at q^{n}")
+        return a
+
+    for D in range(1, last + 1):
+        # the last row on D: row C only in the low columns
+        hi = min(D - B - 1, C if D - C < s0 else C - 1)
+        if D <= 2 * s0:
+            lo = m0
+            v = top[D - m0 - B - 1]
+            diag = [v]
+            for r in range(m0, hi):
+                v += K(r, D - r - 1)
+                diag.append(v)
+        else:
+            lo = max(m0, D - C + 1)
+            mid = D // 2
+            if D % 2:
+                v = exact(powers[mid] * K(mid, mid) - corr(mid, mid + 1),
+                          powers[mid + 1] - powers[mid], mid, mid + 1)
+                up = [v]
+            else:
+                k1 = K(mid - 1, mid)
+                v = exact(powers[mid - 1] * (k1 + K(mid, mid - 1))
+                          - corr(mid - 1, mid + 1),
+                          powers[mid + 1] - powers[mid - 1], mid - 1, mid + 1)
+                up = [v + k1, v]
+            # up holds rows mid, mid - 1, ...
+            for r in range(mid - len(up), lo - 1, -1):
+                v -= K(r, D - r - 1)
+                up.append(v)
+            diag = up[mid - lo::-1]
+            if lo == m0 and diag[0] != top[D - m0 - B - 1]:
+                raise AssertionError(
+                    f"anti-diagonal walk of {where} index {m0} prec {prec} "
+                    f"misses the first element's coefficient at q^{D - m0}")
+            v = diag[-1]
+            for r in range(mid + 1, hi + 1):
+                c = D - r
+                if c >= s0:
+                    v = exact(powers[r] * diag[c - lo] + corr(c, r),
+                              powers[c], r, c)
+                else:
+                    v += K(r - 1, c)
+                diag.append(v)
+        for r, v in enumerate(diag, lo):
+            rows[r - m0].appendleft(v)
+            cols[D - r - B - 1].appendleft(v)
+        r = D - s0 + 1
+        if n_low and m0 <= r <= hi:
+            # D completed the low columns of row r
+            weighted[r] = list(map(mul, low_powers, reversed(rows[r - m0])))
+            mirrored[r] = list(rows[r - m0])
+    elements = tuple(
+        QSeries.from_row(-M, [1, *repeat(0, M + B), *reversed(rows[M - m0])],
+                         prec)
+        for M in range(m0, m0 + count))
     built = CanonicalBasis(N, k, space, m0, B, prec, elements)
     _verify_gap_form(built)
     return built
@@ -359,14 +527,19 @@ def build_grid(N: int, k: int, count: int,
             f"m0 = {-u}, not {v + 1}")
     _check_request(N, k, INF, count, prec)
     _check_request(N, 2 - k, HAT, count, prec)
-    # the weight >= 2 side first: its derivation asks for the other side at
-    # a larger count, so that side's own request is then a hit
-    if k <= 0:
-        gside = build_basis(N, 2 - k, HAT, count, prec)
+    # The weight <= 0 side is the other's source, and the derivation asks
+    # for it at count + max(0, 2B + 1), B its gap bound (v, or u = -v - 1).
+    # With B >= 0 the derived side goes first, so that the grid's own
+    # request for the source is a hit.  With B < 0 the source goes first:
+    # the derivation's request for it is then a hit, and its low elements
+    # find the Hauptmodul already expanded as far as they read.  Either way
+    # the f-side goes first exactly when v < 0.
+    if v < 0:
         fside = build_basis(N, k, INF, count, prec)
+        gside = build_basis(N, 2 - k, HAT, count, prec)
     else:
-        fside = build_basis(N, k, INF, count, prec)
         gside = build_basis(N, 2 - k, HAT, count, prec)
+        fside = build_basis(N, k, INF, count, prec)
     return ModularGrid(N, k, fside, gside)
 
 

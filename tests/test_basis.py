@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,17 +365,12 @@ def _cut(basis, count, prec):
         e.truncate(prec) for e in basis.elements[:count]))
 
 
-def _recursion(N, k, space, count, prec):
-    """The recursion's basis of the key, every element cut to prec."""
-    return _cut(basis_mod._build(N, k, space, count, prec), count, prec)
-
-
 def _derived_side(grid):
     """The side of the grid derived by Bol's identity, and the recursion's
-    basis of the same key, cut to the grid's count and precision."""
+    basis of the same key at the grid's count and precision."""
     side = grid.gside if grid.k <= 0 else grid.fside
-    return side, _recursion(grid.N, side.k, side.space, side.count,
-                            side.prec)
+    return side, basis_mod._recursion(grid.N, side.k, side.space, side.count,
+                                      side.prec)
 
 
 @pytest.mark.parametrize("N", ALL_LEVELS)
@@ -392,8 +389,9 @@ def test_derived_bases_equal_the_recursion(N, monkeypatch):
     for N, k, space, count, prec in cases:
         # each case is derived at its own size, not cut from a larger entry
         qseries._store.pop(("basis", N, k, space), None)
-        assert build_basis(N, k, space, count, prec) == _recursion(
-            N, k, space, count, prec), (k, space, count, prec)
+        assert build_basis(N, k, space, count, prec) == \
+            basis_mod._recursion(N, k, space, count, prec), \
+            (k, space, count, prec)
 
 
 def test_warm_grids_are_store_hits(counting_builds, monkeypatch):
@@ -428,8 +426,8 @@ def test_every_stored_basis_is_the_recursions(monkeypatch):
               if key[0] == "basis"]
     assert {k >= 2 for (_, _, k, _), _ in stored} == {True, False}
     for key, (count, prec) in stored:
-        assert _cut(qseries._store[key][1], count, prec) == _recursion(
-            *key[1:], count, prec), key
+        assert _cut(qseries._store[key][1], count, prec) == \
+            basis_mod._recursion(*key[1:], count, prec), key
 
 
 @pytest.mark.parametrize("N", ALL_LEVELS)
@@ -634,10 +632,10 @@ def assert_matches_reference(N, k, space, count, monkeypatch):
     built = basis_mod._build(N, k, space, count, prec).elements
     want = reference_basis(N, k, space, count, prec)
     assert len(built) == len(want) == count
-    # the recursion gives element j exactly as far as it determines it, and
-    # every coefficient it gives is the reference's
+    # every element is cut to prec, and every coefficient given is the
+    # reference's
     for j, (w, e) in enumerate(zip(built, want)):
-        assert w.prec == prec + count - 1 - j <= e.prec, (N, k, space, j)
+        assert w.prec == prec <= e.prec, (N, k, space, j)
         assert w == e.truncate(w.prec), (N, k, space, j)
     for g, e in zip(got.elements, want):
         assert g == e.truncate(prec), (N, k, space)
@@ -825,6 +823,138 @@ def test_non_integral_first_element_raises(monkeypatch):
                        match=r"level 5 weight 0 inf index 0 prec 27.*"
                              r"1/2 at q\^2"):
         build_basis(5, 0, INF, 3, 25)
+
+
+def walk_cases():
+    """Every level, even k in [-10, 0] and both spaces, at each (count, prec)
+    whose prec reaches past the gap bound B."""
+    for N in ALL_LEVELS:
+        for k in range(-10, 1, 2):
+            for space in (INF, HAT):
+                B = gap_bound(N, k, space)
+                for count, prec in ((1, B + 1), (3, B + 2), (12, 30), (25, 25),
+                                    (5, 60), (40, 20), (30, 70)):
+                    if prec > B:
+                        yield N, k, space, count, prec
+
+
+WALK_CASES = list(walk_cases())
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_walk_equals_the_recursion(N):
+    assert len(WALK_CASES) == 1260
+    for case in WALK_CASES:
+        if case[0] == N:
+            assert basis_mod._walk(*case) == basis_mod._recursion(*case), case
+
+
+@pytest.mark.parametrize("N, k, space, count, prec", [
+    (1, 0, INF, 100, 106), (16, -10, INF, 100, 126), (18, -6, HAT, 100, 131)])
+def test_walk_equals_the_recursion_at_depth(N, k, space, count, prec):
+    assert basis_mod._walk(N, k, space, count, prec) == \
+        basis_mod._recursion(N, k, space, count, prec)
+
+
+def _mutant_walk(old, new):
+    """basis._walk with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(basis_mod._walk))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(basis_mod))
+    exec(compile(source.replace(old, new), basis_mod.__file__, "exec"),
+         namespace)
+    return namespace["_walk"]
+
+
+WALK_FAILURE = r"anti-diagonal walk of level \d+ weight -?\d+ (inf|hat) " \
+               r"index -?\d+ prec \d+ (has a non-integral|misses the first)"
+
+
+def _read_psi_off_by_one(monkeypatch):
+    """Make both builders read the Hauptmodul with psi_7 one too large."""
+    real = basis_mod._inputs
+
+    def off_by_one(*args):
+        psi, first = real(*args)
+        psi = list(psi)
+        psi[8] += 1
+        return psi, first
+
+    monkeypatch.setattr(basis_mod, "_inputs", off_by_one)
+
+
+@pytest.mark.parametrize("N, k, space, count, prec", [
+    (1, -6, HAT, 30, 36), (5, -4, HAT, 30, 40), (13, -2, INF, 30, 36)])
+def test_walk_raises_on_a_wrong_hauptmodul_coefficient(N, k, space, count,
+                                                       prec, monkeypatch):
+    # the recursion turns a wrong psi_s into a wrong basis; the walk's
+    # divisions and its check against the first element refuse it
+    right = basis_mod._recursion(N, k, space, count, prec)
+    _read_psi_off_by_one(monkeypatch)
+    assert basis_mod._recursion(N, k, space, count, prec) != right
+    with pytest.raises(AssertionError, match=WALK_FAILURE):
+        basis_mod._walk(N, k, space, count, prec)
+
+
+@pytest.mark.parametrize("N", [1, 5, 13])
+def test_walk_cannot_see_a_wrong_hauptmodul_at_weight_zero(N, monkeypatch):
+    # With first element 1 the elements are the Faber polynomials of psi,
+    # whose coefficients satisfy m a(n, m) = n a(m, n) for every psi, so a
+    # wrong psi_s passes the walk as it passes the recursion
+    right = basis_mod._recursion(N, 0, INF, 30, 36)
+    _read_psi_off_by_one(monkeypatch)
+    wrong = basis_mod._recursion(N, 0, INF, 30, 36)
+    assert wrong != right
+    assert basis_mod._walk(N, 0, INF, 30, 36) == wrong
+
+
+@pytest.mark.parametrize("N, k, space, count, prec", [
+    (5, -4, HAT, 30, 40), (13, -2, INF, 30, 36), (16, -10, INF, 50, 76)])
+def test_walk_raises_on_a_wrong_correction_term(N, k, space, count, prec):
+    assert gap_bound(N, k, space) < -1
+    walk = _mutant_walk("sum(map(mul, weighted[m], mirrored[n]))",
+                        "sum(map(mul, weighted[m], mirrored[n])) + 1")
+    with pytest.raises(AssertionError, match=WALK_FAILURE):
+        walk(N, k, space, count, prec)
+
+
+@pytest.mark.parametrize("shape, builder", [
+    ((5, 0, INF, 101, 106), "_walk"), ((18, -10, INF, 20, 56), "_recursion")],
+    ids=["deep", "sweep"])
+def test_build_picks_its_builder_from_the_shape(shape, builder, monkeypatch):
+    # a deep grid's source, and a sweep grid's source with gap bound -30
+    assert gap_bound(*shape[:3]) == (0 if builder == "_walk" else -30)
+    ran = []
+    for name in ("_walk", "_recursion"):
+        monkeypatch.setattr(basis_mod, name,
+                            lambda *args, name=name: ran.append(name))
+    basis_mod._build(*shape)
+    assert ran == [builder]
+
+
+@pytest.mark.parametrize("N, k", [(1, 0), (5, 0), (2, -6), (9, -4)])
+def test_walk_reads_as_far_as_the_recursion(N, k, monkeypatch):
+    count, prec = 40, 30
+    work, m0 = prec + count - 1, -v_of(N, k)
+    for build in (basis_mod._walk, basis_mod._recursion):
+        monkeypatch.setattr(qseries, "_store", {})
+        build(N, k, INF, count, prec)
+        assert qseries._store[("haupt", N)][1].prec == work + m0 - 1
+
+
+def test_non_integral_first_element_raises_in_the_walk(monkeypatch):
+    real = basis_mod.first_element
+
+    def halved(N, k, space, prec):
+        s = real(N, k, space, prec)
+        return s + QSeries({s.valuation() + 2: Fraction(1, 2)}, prec)
+
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(basis_mod, "first_element", halved)
+    with pytest.raises(IntegralityError,
+                       match=r"level 5 weight 0 inf index 0 prec 54.*"
+                             r"1/2 at q\^2"):
+        basis_mod._walk(5, 0, INF, 30, 25)
 
 
 def test_runtime_path_never_synthesizes(monkeypatch):
