@@ -9,14 +9,13 @@ every coefficient between the leading term and the gap bound.
 
 Every series built from registry data is a `leveldata.Combo`, a sum of
 c * (product of factors) * psi^j, and one function, `_eval_form`,
-evaluates them all: the registry forms, the cusp-killing polynomial, the
-seed atoms of `gridforge.seedsynth` and the first elements.  A first
-element is a recipe, the one-term Combo F_base^l * F_k' of the level's
-seed, times the cusp-killing polynomial for the subspace; F_base is an eta
-quotient, so F_base^l is one for l of either sign.  `_eval_form` asks each
-factor for as many terms as the product needs, found from the factors'
-valuations, and checks a `leveldata.Certificate` against its pinned
-prefix.
+evaluates them all: the registry forms, the cusp-killing polynomial and
+the first elements.  A first element is a recipe, the one-term Combo
+F_base^l * F_k' of the level's seed, times the cusp-killing polynomial
+for the subspace; F_base is an eta quotient, so F_base^l is one for l of
+either sign.  `_eval_form` asks each factor for as many terms as the
+product needs, found from the factors' valuations, and checks a
+`leveldata.Certificate` against its pinned prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
 is integral, so the builders run on the integer rows that `QSeries`
@@ -132,8 +131,9 @@ def _valuation(N: int, factor: tuple) -> int:
 def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
     """Sum a Combo's terms c * (product of factors) * psi^j, as one
     polynomial in the Hauptmodul per factor product, known modulo q^prec.
-    This is the one place where registry factors are multiplied.  A
-    Certificate is checked against its pinned prefix."""
+    This is the one evaluator of registry Combos: the registry forms, the
+    cusp-killing polynomial and the first elements.  A Certificate is
+    checked against its pinned prefix."""
     cert = isinstance(form, Certificate)
     target = max(prec, form.check_through + 1) if cert else prec
     groups: dict[tuple, list] = {}
@@ -310,10 +310,6 @@ def _inputs(N: int, k: int, space: str, count: int, prec: int):
     _require_integral(psi_series,
                       f"Hauptmodul of level {N} (for {where} prec {work})")
     psi = psi_series.numerators(-1, work + m0 - 1)
-    # psi[0] is the leading coefficient of every product psi * element
-    if psi[0] != 1:
-        raise AssertionError(
-            f"recursion lost the leading term at {where} index {m0 + 1}")
     first = first_element(N, k, space, work)
     _require_integral(first,
                       f"first element of {where} index {m0} prec {work}")

@@ -6,8 +6,8 @@ none has a closed form here.  This module re-derives them by exact
 Gaussian elimination over a spanning family of weight-k forms with poles
 confined to infinity: holomorphic generator-pool members times powers of
 the Hauptmodul, their Serre derivatives, and Hauptmodul-derivative
-products.  The closed-form seed forms of divisor levels, the tower bases
-among them, are eta quotients and join the pool as atoms.
+products.  The tower bases of divisor levels, eta quotients, join the
+pool as atoms.
 The result must achieve the registry's maximal vanishing order, reproduce
 the pinned expansion prefix and equal the registry's certificate,
 otherwise synthesis fails loudly.  Nothing on the path that builds bases
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gridforge.basis import _eval_form, _factor, hauptmodul_series, level_form
+from gridforge.basis import _factor, hauptmodul_series, level_form
 from gridforge.generators import serre_derivative
-from gridforge.leveldata import Combo, certificates, get_level, v_of
+from gridforge.leveldata import certificates, get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
 # Highest Hauptmodul power in a synthesis family; it suffices for every
@@ -44,32 +44,13 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _is_eta_form(form) -> bool:
-    """Whether a registry form is a combination of eta quotients: each term
-    one eta factor at psi^0."""
-    return all(len(factors) == 1 and factors[0][0] == "eta" and j == 0
-               for _, factors, j in form.terms)
-
-
-def _closed_eta_seeds(N: int, exclude=()) -> list[tuple[str, int, object]]:
-    """Closed-form holomorphic seed forms of divisor levels, as
-    (label, weight, (level, form)) with form a combination of eta
-    quotients.  Pairs (level, weight) in `exclude` are left out (so a seed
-    under cross-validation cannot appear in its own spanning family)."""
-    out = []
-    for M in _divisors(N):
-        for w, form in get_level(M).seed.forms.items():
-            if (_is_eta_form(form) and v_of(M, w) >= 0
-                    and (M, w) not in exclude):
-                out.append((f"seed{M}w{w}", w, (M, form)))
-    return out
-
-
-def _atoms(N: int, exclude=()) -> list[tuple[str, int, object]]:
-    """The generator atoms of level N as (label, weight, payload): the
-    phi_d(ez) and rescaled E4/E6 as registry form factors, and the
-    closed-form seed forms of divisor levels at ez as Combos."""
-    atoms: list[tuple[str, int, object]] = []
+def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:
+    """The generator atoms of level N as (label, weight, registry factor):
+    phi_d(ez), rescaled E4/E6, and the tower bases of divisor levels M at
+    ez, each kept where it is holomorphic on Gamma_0(M).  Pairs (M, weight)
+    in `exclude` are left out (so a seed under cross-validation cannot
+    appear in its own spanning family)."""
+    atoms: list[tuple[str, int, tuple]] = []
     for d in _divisors(N):
         if d > 1:
             for e in _divisors(N // d):
@@ -78,28 +59,28 @@ def _atoms(N: int, exclude=()) -> list[tuple[str, int, object]]:
     for d in _divisors(N):
         atoms.append((f"E4({d}z)", 4, ("eis", 4, d)))
         atoms.append((f"E6({d}z)", 6, ("eis", 6, d)))
-    for label, w, (M, form) in _closed_eta_seeds(N, exclude):
-        for e in _divisors(N // M):
-            lab = label if e == 1 else f"{label}({e}z)"
-            atoms.append((lab, w, Combo(tuple(
-                (c, (("eta", q.rescale(e)),), 0)
-                for c, ((_, q),), _ in form.terms))))
+    for M in _divisors(N):
+        seed = get_level(M).seed
+        w = seed.base_weight
+        if v_of(M, w) >= 0 and (M, w) not in exclude:
+            for e in _divisors(N // M):
+                label = f"seed{M}w{w}" if e == 1 else f"seed{M}w{w}({e}z)"
+                atoms.append((label, w, ("eta", seed.base.rescale(e))))
     return atoms
 
 
 def weight_pool(N: int, weight: int, prec: int,
                 exclude=()) -> list[tuple[str, QSeries]]:
     """Holomorphic weight-`weight` forms on Gamma_0(N): products of the
-    two-term weight-2 combinations phi_d(ez), rescaled E4/E6, and
-    closed-form seed forms of divisor levels."""
+    two-term weight-2 combinations phi_d(ez), rescaled E4/E6, and tower
+    bases of divisor levels."""
     if weight == 0:
         return [("1", QSeries.one(prec))]
     if weight < 0 or weight % 2:
         return []
     # each atom that fits the weight is expanded once
-    atoms = [(label, w, _eval_form(N, w, payload, prec)
-              if isinstance(payload, Combo) else _factor(N, payload, prec))
-             for label, w, payload in _atoms(N, exclude) if w <= weight]
+    atoms = [(label, w, _factor(N, factor, prec))
+             for label, w, factor in _atoms(N, exclude) if w <= weight]
 
     pool: list[tuple[str, QSeries]] = []
 
@@ -262,8 +243,7 @@ def derive_certificate(N: int, k: int) -> tuple:
                               cap + size))
               for i, (label, s) in enumerate(fam.members)]
     pivot = _top_pivot(N, k, row_reduce(tagged, -POLE_BOUND, cap))
-    factor_of = {label: payload for label, _, payload in _atoms(N)
-                 if not isinstance(payload, Combo)}
+    factor_of = {label: f for label, _, f in _atoms(N) if f[0] != "eta"}
     terms = []
     for e, c in pivot.items():
         if e < cap:

@@ -56,6 +56,19 @@ def test_library_has_no_assert_statements():
     assert not found, found
 
 
+def test_only_basis_and_leveldata_evaluate_combos():
+    # basis._eval_form evaluates the registry's Combos (forms, the
+    # cusp-killing polynomial, first elements); every other module expands
+    # registry factors by basis._factor.  A name, attribute, import or
+    # definition of it counts.
+    found = sorted({path.name
+                    for path in Path(gridforge.__file__).parent.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if "_eval_form" in {getattr(node, field, None) for field
+                                        in ("id", "attr", "name", "asname")}})
+    assert found == ["basis.py", "leveldata.py"], found
+
+
 def test_criterion_9_times_a_cold_build(monkeypatch):
     first_element(25, 2, INF, 30)   # leave something in the store
     seen = []

@@ -13,7 +13,7 @@ import pytest
 
 import gridforge
 from gridforge import basis as basis_mod
-from gridforge import cli, qseries, seedsynth
+from gridforge import cli, leveldata, qseries, seedsynth
 from gridforge.basis import build_basis
 from gridforge.cli import run
 from gridforge.generators import EtaQuotient
@@ -401,6 +401,30 @@ def test_seed_audit_reduces_the_family_once(capsys, monkeypatch):
         "fa0690fec9f5724f2b20654afe78a184a89934669889f39ee8c0ea2a8d4590e4")
 
 
+# sha256 of `seed --level N --weight k --json` stdout; the family's labels,
+# order and valuations are in it, so a change to any atom's label, order or
+# series changes it.  (10, 4) is pinned above.
+PINNED_SEED_JSON = {
+    (7, 4): "188fcd380989d71d810b8d409bcd407dcf0c6d8b322f470d4e59068d5db7a965",
+    (10, 2): "e7462f299f4322ede89928c3e0f17d71409c94f18b68a3936837f0170bb295f3",
+    (13, 4): "943c62b1efb88ac1c0cada3522e96a7250eece04b1f31466124284588504771d",
+    (13, 6): "f466473da8eaec5d92792e757f08c83c2654ac70c65606a8547f4cde870fb15b",
+    (25, 2): "0add55a3c1461d6ae887fe5545a2931129576a98f7ae6594191fcf69854cab4c",
+    (5, 4): "81f996898bd735269244540d52720ba401198204d565bba530bd4c86210fbc22",
+    (3, 6): "4b6834ff7e69f14e0a66df6c1650c2928a7c91b0202d9866a3893a63f75957f3",
+    (13, 12): "c5f96b298b5a40180e1ef5460301939fb6cd6ec2553273ca2ddb2cb8556c2d05",
+}
+
+
+@pytest.mark.parametrize("N, k", PINNED_SEED_JSON,
+                         ids=[f"{N}-{k}" for N, k in PINNED_SEED_JSON])
+def test_seed_audit_output_is_pinned(N, k, capsys):
+    code, out = invoke(capsys, "seed", "--level", str(N), "--weight", str(k),
+                       "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEED_JSON[N, k]
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "dump.json"
     code, _ = invoke(capsys, "registry", "--out", str(path))
@@ -428,6 +452,23 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_grid", misaligned)
     assert run(["grid", "--level", "5", "--weight", "0"]) == 3
     assert "fail to align" in capsys.readouterr().err
+
+
+def test_hauptmodul_that_is_not_monic_q_inverse_exits_3(capsys, monkeypatch):
+    # the square of the level-2 Hauptmodul leads with q^-2; hauptmodul_series
+    # refuses it before anything stores or reads it
+    monkeypatch.setitem(leveldata._REGISTRY, 2, dataclasses.replace(
+        leveldata.get_level(2), hauptmodul=EtaQuotient({1: 48, 2: -48})))
+    monkeypatch.setattr(qseries, "_store", {})
+    with pytest.raises(AssertionError,
+                       match="Hauptmodul for level 2 is not monic q\\^-1"):
+        build_basis(2, 0, "inf", 3, 20)
+    assert ("haupt", 2) not in qseries._store
+    assert run(["basis", "--level", "2", "--weight", "0", "--count", "3",
+                "--prec", "20"]) == 3
+    err = capsys.readouterr().err
+    assert "internal validation failure" in err
+    assert "Hauptmodul for level 2 is not monic q^-1" in err
 
 
 def test_perturbed_certificate_exits_3(capsys, perturb_certificate):

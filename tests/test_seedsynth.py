@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from gridforge import seedsynth
 from gridforge.basis import level_form
 from gridforge.leveldata import ALL_LEVELS, certificates, get_level
 from gridforge.seedsynth import (
     POLE_BOUND,
+    SynthesisError,
     _atoms,
     _seed_family,
     build_family,
@@ -55,6 +57,20 @@ def test_certificate_terms_are_rederived(N, k):
     terms = (L10_W4_CERTIFICATE if (N, k) == (10, 4)
              else certificates()[(N, k)].terms)
     assert derive_certificate(N, k) == terms
+
+
+def test_certificate_of_a_non_certificate_member_is_refused(monkeypatch):
+    # with only the eta atoms left, the weight-8 family of level 2 is
+    # seed2w4^2 times Hauptmodul powers; its top pivot, seed2w4^2 at the
+    # maximal vanishing order, is reached, but no certificate factor
+    # spells the eta quotient
+    real = seedsynth._atoms
+    monkeypatch.setattr(seedsynth, "_atoms", lambda N, exclude=(): [
+        atom for atom in real(N, exclude) if atom[2][0] == "eta"])
+    with pytest.raises(SynthesisError,
+                       match=r"level 2 weight 8 needs the member "
+                             r"seed2w4\*seed2w4, which is not a product"):
+        derive_certificate(2, 8)
 
 
 @pytest.mark.parametrize("N,k", [(2, 4), (3, 4), (3, 6), (5, 2), (5, 4),
