@@ -26,9 +26,10 @@ Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
 (count, prec), beside the series a first element is built from
 (Hauptmodul, registry forms, the cusp-killing polynomial).  An entry only
-grows: a request it covers in count and precision is sliced and truncated
-from it, any other rebuilds it at the larger count and the larger
-precision.
+grows: a request it covers in count and precision gets a view of it, which
+shares its elements and cuts one to the request's precision only when it is
+read; any other request rebuilds it at the larger count and the larger
+precision.  A view taken before a rebuild keeps the elements it was given.
 
 A key's weight picks its builder.  Weight k <= 0 has two, which read the
 same Hauptmodul and first element, ask for the first element once, and
@@ -215,31 +216,63 @@ def first_element(N: int, k: int, space: str,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalBasis:
-    """Ordered family of basis elements m0, m0+1, ... at uniform precision."""
+    """Ordered family of basis elements m0 .. m0+count-1, each exact modulo
+    q^prec.
+
+    It may be a view of a larger basis: `stored` is that basis's element
+    tuple, shared and never copied, and may hold more elements, known to a
+    higher precision.  An element is cut to prec when it is read, so a view
+    costs nothing until then, and reading an element again cuts it again;
+    `combination` sums stored elements without cutting each."""
     N: int
     k: int
     space: str
     m0: int
     gap_bound: int
     prec: int
-    elements: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.elements)
+    stored: tuple
+    count: int
 
     @property
     def indices(self) -> range:
-        return range(self.m0, self.m0 + len(self.elements))
+        return range(self.m0, self.m0 + self.count)
 
-    def element(self, m: int) -> QSeries:
-        if m not in self.indices:
+    @property
+    def elements(self) -> tuple:
+        return tuple(e.truncate(self.prec) for e in self.stored[:self.count])
+
+    def _stored(self, m: int) -> QSeries:
+        i = m - self.m0
+        if not 0 <= i < self.count:
             raise IndexError(
                 f"basis index {m} of level {self.N} weight {self.k} "
                 f"{self.space} outside built range {self.indices}")
-        return self.elements[m - self.m0]
+        return self.stored[i]
+
+    def element(self, m: int) -> QSeries:
+        return self._stored(m).truncate(self.prec)
+
+    def combination(self, pairs, prec: int) -> QSeries:
+        """sum c * element(m) over the (m, c) pairs, known modulo q^prec.
+        The sum is cut anyway, so it reads the stored elements uncut."""
+        return QSeries.combination(((c, self._stored(m)) for m, c in pairs),
+                                   min(prec, self.prec))
+
+    def _head(self) -> tuple:
+        return (self.N, self.k, self.space, self.m0, self.gap_bound,
+                self.prec, self.count)
+
+    def __eq__(self, other):
+        if not isinstance(other, CanonicalBasis):
+            return NotImplemented
+        # views of one tuple with the same head read the same elements
+        return self._head() == other._head() and (
+            self.stored is other.stored or self.elements == other.elements)
+
+    def __hash__(self):
+        return hash(self._head())
 
 
 class IntegralityError(AssertionError):
@@ -270,15 +303,18 @@ def _check_request(N: int, k: int, space: str, count: int, prec: int):
 
 def build_basis(N: int, k: int, space: str, count: int,
                 prec: int = DEFAULT_PREC) -> CanonicalBasis:
-    """Build elements m0 .. m0+count-1, each exact modulo q^prec: by the
-    recursion for weight k <= 0, by Bol's identity for k >= 2."""
+    """Elements m0 .. m0+count-1, each exact modulo q^prec: by the
+    recursion for weight k <= 0, by Bol's identity for k >= 2.
+
+    The result is a view of the key's store entry, which covers the
+    request: it shares the entry's elements and cuts each to prec only when
+    it is read, so a request the entry already covers copies nothing."""
     _check_request(N, k, space, count, prec)
     build = _build if k <= 0 else _bol_build
     entry = cached(("basis", N, k, space), (count, prec),
                    lambda count, prec: build(N, k, space, count, prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
-                          tuple(e.truncate(prec)
-                                for e in entry.elements[:count]))
+                          entry.stored, count)
 
 
 def _build(N: int, k: int, space: str, count: int,
@@ -345,7 +381,7 @@ def _recursion(N: int, k: int, space: str, count: int,
         tails.append(tail)
     elements = tuple(QSeries.from_row(B - j, [1, *repeat(0, j), *tail], prec)
                      for j, tail in enumerate(tails))
-    built = CanonicalBasis(N, k, space, m0, B, prec, elements)
+    built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
     _verify_gap_form(built)
     return built
 
@@ -480,7 +516,7 @@ def _walk(N: int, k: int, space: str, count: int,
         QSeries.from_row(-M, [1, *repeat(0, M + B), *reversed(rows[M - m0])],
                          prec)
         for M in range(m0, m0 + count))
-    built = CanonicalBasis(N, k, space, m0, B, prec, elements)
+    built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
     _verify_gap_form(built)
     return built
 
@@ -582,7 +618,8 @@ def _bol_build(N: int, k: int, space: str, count: int,
         _require_integral(t, f"derived element of level {N} weight {k} "
                              f"{space} index {m} prec {prec}")
         elements.append(t)
-    derived = CanonicalBasis(N, k, space, m0, Bt, prec, tuple(elements))
+    derived = CanonicalBasis(N, k, space, m0, Bt, prec, tuple(elements),
+                             count)
     _verify_gap_form(derived)
     return derived
 

@@ -15,8 +15,9 @@ Named values that depend only on a key and a size are kept in one store,
 polynomials) at a size (prec,), and every canonical basis of
 `gridforge.basis`, derived ones included, at a size (count, prec).  Each
 key has one entry that only grows, to the componentwise max of the sizes
-asked for; a caller cuts it down to its request.  `store_stats` counts
-hits and misses per kind of key.
+asked for; a caller cuts it down to its request (a basis by a view that
+shares the entry's elements).  `store_stats` counts hits, misses and
+rebuilds per kind of key.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class QSeries:
     def combination(cls, pairs, prec: int = DEFAULT_PREC) -> "QSeries":
         """sum c*s over the (c, s) pairs, known modulo q^prec and modulo
         every s's precision; the zero series for no pairs."""
-        terms = [(as_coeff(c), s) for c, s in pairs]
+        # an int already has the numerator and denominator read below
+        terms = [(c if type(c) is int else as_coeff(c), s) for c, s in pairs]
         prec = min([int(prec), *(s._prec for _, s in terms)])
         terms = [(c, s) for c, s in terms if c and s._row and s._v < prec]
         if not terms:
@@ -379,7 +381,7 @@ class QSeries:
 # -- the store of named series and bases ----------------------------------
 
 _store: dict[tuple, tuple] = {}     # key -> (size, value)
-_stats: dict[str, list[int]] = {}   # key kind -> [hits, misses]
+_stats: dict[str, list[int]] = {}   # key kind -> [hits, misses, rebuilds]
 
 
 def cached(key: tuple, need: tuple, build):
@@ -393,13 +395,14 @@ def cached(key: tuple, need: tuple, build):
     the value down to its request.  The value must depend only on the key
     and the size; key[0] names its kind for store_stats.
     """
-    counts = _stats.setdefault(key[0], [0, 0])
+    counts = _stats.setdefault(key[0], [0, 0, 0])
     entry = _store.get(key)
     if entry is not None:
         if all(map(ge, entry[0], need)):
             counts[0] += 1
             return entry[1]
         need = tuple(map(max, entry[0], need))
+        counts[2] += 1
     counts[1] += 1
     value = build(*need)
     _store[key] = need, value
@@ -407,9 +410,10 @@ def cached(key: tuple, need: tuple, build):
 
 
 def store_stats() -> dict[str, dict[str, int]]:
-    """Hits and misses of the store per key kind."""
-    return {kind: {"hits": h, "misses": m}
-            for kind, (h, m) in sorted(_stats.items())}
+    """Hits and misses of the store per key kind; "rebuilds" counts the
+    misses on a key already stored, which replace a smaller entry."""
+    return {kind: {"hits": h, "misses": m, "rebuilds": r}
+            for kind, (h, m, r) in sorted(_stats.items())}
 
 
 def clear_store() -> None:

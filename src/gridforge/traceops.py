@@ -124,21 +124,19 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     b_m = gap_bound(M, k, space)
     src = _basis_for(N, k, space, m, max(prec, b_m + 1)).element(m)
 
-    combo = []
-    for j in range(src.valuation(), b_m + 1):
-        c = src.coeff(j)
-        if c:
-            combo.append((-j, c))
+    # basis elements are integral: their numerators are their coefficients
+    lo = src.valuation()
+    combo = [(-j, c) for j, c in enumerate(src.numerators(lo, b_m + 1), lo)
+             if c]
     if not combo:
         return TraceReport(N, M, k, space, m, True, method,
                            combination=(), expansion=QSeries.zero(prec))
 
     top = max(i for i, _ in combo)
-    target = _basis_for(M, k, space, top, prec)
-    out = QSeries.combination(((c, target.element(i)) for i, c in combo),
-                              prec)
+    out = _basis_for(M, k, space, top, prec).combination(combo, prec)
     return TraceReport(N, M, k, space, m, True, method,
-                       combination=tuple(combo), expansion=out)
+                       combination=tuple((i, Fraction(c)) for i, c in combo),
+                       expansion=out)
 
 
 def _basis_for(N: int, k: int, space: str, max_index: int, prec: int):
@@ -301,8 +299,9 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     _check_positive(f"max index P of the weight {k} identity", P, 1 - b_m)
     prec = P + 2
     xs = range(1, b_m - b_n + 1)
-    # top index first, so each basis is built once at its full size
-    dual_n = {j: _basis_for(N, 2 - k, other, j, prec)
+    # top index first, so each basis is built once at its full size; each
+    # element is read once, as it is cut when read
+    dual_n = {j: _basis_for(N, 2 - k, other, j, prec).element(j)
               for j in (b_n + x for x in reversed(xs))}
     for m in reversed(range(-b_m, P)):
         lhs = (trace(N, M, k, space, m, prec).expansion
@@ -310,7 +309,7 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
         rhs = _basis_for(M, k, space, m, prec).element(m).truncate(prec)
         for x in xs:
             j = b_n + x
-            c = dual_n[j].element(j).coeff(m)
+            c = dual_n[j].coeff(m)
             if c:
                 low = _basis_for(M, k, space, -j, prec)
                 rhs = rhs - low.element(-j).scale(c)
@@ -348,12 +347,13 @@ def _closed_form_side(psi: QSeries, family, other: QSeries, P: int) -> bool:
     also covers every psi_j the sum reads; `==` compares precisions too,
     so a term known below q^P fails the check."""
     lo = family.m0
-    lead = family.element(lo)
+    # b[m - lo] is b_m, read once, as an element is cut when it is read
+    b = [family.element(m) for m in family.indices]
+    lead = b[0]
     for r in range(lo - 1, P):
-        terms = [(c, family.element(r - j))
-                 for j, c in psi.items() if r - j >= lo]
+        terms = [(c, b[r - j - lo]) for j, c in psi.items() if r - j >= lo]
         if r >= lo:
-            terms.append((-1, psi * family.element(r)))
+            terms.append((-1, psi * b[r - lo]))
         if (QSeries.combination(terms, P)
                 != lead.scale(other.coeff(r)).truncate(P)):
             return False

@@ -13,6 +13,7 @@ import pytest
 import gridforge
 from gridforge import basis as basis_mod
 from gridforge import qseries, seedsynth
+from gridforge import traceops as traceops_mod
 from gridforge.basis import (
     HAT,
     INF,
@@ -262,7 +263,7 @@ def test_gap_form_check_covers_the_whole_gap():
 
     def with_term(m, s):
         e = b.element(m) + QSeries({s: 1}, b.prec)
-        return dataclasses.replace(b, elements=tuple(
+        return dataclasses.replace(b, stored=tuple(
             e if i == m else b.element(i) for i in b.indices))
 
     basis_mod._verify_gap_form(b)
@@ -329,7 +330,7 @@ def test_duality_residual_of_rational_grids():
     for _ in range(30):
         sides = []
         for side in (grid.fside, grid.gside):
-            sides.append(dataclasses.replace(side, elements=tuple(
+            sides.append(dataclasses.replace(side, stored=tuple(
                 e + QSeries({rng.randrange(-1, 6): Fraction(
                     rng.randrange(-9, 10), rng.randrange(1, 7))}, e.prec)
                 if rng.random() < 0.5 else e for e in side.elements)))
@@ -361,8 +362,7 @@ def test_duality_box_past_the_grid_precision_is_named():
 
 def _cut(basis, count, prec):
     """The basis's first `count` elements, each cut to prec."""
-    return dataclasses.replace(basis, prec=prec, elements=tuple(
-        e.truncate(prec) for e in basis.elements[:count]))
+    return dataclasses.replace(basis, prec=prec, count=count)
 
 
 def _derived_side(grid):
@@ -412,7 +412,8 @@ def test_warm_grids_are_store_hits(counting_builds, monkeypatch):
         assert build_basis(N, side.k, side.space, 7, side.prec - 2) == \
             _cut(side, 7, side.prec - 2)
     assert counting_builds == {} and derivations == []
-    assert qseries.store_stats() == {"basis": {"hits": 6, "misses": 0}}
+    assert qseries.store_stats() == {
+        "basis": {"hits": 6, "misses": 0, "rebuilds": 0}}
 
 
 def test_every_stored_basis_is_the_recursions(monkeypatch):
@@ -458,7 +459,7 @@ def _add_to_source(monkeypatch, key, i, j):
         elements = list(b.elements)
         s = elements[i - b.m0]
         elements[i - b.m0] = s + QSeries({j: 1}, s.prec)
-        return dataclasses.replace(b, elements=tuple(elements))
+        return dataclasses.replace(b, stored=tuple(elements))
 
     monkeypatch.setattr(qseries, "_store", {})
     monkeypatch.setattr(basis_mod, "_build", build)
@@ -533,7 +534,8 @@ def test_store_stats_count_basis_hits_and_misses(monkeypatch):
     # asks for the f-side at count 5 + 1, a miss; the grid's own request
     # for the f-side at count 5 is then a hit
     build_grid(2, 0, 5)
-    assert qseries.store_stats()["basis"] == {"hits": 3, "misses": 4}
+    assert qseries.store_stats()["basis"] == {"hits": 3, "misses": 4,
+                                              "rebuilds": 2}
 
 
 def test_basis_element_range_guard():
@@ -776,6 +778,99 @@ def test_rebuilds_keep_the_requested_precision(counting_builds,
     monkeypatch.setattr(qseries, "_store", {})
     build_basis(2, 0, INF, 14, 30)
     assert warm == qseries._store[("basis", 2, 0, INF)]
+
+
+def _count_series_made(monkeypatch):
+    """A list that gains one item per QSeries constructed from now on."""
+    made = []
+    for name in ("from_row", "_raw"):
+        real = getattr(QSeries, name).__func__
+
+        def wrapped(cls, *args, _real=real, _name=name, **kwargs):
+            made.append(_name)
+            return _real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(QSeries, name, classmethod(wrapped))
+    real_init = QSeries.__init__
+
+    def init(self, *args, **kwargs):
+        made.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QSeries, "__init__", init)
+    return made
+
+
+@pytest.mark.parametrize("key", [(2, 0, INF), (5, -4, HAT), (13, 4, INF)])
+def test_a_covered_request_copies_nothing_until_an_element_is_read(
+        key, monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    B = gap_bound(*key)
+    build_basis(*key, 12, B + 40)
+    made = _count_series_made(monkeypatch)
+    b = build_basis(*key, 8, B + 25)
+    assert made == []
+    for reads, m in enumerate(b.indices, 1):
+        b.element(m)
+        assert len(made) <= reads, (m, made)
+    # a combination of every element makes its sum and nothing else
+    read = len(made)
+    b.combination([(m, 1) for m in b.indices], b.prec)
+    assert len(made) == read + 1
+    # at the entry's own size an element is read as it is stored
+    read = len(made)
+    whole = build_basis(*key, 12, B + 40)
+    for m in whole.indices:
+        whole.element(m)
+    assert len(made) == read
+
+
+def test_every_view_equals_a_build_at_its_request(monkeypatch):
+    # grids, traced duality checks and a hat trace ask for bases of
+    # overlapping keys at many sizes, so most requests are views of
+    # entries built for an earlier, larger or later request
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    seen = []
+    real = basis_mod.build_basis
+
+    def recording(*request):
+        b = real(*request)
+        seen.append((request, b))
+        return b
+
+    monkeypatch.setattr(basis_mod, "build_basis", recording)
+    monkeypatch.setattr(traceops_mod, "build_basis", recording)
+    for N, k, count in ((1, 2, 14), (6, -2, 10), (13, 4, 6)):
+        build_grid(N, k, count)
+    assert empirical_preserves(4, 2, -2) is True
+    assert empirical_preserves(9, 1, 2) is False
+    # a level-4 weight-4 basis at a higher precision than the traces above
+    trace(4, 2, 4, HAT, 3)
+    assert qseries.store_stats()["basis"]["rebuilds"] > 0
+    # the level-1 grid leaves entries more precise than the traces ask for
+    assert any(b.stored[-1].prec > b.prec for _, b in seen)
+    for (N, k, space, count, prec), got in seen:
+        want = basis_mod._build(N, k, space, count, prec)
+        assert got == want, (N, k, space, count, prec)
+        assert [got.element(m) for m in got.indices] == \
+            [want.element(m) for m in want.indices], (N, k, space, count)
+        pairs = [(m, Fraction(m - got.m0 + 2, 3)) for m in got.indices]
+        for cut in (prec - 1, prec + 5):
+            assert got.combination(pairs, cut) == QSeries.combination(
+                ((c, want.element(m)) for m, c in pairs), cut), (N, k, cut)
+
+
+def test_a_view_outlives_the_rebuild_of_its_entry(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    key = (5, -4, HAT)
+    build_basis(*key, 9, 30)
+    view = build_basis(*key, 4, 20)
+    before = [view.element(m) for m in view.indices]
+    build_basis(*key, 14, 45)
+    assert qseries._store[("basis", *key)][0] == (14, 45)
+    assert [view.element(m) for m in view.indices] == before
+    assert view == build_basis(*key, 4, 20)
 
 
 @pytest.mark.parametrize("N, k", [(1, 0), (5, 0), (2, -6), (9, 4)])

@@ -318,7 +318,7 @@ def test_closed_form_fails_on_a_perturbed_basis(N, k, family, monkeypatch):
         # one added term at the second element's first tail exponent
         first, second, *rest = b.elements
         second = second + QSeries({b.gap_bound + 1: 1}, second.prec)
-        return dataclasses.replace(b, elements=(first, second, *rest))
+        return dataclasses.replace(b, stored=(first, second, *rest))
 
     P = _closed_form_prec(N, k)
     assert genfun_closed_form(N, k, P)
