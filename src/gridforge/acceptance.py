@@ -89,10 +89,10 @@ def criterion_2_appendix_conformance():
 
 def criterion_3_duality_sweep():
     """Exact duality residual 0 on a 20x20 box for every genus-zero level
-    and every even weight in [-10, 10].  A grid derives its weight >= 2 side
-    from the other by Bol's identity; that side must equal a direct run of
-    the recursion, so the residual compares a source built by the walk or
-    the recursion against a recursion-built other side."""
+    and every even weight in [-10, 10].  A grid reads its weight >= 2 side
+    off the other as its negated transpose, so its residual is zero by
+    construction; that side must equal a direct run of the recursion, which
+    checks the duality of a source built by the walk or the recursion."""
     for N in GENUS_ZERO_LEVELS:
         for k in SWEEP_WEIGHTS:
             grid = build_grid(N, k, 20)

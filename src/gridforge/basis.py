@@ -43,16 +43,11 @@ Bol's identity and duality give together.  It closes each long diagonal
 at its middle by one exact division, so it never computes the padding
 triangle the recursion carries.  `_build` picks one from the request's
 shape: the walk when count >= 2|B| + 12 and prec <= 1.5 count.
-Weight k >= 2 follows from the other space of weight 2 - k by Bol's
-identity: with D = q d/dq, D^(k-1) maps that space into this one, so each
-element above the source's gap is D^(k-1) of the source element of the
-same index, minus multiples of the low elements, divided by its lead.  The
-low elements, the max(0, -2B-1) indices between the two gaps (B the
-source's gap bound), come from the recursion.  Derived elements are
-checked for integrality and gap form.  So one side of every grid is
-derived from the other, and the duality residual cannot see an error in a
-diagonal coefficient a(m, m): Bol's relation and duality coincide there
-(see `duality_residual`).
+Weight k >= 2 is read off the other space of weight 2 - k, its source, by
+duality: a(m, n) = -b(n, m) for every m >= -B and n >= B + 1, B the
+source's gap bound, so each element is q^-n minus column n of the source
+(`_transpose`).  A grid asks for its weight <= 0 side once, large enough
+for both sides, and so its duality holds by construction.
 """
 
 from __future__ import annotations
@@ -303,14 +298,15 @@ def _check_request(N: int, k: int, space: str, count: int, prec: int):
 
 def build_basis(N: int, k: int, space: str, count: int,
                 prec: int = DEFAULT_PREC) -> CanonicalBasis:
-    """Elements m0 .. m0+count-1, each exact modulo q^prec: by the
-    recursion for weight k <= 0, by Bol's identity for k >= 2.
+    """Elements m0 .. m0+count-1, each exact modulo q^prec: built from the
+    Hauptmodul for weight k <= 0, read off the other space of weight 2 - k
+    as its negated transpose for k >= 2.
 
     The result is a view of the key's store entry, which covers the
     request: it shares the entry's elements and cuts each to prec only when
     it is read, so a request the entry already covers copies nothing."""
     _check_request(N, k, space, count, prec)
-    build = _build if k <= 0 else _bol_build
+    build = _build if k <= 0 else _transpose
     entry = cached(("basis", N, k, space), (count, prec),
                    lambda count, prec: build(N, k, space, count, prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
@@ -400,8 +396,13 @@ def _walk(N: int, k: int, space: str, count: int,
                   - sum_{M'=m0..M} psi_(M-M') a(M', n) - a(m0, n) a(M, B+1),
 
     its two sums the recursion's product and clearing; K reads only earlier
-    diagonals.  The symmetry is Bol's identity (see `_bol_build`) and
-    duality together: for m, n >= s0 = max(m0, B+1) and e = 1 - k,
+    diagonals.  The symmetry is Bol's identity and duality together.  With
+    D = q d/dq and e = 1 - k, Bol's identity says that D^e maps this space
+    into the other space of weight 2 - k, whose elements g_m have the
+    coefficients b(m, n); matching principal parts, D^e of element m is
+    (-m)^e g_m + sum_l l^e a(m, l) g_-l over the low columns l != 0 below.
+    Its q^n coefficient, with duality b(m, n) = -a(n, m), gives, for
+    m, n >= s0 = max(m0, B+1),
 
         m^e a(n, m) = n^e a(m, n) + corr(m, n),
         corr(m, n) = sum_{l=B+1..-B-1} l^e a(m, l) a(n, -l),
@@ -559,69 +560,43 @@ def build_grid(N: int, k: int, count: int,
             f"m0 = {-u}, not {v + 1}")
     _check_request(N, k, INF, count, prec)
     _check_request(N, 2 - k, HAT, count, prec)
-    # The weight <= 0 side is the other's source, and the derivation asks
-    # for it at count + max(0, 2B + 1), B its gap bound (v, or u = -v - 1).
-    # With B >= 0 the derived side goes first, so that the grid's own
-    # request for the source is a hit.  With B < 0 the source goes first:
-    # the derivation's request for it is then a hit, and its low elements
-    # find the Hauptmodul already expanded as far as they read.  Either way
-    # the f-side goes first exactly when v < 0.
-    if v < 0:
-        fside = build_basis(N, k, INF, count, prec)
-        gside = build_basis(N, 2 - k, HAT, count, prec)
-    else:
-        gside = build_basis(N, 2 - k, HAT, count, prec)
-        fside = build_basis(N, k, INF, count, prec)
-    return ModularGrid(N, k, fside, gside)
+    # The weight <= 0 side, of gap bound B (v, or u = -v - 1), is the
+    # other's source.  One request covers both this grid's side and every
+    # element the transpose reads of it, so the source is built once.
+    source, B = ((k, INF), v) if k <= 0 else ((2 - k, HAT), u)
+    build_basis(N, *source, max(count, prec + B), max(prec, B + 1 + count))
+    return ModularGrid(N, k, build_basis(N, k, INF, count, prec),
+                       build_basis(N, 2 - k, HAT, count, prec))
 
 
-def _bol_build(N: int, k: int, space: str, count: int,
+def _transpose(N: int, k: int, space: str, count: int,
                prec: int) -> CanonicalBasis:
     """Elements m0 .. m0+count-1 of a weight k >= 2 space, exact modulo
-    q^prec, derived from the other space, of weight w = 2 - k.
+    q^prec, read off the other space, of weight 2 - k, by duality.
 
-    The source has elements s_m = q^-m + sum a(m, n) q^n in gap form through
-    Bs, and this space has gap bound Bt = -Bs - 1.  With D = q d/dq and
-    e = 1 - w, D^e s_m lies in this space (Bol's identity), so matching
-    principal parts gives, for m >= -Bs,
+    The source has elements s_m = q^-m + sum_{n > Bs} a(m, n) q^n for
+    m >= -Bs, and duality a(m, n) = -b(n, m) holds for every m >= -Bs and
+    n >= Bs + 1.  So this space, of gap bound -Bs - 1, has the elements
 
-        t_m = [D^e s_m - sum_{n=Bs+1, n!=0}^{Bt} n^e a(m, n) t_-n] / (-m)^e.
+        t_n = q^-n - sum_{m=-Bs}^{prec-1} a(m, n) q^m,    n >= Bs + 1,
 
-    The low elements Bs+1 .. -Bs-1, index 0 among them, come from the
-    recursion.
+    the negated columns of the source; they are in gap form by
+    construction.
     """
-    w, e, other = 2 - k, k - 1, HAT if space == INF else INF
-    Bs = gap_bound(N, w, other)
-    Bt, m0 = -Bs - 1, Bs + 1
-    n_low = min(count, max(0, -2 * Bs - 1))
-    if n_low < count:
-        # the source reaches index Bs + count and past its gap bound; built
-        # first, it leaves the Hauptmodul as long as the low elements read
-        source = build_basis(N, w, other, count + max(0, 2 * Bs + 1),
-                             max(prec, Bs + 1))
-    elements = list(_build(N, k, space, n_low, prec).elements) if n_low else []
-    # recursion results are integral: their numerators are their coefficients
-    low_tails = [t.numerators(Bt + 1, prec) for t in elements]
-    powers = [n ** e for n in range(Bt + 1, prec)]
-    for m in range(m0 + n_low, m0 + count):
-        s = source.element(m)
-        tail = list(map(mul, powers, s.numerators(Bt + 1, prec)))
-        for n, a in enumerate(s.numerators(Bs + 1, Bt + 1), Bs + 1):
-            if a and n:
-                c = n ** e * a
-                tail = list(map(sub, tail,
-                                map(mul, repeat(c), low_tails[-n - m0])))
-        # w is even, so e is odd and t_m = q^-m - tail / m^e
-        lead = m ** e
-        t = QSeries.from_row(-m, [lead, *repeat(0, Bt + m), *map(neg, tail)],
-                             prec, lead)
-        _require_integral(t, f"derived element of level {N} weight {k} "
-                             f"{space} index {m} prec {prec}")
-        elements.append(t)
-    derived = CanonicalBasis(N, k, space, m0, Bt, prec, tuple(elements),
-                             count)
-    _verify_gap_form(derived)
-    return derived
+    other = HAT if space == INF else INF
+    Bs = gap_bound(N, 2 - k, other)
+    m0 = Bs + 1
+    source = build_basis(N, 2 - k, other, max(prec + Bs, 1),
+                         max(prec, m0 + count))
+    # source elements are integral: their numerators are their coefficients
+    rows = [source._stored(m).numerators(m0, m0 + count)
+            for m in range(-Bs, prec)]
+    columns = zip(*rows) if rows else repeat((), count)
+    elements = tuple(
+        QSeries.from_row(-n, [1, *repeat(0, n - m0), *map(neg, column)],
+                         prec)
+        for n, column in zip(range(m0, m0 + count), columns))
+    return CanonicalBasis(N, k, space, m0, -Bs - 1, prec, elements, count)
 
 
 def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
@@ -629,11 +604,11 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
     f-indices against the first n_max g-indices; exact zero iff duality
     holds there.
 
-    A grid from `build_grid` derives one side from the other, and its
-    derived t_m moves with a source coefficient a(m, n) by n^e / (-m)^e.  For
-    odd e = 1 - w that is -1 on the diagonal n = m, so an error in a
-    diagonal source coefficient moves both terms of a(m,m) + b(m,m) and the
-    residual stays zero.  Only a comparison with the recursion finds it."""
+    A grid from `build_grid` reads its weight >= 2 side off the other as
+    its negated transpose, so on it the residual is zero by construction:
+    an error in any source coefficient moves both terms of its pair, and
+    only a comparison with the recursion finds it.  The residual checks
+    grids assembled otherwise, such as traced ones."""
     if m_max < 0 or n_max < 0:
         raise ValueError("box dimensions must be nonnegative")
     if m_max > grid.fside.count or n_max > grid.gside.count:

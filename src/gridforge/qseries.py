@@ -13,7 +13,7 @@ coefficients are determined.  Instances are immutable.
 Named values that depend only on a key and a size are kept in one store,
 `cached`: series (Hauptmoduln, registry forms, cusp-killing
 polynomials) at a size (prec,), and every canonical basis of
-`gridforge.basis`, derived ones included, at a size (count, prec).  Each
+`gridforge.basis`, transposed ones included, at a size (count, prec).  Each
 key has one entry that only grows, to the componentwise max of the sizes
 asked for; a caller cuts it down to its request (a basis by a view that
 shares the entry's elements).  `store_stats` counts hits, misses and

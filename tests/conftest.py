@@ -32,8 +32,8 @@ def perturb_certificate(install_certificate):
 
 @pytest.fixture
 def counting_builds(monkeypatch):
-    """Start from an empty store and count the runs of the basis recursion
-    per (N, k, space)."""
+    """Start from an empty store and count the runs of `basis._build` (the
+    anti-diagonal walk or the recursion) per (N, k, space)."""
     monkeypatch.setattr(qseries, "_store", {})
     builds = {}
     real = basis_mod._build

@@ -14,6 +14,7 @@ import gridforge
 from gridforge import basis as basis_mod
 from gridforge import qseries, seedsynth
 from gridforge import traceops as traceops_mod
+from gridforge.acceptance import SWEEP_WEIGHTS
 from gridforge.basis import (
     HAT,
     INF,
@@ -29,6 +30,7 @@ from gridforge.basis import (
 from gridforge.leveldata import (
     ALL_LEVELS,
     CONFORMANCE,
+    GENUS_ZERO_LEVELS,
     CertificateError,
     Combo,
     PinnedPrefixError,
@@ -366,8 +368,8 @@ def _cut(basis, count, prec):
 
 
 def _derived_side(grid):
-    """The side of the grid derived by Bol's identity, and the recursion's
-    basis of the same key at the grid's count and precision."""
+    """The side of the grid read off the other as its transpose, and the
+    recursion's basis of the same key at the grid's count and precision."""
     side = grid.gside if grid.k <= 0 else grid.fside
     return side, basis_mod._recursion(grid.N, side.k, side.space, side.count,
                                       side.prec)
@@ -394,16 +396,60 @@ def test_derived_bases_equal_the_recursion(N, monkeypatch):
             (k, space, count, prec)
 
 
+def bol_basis(N, k, space, count, prec):
+    """The weight k >= 2 basis by Bol's identity, without duality.
+
+    With D = q d/dq and e = k - 1, D^e maps the other space, of weight
+    2 - k, into this one.  That space has elements s_m = q^-m +
+    sum a(m, n) q^n in gap form through Bs, and this one gap bound
+    -Bs - 1, so matching principal parts gives, for m >= -Bs,
+
+        t_m = [D^e s_m - sum_{n=Bs+1, n!=0}^{-Bs-1} n^e a(m, n) t_-n] / (-m)^e.
+
+    The low elements Bs+1 .. -Bs-1, index 0 among them, and the source
+    come from the recursion."""
+    e, other = k - 1, HAT if space == INF else INF
+    Bs = gap_bound(N, 2 - k, other)
+    m0 = Bs + 1
+    n_low = min(count, max(0, -2 * Bs - 1))
+    elements = list(basis_mod._recursion(N, k, space, n_low, prec).elements
+                    if n_low else ())
+    if n_low < count:
+        source = basis_mod._recursion(N, 2 - k, other, count + 2 * Bs + 1,
+                                      max(prec, Bs + 1))
+    for m in range(m0 + n_low, m0 + count):
+        s = t = source.element(m)
+        for _ in range(e):
+            t = t.derive()
+        for n in range(Bs + 1, -Bs):
+            if n and s.coeff(n):
+                t = t - elements[-n - m0].scale(n ** e * s.coeff(n))
+        elements.append(t.scale(Fraction(1, (-m) ** e)).truncate(prec))
+    return tuple(elements)
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_bol_identity_gives_the_built_bases(N, monkeypatch):
+    # Bol's identity is a second derivation of every weight >= 2 basis,
+    # independent of both the transpose and the recursion
+    monkeypatch.setattr(qseries, "_store", {})
+    for k in (2, 4, 8, 12):
+        for space in (INF, HAT):
+            prec = 20 + abs(gap_bound(N, k, space)) + 6
+            assert build_basis(N, k, space, 20, prec).elements == \
+                bol_basis(N, k, space, 20, prec), (k, space)
+
+
 def test_warm_grids_are_store_hits(counting_builds, monkeypatch):
     grids = {(N, k): build_grid(N, k, 10) for N, k in ((1, 4), (13, -2))}
-    derivations = []
-    real = basis_mod._bol_build
+    transposes = []
+    real = basis_mod._transpose
 
-    def derive(*args):
-        derivations.append(args)
+    def transpose(*args):
+        transposes.append(args)
         return real(*args)
 
-    monkeypatch.setattr(basis_mod, "_bol_build", derive)
+    monkeypatch.setattr(basis_mod, "_transpose", transpose)
     monkeypatch.setattr(qseries, "_stats", {})
     counting_builds.clear()
     for (N, k), grid in grids.items():
@@ -411,9 +457,10 @@ def test_warm_grids_are_store_hits(counting_builds, monkeypatch):
         side = grid.gside if k <= 0 else grid.fside
         assert build_basis(N, side.k, side.space, 7, side.prec - 2) == \
             _cut(side, 7, side.prec - 2)
-    assert counting_builds == {} and derivations == []
+    assert counting_builds == {} and transposes == []
+    # each grid asks for its source once more, to cover both sides
     assert qseries.store_stats() == {
-        "basis": {"hits": 6, "misses": 0, "rebuilds": 0}}
+        "basis": {"hits": 8, "misses": 0, "rebuilds": 0}}
 
 
 def test_every_stored_basis_is_the_recursions(monkeypatch):
@@ -469,36 +516,23 @@ def _add_to_source(monkeypatch, key, i, j):
                                   (9, 6)])
 def test_duality_cannot_see_a_diagonal_error_of_a_derived_grid(
         N, k, monkeypatch):
-    # Add 1 to one coefficient a(i, j) of a source element.  The derived
-    # element t_i moves by j^e / (-i)^e at q^j, e = 1 - w odd; duality pairs
-    # a(i, j) with the unmoved b(j, i) off the diagonal, but on it the two
-    # moves cancel, and only the cross-check with the recursion sees them.
+    # Add 1 to one coefficient a(i, j) of a source element.  The transposed
+    # side reads it as -b(j, i), so the pair a(i, j) + b(j, i) that duality
+    # checks stays zero on the diagonal j = i and in every other cell of
+    # the box, and only the cross-check with the recursion sees the error.
     w, space = (k, INF) if k <= 0 else (2 - k, HAT)
     Bs = gap_bound(N, w, space)
-    # i is the first derived index, and the box reaches the target's 2i
+    # i is the first index past both gaps, and the box reaches the target's
+    # 2i; (-Bs, Bs + 1) is the source's first element and tail coefficient
     i = max(Bs + 1, -Bs)
     count = max(8, -3 * Bs + 1)
-    for j in (2 * i, i):
+    for cell in ((i, 2 * i), (i, i), (i + 2, i + 1), (-Bs, Bs + 1)):
         with monkeypatch.context() as mp:
-            _add_to_source(mp, (N, w, space), i, j)
+            _add_to_source(mp, (N, w, space), *cell)
             grid = build_grid(N, k, count)
             side, ref = _derived_side(grid)
-        assert side != ref
-        if j == i:
-            assert duality_residual(grid, count, count) == 0
-        else:
-            assert duality_residual(grid, count, count) > 0
-
-
-def test_non_integral_derived_element_raises(monkeypatch):
-    # e = 1 at weight 0, so q^3 added to the source's f_{0,2} moves the
-    # derived g_{2,2} by 3/(-2) q^3, from -288 to -579/2
-    _add_to_source(monkeypatch, (5, 0, INF), 2, 3)
-    with pytest.raises(IntegralityError,
-                       match=r"derived element of level 5 weight 2 hat "
-                             r"index 2 prec 13 has the non-integral "
-                             r"coefficient -579/2 at q\^3"):
-        build_grid(5, 0, 6, 13)
+        assert side != ref, cell
+        assert duality_residual(grid, count, count) == 0, cell
 
 
 def test_build_basis_precision_audit():
@@ -530,11 +564,11 @@ def test_store_stats_count_basis_hits_and_misses(monkeypatch):
     monkeypatch.setattr(qseries, "_stats", {})
     for count, prec in ((5, 20), (3, 20), (5, 30), (4, 25)):
         build_basis(2, 0, INF, count, prec)
-    # the grid asks for its derived g-side first, a miss, whose derivation
-    # asks for the f-side at count 5 + 1, a miss; the grid's own request
-    # for the f-side at count 5 is then a hit
+    # the grid's covering request for its f-side at count 11 rebuilds it;
+    # its own f-side request is then a hit, and its g-side a miss whose
+    # transpose asks for the f-side at count 11, a hit
     build_grid(2, 0, 5)
-    assert qseries.store_stats()["basis"] == {"hits": 3, "misses": 4,
+    assert qseries.store_stats()["basis"] == {"hits": 4, "misses": 4,
                                               "rebuilds": 2}
 
 
@@ -712,17 +746,29 @@ def test_each_build_asks_for_one_first_element(counting_builds,
         for k in (-4, 0, 2, 6):
             build_grid(N, k, 5)
     builds = sum(counting_builds.values())
-    # one build of each grid's source, and one of the low elements of the
-    # other side for the 44 grids whose source gap bound is negative
-    assert builds == len(ALL_LEVELS) * 4 + 44
+    # one build of each grid's source, which the other side is read off
+    assert builds == len(ALL_LEVELS) * 4
     assert callers == [("_build",)] * builds
 
 
 def test_a_cold_grid_builds_its_source_once(counting_builds):
-    # the source is asked for once, at every element the derivation reads,
-    # so the store does not rebuild it for one more element
-    build_grid(1, 0, 5)
-    assert counting_builds == {(1, 0, INF): 1}
+    # the source is asked for once, at every element either side reads, so
+    # the store does not rebuild it for one more element or one more term;
+    # (16, 6, 10, 14) rebuilds if the transpose asks for it first
+    cases = [(N, k, 20, None) for N in GENUS_ZERO_LEVELS
+             for k in SWEEP_WEIGHTS]
+    for N, k, _, _ in cases[:]:
+        v = v_of(N, k)
+        least = max(v, -v - 1) + 1
+        cases += [(N, k, count, prec) for count in (6, 10)
+                  for prec in (least, least + 3)]
+    cases.append((16, 6, 10, 14))
+    for N, k, count, prec in cases:
+        qseries._store.clear()
+        counting_builds.clear()
+        build_grid(N, k, count, prec)
+        source = (N, k, INF) if k <= 0 else (N, 2 - k, HAT)
+        assert counting_builds == {source: 1}, (N, k, count, prec)
 
 
 def test_cached_basis_does_not_overclaim_precision(monkeypatch):

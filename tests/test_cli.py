@@ -472,9 +472,11 @@ def test_hauptmodul_that_is_not_monic_q_inverse_exits_3(capsys, monkeypatch):
 
 
 def test_perturbed_certificate_exits_3(capsys, perturb_certificate):
-    # the weight-6 first element is F_base * F_2, the certificate of weight 2
+    # the grid's source, of weight -2, has the first element F_base^l * F_2
+    # with F_2 the certificate of weight 2
     perturb_certificate(10, 2)
-    assert run(["grid", "--level", "10", "--weight", "6", "--count", "5"]) == 3
+    assert run(["grid", "--level", "10", "--weight", "-2",
+                "--count", "5"]) == 3
     err = capsys.readouterr().err
     assert "internal validation failure" in err
     assert "level 10 weight 2 contradicts its pinned expansion" in err

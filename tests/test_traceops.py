@@ -137,21 +137,23 @@ def test_empirical_agreement_sample():
     assert empirical_preserves(4, 1, 0) is None
 
 
-@pytest.mark.parametrize("check", [
-    lambda: empirical_preserves(4, 2, -2),
-    lambda: empirical_preserves(2, 1, -4),
-    lambda: genfun_check(4, 1, 4, 10, side="dual"),
-    lambda: not obstructions(18, 1, 10).is_empty,
-    lambda: not obstructions(3, 1, -10).is_empty,
-    lambda: genfun_closed_form(4, 2, 8),
-    lambda: genfun_closed_form(25, 4, 12),
+# keys is the number of weight <= 0 keys a check builds: one per level
+# it reads, since every weight >= 2 basis is read off one of them
+@pytest.mark.parametrize("check, keys", [
+    (lambda: empirical_preserves(4, 2, -2), 2),
+    (lambda: empirical_preserves(2, 1, -4), 2),
+    (lambda: genfun_check(4, 1, 4, 10, side="dual"), 2),
+    (lambda: not obstructions(18, 1, 10).is_empty, 2),
+    (lambda: not obstructions(3, 1, -10).is_empty, 2),
+    (lambda: genfun_closed_form(4, 2, 8), 1),
+    (lambda: genfun_closed_form(25, 4, 12), 1),
 ], ids=["empirical-4-2-m2", "empirical-2-1-m4", "genfun-4-1-4-dual",
         "obstructions-18-1-10", "obstructions-3-1-m10", "closed-form-4-2",
         "closed-form-25-4"])
-def test_index_sweeps_build_each_basis_once(check, counting_builds):
+def test_index_sweeps_build_each_basis_once(check, keys, counting_builds):
     assert check()
     builds = counting_builds
-    assert len(builds) >= 2
+    assert len(builds) == keys, builds
     assert all(n == 1 for n in builds.values()), builds
 
 
