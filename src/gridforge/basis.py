@@ -315,9 +315,9 @@ def build_basis(N: int, k: int, space: str, count: int,
 
 def _build(N: int, k: int, space: str, count: int,
            prec: int) -> CanonicalBasis:
-    """Elements m0 .. m0+count-1, each exact modulo q^prec: by the
-    anti-diagonal walk for weight k <= 0 when count is large against the
-    gap bound B and against prec, else by the recursion.
+    """Elements m0 .. m0+count-1 of a weight k <= 0 space, each exact
+    modulo q^prec: by the anti-diagonal walk when count is large against
+    the gap bound B and against prec, else by the recursion.
 
     The walk fills about a square of side max(prec, m0 + count) where the
     recursion fills count rows of length about prec + count, and it pays
@@ -325,7 +325,7 @@ def _build(N: int, k: int, space: str, count: int,
     squares; measured on both builders, it is the faster one from
     count >= 2|B| + 12 and prec <= 1.5 count on."""
     B = gap_bound(N, k, space)
-    if k <= 0 and count >= 2 * abs(B) + 12 and 2 * prec <= 3 * count:
+    if count >= 2 * abs(B) + 12 and 2 * prec <= 3 * count:
         return _walk(N, k, space, count, prec)
     return _recursion(N, k, space, count, prec)
 

@@ -13,7 +13,9 @@ grid generating function; a different --to, or --side other than both, is a
 usage error.  Every JSON document is indented by 2 and written by one
 writer, `_json_text`, whose bytes are those of the standard library's
 `json.dumps` at that indent (`genfun-check --format json` prints one
-compact line).
+compact line).  `basis`, `grid` and `seed` hand the writer their series
+themselves: it writes a QSeries leaf as its `to_json_dict` document, read
+straight from the series' integer row.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
+from itertools import count
 from json.encoder import encode_basestring_ascii
 
 from gridforge import acceptance
 from gridforge.basis import HAT, INF, build_basis, build_grid, duality_residual
 from gridforge.leveldata import registry_dump
-from gridforge.qseries import DEFAULT_PREC
+from gridforge.qseries import DEFAULT_PREC, QSeries
 from gridforge.seedsynth import SynthesisError, audit_of, reduce_family, seed_of
 from gridforge.traceops import (
     classify,
@@ -152,13 +156,33 @@ def _print(text: str):
 def _json_text(obj) -> str:
     """The text `json.dumps` gives `obj` at an indent of 2, byte for byte,
     for the documents the CLI prints: dicts with str keys, lists, tuples,
-    str, int, bool, None and float.  Any other type, a subclass of one of
-    these included, and a key that is not a str raise TypeError.  With an
-    indent the standard library encodes through its pure-Python
-    generators; this writer appends the pieces to one list and joins them
-    once."""
+    str, int, bool, None and float, and a QSeries, which is written as its
+    `to_json_dict` document.  Any other type, a subclass of one of these
+    included, and a key that is not a str raise TypeError.  With an indent
+    the standard library encodes through its pure-Python generators; this
+    writer appends the pieces to one list and joins them once."""
     out = []
     put = out.append
+
+    def write_series(s, pad):
+        # {"prec": P, "coeffs": [[e, "c"], ...]}: each nonzero row entry
+        # is one %-format of a pair template built for this depth
+        i1 = pad + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        put("{" + i1 + '"prec": ' + repr(s._prec) + "," + i1 + '"coeffs": ')
+        if not s._row:
+            put("[]" + pad + "}")
+            return
+        d = s._d
+        if d == 1:
+            pair = "[" + i3 + "%d," + i3 + '"%d"' + i2 + "]"
+            pairs = [pair % p for p in zip(count(s._v), s._row) if p[1]]
+        else:
+            pair = "[" + i3 + "%d," + i3 + '"%s"' + i2 + "]"
+            pairs = [pair % (e, Fraction(x, d))
+                     for e, x in enumerate(s._row, s._v) if x]
+        put("[" + i2 + ("," + i2).join(pairs) + i1 + "]" + pad + "}")
 
     def write(o, pad):
         t = type(o)
@@ -191,6 +215,8 @@ def _json_text(obj) -> str:
                 write(value, inner)
                 sep = "," + inner
             put(pad + "}")
+        elif t is QSeries:
+            write_series(o, pad)
         elif o is None or t is bool or t is float:
             put(json.dumps(o))
         else:
@@ -215,7 +241,7 @@ def _cmd_basis(args, prec) -> int:
     b = build_basis(args.level, args.weight, args.space, args.count, prec)
     if args.format == "json":
         doc = [{"N": b.N, "k": b.k, "space": b.space, "m": m,
-                "series": b.element(m).to_json_dict()} for m in b.indices]
+                "series": b.element(m)} for m in b.indices]
         _emit(args, _json_text(doc))
     else:
         lines = [f"f_{{{b.k},{m}}}^({b.N}) = {b.element(m)}"
@@ -236,9 +262,9 @@ def _cmd_grid(args, prec) -> int:
     if args.format == "json":
         doc = {
             "N": g.N, "k": g.k,
-            "fside": [{"m": m, "series": g.fside.element(m).to_json_dict()}
+            "fside": [{"m": m, "series": g.fside.element(m)}
                       for m in g.fside.indices],
-            "gside": [{"n": n, "series": g.gside.element(n).to_json_dict()}
+            "gside": [{"n": n, "series": g.gside.element(n)}
                       for n in g.gside.indices],
         }
         if args.check_duality:
@@ -265,7 +291,7 @@ def _cmd_seed(args, prec) -> int:
     series = seed_of(reduced, prec)
     if args.audit_json or args.format == "json":
         doc = {"level": args.level, "weight": args.weight,
-               "series": series.to_json_dict()}
+               "series": series}
         if args.audit_json:
             doc["family"] = audit_of(reduced)
         _emit(args, _json_text(doc))

@@ -346,10 +346,15 @@ class QSeries:
     def __str__(self):
         if not self._row:
             return f"0 + O(q^{self._prec})"
+        d = self._d
         parts = []
-        for e, v in self.items():
-            sign = "-" if v < 0 else "+"
-            mag = -v if v < 0 else v
+        for e, x in enumerate(self._row, self._v):
+            if not x:
+                continue
+            sign = "-" if x < 0 else "+"
+            mag = -x if x < 0 else x
+            if d != 1:
+                mag = Fraction(mag, d)
             if e == 0:
                 body = str(mag)
             else:

@@ -661,11 +661,18 @@ def reference_basis(N, k, space, count, prec):
     return elements
 
 
+def _direct_build(N, k, space, count, prec):
+    """The basis built past the store: by `_build` for weight k <= 0, and
+    by the recursion for k >= 2, whose store entries are transposes."""
+    build = basis_mod._build if k <= 0 else basis_mod._recursion
+    return build(N, k, space, count, prec)
+
+
 def assert_matches_reference(N, k, space, count, monkeypatch):
     prec = count + abs(gap_bound(N, k, space)) + 5
     monkeypatch.setattr(qseries, "_store", {})
     got = build_basis(N, k, space, count, prec)
-    built = basis_mod._build(N, k, space, count, prec).elements
+    built = _direct_build(N, k, space, count, prec).elements
     want = reference_basis(N, k, space, count, prec)
     assert len(built) == len(want) == count
     # every element is cut to prec, and every coefficient given is the
@@ -897,7 +904,7 @@ def test_every_view_equals_a_build_at_its_request(monkeypatch):
     # the level-1 grid leaves entries more precise than the traces ask for
     assert any(b.stored[-1].prec > b.prec for _, b in seen)
     for (N, k, space, count, prec), got in seen:
-        want = basis_mod._build(N, k, space, count, prec)
+        want = _direct_build(N, k, space, count, prec)
         assert got == want, (N, k, space, count, prec)
         assert [got.element(m) for m in got.indices] == \
             [want.element(m) for m in want.indices], (N, k, space, count)
@@ -924,7 +931,7 @@ def test_recursion_expands_the_hauptmodul_as_far_as_it_reads(N, k,
                                                              monkeypatch):
     count, prec = 10, 30
     monkeypatch.setattr(qseries, "_store", {})
-    basis_mod._build(N, k, INF, count, prec)
+    basis_mod._recursion(N, k, INF, count, prec)
     # the recursion reads psi up to q^(work+m0-2)
     work, m0 = prec + count - 1, -v_of(N, k)
     assert qseries._store[("haupt", N)][1].prec == work + m0 - 1

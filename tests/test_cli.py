@@ -239,6 +239,35 @@ def _report_documents():
     ]
 
 
+def _random_series(rng):
+    """A random series: zero, integral or rational, with valuations down to
+    -40, gaps in its row, and coefficients small or beyond 10^300."""
+    v = rng.randrange(-40, 10)
+    prec = v + rng.randrange(1, 40)
+    kind = rng.choice(("zero", "integral", "rational"))
+    coeffs = {}
+    for e in range(v, prec):
+        if kind == "zero" or rng.random() < 0.4:
+            continue
+        x = rng.choice((rng.randrange(-9, 10),
+                        rng.randrange(-10 ** 320, 10 ** 320)))
+        coeffs[e] = (Fraction(x, rng.randrange(1, 10 ** 6))
+                     if kind == "rational" else x)
+    return QSeries(coeffs, prec)
+
+
+def _series_as_dicts(doc):
+    """`doc` with each series replaced by its `to_json_dict` document."""
+    t = type(doc)
+    if t is QSeries:
+        return doc.to_json_dict()
+    if t is list or t is tuple:
+        return [_series_as_dicts(item) for item in doc]
+    if t is dict:
+        return {key: _series_as_dicts(value) for key, value in doc.items()}
+    return doc
+
+
 def test_json_text_is_the_standard_library_text():
     rng = random.Random(20261018)
     reports = _report_documents()
@@ -251,10 +280,46 @@ def test_json_text_is_the_standard_library_text():
         docs.append(doc)
     for doc in docs:
         assert cli._json_text(doc) == json.dumps(doc, indent=2), doc
+    # series leaves, each nested 0 to 4 deep among other documents, and a
+    # grid-like document of many series
+    series = [_random_series(rng) for _ in range(240)]
+    seen = {"zero": 0, "rational": 0, "negative valuation": 0, "gap": 0,
+            "huge": 0}
+    for s in series:
+        items = s.items()
+        if not items:
+            seen["zero"] += 1
+            continue
+        seen["rational"] += s.denominator != 1
+        seen["negative valuation"] += items[0][0] < 0
+        seen["gap"] += len(items) <= items[-1][0] - items[0][0]
+        seen["huge"] += max(abs(c) for _, c in items) >= 10 ** 300
+    assert all(seen.values()), seen
+    series_docs = [{"N": 1, "fside": [{"m": m, "series": s}
+                                      for m, s in enumerate(series[:30])]}]
+    for s in series:
+        doc = s
+        for _ in range(rng.randrange(5)):
+            items = [_random_document(rng, 4)
+                     for _ in range(rng.randrange(3))]
+            items.insert(rng.randrange(len(items) + 1), doc)
+            kind = rng.randrange(3)
+            doc = (items if kind == 0 else tuple(items) if kind == 1 else
+                   {_random_string(rng) + str(i): item
+                    for i, item in enumerate(items)})
+        series_docs.append(doc)
+    for doc in series_docs:
+        assert cli._json_text(doc) == json.dumps(_series_as_dicts(doc),
+                                                 indent=2), doc
     for bad in ({1: "x"}, [{"a": {None: 0}}], {("N", 1): 2}, {True: 1}):
         with pytest.raises(TypeError, match="keys must be str"):
             cli._json_text(bad)
-    for bad in ([Fraction(1, 2)], OrderedDict(a=1)):
+
+    class Series(QSeries):
+        __slots__ = ()
+
+    for bad in ([Fraction(1, 2)], OrderedDict(a=1),
+                {"series": Series.from_row(-1, [1, 0, 3], 5)}):
         with pytest.raises(TypeError, match="cannot write"):
             cli._json_text(bad)
 
@@ -324,6 +389,52 @@ def test_registry_output_is_pinned(capsys):
     _, out = invoke(capsys, "registry")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6068f36af5c4178821fa11a3024b7ef7f312ccf769d096ced510ac26ddad98ba")
+
+
+# sha256 of stdout of text-format commands, taken before QSeries.__str__
+# read the integer row; each entry is (argv, exit code, digest)
+PINNED_TEXT = [
+    (["grid", "--level", "1", "--weight", "-2", "--check-duality"], 0,
+     "541c4f28cad9f5093b64fc40230c52e76d9b5601db37304f16335ba168b0a9f7"),
+    (["grid", "--level", "1", "--weight", "4", "--check-duality"], 0,
+     "06a0b0917c90606633f311e3cab00f6204ddb22a593153dab7c3d43bff567ba3"),
+    (["grid", "--level", "4", "--weight", "-2", "--check-duality"], 0,
+     "e32256db61fe32c1c4b8a31465eddce80c34ef28be27957d4bc2e082669c0b3c"),
+    (["grid", "--level", "4", "--weight", "4", "--check-duality"], 0,
+     "7251c48452da58b687dde171204dcc11af67efee4a4ee432de266cd9c48a02f4"),
+    (["grid", "--level", "13", "--weight", "-2", "--check-duality"], 0,
+     "ec3ed332bf62c1a9f33092b631feacf700fdd40b75fe7f02a73a36ea6c491365"),
+    (["grid", "--level", "13", "--weight", "4", "--check-duality"], 0,
+     "024bce9febd0a5312d1217d7c2191c446a88264d2c04c371561a414882dbb6eb"),
+    (["grid", "--level", "25", "--weight", "-2", "--check-duality"], 0,
+     "8a2466892f4280f0a962eab25c3a31400560269ed4e404f702c87a803f313651"),
+    (["grid", "--level", "25", "--weight", "4", "--check-duality"], 0,
+     "84c8146aa043651fde960d34f3625624ebed82fe43d810ee3e7cfdae9ab82afb"),
+    (["basis", "--level", "6", "--weight", "-4", "--space", "hat",
+      "--count", "3", "--prec", "20"], 0,
+     "46372e2554ae6d301e1607c59731aab199d3302b52534781c2f991d84616dab5"),
+    (["basis", "--level", "25", "--weight", "4", "--space", "hat"], 0,
+     "6d36f7919e908971d02689a5c2be727c2250d32fc540667df529429ba189eeed"),
+    (["seed", "--level", "10", "--weight", "2"], 0,
+     "08522b75c4652e3e8a383db20b358cbfce856b729fbd6c249ac8f931f4c173a4"),
+    (["trace", "--from", "2", "--to", "1", "--weight", "-6", "--space",
+      "inf", "--index", "2", "--prec", "12"], 0,
+     "d59f5027fb842f663372209142cd4a20a7ef418dd4faa4def089beadb448437e"),
+    (["trace", "--from", "2", "--to", "1", "--weight", "8", "--space",
+      "inf", "--index", "-2"], 1,
+     "f0781aa1480687fcb5e9412e36ef9e95b31b10d42e617af7299724bfd6bb1e84"),
+    (["obstructions", "--from", "2", "--to", "1", "--weight", "-6",
+      "--prec", "12"], 1,
+     "f32723979332e6546bd29c4389dae6100bd6f85db8d7d03d9a12b0808e63d4ce"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_TEXT,
+                         ids=[" ".join(a) for a, _, _ in PINNED_TEXT])
+def test_text_output_is_pinned(argv, code, digest, capsys):
+    got, out = invoke(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_determinism(capsys):

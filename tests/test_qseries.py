@@ -430,6 +430,28 @@ def reference_to_json_dict(s):
     return {"prec": s.prec, "coeffs": [[e, str(c)] for e, c in s.items()]}
 
 
+def reference_text(s):
+    """The text form as it was built before it read the integer row: one
+    Fraction per stored coefficient, through `items`."""
+    if s.is_zero:
+        return f"0 + O(q^{s.prec})"
+    parts = []
+    for e, v in s.items():
+        sign = "-" if v < 0 else "+"
+        mag = -v if v < 0 else v
+        if e == 0:
+            body = str(mag)
+        else:
+            qp = "q" if e == 1 else f"q^{e}"
+            body = qp if mag == 1 else f"{mag}*{qp}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    parts.append(f"+ O(q^{s.prec})")
+    return " ".join(parts)
+
+
 def test_to_json_dict_matches_the_fraction_items():
     rng = random.Random(20261019)
     kinds = ("integral", "rational", "zero", "padded_row")
@@ -457,5 +479,6 @@ def test_to_json_dict_matches_the_fraction_items():
                                  g * den)
         seen[kind] += not s.is_zero or kind == "zero"
         assert s.to_json_dict() == reference_to_json_dict(s), (case, s)
+        assert str(s) == reference_text(s), case
         assert series_from_json(s.to_json_dict()) == s
     assert all(seen.values()), seen
