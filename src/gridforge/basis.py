@@ -52,8 +52,7 @@ for both sides, and so its duality holds by construction.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, neg, sub
@@ -211,8 +210,8 @@ def first_element(N: int, k: int, space: str,
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalBasis:
+class CanonicalBasis(namedtuple(
+        "CanonicalBasis", "N k space m0 gap_bound prec stored count")):
     """Ordered family of basis elements m0 .. m0+count-1, each exact modulo
     q^prec.
 
@@ -220,15 +219,10 @@ class CanonicalBasis:
     tuple, shared and never copied, and may hold more elements, known to a
     higher precision.  An element is cut to prec when it is read, so a view
     costs nothing until then, and reading an element again cuts it again;
-    `combination` sums stored elements without cutting each."""
-    N: int
-    k: int
-    space: str
-    m0: int
-    gap_bound: int
-    prec: int
-    stored: tuple
-    count: int
+    `combination` sums stored elements without cutting each.  Two bases
+    are equal when they have the same head and read the same elements,
+    whatever their stored tuples hold beyond them."""
+    __slots__ = ()
 
     @property
     def indices(self) -> range:
@@ -265,6 +259,10 @@ class CanonicalBasis:
         # views of one tuple with the same head read the same elements
         return self._head() == other._head() and (
             self.stored is other.stored or self.elements == other.elements)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self._head())
@@ -532,14 +530,10 @@ def _verify_gap_form(basis: CanonicalBasis):
                 f"{basis.space} index {m}, exponent {s}")
 
 
-@dataclass(frozen=True)
-class ModularGrid:
-    """Paired bases: weight k with poles at infinity only, against
-    weight 2-k vanishing at the other cusps."""
-    N: int
-    k: int
-    fside: CanonicalBasis
-    gside: CanonicalBasis
+class ModularGrid(namedtuple("ModularGrid", "N k fside gside")):
+    """Paired bases: weight k with poles at infinity only (`fside`),
+    against weight 2-k vanishing at the other cusps (`gside`)."""
+    __slots__ = ()
 
 
 def build_grid(N: int, k: int, count: int,

@@ -22,7 +22,7 @@ registry forms ("form", N, w) and the bases ("basis", N, k, space) that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -43,16 +43,21 @@ ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
 # gridforge.basis.  Five F-forms are Certificates: exact combinations of
 # phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers, found by row reduction
 # in gridforge.seedsynth; none has a closed form here.
+#
+# Every record of the package is a namedtuple subclass: immutable, equal
+# and hashed by its fields, and copied with changes by `_replace`.  One
+# with a cached_property keeps a `__dict__` for it; the others have
+# `__slots__ = ()`.
 
-@dataclass(frozen=True)
-class Combo:
+class Combo(namedtuple("Combo", "terms")):
     """The sum of c * (product of factors) * psi^j over the (c, factors, j)
     terms, with psi the level's Hauptmodul.  A factor is ("phi", n, e) for
     phi_n(ez) = (n E2(nez) - E2(ez)) / (n - 1), ("eis", w, d) for E_w(dz),
     ("eta", q) for the eta quotient q, ("form", w) for the same level's
     weight-w registry form, or ("cusp",) for the cusp-killing polynomial;
-    the empty product is 1."""
-    terms: tuple             # of (Fraction, factors, psi power)
+    the empty product is 1.  `terms` is a tuple of (Fraction, factors,
+    psi power)."""
+    __slots__ = ()
 
 
 class CertificateError(AssertionError):
@@ -77,10 +82,11 @@ def _factor_form(N: int, k: int, factor: tuple) -> tuple[int, int]:
         f"E_w(dz) with w >= 4, so the valence argument does not cover it")
 
 
-@dataclass(frozen=True)
-class Certificate(Combo):
-    """Seed stored as an exact certificate: a Combo whose factors are all
-    phi_n(ez) or E_w(dz) (w >= 4), with its pinned expansion prefix.
+class Certificate(namedtuple("Certificate", "terms expected")):
+    """Seed stored as an exact certificate: terms as a Combo's, whose
+    factors are all phi_n(ez) or E_w(dz) (w >= 4), with its pinned
+    expansion prefix `expected`, a tuple of nonzero (exponent, int)
+    coefficients.
 
     The pinned prefix proves the certificate (valence formula).  phi_n(ez)
     is a form on Gamma_0(ne) and E_w(dz) one on Gamma_0(d); when these
@@ -99,7 +105,7 @@ class Certificate(Combo):
 
     `gridforge.seedsynth.derive_certificate` reproduces the terms by exact
     row reduction, a second derivation."""
-    expected: tuple          # of (exponent, int) nonzero coefficients
+    __slots__ = ()
 
     @property
     def check_through(self) -> int:
@@ -160,13 +166,14 @@ def _form(*factors) -> Combo:
 _ONE = _form()
 
 
-@dataclass(frozen=True)
-class TowerSeed:
+class TowerSeed(namedtuple("TowerSeed", "base others")):
     """seed(k) = F_base^l * F_{k'} for k = base_weight*l + k', where F_base
     is the eta quotient `base`, of weight base_weight, and k' is the one
-    other form weight congruent to k modulo base_weight."""
-    base: EtaQuotient
-    others: dict = field(default_factory=dict)   # weight -> Combo
+    other form weight congruent to k modulo base_weight; `others` maps
+    each other weight to its Combo (a new empty dict by default)."""
+
+    def __new__(cls, base: EtaQuotient, others: dict | None = None):
+        return super().__new__(cls, base, {} if others is None else others)
 
     @cached_property
     def base_weight(self) -> int:
@@ -187,14 +194,13 @@ class TowerSeed:
             f"no decomposition of weight {k} mod {self.base_weight}")
 
 
-@dataclass(frozen=True)
-class LevelData:
-    N: int
-    cusps: tuple                 # non-infinity cusps as (a, c) with gcd 1
-    hauptmodul: EtaQuotient
-    cusp_poly: tuple             # monic, ascending coefficients, P(0) = 0
-    seed: TowerSeed
-    flags: tuple = ()
+class LevelData(namedtuple("LevelData",
+                           "N cusps hauptmodul cusp_poly seed flags",
+                           defaults=((),))):
+    """A level's registry entry: the non-infinity cusps as (a, c) with
+    gcd 1, the Hauptmodul as an eta quotient, the cusp-killing polynomial
+    (monic, ascending coefficients, P(0) = 0), the seed recipe and the
+    flags on source typos."""
 
     @property
     def cusp_count(self) -> int:

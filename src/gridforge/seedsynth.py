@@ -16,7 +16,7 @@ and grids calls this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from gridforge.basis import _factor, hauptmodul_series, level_form
 from gridforge.generators import serre_derivative
@@ -32,12 +32,11 @@ class SynthesisError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SpanningFamily:
-    level: int
-    weight: int
-    pole_bound: int
-    members: tuple  # of (label, QSeries)
+class SpanningFamily(namedtuple("SpanningFamily",
+                                "level weight pole_bound members")):
+    """The members, as (label, QSeries) pairs, of the level's weight-k
+    forms with pole order at most pole_bound at infinity."""
+    __slots__ = ()
 
 
 def _divisors(n: int) -> list[int]:

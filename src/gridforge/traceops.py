@@ -14,7 +14,7 @@ those identities on truncated double expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from gridforge.basis import (HAT, INF, _box_sums, build_basis, gap_bound,
@@ -53,18 +53,13 @@ def _check_positive(name: str, n: int, least: int = 1):
         raise ValueError(f"{name} must be >= {least}, got {n}")
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    from_level: int
-    to_level: int
-    weight: int
-    space: str
-    index: int
-    applicable: bool
-    method: str
-    reason: str | None = None
-    combination: tuple = ()      # of (level-M index, Fraction)
-    expansion: QSeries | None = None
+class TraceReport(namedtuple(
+        "TraceReport", "from_level to_level weight space index applicable "
+        "method reason combination expansion", defaults=(None, (), None))):
+    """A trace and how it was found: `combination` holds its (level-M
+    index, Fraction) pairs, `expansion` its QSeries; `reason` says why a
+    trace that is not applicable is not."""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,10 +77,13 @@ class TraceReport:
         }
 
 
-def _trace_applicable(M: int, k: int, space: str) -> tuple[bool, str, str]:
-    """(ok, method, reason) for tracing into level M."""
+def _trace_applicable(M: int, k: int, space: str,
+                      b_m: int) -> tuple[bool, str, str]:
+    """(ok, method, reason) for tracing into level M, whose gap bound in
+    the space is b_m."""
     if space == INF:
-        if mk_trivial(M, k):
+        # the gap bound of the full space is v, so M_k(M) = 0 iff b_m < 0
+        if b_m < 0:
             return True, "principal_part", ""
         if k == 0:
             # The weight-0 space at level M contains the constants, so the
@@ -111,18 +109,18 @@ def trace(N: int, M: int, k: int, space: str, m: int,
                          f"weight {k} {space}")
 
     if M == N:
-        basis = _basis_for(N, k, space, m, prec)
+        basis = _basis_for(N, k, space, m, prec, b_n)
         return TraceReport(N, M, k, space, m, True, "identity",
                            combination=((m, Fraction(1)),),
                            expansion=basis.element(m).truncate(prec))
 
-    ok, method, reason = _trace_applicable(M, k, space)
+    b_m = gap_bound(M, k, space)
+    ok, method, reason = _trace_applicable(M, k, space, b_m)
     if not ok:
         return TraceReport(N, M, k, space, m, False, method, reason=reason)
 
     # the principal part is read through q^b_m
-    b_m = gap_bound(M, k, space)
-    src = _basis_for(N, k, space, m, max(prec, b_m + 1)).element(m)
+    src = _basis_for(N, k, space, m, max(prec, b_m + 1), b_n).element(m)
 
     # basis elements are integral: their numerators are their coefficients
     lo = src.valuation()
@@ -133,28 +131,30 @@ def trace(N: int, M: int, k: int, space: str, m: int,
                            combination=(), expansion=QSeries.zero(prec))
 
     top = max(i for i, _ in combo)
-    out = _basis_for(M, k, space, top, prec).combination(combo, prec)
+    out = _basis_for(M, k, space, top, prec, b_m).combination(combo, prec)
     return TraceReport(N, M, k, space, m, True, method,
                        combination=tuple((i, Fraction(c)) for i, c in combo),
                        expansion=out)
 
 
-def _basis_for(N: int, k: int, space: str, max_index: int, prec: int):
-    """Basis covering indices up to max_index at >= prec."""
-    B = gap_bound(N, k, space)
+def _basis_for(N: int, k: int, space: str, max_index: int, prec: int,
+               B: int | None = None):
+    """Basis covering indices up to max_index at >= prec; B is the space's
+    gap bound, when the caller has it."""
+    if B is None:
+        B = gap_bound(N, k, space)
     return build_basis(N, k, space, max(max_index + B + 1, 1),
                        max(prec, B + 1))
 
 
 # -- duality preservation -------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
-    from_level: int
-    to_level: int
-    weight: int
-    preserved: bool
-    case: str | None = None      # "f-side" | "g-side" when not preserved
+class Classification(namedtuple(
+        "Classification", "from_level to_level weight preserved case",
+        defaults=(None,))):
+    """Whether the trace preserves duality; `case` is "f-side" or "g-side"
+    when it does not."""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"from": self.from_level, "to": self.to_level,
@@ -195,17 +195,12 @@ def theorem_list_preserved(N: int, M: int, k: int) -> bool:
 
 # -- obstruction pairs ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ObstructionPair:
-    side: str                    # "f" (weight-k identity) or "g"
-    f_level: int
-    f_weight: int
-    f_index: int
-    f: QSeries
-    g_level: int
-    g_weight: int
-    g_index: int
-    g: QSeries
+class ObstructionPair(namedtuple(
+        "ObstructionPair", "side f_level f_weight f_index f "
+        "g_level g_weight g_index g")):
+    """One obstruction product f * g, on `side` "f" (the weight-k identity)
+    or "g"."""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,12 +212,11 @@ class ObstructionPair:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionList:
-    from_level: int
-    to_level: int
-    weight: int
-    pairs: tuple = field(default=())
+class ObstructionList(namedtuple(
+        "ObstructionList", "from_level to_level weight pairs",
+        defaults=((),))):
+    """The obstruction pairs of tracing from one level to another."""
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:
@@ -291,11 +285,11 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     cancel)."""
     other, name = ((HAT, "weight-k") if space == INF
                    else (INF, "weight-(2-k)"))
+    b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
     if M != N:
-        ok, _, reason = _trace_applicable(M, k, space)
+        ok, _, reason = _trace_applicable(M, k, space, b_m)
         if not ok:
             raise ValueError(f"{name} identity not checkable: {reason}")
-    b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
     _check_positive(f"max index P of the weight {k} identity", P, 1 - b_m)
     prec = P + 2
     xs = range(1, b_m - b_n + 1)

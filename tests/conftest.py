@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -25,8 +24,8 @@ def perturb_certificate(install_certificate):
     def install(N, k):
         cert = certificates()[(N, k)]
         (c, factors, j), *rest = cert.terms
-        install_certificate(N, k, dataclasses.replace(
-            cert, terms=((c + Fraction(1, 7), factors, j), *rest)))
+        install_certificate(N, k, cert._replace(
+            terms=((c + Fraction(1, 7), factors, j), *rest)))
     return install
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import os
 import random
@@ -265,7 +264,7 @@ def test_gap_form_check_covers_the_whole_gap():
 
     def with_term(m, s):
         e = b.element(m) + QSeries({s: 1}, b.prec)
-        return dataclasses.replace(b, stored=tuple(
+        return b._replace(stored=tuple(
             e if i == m else b.element(i) for i in b.indices))
 
     basis_mod._verify_gap_form(b)
@@ -332,11 +331,11 @@ def test_duality_residual_of_rational_grids():
     for _ in range(30):
         sides = []
         for side in (grid.fside, grid.gside):
-            sides.append(dataclasses.replace(side, stored=tuple(
+            sides.append(side._replace(stored=tuple(
                 e + QSeries({rng.randrange(-1, 6): Fraction(
                     rng.randrange(-9, 10), rng.randrange(1, 7))}, e.prec)
                 if rng.random() < 0.5 else e for e in side.elements)))
-        perturbed = dataclasses.replace(grid, fside=sides[0], gside=sides[1])
+        perturbed = grid._replace(fside=sides[0], gside=sides[1])
         for box in ((4, 4), (3, 2), (0, 4)):
             assert duality_residual(perturbed, *box) == \
                 reference_residual(perturbed, *box)
@@ -364,7 +363,7 @@ def test_duality_box_past_the_grid_precision_is_named():
 
 def _cut(basis, count, prec):
     """The basis's first `count` elements, each cut to prec."""
-    return dataclasses.replace(basis, prec=prec, count=count)
+    return basis._replace(prec=prec, count=count)
 
 
 def _derived_side(grid):
@@ -506,7 +505,7 @@ def _add_to_source(monkeypatch, key, i, j):
         elements = list(b.elements)
         s = elements[i - b.m0]
         elements[i - b.m0] = s + QSeries({j: 1}, s.prec)
-        return dataclasses.replace(b, stored=tuple(elements))
+        return b._replace(stored=tuple(elements))
 
     monkeypatch.setattr(qseries, "_store", {})
     monkeypatch.setattr(basis_mod, "_build", build)
@@ -1129,7 +1128,7 @@ def test_perturbed_certificate_fails_pinned_prefix(perturb_certificate):
 
 
 def _with_factor(cert, old, new):
-    return dataclasses.replace(cert, terms=tuple(
+    return cert._replace(terms=tuple(
         (c, tuple(new if f == old else f for f in factors), j)
         for c, factors, j in cert.terms))
 
@@ -1140,7 +1139,7 @@ def test_certificate_prefix_must_reach_the_maximal_order(
     v = v_of(13, 6)
     # the seed leads with q^v, so the prefix pinned below q^v is empty
     short = tuple((e, c) for e, c in cert.expected if e < v)
-    install_certificate(13, 6, dataclasses.replace(cert, expected=short))
+    install_certificate(13, 6, cert._replace(expected=short))
     with pytest.raises(CertificateError, match="does not determine"):
         level_form(13, 6, 20)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -568,8 +567,8 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
 def test_hauptmodul_that_is_not_monic_q_inverse_exits_3(capsys, monkeypatch):
     # the square of the level-2 Hauptmodul leads with q^-2; hauptmodul_series
     # refuses it before anything stores or reads it
-    monkeypatch.setitem(leveldata._REGISTRY, 2, dataclasses.replace(
-        leveldata.get_level(2), hauptmodul=EtaQuotient({1: 48, 2: -48})))
+    monkeypatch.setitem(leveldata._REGISTRY, 2, leveldata.get_level(2)._replace(
+        hauptmodul=EtaQuotient({1: 48, 2: -48})))
     monkeypatch.setattr(qseries, "_store", {})
     with pytest.raises(AssertionError,
                        match="Hauptmodul for level 2 is not monic q\\^-1"):
@@ -597,7 +596,7 @@ def test_certificate_outside_the_valence_argument_exits_3(
         capsys, install_certificate):
     cert = certificates()[(7, 4)]
     eta = ("eta", EtaQuotient({1: 16, 2: -8}))
-    install_certificate(7, 4, dataclasses.replace(cert, terms=tuple(
+    install_certificate(7, 4, cert._replace(terms=tuple(
         (c, tuple(eta if f == ("eis", 4, 1) else f for f in factors), j)
         for c, factors, j in cert.terms)))
     assert run(["grid", "--level", "7", "--weight", "4", "--count", "5"]) == 3

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -268,8 +267,8 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
         if (sp, m) != (space, index):
             return rep
         hits.append(m)
-        return dataclasses.replace(rep, expansion=rep.expansion
-                                   + QSeries({1: 1}, prec))
+        return rep._replace(expansion=rep.expansion
+                            + QSeries({1: 1}, prec))
 
     assert genfun_check(2, 1, -6, 15, side=side)
     monkeypatch.setattr(traceops, "trace", perturbed)
@@ -285,8 +284,7 @@ def test_genfun_check_fails_on_a_short_trace(monkeypatch):
 
     def short(N, M, k, sp, m, prec):
         rep = real(N, M, k, sp, m, prec)
-        return dataclasses.replace(rep,
-                                   expansion=rep.expansion.truncate(prec - 1))
+        return rep._replace(expansion=rep.expansion.truncate(prec - 1))
 
     monkeypatch.setattr(traceops, "trace", short)
     assert not genfun_check(2, 1, -6, 15, side="k")
@@ -320,7 +318,7 @@ def test_closed_form_fails_on_a_perturbed_basis(N, k, family, monkeypatch):
         # one added term at the second element's first tail exponent
         first, second, *rest = b.elements
         second = second + QSeries({b.gap_bound + 1: 1}, second.prec)
-        return dataclasses.replace(b, stored=(first, second, *rest))
+        return b._replace(stored=(first, second, *rest))
 
     P = _closed_form_prec(N, k)
     assert genfun_closed_form(N, k, P)
