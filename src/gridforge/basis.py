@@ -243,6 +243,14 @@ class CanonicalBasis(namedtuple(
     def element(self, m: int) -> QSeries:
         return self._stored(m).truncate(self.prec)
 
+    def numerators(self, m: int, lo: int, hi: int) -> list[int]:
+        """element(m).numerators(lo, hi); a window below prec is read off
+        the stored element, uncut."""
+        s = self._stored(m)
+        if hi > self.prec:
+            s = s.truncate(self.prec)
+        return s.numerators(lo, hi)
+
     def combination(self, pairs, prec: int) -> QSeries:
         """sum c * element(m) over the (m, c) pairs, known modulo q^prec.
         The sum is cut anyway, so it reads the stored elements uncut."""

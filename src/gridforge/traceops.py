@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
-from gridforge.basis import (HAT, INF, _box_sums, build_basis, gap_bound,
+from gridforge.basis import (HAT, INF, build_basis, gap_bound,
                              hauptmodul_series)
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
@@ -45,6 +47,11 @@ def _check_pair(N: int, M: int):
     get_level(M)
     if N % M:
         raise ValueError(f"{M} does not divide {N}")
+
+
+def _check_even(k: int):
+    if k % 2:
+        raise ValueError("weight must be even")
 
 
 def _check_positive(name: str, n: int, least: int = 1):
@@ -101,40 +108,58 @@ def _trace_applicable(M: int, k: int, space: str,
 def trace(N: int, M: int, k: int, space: str, m: int,
           prec: int = DEFAULT_PREC) -> TraceReport:
     """Trace of the index-m basis element of the level-N weight-k space
-    down to level M, expressed in the level-M canonical basis."""
+    down to level M, expressed in the level-M canonical basis: the
+    principal part `_principal_parts` matches for this one index, with
+    Fraction coefficients and the expansion to q^prec.
+    `empirical_preserves` calls the matcher itself, and reads a traced
+    element only at the box's exponents, where it is compared."""
     _check_pair(N, M)
     b_n = gap_bound(N, k, space)
     if m < -b_n:
         raise ValueError(f"no basis element of index {m} at level {N} "
                          f"weight {k} {space}")
-
     if M == N:
-        basis = _basis_for(N, k, space, m, prec, b_n)
-        return TraceReport(N, M, k, space, m, True, "identity",
-                           combination=((m, Fraction(1)),),
-                           expansion=basis.element(m).truncate(prec))
+        b_m, method = b_n, "identity"
+    else:
+        b_m = gap_bound(M, k, space)
+        ok, method, reason = _trace_applicable(M, k, space, b_m)
+        if not ok:
+            return TraceReport(N, M, k, space, m, False, method,
+                               reason=reason)
+    (combo,), target = _principal_parts(N, M, k, space, range(m, m + 1),
+                                        prec, b_n, b_m)
+    return TraceReport(
+        N, M, k, space, m, True, method,
+        combination=tuple((i, Fraction(c)) for i, c in combo),
+        expansion=(target.combination(combo, prec) if combo
+                   else QSeries.zero(prec)))
 
-    b_m = gap_bound(M, k, space)
-    ok, method, reason = _trace_applicable(M, k, space, b_m)
-    if not ok:
-        return TraceReport(N, M, k, space, m, False, method, reason=reason)
 
+def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
+                     prec: int, b_n: int, b_m: int):
+    """Principal-part matching of the level-N elements at `indices`, a
+    nonempty ascending range, where b_n and b_m are the gap bounds of the
+    space at N and at M: each element's coefficients through q^b_m as
+    (level-M index, int) pairs, and the level-M basis at >= prec covering
+    every index they name (None when they name none; the source itself
+    when M = N).
+
+    The source is asked for at the top index and the target at the largest
+    index named, the first and largest requests of a descending run of
+    single-index traces, so the store sees the same builds."""
     # the principal part is read through q^b_m
-    src = _basis_for(N, k, space, m, max(prec, b_m + 1), b_n).element(m)
-
+    src = _basis_for(N, k, space, indices[-1], max(prec, b_m + 1), b_n)
+    # element m is q^-m + O(q^(b_n + 1)), so its part names index m first;
     # basis elements are integral: their numerators are their coefficients
-    lo = src.valuation()
-    combo = [(-j, c) for j, c in enumerate(src.numerators(lo, b_m + 1), lo)
-             if c]
-    if not combo:
-        return TraceReport(N, M, k, space, m, True, method,
-                           combination=(), expansion=QSeries.zero(prec))
-
-    top = max(i for i, _ in combo)
-    out = _basis_for(M, k, space, top, prec, b_m).combination(combo, prec)
-    return TraceReport(N, M, k, space, m, True, method,
-                       combination=tuple((i, Fraction(c)) for i, c in combo),
-                       expansion=out)
+    parts = [[(-j, c) for j, c in
+              enumerate(src.numerators(m, -m, b_m + 1), -m) if c]
+             for m in indices]
+    top = max((part[0][0] for part in parts if part), default=None)
+    if top is None:
+        return parts, None
+    if M == N:
+        return parts, src
+    return parts, _basis_for(M, k, space, top, prec, b_m)
 
 
 def _basis_for(N: int, k: int, space: str, max_index: int, prec: int,
@@ -167,8 +192,7 @@ def classify(N: int, M: int, k: int) -> Classification:
     duality: exactly when both maximal-vanishing orders agree (always for
     M = N)."""
     _check_pair(N, M)
-    if k % 2:
-        raise ValueError("weight must be even")
+    _check_even(k)
     if M == N:
         return Classification(N, M, k, True)
     dv = v_of(N, k) - v_of(M, k)
@@ -233,6 +257,7 @@ def obstructions(N: int, M: int, k: int,
     """The product pairs obstructing the traced generating-function
     identities; empty exactly when the trace preserves duality."""
     _check_pair(N, M)
+    _check_even(k)
     if M == N:
         return ObstructionList(N, M, k)
     pairs = []
@@ -297,9 +322,19 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     # element is read once, as it is cut when read
     dual_n = {j: _basis_for(N, 2 - k, other, j, prec).element(j)
               for j in (b_n + x for x in reversed(xs))}
+    # the level-N family starts at index -b_n; its traces are matched in
+    # one pass, after the dual family is read: a weight >= 2 key is built
+    # from the other side's key, so the order of requests decides the
+    # sizes built
+    traced = range(max(-b_n, -b_m), P)
+    lhs = {}
+    if traced:
+        parts, target = _principal_parts(N, M, k, space, traced, prec,
+                                         b_n, b_m)
+        lhs = {m: target.combination(part, prec)
+               for m, part in zip(traced, parts)}
+    zero = QSeries.zero(prec)
     for m in reversed(range(-b_m, P)):
-        lhs = (trace(N, M, k, space, m, prec).expansion
-               if m >= -b_n else QSeries.zero(prec))
         rhs = _basis_for(M, k, space, m, prec).element(m).truncate(prec)
         for x in xs:
             j = b_n + x
@@ -307,7 +342,7 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
             if c:
                 low = _basis_for(M, k, space, -j, prec)
                 rhs = rhs - low.element(-j).scale(c)
-        if lhs != rhs.truncate(prec):
+        if lhs.get(m, zero) != rhs.truncate(prec):
             return False
     return True
 
@@ -358,23 +393,55 @@ def _closed_form_side(psi: QSeries, family, other: QSeries, P: int) -> bool:
 
 def empirical_preserves(N: int, M: int, k: int, box: int = 12) -> bool | None:
     """Direct duality check of the traced families on a box-by-box grid of
-    coefficients; None when principal-part matching does not apply on both
-    sides."""
+    coefficients, a(m, n) + b(n, m) = 0; None when principal-part matching
+    does not apply on both sides.  Each traced element is read only at the
+    box's exponents, where it is compared (see `_traced_box`)."""
     _check_pair(N, M)
+    _check_even(k)
     _check_positive("box", box)
     if M == N:
         return True
     if not (mk_trivial(M, k) and sk_trivial(M, 2 - k)):
         return None
+    a, b = _traced_box(N, M, k, box)
+    # row i of a and column i of b both belong to the i-th f-index
+    return all(x == -y for row, col in zip(a, zip(*b))
+               for x, y in zip(row, col))
+
+
+def _traced_box(N: int, M: int, k: int, box: int):
+    """The box `empirical_preserves` compares, as two lists of int rows:
+    a[i][j] = a(m_i, n_j) of the traced f_{k,m_i} and b[j][i] = b(n_j, m_i)
+    of the traced g_{2-k,n_j}, for the first `box` f-indices m_i and
+    g-indices n_j."""
     v_n = v_of(N, k)
     u_n = u_of(N, 2 - k)
     f_indices = range(-v_n, -v_n + box)
     g_indices = range(-u_n, -u_n + box)
-    # _box_sums reads f below q^(box - u_n) and g below q^(box - v_n)
+    # f is read below q^(box - u_n) and g below q^(box - v_n)
     need = max(-u_n, -v_n) + box
-    # top index first, so each basis is built once at its full size
-    tf = {m: trace(N, M, k, INF, m, need).expansion
-          for m in reversed(f_indices)}
-    tg = {n: trace(N, M, 2 - k, HAT, n, need).expansion
-          for n in reversed(g_indices)}
-    return not any(r for r, _ in _box_sums(tf, tg))
+    return (_traced_rows(N, M, k, INF, f_indices, g_indices, need),
+            _traced_rows(N, M, 2 - k, HAT, g_indices, f_indices, need))
+
+
+def _traced_rows(N: int, M: int, k: int, space: str, indices: range,
+                 window: range, prec: int) -> list[list[int]]:
+    """The traces of the level-N elements at `indices`, each read only at
+    the exponents in `window`: an int combination, by its principal part,
+    of the level-M elements' numerators there, each element read once.
+    All are exact ints, as basis elements and principal parts are
+    integral."""
+    parts, target = _principal_parts(N, M, k, space, indices, prec,
+                                     gap_bound(N, k, space),
+                                     gap_bound(M, k, space))
+    lo, hi = window.start, window.stop
+    cols = {}
+    rows = []
+    for part in parts:
+        row = [0] * len(window)
+        for i, c in part:
+            if i not in cols:
+                cols[i] = target.numerators(i, lo, hi)
+            row = list(map(add, row, map(mul, repeat(c), cols[i])))
+        rows.append(row)
+    return rows

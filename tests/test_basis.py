@@ -911,6 +911,13 @@ def test_every_view_equals_a_build_at_its_request(monkeypatch):
         for cut in (prec - 1, prec + 5):
             assert got.combination(pairs, cut) == QSeries.combination(
                 ((c, want.element(m)) for m, c in pairs), cut), (N, k, cut)
+        # a window is read uncut below prec, and not at all past it
+        for m in got.indices:
+            for lo in (-m, prec - 3):
+                assert got.numerators(m, lo, prec) == \
+                    want.element(m).numerators(lo, prec), (N, k, m, lo)
+            with pytest.raises(PrecisionError):
+                got.numerators(m, prec - 1, prec + 1)
 
 
 def test_a_view_outlives_the_rebuild_of_its_entry(monkeypatch):

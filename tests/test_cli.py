@@ -128,6 +128,18 @@ def test_obstructions(capsys):
     assert "no obstruction pairs" in out
 
 
+def test_odd_weight_is_a_usage_error_on_an_identity_pair(capsys):
+    # an identity pair was answered before the weight was checked, with
+    # "no obstruction pairs (duality preserved)" and exit 0
+    for command, to in (("obstructions", "4"), ("obstructions", "2"),
+                        ("classify", "4")):
+        assert run([command, "--from", "4", "--to", to,
+                    "--weight", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: weight must be even\n"
+
+
 def test_genfun_check_command(capsys):
     code, out = invoke(capsys, "genfun-check", "--from", "2", "--to", "1",
                        "--weight", "-6", "--max-index", "8")

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from operator import ge
 
 import pytest
 
-from gridforge import traceops
+from gridforge import basis as basis_mod
+from gridforge import qseries, traceops
 from gridforge.basis import HAT, INF, build_basis, gap_bound
 from gridforge.leveldata import ALL_LEVELS, GENUS_ZERO_LEVELS, u_of, v_of
 from gridforge.qseries import QSeries
@@ -176,6 +178,127 @@ def test_empirical_duality_asks_only_for_the_box_it_reads(N, M, k,
         assert r[4] <= max(gap_bound(*r[:3]) + 1, need), r
 
 
+def _applicable_triples():
+    """Every non-identity (N, M, k) with N genus zero and even k in
+    [-10, 10] whose traces principal-part matching gives on both sides."""
+    return [(N, M, k) for N in GENUS_ZERO_LEVELS for M in ALL_LEVELS
+            if N % M == 0 and M != N for k in range(-10, 11, 2)
+            if mk_trivial(M, k) and sk_trivial(M, 2 - k)]
+
+
+def _box_from_traces(N, M, k, box):
+    """The duality box read off full trace() expansions: a[i][j] =
+    a(m_i, n_j) of the traced f-family and b[j][i] = b(n_j, m_i) of the
+    traced g-family."""
+    f_ind = range(-v_of(N, k), -v_of(N, k) + box)
+    g_ind = range(-u_of(N, 2 - k), -u_of(N, 2 - k) + box)
+    need = max(f_ind.start, g_ind.start) + box
+    tf = (trace(N, M, k, INF, m, need).expansion for m in f_ind)
+    tg = (trace(N, M, 2 - k, HAT, n, need).expansion for n in g_ind)
+    return ([[s.coeff(n) for n in g_ind] for s in tf],
+            [[s.coeff(m) for m in f_ind] for s in tg])
+
+
+def _single_trace_requests(N, M, k, space, indices, prec):
+    """The basis requests of one trace() per index, top index first: the
+    source through the element's index, and the target through the largest
+    index its principal part names, which is the element's own when its
+    pole q^-m lies at or below the target's gap bound."""
+    b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
+    for m in reversed(indices):
+        build_basis(N, k, space, max(m + b_n + 1, 1),
+                    max(prec, b_m + 1, b_n + 1))
+        if -m <= b_m:
+            build_basis(M, k, space, m + b_m + 1, max(prec, b_m + 1))
+
+
+@pytest.mark.parametrize("box", [1, 5, 12])
+def test_traced_box_equals_the_box_of_full_traces(box, monkeypatch):
+    # coefficient by coefficient against the full traces; and on a cold
+    # store the windowed box builds what one trace() per index built, at
+    # the same sizes in the same order
+    triples = _applicable_triples()
+    assert len(triples) == 88
+    real_cached = basis_mod.cached
+
+    def misses_of(compute):
+        monkeypatch.setattr(qseries, "_store", {})
+        monkeypatch.setattr(qseries, "_stats", {})
+        misses = []
+
+        def cached(key, need, build):
+            entry = qseries._store.get(key)
+            if entry is None or not all(map(ge, entry[0], need)):
+                misses.append((key, need))
+            return real_cached(key, need, build)
+
+        monkeypatch.setattr(basis_mod, "cached", cached)
+        return compute(), misses
+
+    for N, M, k in triples:
+        f_ind = range(-v_of(N, k), -v_of(N, k) + box)
+        g_ind = range(-u_of(N, 2 - k), -u_of(N, 2 - k) + box)
+        need = max(f_ind.start, g_ind.start) + box
+        windowed, new = misses_of(
+            lambda: traceops._traced_box(N, M, k, box))
+        _, old = misses_of(lambda: (
+            _single_trace_requests(N, M, k, INF, f_ind, need),
+            _single_trace_requests(N, M, 2 - k, HAT, g_ind, need)))
+        assert new == old, (N, M, k)
+        assert windowed == _box_from_traces(N, M, k, box), (N, M, k)
+        assert all(type(x) is int for rows in windowed for row in rows
+                   for x in row)
+        a, b = windowed
+        assert empirical_preserves(N, M, k, box) == all(
+            a[i][j] + b[j][i] == 0 for i in range(box) for j in range(box))
+
+
+# on (4, 2, -2) the traced f_{-2,m}, m = 1 .. 12, are read at the box's
+# g-indices q^0 .. q^11, and the part of f_{-2,1} is the level-2 element of
+# index 1 once; the target is known to q^13
+@pytest.mark.parametrize("exponent, preserved", [(11, False), (12, True)],
+                         ids=["inside", "above"])
+def test_empirical_duality_reads_a_target_coefficient_inside_the_box(
+        exponent, preserved, monkeypatch):
+    real = traceops._basis_for
+    hits = []
+
+    def perturbed(N, k, sp, max_index, prec, B=None):
+        b = real(N, k, sp, max_index, prec, B)
+        if (N, k, sp) != (2, -2, INF):
+            return b
+        hits.append(b.prec)
+        first, *rest = b.stored
+        assert b.m0 == 1 and first.prec > 12
+        return b._replace(stored=(first + QSeries({exponent: 1}, first.prec),
+                                  *rest))
+
+    assert empirical_preserves(4, 2, -2)
+    monkeypatch.setattr(traceops, "_basis_for", perturbed)
+    assert empirical_preserves(4, 2, -2) is preserved
+    assert hits == [13]
+
+
+@pytest.mark.parametrize("N, M, k", [(4, 2, -2), (2, 1, -4), (9, 3, -2)])
+def test_empirical_duality_asks_for_each_basis_once(N, M, k, monkeypatch):
+    # the source and the target of each side, each once at its top index,
+    # and no single-index trace
+    asked, traced = [], []
+
+    def recording(*request):
+        asked.append(request[:3])
+        return build_basis(*request)
+
+    monkeypatch.setattr(traceops, "build_basis", recording)
+    monkeypatch.setattr(traceops, "trace", lambda *a: traced.append(a))
+    assert empirical_preserves(N, M, k) is not None
+    assert asked == [(N, k, INF), (M, k, INF),
+                     (N, 2 - k, HAT), (M, 2 - k, HAT)]
+    assert not traced
+    assert genfun_check(2, 1, -6, 15)
+    assert not traced
+
+
 def test_trace_below_the_first_index_names_the_space():
     # the weight-0 hat space of level 5 starts at index 1, as u = -1
     with pytest.raises(ValueError,
@@ -211,6 +334,16 @@ def test_empty_checks_raise():
         genfun_check(2, 1, -6, 1, side="k")
     assert empirical_preserves(4, 2, -2, box=1)
     assert genfun_check(2, 1, -6, 1, side="dual")
+
+
+def test_odd_weight_is_refused_on_an_identity_pair():
+    # the identity pair returned before the weight was checked
+    for N, M in ((4, 4), (4, 2), (1, 1)):
+        for check in (empirical_preserves, obstructions, classify):
+            with pytest.raises(ValueError, match="^weight must be even$"):
+                check(N, M, 3)
+        with pytest.raises(ValueError, match="^weight must be even$"):
+            genfun_check(N, M, -3, 8)
 
 
 def test_obstruction_examples():
@@ -259,19 +392,22 @@ def test_genfun_check_requires_applicable_side():
                                                  ("dual", HAT, 2)])
 def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
                                                  monkeypatch):
-    real = traceops.trace
+    # the matched principal part of one index names its own level-M
+    # element once more, so that one trace is off by that element
+    real = traceops._principal_parts
     hits = []
 
-    def perturbed(N, M, k, sp, m, prec):
-        rep = real(N, M, k, sp, m, prec)
-        if (sp, m) != (space, index):
-            return rep
-        hits.append(m)
-        return rep._replace(expansion=rep.expansion
-                            + QSeries({1: 1}, prec))
+    def perturbed(N, M, k, sp, indices, prec, b_n, b_m):
+        parts, target = real(N, M, k, sp, indices, prec, b_n, b_m)
+        if sp != space or index not in indices:
+            return parts, target
+        hits.append(index)
+        i = indices.index(index)
+        parts[i] = [*parts[i], (index, 1)]
+        return parts, target
 
     assert genfun_check(2, 1, -6, 15, side=side)
-    monkeypatch.setattr(traceops, "trace", perturbed)
+    monkeypatch.setattr(traceops, "_principal_parts", perturbed)
     assert not genfun_check(2, 1, -6, 15, side=side)
     assert not genfun_check(2, 1, -6, 15, side="both")
     assert hits
@@ -280,13 +416,13 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
 def test_genfun_check_fails_on_a_short_trace(monkeypatch):
     # a trace known one term below the working precision must fail the
     # check instead of comparing fewer coefficients
-    real = traceops.trace
+    real = traceops._principal_parts
 
-    def short(N, M, k, sp, m, prec):
-        rep = real(N, M, k, sp, m, prec)
-        return rep._replace(expansion=rep.expansion.truncate(prec - 1))
+    def short(N, M, k, sp, indices, prec, b_n, b_m):
+        parts, target = real(N, M, k, sp, indices, prec, b_n, b_m)
+        return parts, target._replace(prec=prec - 1)
 
-    monkeypatch.setattr(traceops, "trace", short)
+    monkeypatch.setattr(traceops, "_principal_parts", short)
     assert not genfun_check(2, 1, -6, 15, side="k")
 
 
