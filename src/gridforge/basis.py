@@ -31,18 +31,19 @@ shares its elements and cuts one to the request's precision only when it is
 read; any other request rebuilds it at the larger count and the larger
 precision.  A view taken before a rebuild keeps the elements it was given.
 
-A key's weight picks its builder.  Weight k <= 0 has two, which read the
-same Hauptmodul and first element, ask for the first element once, and
-cut every element to q^prec, so the only floor on prec is the gap bound.
-The recursion carries element j to q^(prec + count - 1 - j), since each
-multiplication by the Hauptmodul loses one term.  The anti-diagonal walk
-(`_walk`) fills the coefficients a(M, n) by anti-diagonals M + n from two
-identities: the recursion's chain a(M+1, n) = a(M, n+1) + K(M, n), and
-the symmetry m^e a(n, m) = n^e a(m, n) + corr(m, n), e = 1 - k, that
-Bol's identity and duality give together.  It closes each long diagonal
-at its middle by one exact division, so it never computes the padding
-triangle the recursion carries.  `_build` picks one from the request's
-shape: the walk when count >= 2|B| + 12 and prec <= 1.5 count.
+A key's weight picks its builder.  Weight k <= 0 has one, the
+anti-diagonal walk (`_walk`), which asks for the Hauptmodul and the first
+element once and cuts every element to q^prec, so the only floor on prec
+is the gap bound.  It fills the coefficients a(M, n) by anti-diagonals
+M + n from two identities: the chain a(M+1, n) = a(M, n+1) + K(M, n) of
+the recursion above, and the symmetry m^e a(n, m) = n^e a(m, n) +
+corr(m, n), e = 1 - k, that Bol's identity and duality give together.  It
+closes each long diagonal through a requested row at its middle by one
+exact division, so it fills about the square the request covers, and
+reads the first element only as far as that square's columns; a diagonal
+whose middle lies past the requested rows it walks down by the chain.  The
+recursion itself, which carries element j to q^(prec + count - 1 - j), is
+kept as an oracle in `gridforge.acceptance`.
 Weight k >= 2 is read off the other space of weight 2 - k, its source, by
 duality: a(m, n) = -b(n, m) for every m >= -B and n >= B + 1, B the
 source's gap bound, so each element is q^-n minus column n of the source
@@ -55,7 +56,7 @@ from __future__ import annotations
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import mul, neg
 
 from gridforge import leveldata
 from gridforge.generators import eisenstein, j_function, phi
@@ -244,11 +245,15 @@ class CanonicalBasis(namedtuple(
         return self._stored(m).truncate(self.prec)
 
     def numerators(self, m: int, lo: int, hi: int) -> list[int]:
-        """element(m).numerators(lo, hi); a window below prec is read off
-        the stored element, uncut."""
+        """element(m).numerators(lo, hi), read off the stored element uncut;
+        PrecisionError naming the element if the window reaches past
+        prec."""
         s = self._stored(m)
-        if hi > self.prec:
-            s = s.truncate(self.prec)
+        if hi > lo and hi > self.prec:
+            raise PrecisionError(
+                f"coefficient q^{hi - 1} of basis index {m} of level "
+                f"{self.N} weight {self.k} {self.space} not determined at "
+                f"prec {self.prec}")
         return s.numerators(lo, hi)
 
     def combination(self, pairs, prec: int) -> QSeries:
@@ -277,8 +282,8 @@ class CanonicalBasis(namedtuple(
 
 
 class IntegralityError(AssertionError):
-    """A series the recursion treats as integral has a non-integral
-    coefficient."""
+    """A series the walk treats as integral has a non-integral
+    coefficient, or one of its divisions is inexact."""
 
 
 def _require_integral(s: QSeries, what: str):
@@ -312,34 +317,18 @@ def build_basis(N: int, k: int, space: str, count: int,
     request: it shares the entry's elements and cuts each to prec only when
     it is read, so a request the entry already covers copies nothing."""
     _check_request(N, k, space, count, prec)
-    build = _build if k <= 0 else _transpose
+    build = _walk if k <= 0 else _transpose
     entry = cached(("basis", N, k, space), (count, prec),
                    lambda count, prec: build(N, k, space, count, prec))
     return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
                           entry.stored, count)
 
 
-def _build(N: int, k: int, space: str, count: int,
-           prec: int) -> CanonicalBasis:
-    """Elements m0 .. m0+count-1 of a weight k <= 0 space, each exact
-    modulo q^prec: by the anti-diagonal walk when count is large against
-    the gap bound B and against prec, else by the recursion.
-
-    The walk fills about a square of side max(prec, m0 + count) where the
-    recursion fills count rows of length about prec + count, and it pays
-    more per coefficient in its 2|B| - 1 low columns (B < 0) and for small
-    squares; measured on both builders, it is the faster one from
-    count >= 2|B| + 12 and prec <= 1.5 count on."""
-    B = gap_bound(N, k, space)
-    if count >= 2 * abs(B) + 12 and 2 * prec <= 3 * count:
-        return _walk(N, k, space, count, prec)
-    return _recursion(N, k, space, count, prec)
-
-
-def _inputs(N: int, k: int, space: str, count: int, prec: int):
-    """What both builders read, each checked integral: the Hauptmodul's
-    coefficients psi[a] at q^(a-1) up to q^(work+m0-2), and the first
-    element's from q^(B+1) up to q^(work-1), work = prec + count - 1."""
+def _inputs(N: int, k: int, space: str, count: int, prec: int, reach: int):
+    """What a weight k <= 0 build reads, each checked integral: the
+    Hauptmodul's coefficients psi[a] at q^(a-1) up to q^(work+m0-2),
+    work = prec + count - 1, and the first element's from q^(B+1) up to
+    q^(reach-1)."""
     B = gap_bound(N, k, space)
     m0 = -B
     work = prec + count - 1
@@ -348,44 +337,10 @@ def _inputs(N: int, k: int, space: str, count: int, prec: int):
     _require_integral(psi_series,
                       f"Hauptmodul of level {N} (for {where} prec {work})")
     psi = psi_series.numerators(-1, work + m0 - 1)
-    first = first_element(N, k, space, work)
+    first = first_element(N, k, space, reach)
     _require_integral(first,
-                      f"first element of {where} index {m0} prec {work}")
-    return psi, first.numerators(B + 1, work)
-
-
-def _recursion(N: int, k: int, space: str, count: int,
-               prec: int) -> CanonicalBasis:
-    """Run the Hauptmodul recursion for elements m0 .. m0+count-1, each
-    cut to q^prec once it is built."""
-    B = gap_bound(N, k, space)
-    m0 = -B
-    psi, first = _inputs(N, k, space, count, prec)
-    # Element j is q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo
-    # q^(prec+count-1-j): each multiplication by psi loses one term.
-    tails = [first]
-    psi_rev = psi[::-1]
-    top = len(psi) - 1
-    for i in range(1, count):
-        prev = tails[-1]
-        # the tail part of psi * element i-1, from q^B on
-        conv = [sum(map(mul, prev, psi_rev[top - n:]))
-                for n in range(len(prev))]
-        # Gap form: clearing q^s with element -s touches only q^s and the
-        # tail, so every clearing coefficient is read off the product.
-        # Element j leads with q^-(m0+j), where the product's coefficient
-        # is psi[i-j], plus the tail's q^B term for j = 0.
-        tail = list(map(add, psi[i + 1:], conv[1:]))
-        for j in range(i):
-            c = psi[i - j] + (conv[0] if j == 0 else 0)
-            if c:
-                tail = list(map(sub, tail, map(mul, repeat(c), tails[j])))
-        tails.append(tail)
-    elements = tuple(QSeries.from_row(B - j, [1, *repeat(0, j), *tail], prec)
-                     for j, tail in enumerate(tails))
-    built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
-    _verify_gap_form(built)
-    return built
+                      f"first element of {where} index {m0} prec {reach}")
+    return psi, first.numerators(B + 1, reach)
 
 
 def _walk(N: int, k: int, space: str, count: int,
@@ -416,39 +371,47 @@ def _walk(N: int, k: int, space: str, count: int,
     which reads only the low columns l < s0 of earlier diagonals (none when
     B >= 0).
 
-    A diagonal D > 2 s0 is closed at its middle by one exact division: for
-    odd D the chain step from a(M, M+1) to a(M+1, M) and the symmetry
-    between them give a(M, M+1); for even D the two chain steps from
-    a(M-1, M+1) to a(M+1, M-1) do.  It is then walked up toward row m0 by
-    the chain, and where it reaches row m0 it must give the first element's
-    coefficient; below the middle it is filled by the symmetry, and by the
-    chain in the low columns.  A shorter diagonal is walked down by the
-    chain from the first element.  Only rows m0 .. C-1 and columns
-    B+1 .. C-1, C = max(prec, m0 + count), are filled, and only on the
-    diagonals up to the last one a requested coefficient lies on (plus the
-    low columns of row C, which the last even diagonal reads, and the
-    shorter diagonals whole); the recursion instead carries element j to
-    q^(prec + count - 1 - j).
+    With R = m0 + count the first row not asked for, a diagonal
+    2 s0 < D < 2 R, whose middle is a requested row, is closed there by
+    one exact division: for odd D the chain step from a(M, M+1) to
+    a(M+1, M) and the symmetry between them give a(M, M+1); for even D the
+    two chain steps from a(M-1, M+1) to a(M+1, M-1) do.  It is then walked
+    up toward row m0 by the chain, and where it reaches row m0 it must give
+    the first element's coefficient; below the middle it is filled by the
+    symmetry, and by the chain in the low columns.  Every other diagonal,
+    the short ones and those from 2 R on, is walked down by the chain from
+    the first element.  Only rows m0 .. R-1 are filled (and the low columns
+    of row R, which the middle divisions read), up to the last diagonal a
+    requested coefficient lies on.  The columns go to max(prec, R) and as
+    far as the diagonals walked down reach: once prec >= R + 2 brings a
+    diagonal from 2 R on, they are the columns the recursion carries, up to
+    q^(prec + count - 2).  The first element is read as far as the columns
+    go.
 
     The divisions and the first-element check also refuse a wrong psi_s,
     except where the first element is 1 (weight 0, B = 0): the elements
     are then the Faber polynomials of psi, whose coefficients have the
-    symmetry for every series q^-1 + O(q).
+    symmetry for every series q^-1 + O(q).  A diagonal walked down is
+    checked only where a later division reads it.
     """
     B = gap_bound(N, k, space)
     m0, e, s0 = -B, 1 - k, max(-B, B + 1)
-    # the diagonal of a(m0 + count - 1, prec - 1), the last a requested
-    # coefficient lies on; the first, of a(m0, B + 1), is 1
+    R = m0 + count
+    # the diagonal of a(R - 1, prec - 1), the last a requested coefficient
+    # lies on; the first, of a(m0, B + 1), is 1
     last = prec + count + m0 - 2
-    psi, top = _inputs(N, k, space, count, prec)
+    # the last diagonal walked down from row m0, and the end C of the
+    # columns B+1 .. C-1 that the walk fills
+    down = last if last >= 2 * R else min(2 * s0, last)
+    C = max(prec, R, down - m0 + 1)
+    psi, top = _inputs(N, k, space, count, prec, C)
     h = psi[1:]
     where = f"level {N} weight {k} {space}"
-    C = max(prec, m0 + count)
     # Rows and columns keep their coefficients newest first, so each sum
     # of K is a dot product with h from its start.
-    rows = [deque() for _ in range(m0, C + 1)]
-    cols = [deque() for _ in range(B + 1, max(C, min(2 * s0, last) - m0 + 1))]
-    powers = [i ** e for i in range(C + 2)]
+    rows = [deque() for _ in range(m0, R + 1)]
+    cols = [deque() for _ in range(B + 1, C)]
+    powers = [i ** e for i in range(R + 1)]
     n_low = max(0, -2 * B - 1)
     low_powers = [l ** e for l in range(B + 1, B + 1 + n_low)]
     # per row m, once its low columns are in: l^e a(m, l) and a(m, -l)
@@ -471,9 +434,10 @@ def _walk(N: int, k: int, space: str, count: int,
         return a
 
     for D in range(1, last + 1):
-        # the last row on D: row C only in the low columns
-        hi = min(D - B - 1, C if D - C < s0 else C - 1)
-        if D <= 2 * s0:
+        # the last row on D: row R only in the low columns
+        hi = min(D - B - 1, R if D - R < s0 else R - 1)
+        mid = D // 2
+        if D <= 2 * s0 or mid >= R:
             lo = m0
             v = top[D - m0 - B - 1]
             diag = [v]
@@ -482,7 +446,6 @@ def _walk(N: int, k: int, space: str, count: int,
                 diag.append(v)
         else:
             lo = max(m0, D - C + 1)
-            mid = D // 2
             if D % 2:
                 v = exact(powers[mid] * K(mid, mid) - corr(mid, mid + 1),
                           powers[mid + 1] - powers[mid], mid, mid + 1)
@@ -522,7 +485,7 @@ def _walk(N: int, k: int, space: str, count: int,
     elements = tuple(
         QSeries.from_row(-M, [1, *repeat(0, M + B), *reversed(rows[M - m0])],
                          prec)
-        for M in range(m0, m0 + count))
+        for M in range(m0, R))
     built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
     _verify_gap_form(built)
     return built

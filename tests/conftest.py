@@ -31,15 +31,15 @@ def perturb_certificate(install_certificate):
 
 @pytest.fixture
 def counting_builds(monkeypatch):
-    """Start from an empty store and count the runs of `basis._build` (the
-    anti-diagonal walk or the recursion) per (N, k, space)."""
+    """Start from an empty store and count the runs of `basis._walk`, the
+    weight k <= 0 builder, per (N, k, space)."""
     monkeypatch.setattr(qseries, "_store", {})
     builds = {}
-    real = basis_mod._build
+    real = basis_mod._walk
 
     def build(N, k, space, count, prec):
         builds[(N, k, space)] = builds.get((N, k, space), 0) + 1
         return real(N, k, space, count, prec)
 
-    monkeypatch.setattr(basis_mod, "_build", build)
+    monkeypatch.setattr(basis_mod, "_walk", build)
     return builds

@@ -13,7 +13,7 @@ import gridforge
 from gridforge import basis as basis_mod
 from gridforge import qseries, seedsynth
 from gridforge import traceops as traceops_mod
-from gridforge.acceptance import SWEEP_WEIGHTS
+from gridforge.acceptance import SWEEP_WEIGHTS, _recursion
 from gridforge.basis import (
     HAT,
     INF,
@@ -370,8 +370,8 @@ def _derived_side(grid):
     """The side of the grid read off the other as its transpose, and the
     recursion's basis of the same key at the grid's count and precision."""
     side = grid.gside if grid.k <= 0 else grid.fside
-    return side, basis_mod._recursion(grid.N, side.k, side.space, side.count,
-                                      side.prec)
+    return side, _recursion(grid.N, side.k, side.space, side.count,
+                            side.prec)
 
 
 @pytest.mark.parametrize("N", ALL_LEVELS)
@@ -391,7 +391,7 @@ def test_derived_bases_equal_the_recursion(N, monkeypatch):
         # each case is derived at its own size, not cut from a larger entry
         qseries._store.pop(("basis", N, k, space), None)
         assert build_basis(N, k, space, count, prec) == \
-            basis_mod._recursion(N, k, space, count, prec), \
+            _recursion(N, k, space, count, prec), \
             (k, space, count, prec)
 
 
@@ -411,10 +411,10 @@ def bol_basis(N, k, space, count, prec):
     Bs = gap_bound(N, 2 - k, other)
     m0 = Bs + 1
     n_low = min(count, max(0, -2 * Bs - 1))
-    elements = list(basis_mod._recursion(N, k, space, n_low, prec).elements
+    elements = list(_recursion(N, k, space, n_low, prec).elements
                     if n_low else ())
     if n_low < count:
-        source = basis_mod._recursion(N, 2 - k, other, count + 2 * Bs + 1,
+        source = _recursion(N, 2 - k, other, count + 2 * Bs + 1,
                                       max(prec, Bs + 1))
     for m in range(m0 + n_low, m0 + count):
         s = t = source.element(m)
@@ -474,7 +474,7 @@ def test_every_stored_basis_is_the_recursions(monkeypatch):
     assert {k >= 2 for (_, _, k, _), _ in stored} == {True, False}
     for key, (count, prec) in stored:
         assert _cut(qseries._store[key][1], count, prec) == \
-            basis_mod._recursion(*key[1:], count, prec), key
+            _recursion(*key[1:], count, prec), key
 
 
 @pytest.mark.parametrize("N", ALL_LEVELS)
@@ -495,8 +495,8 @@ def test_derived_side_equals_the_recursion_at_depth(N, k, count,
 
 def _add_to_source(monkeypatch, key, i, j):
     """Start from an empty store, and add q^j to element i of every
-    recursion result of the (N, k, space) key."""
-    real = basis_mod._build
+    build of the (N, k, space) key."""
+    real = basis_mod._walk
 
     def build(*key_size):
         b = real(*key_size)
@@ -508,7 +508,7 @@ def _add_to_source(monkeypatch, key, i, j):
         return b._replace(stored=tuple(elements))
 
     monkeypatch.setattr(qseries, "_store", {})
-    monkeypatch.setattr(basis_mod, "_build", build)
+    monkeypatch.setattr(basis_mod, "_walk", build)
 
 
 @pytest.mark.parametrize("N, k", [(1, -4), (4, -2), (5, 0), (13, 4),
@@ -661,9 +661,9 @@ def reference_basis(N, k, space, count, prec):
 
 
 def _direct_build(N, k, space, count, prec):
-    """The basis built past the store: by `_build` for weight k <= 0, and
+    """The basis built past the store: by the walk for weight k <= 0, and
     by the recursion for k >= 2, whose store entries are transposes."""
-    build = basis_mod._build if k <= 0 else basis_mod._recursion
+    build = basis_mod._walk if k <= 0 else _recursion
     return build(N, k, space, count, prec)
 
 
@@ -728,11 +728,11 @@ def test_each_build_asks_for_one_first_element(counting_builds,
     # perfbench/spans.py counts a build_basis call as a build when one of
     # its direct children is a first_element call, so every build asks for
     # exactly one first element, and no first element asks for another
-    real_build, real_first = basis_mod._build, basis_mod.first_element
+    real_build, real_first = basis_mod._walk, basis_mod.first_element
     open_calls, callers = [], []
 
     def build(*args):
-        open_calls.append("_build")
+        open_calls.append("_walk")
         try:
             return real_build(*args)
         finally:
@@ -746,7 +746,7 @@ def test_each_build_asks_for_one_first_element(counting_builds,
         finally:
             open_calls.pop()
 
-    monkeypatch.setattr(basis_mod, "_build", build)
+    monkeypatch.setattr(basis_mod, "_walk", build)
     monkeypatch.setattr(basis_mod, "first_element", first)
     for N in ALL_LEVELS:
         for k in (-4, 0, 2, 6):
@@ -754,7 +754,7 @@ def test_each_build_asks_for_one_first_element(counting_builds,
     builds = sum(counting_builds.values())
     # one build of each grid's source, which the other side is read off
     assert builds == len(ALL_LEVELS) * 4
-    assert callers == [("_build",)] * builds
+    assert callers == [("_walk",)] * builds
 
 
 def test_a_cold_grid_builds_its_source_once(counting_builds):
@@ -920,6 +920,20 @@ def test_every_view_equals_a_build_at_its_request(monkeypatch):
                 got.numerators(m, prec - 1, prec + 1)
 
 
+def test_a_window_past_the_view_precision_names_the_element(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    # the entry is known further than the view, which still refuses
+    build_basis(4, 0, INF, 5, 50)
+    view = build_basis(4, 0, INF, 5, 10)
+    with pytest.raises(PrecisionError,
+                       match=r"^coefficient q\^39 of basis index 1 of level 4 "
+                             r"weight 0 inf not determined at prec 10$"):
+        view.numerators(1, 0, 40)
+    assert view.numerators(1, 0, 10) == \
+        view.element(1).numerators(0, 10)
+    assert view.numerators(1, 40, 40) == []
+
+
 def test_a_view_outlives_the_rebuild_of_its_entry(monkeypatch):
     monkeypatch.setattr(qseries, "_store", {})
     key = (5, -4, HAT)
@@ -937,7 +951,7 @@ def test_recursion_expands_the_hauptmodul_as_far_as_it_reads(N, k,
                                                              monkeypatch):
     count, prec = 10, 30
     monkeypatch.setattr(qseries, "_store", {})
-    basis_mod._recursion(N, k, INF, count, prec)
+    _recursion(N, k, INF, count, prec)
     # the recursion reads psi up to q^(work+m0-2)
     work, m0 = prec + count - 1, -v_of(N, k)
     assert qseries._store[("haupt", N)][1].prec == work + m0 - 1
@@ -1000,14 +1014,41 @@ def test_walk_equals_the_recursion(N):
     assert len(WALK_CASES) == 1260
     for case in WALK_CASES:
         if case[0] == N:
-            assert basis_mod._walk(*case) == basis_mod._recursion(*case), case
+            assert basis_mod._walk(*case) == _recursion(*case), case
 
 
 @pytest.mark.parametrize("N, k, space, count, prec", [
     (1, 0, INF, 100, 106), (16, -10, INF, 100, 126), (18, -6, HAT, 100, 131)])
 def test_walk_equals_the_recursion_at_depth(N, k, space, count, prec):
     assert basis_mod._walk(N, k, space, count, prec) == \
-        basis_mod._recursion(N, k, space, count, prec)
+        _recursion(N, k, space, count, prec)
+
+
+def tall_cases():
+    """Every level, even k in [-10, 0] and both spaces, at shapes with
+    prec >= m0 + count + 2, whose diagonals from 2 (m0 + count) on are
+    walked down: counts 1 to 5 up to prec 200, and the first diagonal so
+    walked, prec = m0 + count + 2, at larger counts."""
+    for N in ALL_LEVELS:
+        for k in range(-10, 1, 2):
+            for space in (INF, HAT):
+                m0 = -gap_bound(N, k, space)
+                for count, prec in ((1, 200), (2, 60), (3, 90), (5, 100),
+                                    (4, m0 + 6), (12, m0 + 14),
+                                    (20, m0 + 22)):
+                    if prec > -m0:
+                        yield N, k, space, count, prec
+
+
+TALL_CASES = list(tall_cases())
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_walk_equals_the_recursion_on_tall_shapes(N):
+    assert len(TALL_CASES) == 1260
+    for case in TALL_CASES:
+        if case[0] == N:
+            assert basis_mod._walk(*case) == _recursion(*case), case
 
 
 def _mutant_walk(old, new):
@@ -1043,9 +1084,9 @@ def test_walk_raises_on_a_wrong_hauptmodul_coefficient(N, k, space, count,
                                                        prec, monkeypatch):
     # the recursion turns a wrong psi_s into a wrong basis; the walk's
     # divisions and its check against the first element refuse it
-    right = basis_mod._recursion(N, k, space, count, prec)
+    right = _recursion(N, k, space, count, prec)
     _read_psi_off_by_one(monkeypatch)
-    assert basis_mod._recursion(N, k, space, count, prec) != right
+    assert _recursion(N, k, space, count, prec) != right
     with pytest.raises(AssertionError, match=WALK_FAILURE):
         basis_mod._walk(N, k, space, count, prec)
 
@@ -1055,9 +1096,9 @@ def test_walk_cannot_see_a_wrong_hauptmodul_at_weight_zero(N, monkeypatch):
     # With first element 1 the elements are the Faber polynomials of psi,
     # whose coefficients satisfy m a(n, m) = n a(m, n) for every psi, so a
     # wrong psi_s passes the walk as it passes the recursion
-    right = basis_mod._recursion(N, 0, INF, 30, 36)
+    right = _recursion(N, 0, INF, 30, 36)
     _read_psi_off_by_one(monkeypatch)
-    wrong = basis_mod._recursion(N, 0, INF, 30, 36)
+    wrong = _recursion(N, 0, INF, 30, 36)
     assert wrong != right
     assert basis_mod._walk(N, 0, INF, 30, 36) == wrong
 
@@ -1072,28 +1113,63 @@ def test_walk_raises_on_a_wrong_correction_term(N, k, space, count, prec):
         walk(N, k, space, count, prec)
 
 
-@pytest.mark.parametrize("shape, builder", [
-    ((5, 0, INF, 101, 106), "_walk"), ((18, -10, INF, 20, 56), "_recursion")],
-    ids=["deep", "sweep"])
-def test_build_picks_its_builder_from_the_shape(shape, builder, monkeypatch):
-    # a deep grid's source, and a sweep grid's source with gap bound -30
-    assert gap_bound(*shape[:3]) == (0 if builder == "_walk" else -30)
+@pytest.mark.parametrize("shape", [
+    (5, 0, INF, 101, 106), (18, -10, INF, 20, 56), (5, 0, INF, 1, 200),
+    (2, -2, HAT, 5, 60)], ids=["deep", "sweep", "tall", "tall-hat"])
+def test_every_weight_nonpositive_miss_runs_the_walk(shape, monkeypatch):
+    # a deep grid's source, a sweep grid's source with gap bound -30, and
+    # two tall shapes, prec >> m0 + count
+    monkeypatch.setattr(qseries, "_store", {})
     ran = []
-    for name in ("_walk", "_recursion"):
-        monkeypatch.setattr(basis_mod, name,
-                            lambda *args, name=name: ran.append(name))
-    basis_mod._build(*shape)
-    assert ran == [builder]
+    real = basis_mod._walk
+
+    def walk(*args):
+        ran.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(basis_mod, "_walk", walk)
+    build_basis(*shape)
+    assert ran == [shape]
 
 
 @pytest.mark.parametrize("N, k", [(1, 0), (5, 0), (2, -6), (9, -4)])
 def test_walk_reads_as_far_as_the_recursion(N, k, monkeypatch):
     count, prec = 40, 30
     work, m0 = prec + count - 1, -v_of(N, k)
-    for build in (basis_mod._walk, basis_mod._recursion):
+    for build in (basis_mod._walk, _recursion):
         monkeypatch.setattr(qseries, "_store", {})
         build(N, k, INF, count, prec)
         assert qseries._store[("haupt", N)][1].prec == work + m0 - 1
+
+
+@pytest.mark.parametrize("shape, reach", [
+    # m0 + count: the square of the requested rows
+    ((5, 0, INF, 30, 25), 30), ((9, -4, INF, 20, 12), 24),
+    # prec = m0 + count + 1, the widest shape no diagonal is walked down in
+    ((1, 0, INF, 20, 21), 21), ((13, -2, HAT, 6, 12), 12),
+    # prec >= m0 + count + 2: work = prec + count - 1, as the recursion
+    ((5, 0, INF, 3, 25), 27), ((2, -2, HAT, 5, 60), 64),
+    ((18, -10, INF, 2, 34), 35)])
+def test_walk_asks_for_the_first_element_as_far_as_it_reads(
+        shape, reach, monkeypatch):
+    N, k, space, count, prec = shape
+    asked, psi_prec = [], []
+    real = basis_mod.first_element
+
+    def first(*args):
+        # the Hauptmodul is asked for first; a hat first element may expand
+        # it further for its cusp-killing polynomial
+        psi_prec.append(qseries._store[("haupt", N)][1].prec)
+        asked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(basis_mod, "first_element", first)
+    basis_mod._walk(*shape)
+    assert asked == [(N, k, space, reach)]
+    # the Hauptmodul is read to q^(work + m0 - 2), as the recursion reads it
+    work, m0 = prec + count - 1, -gap_bound(N, k, space)
+    assert psi_prec == [work + m0 - 1]
 
 
 def test_non_integral_first_element_raises_in_the_walk(monkeypatch):
@@ -1106,7 +1182,7 @@ def test_non_integral_first_element_raises_in_the_walk(monkeypatch):
     monkeypatch.setattr(qseries, "_store", {})
     monkeypatch.setattr(basis_mod, "first_element", halved)
     with pytest.raises(IntegralityError,
-                       match=r"level 5 weight 0 inf index 0 prec 54.*"
+                       match=r"level 5 weight 0 inf index 0 prec 30.*"
                              r"1/2 at q\^2"):
         basis_mod._walk(5, 0, INF, 30, 25)
 
