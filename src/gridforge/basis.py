@@ -2,10 +2,11 @@
 
 The weight-k space with poles only at infinity has basis elements
 f_{k,m} = q^-m + O(q^{v+1}) for m >= -v; the subspace vanishing at the
-other cusps has g_{k,m} = q^-m + O(q^{u+1}) for m >= -u.  Elements are
-built recursively: multiply the previous element by the Hauptmodul, then
-subtract earlier elements (and the constant, where present) to clear
-every coefficient between the leading term and the gap bound.
+other cusps has g_{k,m} = q^-m + O(q^{u+1}) for m >= -u.  The elements
+obey a recursion: the previous element times the Hauptmodul, minus earlier
+elements (and the constant, where present) to clear every coefficient
+between the leading term and the gap bound.  The anti-diagonal walk builds
+them from it; the recursion itself is only the oracle (see below).
 
 Every series built from registry data is a `leveldata.Combo`, a sum of
 c * (product of factors) * psi^j, and one function, `_eval_form`,
@@ -55,8 +56,8 @@ from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, neg
+from itertools import chain, repeat
+from operator import add, mul, neg
 
 from gridforge import leveldata
 from gridforge.generators import eisenstein, j_function, phi
@@ -572,8 +573,7 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
     A grid from `build_grid` reads its weight >= 2 side off the other as
     its negated transpose, so on it the residual is zero by construction:
     an error in any source coefficient moves both terms of its pair, and
-    only a comparison with the recursion finds it.  The residual checks
-    grids assembled otherwise, such as traced ones."""
+    only a comparison with the recursion finds it."""
     if m_max < 0 or n_max < 0:
         raise ValueError("box dimensions must be nonnegative")
     if m_max > grid.fside.count or n_max > grid.gside.count:
@@ -581,36 +581,36 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
             f"duality box {m_max}x{n_max} of level {grid.N} weight "
             f"{grid.k} exceeds built count "
             f"({grid.fside.count}, {grid.gside.count})")
+    if not (m_max and n_max):
+        return Fraction(0)
     f_ind = grid.fside.indices[:m_max]
     g_ind = grid.gside.indices[:n_max]
     # f-side elements are read at the g-indices and g-side ones at the
     # f-indices
-    if m_max and n_max:
-        for side, top in ((grid.fside, g_ind[-1]), (grid.gside, f_ind[-1])):
-            if top >= side.prec:
-                raise PrecisionError(
-                    f"duality box {m_max}x{n_max} of level {grid.N} weight "
-                    f"{grid.k} reads q^{top} of the {side.space} side, "
-                    f"known only mod q^{side.prec}")
-    sums = _box_sums({m: grid.fside.element(m) for m in f_ind},
-                     {n: grid.gside.element(n) for n in g_ind})
-    return max((Fraction(abs(r), d) for r, d in sums if r),
-               default=Fraction(0))
+    for side, top in ((grid.fside, g_ind[-1]), (grid.gside, f_ind[-1])):
+        if top >= side.prec:
+            raise PrecisionError(
+                f"duality box {m_max}x{n_max} of level {grid.N} weight "
+                f"{grid.k} reads q^{top} of the {side.space} side, "
+                f"known only mod q^{side.prec}")
+    return Fraction(_box_residual(_box_rows(grid.fside, f_ind, g_ind),
+                                  _box_rows(grid.gside, g_ind, f_ind)))
 
 
-def _box_sums(f: dict, g: dict):
-    """a(m, n) + b(n, m) for every m in f and n in g, as (numerator,
-    denominator) pairs of ints, where f[m] has the coefficients a(m, .)
-    and g[n] the coefficients b(n, .); the keys of each dict are
-    consecutive ints."""
-    if not f or not g:
-        return
-    f_lo, f_hi = min(f), max(f) + 1
-    g_lo, g_hi = min(g), max(g) + 1
-    cols = [(s.numerators(f_lo, f_hi), s.denominator)
-            for _, s in sorted(g.items())]
-    for m, s in sorted(f.items()):
-        da = s.denominator
-        i = m - f_lo
-        for a, (col, db) in zip(s.numerators(g_lo, g_hi), cols):
-            yield a * db + col[i] * da, da * db
+def _box_rows(side: CanonicalBasis, indices: range, window: range) -> list:
+    """The elements at `indices`, each read at the exponents in `window`:
+    ints for an integral stored element, Fractions otherwise."""
+    rows = []
+    for m in indices:
+        row = side.numerators(m, window.start, window.stop)
+        d = side._stored(m).denominator
+        rows.append(row if d == 1 else [Fraction(x, d) for x in row])
+    return rows
+
+
+def _box_residual(a: list, b: list):
+    """max |a[i][j] + b[j][i]| over a duality box, 0 for an empty one: row
+    i of a holds a(m_i, .) at the n_j and row j of b holds b(n_j, .) at the
+    m_i, so a[i][j] + b[j][i] = 0 is a(m, n) = -b(n, m)."""
+    return max(map(abs, map(add, chain.from_iterable(a),
+                            chain.from_iterable(zip(*b)))), default=0)

@@ -201,7 +201,7 @@ class QSeries:
         return QSeries.combination(((k, self),), self._prec)
 
     @classmethod
-    def combination(cls, pairs, prec: int = DEFAULT_PREC) -> "QSeries":
+    def combination(cls, pairs, prec: int) -> "QSeries":
         """sum c*s over the (c, s) pairs, known modulo q^prec and modulo
         every s's precision; the zero series for no pairs."""
         # an int already has the numerator and denominator read below

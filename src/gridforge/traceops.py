@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from gridforge.basis import (HAT, INF, build_basis, gap_bound,
-                             hauptmodul_series)
+from gridforge.basis import (HAT, INF, _box_residual, build_basis,
+                             gap_bound, hauptmodul_series)
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
@@ -333,16 +333,14 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
                                          b_n, b_m)
         lhs = {m: target.combination(part, prec)
                for m, part in zip(traced, parts)}
+    # the level-M family, asked for once, through every index m and -j
+    # the right sides name
+    family = _basis_for(M, k, space, max(P - 1, -b_n - 1), prec)
     zero = QSeries.zero(prec)
     for m in reversed(range(-b_m, P)):
-        rhs = _basis_for(M, k, space, m, prec).element(m).truncate(prec)
-        for x in xs:
-            j = b_n + x
-            c = dual_n[j].coeff(m)
-            if c:
-                low = _basis_for(M, k, space, -j, prec)
-                rhs = rhs - low.element(-j).scale(c)
-        if lhs.get(m, zero) != rhs.truncate(prec):
+        rhs = family.combination(
+            [(m, 1), *((-j, -s.coeff(m)) for j, s in dual_n.items())], prec)
+        if lhs.get(m, zero) != rhs:
             return False
     return True
 
@@ -403,10 +401,7 @@ def empirical_preserves(N: int, M: int, k: int, box: int = 12) -> bool | None:
         return True
     if not (mk_trivial(M, k) and sk_trivial(M, 2 - k)):
         return None
-    a, b = _traced_box(N, M, k, box)
-    # row i of a and column i of b both belong to the i-th f-index
-    return all(x == -y for row, col in zip(a, zip(*b))
-               for x, y in zip(row, col))
+    return _box_residual(*_traced_box(N, M, k, box)) == 0
 
 
 def _traced_box(N: int, M: int, k: int, box: int):

@@ -341,6 +341,42 @@ def test_duality_residual_of_rational_grids():
                 reference_residual(perturbed, *box)
 
 
+def test_box_residual():
+    # a 2x3 box: row i of a against column i of b, so only the pair
+    # a[0][2] + b[2][0] = 3 - 10 is off
+    a = [[1, 2, 3], [4, 5, 6]]
+    b = [[-1, -4], [-2, -5], [-10, -6]]
+    assert basis_mod._box_residual(a, b) == 7
+    b[2][0] = -3
+    assert basis_mod._box_residual(a, b) == 0
+    a = [[Fraction(1, 2), 3]]
+    b = [[Fraction(-1, 3)], [-3]]
+    assert basis_mod._box_residual(a, b) == Fraction(1, 6)
+    for a, b in (([], []), ([[], []], []), ([], [[], [], []])):
+        assert basis_mod._box_residual(a, b) == 0
+
+
+@pytest.mark.parametrize("N, k", [(1, -4), (4, -2), (5, 0), (13, 4),
+                                  (9, 6)])
+def test_duality_residual_sees_an_error_of_the_transposed_side(N, k):
+    # the transposed side is read on its own, so 1 added to one of its
+    # coefficients in the box moves one pair, by exactly 1
+    count = 6
+    grid = build_grid(N, k, count)
+    name = "gside" if k <= 0 else "fside"
+    side = getattr(grid, name)
+    other = grid.fside if k <= 0 else grid.gside
+    window = other.indices
+    assert duality_residual(grid, count, count) == 0
+    for m in (side.m0, side.m0 + count - 1):
+        for e in (window[0], window[-1]):
+            stored = list(side.stored)
+            s = stored[m - side.m0]
+            stored[m - side.m0] = s + QSeries({e: 1}, s.prec)
+            bad = grid._replace(**{name: side._replace(stored=tuple(stored))})
+            assert duality_residual(bad, count, count) == 1, (m, e)
+
+
 def test_duality_residual_guards():
     g = build_grid(5, 0, 3)
     with pytest.raises(PrecisionError):
