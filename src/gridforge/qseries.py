@@ -228,9 +228,6 @@ class QSeries:
             return self._mul_series(other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def _mul_series(self, other: "QSeries") -> "QSeries":
         prec = min(self._prec + other._effective_valuation(),
                    other._prec + self._effective_valuation())
@@ -258,14 +255,9 @@ class QSeries:
             # q^0 at the relative precision of the base.
             return QSeries.one(self._prec - self._effective_valuation())
         if n < 0:
-            if not self._row:
-                raise ValueError("negative power of zero series")
-            base = self.inverse(self._prec - self.valuation())
-            n = -n
-        else:
-            base = self
+            raise ValueError("negative power: take inverse() first")
         result = None
-        sq = base
+        sq = self
         while n:
             if n & 1:
                 result = sq if result is None else result * sq

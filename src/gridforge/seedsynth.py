@@ -170,14 +170,14 @@ def row_reduce(members, e_min: int, e_cap: int):
 
 
 def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
-    """The family synthesis reduces, exact at least 8 terms past the
-    seed's pinned prefix: pole bound POLE_BOUND, with the target's own
-    closed form left out."""
+    """The family synthesis reduces, exact below q^max(prec, v + 1): pole
+    bound POLE_BOUND, with the target's own closed form left out.  By the
+    valence formula two forms of the family's space that agree through q^v
+    are equal, so no coefficient past q^v is needed to find the seed."""
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
-    cert = certificates().get((N, k))
-    work = max(prec, (cert.check_through if cert else v + 12) + 8)
+    work = max(prec, v + 1)
     return build_family(N, k, POLE_BOUND, work + POLE_BOUND,
                         exclude=((N, k),))
 

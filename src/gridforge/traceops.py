@@ -5,11 +5,15 @@ matching: when the relevant holomorphic space at level M is trivial, the
 trace of a basis element is the unique level-M combination with the same
 coefficients at every exponent up to the level-M gap bound.  On the full
 space at weight 0 the holomorphic constants survive, so traces there are
-canonical representatives normalized to the row-reduced gap form.
+canonical representatives normalized to the row-reduced gap form.  One
+rule, `_trace_method`, decides which of these applies, or that neither
+does; `trace`, `genfun_check`, `obstructions` and `empirical_preserves`
+all ask it.
 
 The module also classifies when the trace preserves grid duality, lists
 the obstruction pairs of the generating-function identities, and verifies
-those identities on truncated double expansions.
+those identities on truncated double expansions.  Both read a side's
+obstruction family from one helper, `_obstruction_family`.
 """
 
 from __future__ import annotations
@@ -84,25 +88,21 @@ class TraceReport(namedtuple(
         }
 
 
-def _trace_applicable(M: int, k: int, space: str,
-                      b_m: int) -> tuple[bool, str, str]:
-    """(ok, method, reason) for tracing into level M, whose gap bound in
-    the space is b_m."""
-    if space == INF:
-        # the gap bound of the full space is v, so M_k(M) = 0 iff b_m < 0
-        if b_m < 0:
-            return True, "principal_part", ""
-        if k == 0:
-            # The weight-0 space at level M contains the constants, so the
-            # principal part pins the trace only up to an additive constant;
-            # the row-reduced gap form fixes the canonical representative.
-            return True, "principal_part_mod_constants", ""
-        return (False, "none",
-                f"trace not determined by principal part: M_{k}({M}) != 0")
-    if sk_trivial(M, k):
-        return True, "principal_part", ""
-    return (False, "none",
-            f"trace not determined by principal part: S_{k}({M}) != 0")
+def _trace_method(M: int, k: int, space: str) -> tuple[str, str]:
+    """(method, reason) for tracing into the weight-k `space` at level M:
+    "principal_part" when its holomorphic part, M_k(M) for the full space
+    and S_k(M) for the subspace, is zero; "principal_part_mod_constants"
+    on the full space at weight 0, where M_0(M) holds the constants, so
+    the principal part pins the trace only up to an additive constant and
+    the row-reduced gap form fixes the canonical representative; else
+    "none", with the reason."""
+    if mk_trivial(M, k) if space == INF else sk_trivial(M, k):
+        return "principal_part", ""
+    if space == INF and k == 0:
+        return "principal_part_mod_constants", ""
+    held = "M" if space == INF else "S"
+    return ("none",
+            f"trace not determined by principal part: {held}_{k}({M}) != 0")
 
 
 def trace(N: int, M: int, k: int, space: str, m: int,
@@ -114,20 +114,15 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     `empirical_preserves` calls the matcher itself, and reads a traced
     element only at the box's exponents, where it is compared."""
     _check_pair(N, M)
-    b_n = gap_bound(N, k, space)
-    if m < -b_n:
+    if m < -gap_bound(N, k, space):
         raise ValueError(f"no basis element of index {m} at level {N} "
                          f"weight {k} {space}")
-    if M == N:
-        b_m, method = b_n, "identity"
-    else:
-        b_m = gap_bound(M, k, space)
-        ok, method, reason = _trace_applicable(M, k, space, b_m)
-        if not ok:
-            return TraceReport(N, M, k, space, m, False, method,
-                               reason=reason)
+    method, reason = (("identity", "") if M == N
+                      else _trace_method(M, k, space))
+    if method == "none":
+        return TraceReport(N, M, k, space, m, False, method, reason=reason)
     (combo,), target = _principal_parts(N, M, k, space, range(m, m + 1),
-                                        prec, b_n, b_m)
+                                        prec)
     return TraceReport(
         N, M, k, space, m, True, method,
         combination=tuple((i, Fraction(c)) for i, c in combo),
@@ -136,21 +131,22 @@ def trace(N: int, M: int, k: int, space: str, m: int,
 
 
 def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
-                     prec: int, b_n: int, b_m: int):
+                     prec: int):
     """Principal-part matching of the level-N elements at `indices`, a
-    nonempty ascending range, where b_n and b_m are the gap bounds of the
-    space at N and at M: each element's coefficients through q^b_m as
-    (level-M index, int) pairs, and the level-M basis at >= prec covering
-    every index they name (None when they name none; the source itself
-    when M = N).
+    nonempty ascending range: each element's coefficients through q^b_m,
+    the level-M gap bound, as (level-M index, int) pairs, and the level-M
+    basis at >= prec covering every index they name (None when they name
+    none; the source itself when M = N).
 
     The source is asked for at the top index and the target at the largest
     index named, the first and largest requests of a descending run of
     single-index traces, so the store sees the same builds."""
+    b_m = gap_bound(M, k, space)
     # the principal part is read through q^b_m
-    src = _basis_for(N, k, space, indices[-1], max(prec, b_m + 1), b_n)
-    # element m is q^-m + O(q^(b_n + 1)), so its part names index m first;
-    # basis elements are integral: their numerators are their coefficients
+    src = _basis_for(N, k, space, indices[-1], max(prec, b_m + 1))
+    # element m is q^-m plus terms past the level-N gap bound, so its part
+    # names index m first; basis elements are integral: their numerators
+    # are their coefficients
     parts = [[(-j, c) for j, c in
               enumerate(src.numerators(m, -m, b_m + 1), -m) if c]
              for m in indices]
@@ -159,15 +155,12 @@ def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
         return parts, None
     if M == N:
         return parts, src
-    return parts, _basis_for(M, k, space, top, prec, b_m)
+    return parts, _basis_for(M, k, space, top, prec)
 
 
-def _basis_for(N: int, k: int, space: str, max_index: int, prec: int,
-               B: int | None = None):
-    """Basis covering indices up to max_index at >= prec; B is the space's
-    gap bound, when the caller has it."""
-    if B is None:
-        B = gap_bound(N, k, space)
+def _basis_for(N: int, k: int, space: str, max_index: int, prec: int):
+    """Basis covering indices up to max_index at >= prec."""
+    B = gap_bound(N, k, space)
     return build_basis(N, k, space, max(max_index + B + 1, 1),
                        max(prec, B + 1))
 
@@ -261,24 +254,29 @@ def obstructions(N: int, M: int, k: int,
     if M == N:
         return ObstructionList(N, M, k)
     pairs = []
-    v_n, v_m = v_of(N, k), v_of(M, k)
-    # each family is requested at its top index, so it is built once
-    if v_n < v_m and mk_trivial(M, k):
-        fb = _basis_for(M, k, INF, -v_n - 1, prec)
-        gb = _basis_for(N, 2 - k, HAT, v_m, prec)
-        for j in range(v_n + 1, v_m + 1):
-            pairs.append(ObstructionPair(
-                "f", M, k, -j, fb.element(-j).truncate(prec),
-                N, 2 - k, j, gb.element(j).truncate(prec)))
-    u_n, u_m = u_of(N, 2 - k), u_of(M, 2 - k)
-    if u_n < u_m and sk_trivial(M, 2 - k):
-        fb = _basis_for(N, k, INF, u_m, prec)
-        gb = _basis_for(M, 2 - k, HAT, -u_n - 1, prec)
-        for j in range(u_n + 1, u_m + 1):
-            pairs.append(ObstructionPair(
-                "g", N, k, j, fb.element(j).truncate(prec),
-                M, 2 - k, -j, gb.element(-j).truncate(prec)))
+    for side, space, w in (("f", INF, k), ("g", HAT, 2 - k)):
+        if _trace_method(M, w, space)[0] != "principal_part":
+            continue
+        for j, fm, gn in _obstruction_family(N, M, w, space, prec):
+            pair = (M, w, -j, fm), (N, 2 - w, j, gn)
+            f, g = pair if side == "f" else pair[::-1]
+            pairs.append(ObstructionPair(side, *f, *g))
     return ObstructionList(N, M, k, tuple(pairs))
+
+
+def _obstruction_family(N: int, M: int, w: int, space: str, prec: int):
+    """One side's obstruction family, the weight-w identity in `space`:
+    (j, level-M element -j, level-N element j of weight 2 - w in the
+    other space), each cut to q^prec, for b_n < j <= b_m, the gap bounds
+    of the space at N and at M."""
+    b_n, b_m = gap_bound(N, w, space), gap_bound(M, w, space)
+    if b_n >= b_m:
+        return []
+    # each family is requested at its top index, so it is built once
+    fam = _basis_for(M, w, space, -b_n - 1, prec)
+    dual = _basis_for(N, 2 - w, HAT if space == INF else INF, b_m, prec)
+    return [(j, fam.element(-j).truncate(prec),
+             dual.element(j).truncate(prec)) for j in range(b_n + 1, b_m + 1)]
 
 
 # -- generating-function identities ---------------------------------------
@@ -308,20 +306,20 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     variable.  The weight-k identity is the INF case; the dual one is the
     HAT case at weight 2-k, with u in place of v (its two negations
     cancel)."""
-    other, name = ((HAT, "weight-k") if space == INF
-                   else (INF, "weight-(2-k)"))
-    b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
     if M != N:
-        ok, _, reason = _trace_applicable(M, k, space, b_m)
-        if not ok:
+        method, reason = _trace_method(M, k, space)
+        if method == "none":
+            name = "weight-k" if space == INF else "weight-(2-k)"
             raise ValueError(f"{name} identity not checkable: {reason}")
+    b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
     _check_positive(f"max index P of the weight {k} identity", P, 1 - b_m)
     prec = P + 2
-    xs = range(1, b_m - b_n + 1)
-    # top index first, so each basis is built once at its full size; each
-    # element is read once, as it is cut when read
-    dual_n = {j: _basis_for(N, 2 - k, other, j, prec).element(j)
-              for j in (b_n + x for x in reversed(xs))}
+    # the level-M family through every index m and -j the right sides
+    # name, asked for first, so the obstruction family's and the
+    # matcher's requests for it are covered and build nothing
+    family = _basis_for(M, k, space, max(P - 1, -b_n - 1), prec)
+    dual_n = [(j, g) for j, _, g in
+              _obstruction_family(N, M, k, space, prec)]
     # the level-N family starts at index -b_n; its traces are matched in
     # one pass, after the dual family is read: a weight >= 2 key is built
     # from the other side's key, so the order of requests decides the
@@ -329,17 +327,13 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     traced = range(max(-b_n, -b_m), P)
     lhs = {}
     if traced:
-        parts, target = _principal_parts(N, M, k, space, traced, prec,
-                                         b_n, b_m)
+        parts, target = _principal_parts(N, M, k, space, traced, prec)
         lhs = {m: target.combination(part, prec)
                for m, part in zip(traced, parts)}
-    # the level-M family, asked for once, through every index m and -j
-    # the right sides name
-    family = _basis_for(M, k, space, max(P - 1, -b_n - 1), prec)
     zero = QSeries.zero(prec)
     for m in reversed(range(-b_m, P)):
         rhs = family.combination(
-            [(m, 1), *((-j, -s.coeff(m)) for j, s in dual_n.items())], prec)
+            [(m, 1), *((-j, -s.coeff(m)) for j, s in dual_n)], prec)
         if lhs.get(m, zero) != rhs:
             return False
     return True
@@ -399,7 +393,8 @@ def empirical_preserves(N: int, M: int, k: int, box: int = 12) -> bool | None:
     _check_positive("box", box)
     if M == N:
         return True
-    if not (mk_trivial(M, k) and sk_trivial(M, 2 - k)):
+    if any(_trace_method(M, w, space)[0] != "principal_part"
+           for w, space in ((k, INF), (2 - k, HAT))):
         return None
     return _box_residual(*_traced_box(N, M, k, box)) == 0
 
@@ -426,9 +421,7 @@ def _traced_rows(N: int, M: int, k: int, space: str, indices: range,
     of the level-M elements' numerators there, each element read once.
     All are exact ints, as basis elements and principal parts are
     integral."""
-    parts, target = _principal_parts(N, M, k, space, indices, prec,
-                                     gap_bound(N, k, space),
-                                     gap_bound(M, k, space))
+    parts, target = _principal_parts(N, M, k, space, indices, prec)
     lo, hi = window.start, window.stop
     cols = {}
     rows = []

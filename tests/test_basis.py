@@ -607,6 +607,13 @@ def test_store_stats_count_basis_hits_and_misses(monkeypatch):
                                               "rebuilds": 2}
 
 
+def test_a_request_for_no_element_is_refused():
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        build_basis(5, 0, INF, 0, 20)
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        build_grid(5, 0, 0)
+
+
 def test_basis_element_range_guard():
     b = build_basis(5, 0, INF, 3, 20)
     with pytest.raises(IndexError,

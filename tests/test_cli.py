@@ -466,6 +466,11 @@ def test_usage_errors(capsys):
     assert run(["basis", "--level", "11", "--weight", "0"]) == 2
 
 
+def test_grid_of_no_element_is_a_usage_error(capsys):
+    assert run(["grid", "--level", "5", "--weight", "0", "--count", "0"]) == 2
+    assert capsys.readouterr().err == "usage error: count must be >= 1\n"
+
+
 def test_one_parser_serves_every_request(capsys):
     requests = (
         ["grid", "--level", "4", "--weight", "0", "--count", "3",

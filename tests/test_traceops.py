@@ -111,6 +111,35 @@ def test_trace_linearity_of_matching():
     assert direct == combo
 
 
+def test_one_rule_decides_when_principal_parts_determine_a_trace():
+    # the rule against its earlier spellings: M_k(M) = 0 on the full space,
+    # S_k(M) = 0 on the subspace, and the constants at weight 0
+    for M in ALL_LEVELS:
+        for k in range(-20, 21, 2):
+            for space, trivial, held in ((INF, mk_trivial, "M"),
+                                         (HAT, sk_trivial, "S")):
+                method, reason = traceops._trace_method(M, k, space)
+                if trivial(M, k):
+                    assert (method, reason) == ("principal_part", "")
+                elif space == INF and k == 0:
+                    assert (method, reason) == (
+                        "principal_part_mod_constants", "")
+                else:
+                    assert (method, reason) == (
+                        "none", "trace not determined by principal part: "
+                        f"{held}_{k}({M}) != 0"), (M, k, space)
+
+
+def test_empirical_duality_decides_where_both_sides_are_principal_parts():
+    for N in GENUS_ZERO_LEVELS:
+        for M in [m for m in ALL_LEVELS if N % m == 0]:
+            for k in range(-10, 11, 2):
+                undecided = M != N and not (mk_trivial(M, k)
+                                            and sk_trivial(M, 2 - k))
+                assert (empirical_preserves(N, M, k, box=1) is None) \
+                    == undecided, (N, M, k)
+
+
 def test_classify_examples():
     assert classify(2, 1, -4).preserved
     c = classify(2, 1, -6)
@@ -263,8 +292,8 @@ def test_empirical_duality_reads_a_target_coefficient_inside_the_box(
     real = traceops._basis_for
     hits = []
 
-    def perturbed(N, k, sp, max_index, prec, B=None):
-        b = real(N, k, sp, max_index, prec, B)
+    def perturbed(N, k, sp, max_index, prec):
+        b = real(N, k, sp, max_index, prec)
         if (N, k, sp) != (2, -2, INF):
             return b
         hits.append(b.prec)
@@ -383,6 +412,33 @@ def test_genfun_check_nonempty_dual_obstruction():
     assert genfun_check(4, 1, 4, 10, side="dual")
 
 
+@pytest.mark.parametrize("args, calls, store", [
+    ((2, 1, -6, 15, "both"), 8, (6, 2)),
+    ((4, 1, 4, 10, "dual"), 5, (3, 0)),
+    ((25, 1, -10, 12, "k"), 3, (3, 0)),
+], ids=["2-1-m6-both", "4-1-4-dual", "25-1-m10-k"])
+def test_genfun_check_asks_for_the_dual_family_once(args, calls, store,
+                                                    monkeypatch):
+    # the obstruction family's dual elements come from one request at its
+    # top index, not one request per index
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    real = traceops._basis_for
+    asked = []
+
+    def recording(*request):
+        asked.append(request[:3])
+        return real(*request)
+
+    monkeypatch.setattr(traceops, "_basis_for", recording)
+    assert genfun_check(*args)
+    assert len(asked) == calls, asked
+    basis = qseries.store_stats()["basis"]
+    assert (basis["misses"], basis["rebuilds"]) == store
+    if args == (25, 1, -10, 12, "k"):
+        assert asked.count((25, 12, HAT)) == 1
+
+
 def test_genfun_check_requires_applicable_side():
     with pytest.raises(ValueError, match="not checkable"):
         genfun_check(2, 1, 8, 10, side="k")
@@ -397,8 +453,8 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
     real = traceops._principal_parts
     hits = []
 
-    def perturbed(N, M, k, sp, indices, prec, b_n, b_m):
-        parts, target = real(N, M, k, sp, indices, prec, b_n, b_m)
+    def perturbed(N, M, k, sp, indices, prec):
+        parts, target = real(N, M, k, sp, indices, prec)
         if sp != space or index not in indices:
             return parts, target
         hits.append(index)
@@ -418,8 +474,8 @@ def test_genfun_check_fails_on_a_short_trace(monkeypatch):
     # check instead of comparing fewer coefficients
     real = traceops._principal_parts
 
-    def short(N, M, k, sp, indices, prec, b_n, b_m):
-        parts, target = real(N, M, k, sp, indices, prec, b_n, b_m)
+    def short(N, M, k, sp, indices, prec):
+        parts, target = real(N, M, k, sp, indices, prec)
         return parts, target._replace(prec=prec - 1)
 
     monkeypatch.setattr(traceops, "_principal_parts", short)
