@@ -593,18 +593,30 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
                 f"duality box {m_max}x{n_max} of level {grid.N} weight "
                 f"{grid.k} reads q^{top} of the {side.space} side, "
                 f"known only mod q^{side.prec}")
-    return Fraction(_box_residual(_box_rows(grid.fside, f_ind, g_ind),
-                                  _box_rows(grid.gside, g_ind, f_ind)))
+    return Fraction(_box_residual(
+        _box_rows(grid.fside, [((m, 1),) for m in f_ind], g_ind),
+        _box_rows(grid.gside, [((n, 1),) for n in g_ind], f_ind)))
 
 
-def _box_rows(side: CanonicalBasis, indices: range, window: range) -> list:
-    """The elements at `indices`, each read at the exponents in `window`:
-    ints for an integral stored element, Fractions otherwise."""
+def _box_rows(family: CanonicalBasis, parts, window: range) -> list:
+    """One row per part, a list of (index, coefficient) pairs: the sum of
+    coefficient * element(index) read at the exponents in `window`.  Each
+    element is read once, as ints when it is integral and as Fractions
+    otherwise; `family` is not read when no part names an index."""
+    cols = {}
     rows = []
-    for m in indices:
-        row = side.numerators(m, window.start, window.stop)
-        d = side._stored(m).denominator
-        rows.append(row if d == 1 else [Fraction(x, d) for x in row])
+    for part in parts:
+        row = None
+        for i, c in part:
+            if i not in cols:
+                col = family.numerators(i, window.start, window.stop)
+                d = family._stored(i).denominator
+                cols[i] = col if d == 1 else [Fraction(x, d) for x in col]
+            # a term of coefficient 1 is the element's row itself; no row
+            # is written to, so rows may share it
+            term = cols[i] if c == 1 else list(map(mul, repeat(c), cols[i]))
+            row = term if row is None else list(map(add, row, term))
+        rows.append([0] * len(window) if row is None else row)
     return rows
 
 

@@ -1,19 +1,23 @@
 """Command-line front end.
 
 Commands: basis, grid, seed, trace, classify, obstructions, genfun-check,
-registry, selftest.  Exit codes: 0 success, 1 mathematical negative (a
-NotPreserved classification or a failed identity check), 2 usage error
-(including an --out path that cannot be written), 3 internal validation
-failure (a broken invariant of the library, such as a non-integral basis
-coefficient or a violated gap form).  A reader that closes the output
-early (`gridforge grid ... | head`) ends the output quietly without
-changing the exit code.  GRIDFORGE_PREC overrides the default precision.
-`genfun-check --closed-form` checks the closed form of the level --from
-grid generating function; a different --to, or --side other than both, is a
-usage error.  Every JSON document is indented by 2 and written by one
-writer, `_json_text`, whose bytes are those of the standard library's
-`json.dumps` at that indent (`genfun-check --format json` prints one
-compact line).  `basis`, `grid` and `seed` hand the writer their series
+registry, selftest.  The parser is the command table: each subcommand's
+entry names its handler, and every handler takes (args, prec).  `run`
+resolves the precision by one rule, --prec, else a nonempty
+GRIDFORGE_PREC, else none (the default precision, or for `grid` the grid's
+own), writes it back to `args.prec`, refuses one below 10, and calls the
+handler.  Exit codes: 0 success, 1 mathematical negative (a NotPreserved
+classification or a failed identity check), 2 usage error (including an
+--out path that cannot be written), 3 internal validation failure (a
+broken invariant of the library, such as a non-integral basis coefficient
+or a violated gap form).  A reader that closes the output early
+(`gridforge grid ... | head`) ends the output quietly without changing the
+exit code.  `genfun-check --closed-form` checks the closed form of the
+level --from grid generating function; a different --to, or --side other
+than both, is a usage error.  Every JSON document is indented by 2 and
+written by one writer, `_json_text`, whose bytes are those of the standard
+library's `json.dumps` at that indent (`genfun-check --format json` prints
+one compact line).  `basis`, `grid` and `seed` hand the writer their series
 themselves: it writes a QSeries leaf as its `to_json_dict` document, read
 straight from the series' integer row.
 """
@@ -48,17 +52,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _default_prec() -> int:
-    env = os.environ.get("GRIDFORGE_PREC")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"GRIDFORGE_PREC is not an integer: {env!r}")
-    return DEFAULT_PREC
-
-
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -69,7 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: it has no
+    """The argument parser and command table, built once per process:
+    each subcommand's entry names its handler; the parser has no
     environment-dependent defaults, and each parse returns a new
     namespace."""
     common = argparse.ArgumentParser(add_help=False)
@@ -80,56 +75,53 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=None,
                         help="output path (default stdout)")
 
+    # the shared arguments of a (level, weight) request and of a trace pair
+    at_level = argparse.ArgumentParser(add_help=False)
+    at_level.add_argument("--level", type=int, required=True)
+    at_level.add_argument("--weight", type=int, required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--from", dest="from_level", type=int, required=True)
+    pair.add_argument("--to", dest="to_level", type=int, required=True)
+    pair.add_argument("--weight", type=int, required=True)
+
     p = _Parser(prog="gridforge",
                 description="Exact canonical bases, modular grids and "
                             "trace operators for genus-zero Gamma_0(N).")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, handler, shared=(), **kw):
+        sp = sub.add_parser(name, parents=[common, *shared], **kw)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = add_parser("basis", help="print canonical basis elements")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
+    sp = add_parser("basis", _cmd_basis, [at_level],
+                    help="print canonical basis elements")
     sp.add_argument("--space", choices=(INF, HAT), default=INF)
     sp.add_argument("--count", type=int, default=5)
 
-    sp = add_parser("grid", help="print both sides of a modular grid")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
+    sp = add_parser("grid", _cmd_grid, [at_level],
+                    help="print both sides of a modular grid")
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--check-duality", action="store_true",
                     help="also report the exact duality residual")
 
-    sp = add_parser("seed", help="synthesize a first basis element")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
+    sp = add_parser("seed", _cmd_seed, [at_level],
+                    help="synthesize a first basis element")
     sp.add_argument("--json", dest="audit_json", action="store_true",
                     help="emit the spanning-family audit as JSON")
 
-    sp = add_parser("trace", help="trace a basis element to a divisor level")
-    sp.add_argument("--from", dest="from_level", type=int, required=True)
-    sp.add_argument("--to", dest="to_level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
+    sp = add_parser("trace", _cmd_trace, [pair],
+                    help="trace a basis element to a divisor level")
     sp.add_argument("--space", choices=(INF, HAT), default=INF)
     sp.add_argument("--index", type=int, required=True)
 
-    sp = add_parser("classify", help="does the trace preserve duality?")
-    sp.add_argument("--from", dest="from_level", type=int, required=True)
-    sp.add_argument("--to", dest="to_level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
+    add_parser("classify", _cmd_classify, [pair],
+               help="does the trace preserve duality?")
+    add_parser("obstructions", _cmd_obstructions, [pair],
+               help="obstruction pairs of the traced identities")
 
-    sp = add_parser("obstructions",
-                    help="obstruction pairs of the traced identities")
-    sp.add_argument("--from", dest="from_level", type=int, required=True)
-    sp.add_argument("--to", dest="to_level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
-
-    sp = add_parser("genfun-check",
+    sp = add_parser("genfun-check", _cmd_genfun, [pair],
                     help="verify traced generating-function identities")
-    sp.add_argument("--from", dest="from_level", type=int, required=True)
-    sp.add_argument("--to", dest="to_level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--side", choices=("k", "dual", "both"), default="both")
     sp.add_argument("--max-index", type=int, default=12)
     sp.add_argument("--closed-form", action="store_true",
@@ -137,8 +129,9 @@ def _build_parser() -> _Parser:
                          "generating function instead (--to must equal "
                          "--from; it checks both sides)")
 
-    add_parser("registry", help="dump the level registry as JSON")
-    add_parser("selftest", help="run the acceptance suite")
+    add_parser("registry", _cmd_registry,
+               help="dump the level registry as JSON")
+    add_parser("selftest", _cmd_selftest, help="run the acceptance suite")
     return p
 
 
@@ -253,10 +246,7 @@ def _cmd_basis(args, prec) -> int:
 
 
 def _cmd_grid(args, prec) -> int:
-    # an empty GRIDFORGE_PREC counts as unset, as in _default_prec
-    explicit = args.prec is not None or bool(os.environ.get("GRIDFORGE_PREC"))
-    g = build_grid(args.level, args.weight, args.count,
-                   prec if explicit else None)
+    g = build_grid(args.level, args.weight, args.count, args.prec)
     residual = (duality_residual(g, args.count, args.count)
                 if args.check_duality else None)
     if args.format == "json":
@@ -315,7 +305,7 @@ def _cmd_trace(args, prec) -> int:
     return EXIT_OK if rep.applicable else EXIT_NEGATIVE
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, prec) -> int:
     c = classify(args.from_level, args.to_level, args.weight)
     if args.format == "json":
         _emit(args, _json_text(c.to_json_dict()))
@@ -345,7 +335,7 @@ def _cmd_obstructions(args, prec) -> int:
     return EXIT_OK if ob.is_empty else EXIT_NEGATIVE
 
 
-def _cmd_genfun(args) -> int:
+def _cmd_genfun(args, prec) -> int:
     if args.closed_form:
         if args.to_level != args.from_level:
             raise UsageError(f"--closed-form checks one level: --to "
@@ -365,40 +355,34 @@ def _cmd_genfun(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+def _cmd_registry(args, prec) -> int:
+    _emit(args, _json_text(registry_dump()))
+    return EXIT_OK
+
+
+def _cmd_selftest(args, prec) -> int:
+    return EXIT_OK if acceptance.run_all(_print) else EXIT_INTERNAL
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        prec = args.prec if args.prec is not None else _default_prec()
+        args = _build_parser().parse_args(argv)
+        # args.prec stays None when neither --prec nor GRIDFORGE_PREC sets it
+        env = os.environ.get("GRIDFORGE_PREC")
+        if args.prec is None and env:
+            try:
+                args.prec = int(env)
+            except ValueError:
+                raise UsageError(f"GRIDFORGE_PREC is not an integer: {env!r}")
+        prec = DEFAULT_PREC if args.prec is None else args.prec
         if prec < 10:
             raise UsageError("precision must be >= 10")
-        if args.command == "basis":
-            return _cmd_basis(args, prec)
-        if args.command == "grid":
-            return _cmd_grid(args, prec)
-        if args.command == "seed":
-            return _cmd_seed(args, prec)
-        if args.command == "trace":
-            return _cmd_trace(args, prec)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "obstructions":
-            return _cmd_obstructions(args, prec)
-        if args.command == "genfun-check":
-            return _cmd_genfun(args)
-        if args.command == "registry":
-            _emit(args, _json_text(registry_dump()))
-            return EXIT_OK
-        if args.command == "selftest":
-            return EXIT_OK if acceptance.run_all(_print) else EXIT_INTERNAL
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args, prec)
     except (SynthesisError, AssertionError) as exc:
         print(f"internal validation failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, IndexError) as exc:
+        # UsageError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 
-from gridforge.basis import (HAT, INF, _box_residual, build_basis,
-                             gap_bound, hauptmodul_series)
+from gridforge.basis import (HAT, INF, _box_residual, _box_rows,
+                             build_basis, gap_bound, hauptmodul_series)
 from gridforge.leveldata import get_level, u_of, v_of
 from gridforge.qseries import DEFAULT_PREC, QSeries
 
@@ -36,6 +34,7 @@ def mk_trivial(M: int, k: int) -> bool:
 
 def sk_trivial(M: int, k: int) -> bool:
     """Whether the weight-k cusp space at level M is zero."""
+    _check_even(k)
     get_level(M)
     if M == 1:
         return k == 14 or k < 12
@@ -198,7 +197,10 @@ def classify(N: int, M: int, k: int) -> Classification:
 
 def theorem_list_preserved(N: int, M: int, k: int) -> bool:
     """The explicit classification list: k=0 always; k=-2 for N in
-    {2,3,4}; k=-4 for (N,M)=(2,1); and the identity trace."""
+    {2,3,4}; k=-4 for (N,M)=(2,1); and the identity trace.  It refuses
+    what `classify` refuses."""
+    _check_pair(N, M)
+    _check_even(k)
     if M == N:
         return True
     if k == 0:
@@ -403,33 +405,17 @@ def _traced_box(N: int, M: int, k: int, box: int):
     """The box `empirical_preserves` compares, as two lists of int rows:
     a[i][j] = a(m_i, n_j) of the traced f_{k,m_i} and b[j][i] = b(n_j, m_i)
     of the traced g_{2-k,n_j}, for the first `box` f-indices m_i and
-    g-indices n_j."""
+    g-indices n_j.  Each trace is read only at the other side's indices,
+    as the combination its principal part names of the level-M elements
+    there; basis elements and principal parts are integral, so all are
+    exact ints."""
     v_n = v_of(N, k)
     u_n = u_of(N, 2 - k)
     f_indices = range(-v_n, -v_n + box)
     g_indices = range(-u_n, -u_n + box)
     # f is read below q^(box - u_n) and g below q^(box - v_n)
     need = max(-u_n, -v_n) + box
-    return (_traced_rows(N, M, k, INF, f_indices, g_indices, need),
-            _traced_rows(N, M, 2 - k, HAT, g_indices, f_indices, need))
-
-
-def _traced_rows(N: int, M: int, k: int, space: str, indices: range,
-                 window: range, prec: int) -> list[list[int]]:
-    """The traces of the level-N elements at `indices`, each read only at
-    the exponents in `window`: an int combination, by its principal part,
-    of the level-M elements' numerators there, each element read once.
-    All are exact ints, as basis elements and principal parts are
-    integral."""
-    parts, target = _principal_parts(N, M, k, space, indices, prec)
-    lo, hi = window.start, window.stop
-    cols = {}
-    rows = []
-    for part in parts:
-        row = [0] * len(window)
-        for i, c in part:
-            if i not in cols:
-                cols[i] = target.numerators(i, lo, hi)
-            row = list(map(add, row, map(mul, repeat(c), cols[i])))
-        rows.append(row)
-    return rows
+    parts, target = _principal_parts(N, M, k, INF, f_indices, need)
+    a = _box_rows(target, parts, g_indices)
+    parts, target = _principal_parts(N, M, 2 - k, HAT, g_indices, need)
+    return a, _box_rows(target, parts, f_indices)

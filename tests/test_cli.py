@@ -509,6 +509,68 @@ def test_empty_env_precision_counts_as_unset(capsys, monkeypatch):
     assert "duality residual: 0" in out
 
 
+@pytest.mark.parametrize("env, extra, tail", [
+    ("30", [], "+ O(q^30)"), (None, [], "+ O(q^9)"),
+    ("30", ["--prec", "20"], "+ O(q^20)")])
+def test_env_precision_is_the_grid_precision(env, extra, tail, capsys,
+                                             monkeypatch):
+    # a nonempty GRIDFORGE_PREC is an explicit precision, which --prec
+    # beats; without either the grid picks count + |v| + 6
+    if env is None:
+        monkeypatch.delenv("GRIDFORGE_PREC", raising=False)
+    else:
+        monkeypatch.setenv("GRIDFORGE_PREC", env)
+    code, out = invoke(capsys, "grid", "--level", "5", "--weight", "0",
+                       "--count", "3", *extra)
+    assert code == 0
+    elements = [line for line in out.splitlines() if " = " in line]
+    assert len(elements) == 6
+    assert all(line.endswith(tail) for line in elements)
+
+
+COMMON_ARGS = ("--prec", "--format", "--out")
+AT_LEVEL_ARGS = COMMON_ARGS + ("--level", "--weight")
+PAIR_ARGS = COMMON_ARGS + ("--from", "--to", "--weight")
+
+
+# the arguments each help text lists from a shared parent parser ("" is the
+# top level, which lists the commands)
+SHARED_ARGS = {
+    "": ("basis", "genfun-check", "selftest"),
+    "basis": AT_LEVEL_ARGS, "grid": AT_LEVEL_ARGS, "seed": AT_LEVEL_ARGS,
+    "trace": PAIR_ARGS, "classify": PAIR_ARGS, "obstructions": PAIR_ARGS,
+    "genfun-check": PAIR_ARGS, "registry": COMMON_ARGS,
+    "selftest": COMMON_ARGS}
+
+
+@pytest.mark.parametrize("command", SHARED_ARGS, ids=lambda c: c or "top")
+def test_help_exits_0_and_lists_the_shared_arguments(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        run([*command.split(), "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: gridforge {command}".rstrip())
+    assert all(arg in out for arg in SHARED_ARGS[command])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["basis", "--level", "5"], "--weight"),
+    (["trace", "--from", "4", "--weight", "0", "--index", "1"], "--to"),
+    (["basis", "--level", "5", "--weight", "0", "--space", "x"], "--space"),
+    (["genfun-check", "--from", "4", "--to", "2", "--weight", "0",
+      "--side", "x"], "--side"),
+    (["classify", "--from", "4", "--to", "2", "--weight", "0",
+      "--format", "xml"], "--format"),
+    (["bogus"], "'bogus'"),
+    (["basis", "--level", "5", "--weight", "0", "--prec", "4"],
+     "precision must be >= 10")])
+def test_usage_errors_name_the_offending_argument(argv, named, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and named in err
+
+
 def test_seed_audit_reduces_the_family_once(capsys, monkeypatch):
     calls = []
     real = seedsynth.build_family

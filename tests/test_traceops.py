@@ -37,6 +37,22 @@ def test_triviality_predicates():
     assert not sk_trivial(5, 4)
 
 
+@pytest.mark.parametrize("check, counterpart, args", [
+    (theorem_list_preserved, classify, (5, 3, 0)),
+    (theorem_list_preserved, classify, (11, 1, 0)),
+    (theorem_list_preserved, classify, (4, 2, 1)),
+    (sk_trivial, mk_trivial, (5, 3)),
+    (sk_trivial, mk_trivial, (11, 3)),
+])
+def test_predicates_refuse_what_their_counterparts_refuse(check, counterpart,
+                                                          args):
+    with pytest.raises(ValueError) as expected:
+        counterpart(*args)
+    with pytest.raises(ValueError) as refused:
+        check(*args)
+    assert str(refused.value) == str(expected.value)
+
+
 def test_trace_level_four_weight_zero():
     r = trace(4, 1, 0, INF, 1, 10)
     assert r.applicable and r.method == "principal_part_mod_constants"
