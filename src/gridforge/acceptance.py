@@ -88,26 +88,32 @@ def _recursion(N: int, k: int, space: str, count: int,
     return built
 
 
+# The published level-1 grid of weights 0 and 2: LEVEL_ONE_GRID[m-1][n-1]
+# is a(m, n), the coefficient of q^n in f_{0,m}; g_{2,n} has -a(m, n) at
+# q^m.
+LEVEL_ONE_GRID = (
+    (196884, 21493760, 864299970),
+    (42987520, 40491909396, 8504046600192),
+    (2592899910, 12756069900288, 9529320689550144),
+)
+
+
+def _require_level_one_grid(f_of, g_of) -> None:
+    """f_of(m) for m in 1..3 is q^-m plus row m of LEVEL_ONE_GRID at q^1..q^3
+    and g_of(n) is q^-n minus its column n, each read once."""
+    for i, row in enumerate(LEVEL_ONE_GRID, 1):
+        got = [f_of(i).coeff(n) for n in (-i, 1, 2, 3)]
+        _require(got == [1, *row], f"f_{{0,{i}}}: {got} != {[1, *row]}")
+        col = [1, *(-r[i - 1] for r in LEVEL_ONE_GRID)]
+        got = [g_of(i).coeff(m) for m in (-i, 1, 2, 3)]
+        _require(got == col, f"g_{{2,{i}}}: {got} != {col}")
+
+
 def criterion_1_level_one_grid():
     """Weight-0/2 level-1 grid coefficients match the published values."""
     f = build_basis(1, 0, INF, 4, 20)
     g = build_basis(1, 2, HAT, 4, 20)
-    expected_f = {
-        1: [196884, 21493760, 864299970],
-        2: [42987520, 40491909396, 8504046600192],
-        3: [2592899910, 12756069900288, 9529320689550144],
-    }
-    expected_g = {
-        1: [-196884, -42987520, -2592899910],
-        2: [-21493760, -40491909396, -12756069900288],
-        3: [-864299970, -8504046600192, -9529320689550144],
-    }
-    for m, vals in expected_f.items():
-        got = [f.element(m).coeff(n) for n in (1, 2, 3)]
-        _require(got == vals, f"f_{{0,{m}}}: {got} != {vals}")
-    for n, vals in expected_g.items():
-        got = [g.element(n).coeff(m) for m in (1, 2, 3)]
-        _require(got == vals, f"g_{{2,{n}}}: {got} != {vals}")
+    _require_level_one_grid(f.element, g.element)
     _require(f.element(0).items() == ((0, Fraction(1)),))
 
 
@@ -165,34 +171,16 @@ def criterion_4_uv_alignment():
 
 
 def criterion_5_trace_examples():
-    """The published level-4 and level-2 trace expansions.
+    """The published level-4 and level-2 trace expansions; the level-4
+    traces of weights 0 and 2 to level 1 are the level-1 grid.
 
     One coefficient is corrected: the weight-8 level-1 element with a
     simple pole has q-coefficient 28404 (the source prints 28240, which
     contradicts its own duality data; see the decisions ledger).
     """
-    cases_inf4 = {
-        1: ((-1, 1), (1, 196884), (2, 21493760), (3, 864299970)),
-        2: ((-2, 1), (1, 42987520), (2, 40491909396), (3, 8504046600192)),
-        3: ((-3, 1), (1, 2592899910), (2, 12756069900288),
-            (3, 9529320689550144)),
-    }
-    cases_hat4 = {
-        1: ((-1, 1), (1, -196884), (2, -42987520), (3, -2592899910)),
-        2: ((-2, 1), (1, -21493760), (2, -40491909396),
-            (3, -12756069900288)),
-        3: ((-3, 1), (1, -864299970), (2, -8504046600192),
-            (3, -9529320689550144)),
-    }
     _require(trace(4, 1, 0, INF, 0).expansion.items() == ((0, Fraction(1)),))
-    for m, pairs in cases_inf4.items():
-        exp = trace(4, 1, 0, INF, m).expansion
-        for n, c in pairs:
-            _require(exp.coeff(n) == c, (m, n))
-    for m, pairs in cases_hat4.items():
-        exp = trace(4, 1, 2, HAT, m).expansion
-        for n, c in pairs:
-            _require(exp.coeff(n) == c, (m, n))
+    _require_level_one_grid(lambda m: trace(4, 1, 0, INF, m).expansion,
+                            lambda n: trace(4, 1, 2, HAT, n).expansion)
 
     cases_2 = {
         2: ((1, 8), ((-2, 1), (-1, 8), (0, -65760), (1, -87553952))),

@@ -126,11 +126,13 @@ def _valuation(N: int, factor: tuple) -> int:
 
 
 def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
-    """Sum a Combo's terms c * (product of factors) * psi^j, as one
-    polynomial in the Hauptmodul per factor product, known modulo q^prec.
-    This is the one evaluator of registry Combos: the registry forms, the
-    cusp-killing polynomial and the first elements.  A Certificate is
-    checked against its pinned prefix."""
+    """Sum a Combo's terms c * (product of factors) * psi^j, known modulo
+    q^prec: per factor product, the combination of psi powers (psi^0 = 1,
+    so a constant polynomial too) times the product's factors.  psi is
+    expanded only when some term has a psi power.  This is the one
+    evaluator of registry Combos: the registry forms, the cusp-killing
+    polynomial and the first elements.  A Certificate is checked against
+    its pinned prefix."""
     cert = isinstance(form, Certificate)
     target = max(prec, form.check_through + 1) if cert else prec
     groups: dict[tuple, list] = {}
@@ -146,28 +148,24 @@ def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
                         - sum(_valuation(N, f) for f in factors), 1)
            for factors, pairs in groups.items()}
     top = max(j for _, _, j in form.terms)
+    reach = max(rel.values())
+    psi_pows = [QSeries.one(reach)]
     if top:
-        reach = max(rel.values())
         psi = hauptmodul_series(N, reach - 1)
-        psi_pows = [QSeries.one(reach)]
         for _ in range(top):
             psi_pows.append(psi_pows[-1] * psi)
     products = []
     for factors, pairs in groups.items():
         r = rel[factors]
-        group_top = max(j for _, j in pairs)
-        # a constant polynomial is a coefficient, not a product
-        if group_top:
-            c, series = 1, QSeries.combination(
-                ((c, psi_pows[j]) for c, j in pairs), r - group_top)
-        else:
-            c, series = sum(c for c, _ in pairs), None
+        series = QSeries.combination(
+            ((c, psi_pows[j]) for c, j in pairs),
+            r - max(j for _, j in pairs))
         for f, n in Counter(factors).items():
             s = _factor(N, f, _valuation(N, f) + r)
             if n > 1:
                 s = s ** n
-            series = s if series is None else series * s
-        products.append((c, QSeries.one(r) if series is None else series))
+            series = series * s
+        products.append((1, series))
     total = QSeries.combination(products, target)
     if cert:
         form.check(N, k, total)

@@ -69,8 +69,8 @@ def _build_parser() -> _Parser:
     namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=None,
-                        help="working precision (default 60; "
-                             "env GRIDFORGE_PREC)")
+                        help="working precision (default 60, for grid "
+                             "count + |v| + 6; env GRIDFORGE_PREC)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None,
                         help="output path (default stdout)")
@@ -237,9 +237,8 @@ def _cmd_basis(args, prec) -> int:
                 "series": b.element(m)} for m in b.indices]
         _emit(args, _json_text(doc))
     else:
-        lines = [f"f_{{{b.k},{m}}}^({b.N}) = {b.element(m)}"
-                 if b.space == INF else
-                 f"g_{{{b.k},{m}}}^({b.N}) = {b.element(m)}"
+        letter = "f" if b.space == INF else "g"
+        lines = [f"{letter}_{{{b.k},{m}}}^({b.N}) = {b.element(m)}"
                  for m in b.indices]
         _emit(args, "\n".join(lines))
     return EXIT_OK

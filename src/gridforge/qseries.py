@@ -144,8 +144,6 @@ class QSeries:
                 f"coefficient not determined at this precision "
                 f"(n={hi - 1}, prec={self._prec})")
         n = hi - lo
-        if n <= 0:
-            return []
         a = lo - self._v
         out = [0] * min(-a, n) if a < 0 else []
         out += self._row[max(a, 0):max(a + n, 0)]

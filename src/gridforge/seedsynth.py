@@ -75,8 +75,6 @@ def weight_pool(N: int, weight: int, prec: int,
     bases of divisor levels."""
     if weight == 0:
         return [("1", QSeries.one(prec))]
-    if weight < 0 or weight % 2:
-        return []
     # each atom that fits the weight is expanded once
     atoms = [(label, w, _factor(N, factor, prec))
              for label, w, factor in _atoms(N, exclude) if w <= weight]

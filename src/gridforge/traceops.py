@@ -135,7 +135,7 @@ def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
     nonempty ascending range: each element's coefficients through q^b_m,
     the level-M gap bound, as (level-M index, int) pairs, and the level-M
     basis at >= prec covering every index they name (None when they name
-    none; the source itself when M = N).
+    none; a view of the source's own entry when M = N).
 
     The source is asked for at the top index and the target at the largest
     index named, the first and largest requests of a descending run of
@@ -152,8 +152,6 @@ def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
     top = max((part[0][0] for part in parts if part), default=None)
     if top is None:
         return parts, None
-    if M == N:
-        return parts, src
     return parts, _basis_for(M, k, space, top, prec)
 
 
@@ -185,8 +183,6 @@ def classify(N: int, M: int, k: int) -> Classification:
     M = N)."""
     _check_pair(N, M)
     _check_even(k)
-    if M == N:
-        return Classification(N, M, k, True)
     dv = v_of(N, k) - v_of(M, k)
     du = u_of(N, 2 - k) - u_of(M, 2 - k)
     if dv == 0 and du == 0:
@@ -253,8 +249,6 @@ def obstructions(N: int, M: int, k: int,
     identities; empty exactly when the trace preserves duality."""
     _check_pair(N, M)
     _check_even(k)
-    if M == N:
-        return ObstructionList(N, M, k)
     pairs = []
     for side, space, w in (("f", INF, k), ("g", HAT, 2 - k)):
         if _trace_method(M, w, space)[0] != "principal_part":

@@ -5,6 +5,7 @@ to see the lines, or `gridforge selftest` for the standalone runner.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import time
@@ -44,6 +45,22 @@ sys.exit(0 if acceptance.run_all() else 5)
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout.startswith("FAIL criterion 4 u/v alignment")
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2)])
+def test_a_wrong_level_one_grid_entry_fails_both_criteria(m, n,
+                                                          monkeypatch):
+    # criterion 1 reads the grid from the level-1 bases, criterion 5 from
+    # the level-4 traces to level 1; a(m, n) is in f_{0,m} and g_{2,n}, and
+    # whichever is read first fails
+    grid = [list(row) for row in acceptance.LEVEL_ONE_GRID]
+    grid[m - 1][n - 1] += 1
+    monkeypatch.setattr(acceptance, "LEVEL_ONE_GRID", grid)
+    first = f"f_{{0,{m}}}" if m <= n else f"g_{{2,{n}}}"
+    for criterion in (acceptance.criterion_1_level_one_grid,
+                      acceptance.criterion_5_trace_examples):
+        with pytest.raises(AssertionError, match=re.escape(first) + ":"):
+            criterion()
 
 
 def test_library_has_no_assert_statements():

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import random
@@ -209,6 +210,47 @@ def test_form_products_are_known_as_far_as_asked(monkeypatch):
         monkeypatch.setattr(basis_mod, "_factor", lambda N, f, prec: real(
             N, f, prec - (f[0] == kind)))
         assert basis_mod._eval_form(2, 0, combo, 10).prec == 9, kind
+
+
+def test_eval_form_equals_direct_arithmetic():
+    # Combos with constant polynomials, cancelling constants and repeated
+    # factors on level 2, against the same sums taken term by term
+    e4, psi = eisenstein(4, 40), hauptmodul_series(2, 40)
+    one = QSeries.one(40)
+    cases = [
+        (((Fraction(3, 7), (), 0),), one.scale(Fraction(3, 7))),
+        (((2, (), 0), (3, (), 1), (-1, (), 2)),
+         one.scale(2) + psi.scale(3) - psi * psi),
+        (((1, (), 0), (-1, (), 0)), QSeries.zero(40)),
+        (((1, (("eis", 4, 1),), 0), (-1, (("eis", 4, 1),), 0)),
+         QSeries.zero(40)),
+        (((5, (("eis", 4, 1), ("eis", 4, 1)), 1),), (e4 * e4 * psi).scale(5)),
+    ]
+    for terms, want in cases:
+        for prec in (1, 5, 30):
+            got = basis_mod._eval_form(2, 0, Combo(terms), prec)
+            assert got == want.truncate(prec), (terms, prec)
+
+
+def test_evaluated_series_keep_their_digest(monkeypatch):
+    # str() of every registry form and cusp killer at prec 40 and of every
+    # first element at prec B + 1 and max(40, B + 1), evaluated from an
+    # empty store; the digest was taken before the evaluator lost its
+    # constant-polynomial branch
+    monkeypatch.setattr(qseries, "_store", {})
+    texts = []
+    for N in ALL_LEVELS:
+        texts += [str(level_form(N, w, 40))
+                  for w in sorted(get_level(N).seed.forms)]
+        texts.append(str(cusp_killer(N, 40)))
+        for k in range(-10, 13, 2):
+            for space in (INF, HAT):
+                B = gap_bound(N, k, space)
+                texts += [str(first_element(N, k, space, prec))
+                          for prec in (B + 1, max(40, B + 1))]
+    assert len(texts) == 783
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "c9e6dfec61d189ce2180c7d015dc67a26662bd19f2fbf5bf92fce296f0e9d0db")
 
 
 @pytest.mark.parametrize("N", ALL_LEVELS[1:])

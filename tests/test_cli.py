@@ -553,6 +553,14 @@ def test_help_exits_0_and_lists_the_shared_arguments(command, capsys):
     assert all(arg in out for arg in SHARED_ARGS[command])
 
 
+def test_grid_help_states_the_grid_precision(capsys):
+    with pytest.raises(SystemExit):
+        run(["grid", "--help"])
+    # argparse wraps the help text, so compare it with its spaces joined
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(default 60, for grid count + |v| + 6; env GRIDFORGE_PREC)" in out
+
+
 @pytest.mark.parametrize("argv, named", [
     (["basis", "--level", "5"], "--weight"),
     (["trace", "--from", "4", "--weight", "0", "--index", "1"], "--to"),

@@ -81,6 +81,22 @@ def test_trace_identity():
     assert r.expansion == build_basis(5, 4, INF, 6, 20).element(3)
 
 
+def test_identity_pairs_everywhere():
+    # the identity trace preserves duality with no obstruction, and each
+    # element traces to itself, on every level and weight
+    for N in ALL_LEVELS:
+        for k in range(-10, 11, 2):
+            c = classify(N, N, k)
+            assert c.preserved and c.case is None, (N, k)
+            assert obstructions(N, N, k, 12).pairs == (), (N, k)
+            for space in (INF, HAT):
+                lo = -gap_bound(N, k, space)
+                for m in range(lo, lo + 3):
+                    r = trace(N, N, k, space, m, 14)
+                    assert r.applicable and r.method == "identity", (N, k, m)
+                    assert r.combination == ((m, Fraction(1)),), (N, k, m)
+
+
 def test_trace_not_applicable():
     r = trace(2, 1, 8, INF, -2, 10)
     assert not r.applicable and "M_8(1)" in r.reason
