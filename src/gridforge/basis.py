@@ -42,9 +42,14 @@ corr(m, n), e = 1 - k, that Bol's identity and duality give together.  It
 closes each long diagonal through a requested row at its middle by one
 exact division, so it fills about the square the request covers, and
 reads the first element only as far as that square's columns; a diagonal
-whose middle lies past the requested rows it walks down by the chain.  The
-recursion itself, which carries element j to q^(prec + count - 1 - j), is
-kept as an oracle in `gridforge.acceptance`.
+whose middle lies past the requested rows it walks down by the chain.  At
+levels 4, 8, 9, 12, 16 and 18, where z -> z + 1/t normalizes Gamma_0(N),
+psi - psi_0 has only the exponents -1 (mod t) and the first element only B
+(mod t), t = 2, 2, 3, 2, 4, 3; q -> zeta_t q then fixes the space, and as
+the canonical elements are unique, a(M, n) = 0 unless t | M + n.  The walk
+reads t off its inputs and fills only the diagonals t divides, with the same
+code for t = 1.  The recursion itself, which carries element j to
+q^(prec + count - 1 - j), is kept as an oracle in `gridforge.acceptance`.
 Weight k >= 2 is read off the other space of weight 2 - k, its source, by
 duality: a(m, n) = -b(n, m) for every m >= -B and n >= B + 1, B the
 source's gap bound, so each element is q^-n minus column n of the source
@@ -54,9 +59,10 @@ for both sides, and so its duality holds by construction.
 
 from __future__ import annotations
 
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
+from math import gcd
 from operator import add, mul, neg
 
 from gridforge import leveldata
@@ -342,6 +348,14 @@ def _inputs(N: int, k: int, space: str, count: int, prec: int, reach: int):
     return psi, first.numerators(B + 1, reach)
 
 
+def _stride(psi: list, top: list) -> int:
+    """The largest t such that psi - psi_0 has only the exponents
+    s = -1 (mod t) and the first element only B (mod t), read off the rows
+    `_inputs` gives: psi[a] is at q^(a-1), top[i] at q^(B+1+i)."""
+    return gcd(*(a for a, c in enumerate(psi) if c and a != 1),
+               *(i + 1 for i, c in enumerate(top) if c)) or 1
+
+
 def _walk(N: int, k: int, space: str, count: int,
           prec: int) -> CanonicalBasis:
     """Elements m0 .. m0+count-1 of a weight k <= 0 space, each exact
@@ -387,11 +401,27 @@ def _walk(N: int, k: int, space: str, count: int,
     q^(prec + count - 2).  The first element is read as far as the columns
     go.
 
+    The stride t (`_stride`) is the gcd of the exponents s + 1 of
+    psi - psi_0 and of the exponents n - B of the first element's terms
+    q^n, or 1 when there are none.  On a diagonal D that t does not
+    divide, the first element's coefficient is 0, and so is every term of
+    K and of corr but the psi_0 a(M, n) that K's two sums share and
+    cancel: each has a factor psi_s with t not dividing s + 1, or a
+    coefficient on an earlier diagonal that t does not divide.  By
+    induction over the diagonals every coefficient on D is 0, and its
+    divisions and first-element check read 0 = 0, so the walk appends
+    zeros for D and checks nothing there.  On the diagonals that t
+    divides, the terms of K's sums that can be nonzero are every t-th
+    from the newest.  That a(M, n) = 0 unless t | M + n is also a theorem:
+    q -> zeta_t q fixes the space, whose canonical elements are unique.
+    At t = 1 the same lines walk every diagonal.
+
     The divisions and the first-element check also refuse a wrong psi_s,
     except where the first element is 1 (weight 0, B = 0): the elements
     are then the Faber polynomials of psi, whose coefficients have the
-    symmetry for every series q^-1 + O(q).  A diagonal walked down is
-    checked only where a later division reads it.
+    symmetry for every series q^-1 + O(q).  A wrong psi_s off the stride
+    drops t to 1, so the walk fills and checks every diagonal.  A diagonal
+    walked down is checked only where a later division reads it.
     """
     B = gap_bound(N, k, space)
     m0, e, s0 = -B, 1 - k, max(-B, B + 1)
@@ -404,12 +434,13 @@ def _walk(N: int, k: int, space: str, count: int,
     down = last if last >= 2 * R else min(2 * s0, last)
     C = max(prec, R, down - m0 + 1)
     psi, top = _inputs(N, k, space, count, prec, C)
+    t = _stride(psi, top)
     h = psi[1:]
+    hs = h[t - 1::t]
     where = f"level {N} weight {k} {space}"
-    # Rows and columns keep their coefficients newest first, so each sum
-    # of K is a dot product with h from its start.
-    rows = [deque() for _ in range(m0, R + 1)]
-    cols = [deque() for _ in range(B + 1, C)]
+    # rows and columns keep their coefficients oldest first
+    rows = [[] for _ in range(m0, R + 1)]
+    cols = [[] for _ in range(B + 1, C)]
     powers = [i ** e for i in range(R + 1)]
     n_low = max(0, -2 * B - 1)
     low_powers = [l ** e for l in range(B + 1, B + 1 + n_low)]
@@ -417,9 +448,11 @@ def _walk(N: int, k: int, space: str, count: int,
     weighted, mirrored = {}, {}
 
     def K(M, n):
+        # for t > 1 the slices leave out psi_0 a(M, n), which both sums
+        # hold and which cancels
         row, col = rows[M - m0], cols[n - B - 1]
-        return (h[M + n] + sum(map(mul, row, h)) - sum(map(mul, col, h))
-                - row[-1] * col[-1])
+        return (h[M + n] + sum(map(mul, row[-t::-t], hs))
+                - sum(map(mul, col[-t::-t], hs)) - row[0] * col[0])
 
     def corr(m, n):
         return sum(map(mul, weighted[m], mirrored[n])) if n_low else 0
@@ -436,15 +469,17 @@ def _walk(N: int, k: int, space: str, count: int,
         # the last row on D: row R only in the low columns
         hi = min(D - B - 1, R if D - R < s0 else R - 1)
         mid = D // 2
-        if D <= 2 * s0 or mid >= R:
-            lo = m0
+        walked_down = D <= 2 * s0 or mid >= R
+        lo = m0 if walked_down else max(m0, D - C + 1)
+        if D % t:
+            diag = [0] * (hi - lo + 1)
+        elif walked_down:
             v = top[D - m0 - B - 1]
             diag = [v]
             for r in range(m0, hi):
                 v += K(r, D - r - 1)
                 diag.append(v)
         else:
-            lo = max(m0, D - C + 1)
             if D % 2:
                 v = exact(powers[mid] * K(mid, mid) - corr(mid, mid + 1),
                           powers[mid + 1] - powers[mid], mid, mid + 1)
@@ -474,16 +509,15 @@ def _walk(N: int, k: int, space: str, count: int,
                     v += K(r - 1, c)
                 diag.append(v)
         for r, v in enumerate(diag, lo):
-            rows[r - m0].appendleft(v)
-            cols[D - r - B - 1].appendleft(v)
+            rows[r - m0].append(v)
+            cols[D - r - B - 1].append(v)
         r = D - s0 + 1
         if n_low and m0 <= r <= hi:
             # D completed the low columns of row r
-            weighted[r] = list(map(mul, low_powers, reversed(rows[r - m0])))
-            mirrored[r] = list(rows[r - m0])
+            weighted[r] = list(map(mul, low_powers, rows[r - m0]))
+            mirrored[r] = rows[r - m0][::-1]
     elements = tuple(
-        QSeries.from_row(-M, [1, *repeat(0, M + B), *reversed(rows[M - m0])],
-                         prec)
+        QSeries.from_row(-M, [1, *repeat(0, M + B), *rows[M - m0]], prec)
         for M in range(m0, R))
     built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
     _verify_gap_form(built)

@@ -2,13 +2,15 @@
 
 Commands: basis, grid, seed, trace, classify, obstructions, genfun-check,
 registry, selftest.  The parser is the command table: each subcommand's
-entry names its handler, and every handler takes (args, prec).  `run`
-resolves the precision by one rule, --prec, else a nonempty
+entry names its handler, and every handler takes (args, prec).  Only
+basis, grid, seed, trace and obstructions read a precision and take
+--prec; for them `run` resolves it by one rule, --prec, else a nonempty
 GRIDFORGE_PREC, else none (the default precision, or for `grid` the grid's
-own), writes it back to `args.prec`, refuses one below 10, and calls the
-handler.  Exit codes: 0 success, 1 mathematical negative (a NotPreserved
-classification or a failed identity check), 2 usage error (including an
---out path that cannot be written), 3 internal validation failure (a
+own), writes it back to `args.prec` and refuses one below 10.  The other
+commands get None and never look at GRIDFORGE_PREC.  Exit codes: 0
+success, 1 mathematical negative (a NotPreserved classification or a
+failed identity check), 2 usage error (including an --out path that
+cannot be written), 3 internal validation failure (a
 broken invariant of the library, such as a non-integral basis coefficient
 or a violated gap form).  A reader that closes the output early
 (`gridforge grid ... | head`) ends the output quietly without changing the
@@ -67,10 +69,11 @@ def _build_parser() -> _Parser:
     each subcommand's entry names its handler; the parser has no
     environment-dependent defaults, and each parse returns a new
     namespace."""
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--prec", type=int, default=None,
+                           help="working precision (default 60, for grid "
+                                "count + |v| + 6; env GRIDFORGE_PREC)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prec", type=int, default=None,
-                        help="working precision (default 60, for grid "
-                             "count + |v| + 6; env GRIDFORGE_PREC)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None,
                         help="output path (default stdout)")
@@ -89,38 +92,38 @@ def _build_parser() -> _Parser:
                             "trace operators for genus-zero Gamma_0(N).")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, handler, shared=(), **kw):
-        sp = sub.add_parser(name, parents=[common, *shared], **kw)
+    def add_parser(name, handler, parents, **kw):
+        sp = sub.add_parser(name, parents=parents, **kw)
         sp.set_defaults(handler=handler)
         return sp
 
-    sp = add_parser("basis", _cmd_basis, [at_level],
+    sp = add_parser("basis", _cmd_basis, [precision, common, at_level],
                     help="print canonical basis elements")
     sp.add_argument("--space", choices=(INF, HAT), default=INF)
     sp.add_argument("--count", type=int, default=5)
 
-    sp = add_parser("grid", _cmd_grid, [at_level],
+    sp = add_parser("grid", _cmd_grid, [precision, common, at_level],
                     help="print both sides of a modular grid")
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--check-duality", action="store_true",
                     help="also report the exact duality residual")
 
-    sp = add_parser("seed", _cmd_seed, [at_level],
+    sp = add_parser("seed", _cmd_seed, [precision, common, at_level],
                     help="synthesize a first basis element")
     sp.add_argument("--json", dest="audit_json", action="store_true",
                     help="emit the spanning-family audit as JSON")
 
-    sp = add_parser("trace", _cmd_trace, [pair],
+    sp = add_parser("trace", _cmd_trace, [precision, common, pair],
                     help="trace a basis element to a divisor level")
     sp.add_argument("--space", choices=(INF, HAT), default=INF)
     sp.add_argument("--index", type=int, required=True)
 
-    add_parser("classify", _cmd_classify, [pair],
+    add_parser("classify", _cmd_classify, [common, pair],
                help="does the trace preserve duality?")
-    add_parser("obstructions", _cmd_obstructions, [pair],
+    add_parser("obstructions", _cmd_obstructions, [precision, common, pair],
                help="obstruction pairs of the traced identities")
 
-    sp = add_parser("genfun-check", _cmd_genfun, [pair],
+    sp = add_parser("genfun-check", _cmd_genfun, [common, pair],
                     help="verify traced generating-function identities")
     sp.add_argument("--side", choices=("k", "dual", "both"), default="both")
     sp.add_argument("--max-index", type=int, default=12)
@@ -129,9 +132,10 @@ def _build_parser() -> _Parser:
                          "generating function instead (--to must equal "
                          "--from; it checks both sides)")
 
-    add_parser("registry", _cmd_registry,
+    add_parser("registry", _cmd_registry, [common],
                help="dump the level registry as JSON")
-    add_parser("selftest", _cmd_selftest, help="run the acceptance suite")
+    add_parser("selftest", _cmd_selftest, [common],
+               help="run the acceptance suite")
     return p
 
 
@@ -366,16 +370,20 @@ def _cmd_selftest(args, prec) -> int:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # args.prec stays None when neither --prec nor GRIDFORGE_PREC sets it
-        env = os.environ.get("GRIDFORGE_PREC")
-        if args.prec is None and env:
-            try:
-                args.prec = int(env)
-            except ValueError:
-                raise UsageError(f"GRIDFORGE_PREC is not an integer: {env!r}")
-        prec = DEFAULT_PREC if args.prec is None else args.prec
-        if prec < 10:
-            raise UsageError("precision must be >= 10")
+        prec = None
+        if "prec" in args:
+            # args.prec stays None when neither --prec nor GRIDFORGE_PREC
+            # sets it
+            env = os.environ.get("GRIDFORGE_PREC")
+            if args.prec is None and env:
+                try:
+                    args.prec = int(env)
+                except ValueError:
+                    raise UsageError(
+                        f"GRIDFORGE_PREC is not an integer: {env!r}")
+            prec = DEFAULT_PREC if args.prec is None else args.prec
+            if prec < 10:
+                raise UsageError("precision must be >= 10")
         return args.handler(args, prec)
     except (SynthesisError, AssertionError) as exc:
         print(f"internal validation failure: {exc}", file=sys.stderr)

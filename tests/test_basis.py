@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -1103,10 +1104,35 @@ def test_walk_equals_the_recursion(N):
 
 
 @pytest.mark.parametrize("N, k, space, count, prec", [
-    (1, 0, INF, 100, 106), (16, -10, INF, 100, 126), (18, -6, HAT, 100, 131)])
+    (1, 0, INF, 100, 106), (16, -10, INF, 100, 126), (18, -6, HAT, 100, 131),
+    (12, -2, HAT, 105, 114)])
 def test_walk_equals_the_recursion_at_depth(N, k, space, count, prec):
     assert basis_mod._walk(N, k, space, count, prec) == \
         _recursion(N, k, space, count, prec)
+
+
+# the stride t of each level's psi and first elements, where it is not 1:
+# the translation z -> z + 1/t normalizes Gamma_0(N)
+STRIDES = {4: 2, 8: 2, 12: 2, 9: 3, 18: 3, 16: 4}
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_the_recursion_vanishes_off_the_stride(N):
+    # q -> zeta_t q fixes the space and the canonical elements are unique,
+    # so a(m, n) = 0 unless t | m + n: a fact of the recursion, the oracle,
+    # not of the walk, which skips those cells
+    count, prec = 20, 40
+    for k in range(-10, 1, 2):
+        for space in (INF, HAT):
+            B = gap_bound(N, k, space)
+            t = basis_mod._stride(*basis_mod._inputs(
+                N, k, space, count, prec, prec + count - 1))
+            assert t == STRIDES.get(N, 1), (k, space)
+            built = _recursion(N, k, space, count, prec)
+            for m in built.indices:
+                row = built.numerators(m, B + 1, prec)
+                assert not any(c for n, c in enumerate(row, B + 1)
+                               if (m + n) % t), (k, space, m)
 
 
 def tall_cases():
@@ -1164,16 +1190,46 @@ def _read_psi_off_by_one(monkeypatch):
 
 
 @pytest.mark.parametrize("N, k, space, count, prec", [
-    (1, -6, HAT, 30, 36), (5, -4, HAT, 30, 40), (13, -2, INF, 30, 36)])
+    (1, -6, HAT, 30, 36), (5, -4, HAT, 30, 40), (13, -2, INF, 30, 36),
+    (4, -4, HAT, 30, 40), (9, -2, INF, 30, 36)])
 def test_walk_raises_on_a_wrong_hauptmodul_coefficient(N, k, space, count,
                                                        prec, monkeypatch):
     # the recursion turns a wrong psi_s into a wrong basis; the walk's
-    # divisions and its check against the first element refuse it
+    # divisions and its check against the first element refuse it.  At
+    # level 4 psi_7 is on the stride 2; at level 9 it is off the stride 3,
+    # which then drops to 1.
     right = _recursion(N, k, space, count, prec)
     _read_psi_off_by_one(monkeypatch)
     assert _recursion(N, k, space, count, prec) != right
     with pytest.raises(AssertionError, match=WALK_FAILURE):
         basis_mod._walk(N, k, space, count, prec)
+
+
+@pytest.mark.parametrize("N, k, space, i", [
+    (4, -4, HAT, 2), (9, -2, INF, 0), (16, -6, INF, 1), (12, -2, HAT, 4),
+    (4, 0, INF, 0), (9, 0, HAT, 3)])
+def test_walk_refuses_or_follows_an_off_stride_first_element(N, k, space, i,
+                                                             monkeypatch):
+    # one coefficient of the first element off the stride drops it to 1, so
+    # the walk either refuses the inputs or builds what the recursion builds
+    # from them
+    count, prec = 30, 40
+    real = basis_mod._inputs
+
+    def off_stride(*args):
+        psi, top = real(*args)
+        assert (i + 1) % STRIDES[N] and basis_mod._stride(psi, top) > 1
+        top = list(top)
+        top[i] += 1
+        return psi, top
+
+    monkeypatch.setattr(basis_mod, "_inputs", off_stride)
+    try:
+        walked = basis_mod._walk(N, k, space, count, prec)
+    except AssertionError as exc:
+        assert re.match(WALK_FAILURE, str(exc)), exc
+    else:
+        assert walked == _recursion(N, k, space, count, prec)
 
 
 @pytest.mark.parametrize("N", [1, 5, 13])

@@ -528,17 +528,20 @@ def test_env_precision_is_the_grid_precision(env, extra, tail, capsys,
     assert all(line.endswith(tail) for line in elements)
 
 
-COMMON_ARGS = ("--prec", "--format", "--out")
-AT_LEVEL_ARGS = COMMON_ARGS + ("--level", "--weight")
+COMMON_ARGS = ("--format", "--out")
 PAIR_ARGS = COMMON_ARGS + ("--from", "--to", "--weight")
+# only the commands that read a precision take --prec
+PREC_AT_LEVEL_ARGS = ("--prec", *COMMON_ARGS, "--level", "--weight")
+PREC_PAIR_ARGS = ("--prec", *PAIR_ARGS)
 
 
 # the arguments each help text lists from a shared parent parser ("" is the
 # top level, which lists the commands)
 SHARED_ARGS = {
     "": ("basis", "genfun-check", "selftest"),
-    "basis": AT_LEVEL_ARGS, "grid": AT_LEVEL_ARGS, "seed": AT_LEVEL_ARGS,
-    "trace": PAIR_ARGS, "classify": PAIR_ARGS, "obstructions": PAIR_ARGS,
+    "basis": PREC_AT_LEVEL_ARGS, "grid": PREC_AT_LEVEL_ARGS,
+    "seed": PREC_AT_LEVEL_ARGS, "trace": PREC_PAIR_ARGS,
+    "classify": PAIR_ARGS, "obstructions": PREC_PAIR_ARGS,
     "genfun-check": PAIR_ARGS, "registry": COMMON_ARGS,
     "selftest": COMMON_ARGS}
 
@@ -551,6 +554,23 @@ def test_help_exits_0_and_lists_the_shared_arguments(command, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: gridforge {command}".rstrip())
     assert all(arg in out for arg in SHARED_ARGS[command])
+    if command:
+        assert ("--prec" in out) == ("--prec" in SHARED_ARGS[command])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--from", "4", "--to", "2", "--weight", "0"],
+    ["genfun-check", "--from", "4", "--to", "2", "--weight", "0",
+     "--max-index", "2"],
+    ["registry"]])
+@pytest.mark.parametrize("env", ["5", "abc"])
+def test_commands_without_a_precision_ignore_the_env(argv, env, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv("GRIDFORGE_PREC", raising=False)
+    unset = (run(argv), *capsys.readouterr())
+    monkeypatch.setenv("GRIDFORGE_PREC", env)
+    assert (run(argv), *capsys.readouterr()) == unset
+    assert unset[0] == 0
 
 
 def test_grid_help_states_the_grid_precision(capsys):
@@ -571,7 +591,9 @@ def test_grid_help_states_the_grid_precision(capsys):
       "--format", "xml"], "--format"),
     (["bogus"], "'bogus'"),
     (["basis", "--level", "5", "--weight", "0", "--prec", "4"],
-     "precision must be >= 10")])
+     "precision must be >= 10"),
+    (["classify", "--from", "4", "--to", "2", "--weight", "0",
+      "--prec", "20"], "unrecognized arguments: --prec 20")])
 def test_usage_errors_name_the_offending_argument(argv, named, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
