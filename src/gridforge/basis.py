@@ -25,12 +25,13 @@ if the Hauptmodul or the first element has a non-integral coefficient.
 
 Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
-(count, prec), beside the series a first element is built from
-(Hauptmodul, registry forms, the cusp-killing polynomial).  An entry only
-grows: a request it covers in count and precision gets a view of it, which
-shares its elements and cuts one to the request's precision only when it is
-read; any other request rebuilds it at the larger count and the larger
-precision.  A view taken before a rebuild keeps the elements it was given.
+(count, prec), beside the Hauptmodul and registry forms a first element is
+built from (not the cusp-killing polynomial, evaluated on each call).  An
+entry only grows: a request it covers in count and precision gets a view of
+it, which shares its elements and cuts one to the request's precision only
+when it is read; any other request rebuilds it at the larger count and the
+larger precision.  A view taken before a rebuild keeps the elements it was
+given.
 
 A key's weight picks its builder.  Weight k <= 0 has one, the
 anti-diagonal walk (`_walk`), which asks for the Hauptmodul and the first
@@ -38,15 +39,16 @@ element once and cuts every element to q^prec, so the only floor on prec
 is the gap bound.  It fills the coefficients a(M, n) by anti-diagonals
 M + n from two identities: the chain a(M+1, n) = a(M, n+1) + K(M, n) of
 the recursion above, and the symmetry m^e a(n, m) = n^e a(m, n) +
-corr(m, n), e = 1 - k, that Bol's identity and duality give together.  It
-closes each long diagonal through a requested row at its middle by one
-exact division, so it fills about the square the request covers, and
-reads the first element only as far as that square's columns; a diagonal
-whose middle lies past the requested rows it walks down by the chain.  At
-levels 4, 8, 9, 12, 16 and 18, where z -> z + 1/t normalizes Gamma_0(N),
-psi - psi_0 has only the exponents -1 (mod t) and the first element only B
-(mod t), t = 2, 2, 3, 2, 4, 3; q -> zeta_t q then fixes the space, and as
-the canonical elements are unique, a(M, n) = 0 unless t | M + n.  The walk
+corr(m, n), e = 1 - k, that Bol's identity and duality give together.
+It sweeps each diagonal once up and once down from one anchor: a long
+diagonal through a requested row is anchored beside its middle by one
+exact division, so the walk fills about the square the request covers and
+reads the first element only as far as that square's columns; every other
+diagonal is anchored at row m0 by the first element.  At levels 4, 8, 9,
+12, 16 and 18, where z -> z + 1/t normalizes Gamma_0(N), psi - psi_0 has
+only the exponents -1 (mod t) and the first element only B (mod t),
+t = 2, 2, 3, 2, 4, 3; q -> zeta_t q then fixes the space, and as the
+canonical elements are unique, a(M, n) = 0 unless t | M + n.  The walk
 reads t off its inputs and fills only the diagonals t divides, with the same
 code for t = 1.  The recursion itself, which carries element j to
 q^(prec + count - 1 - j), is kept as an oracle in `gridforge.acceptance`.
@@ -384,22 +386,26 @@ def _walk(N: int, k: int, space: str, count: int,
     which reads only the low columns l < s0 of earlier diagonals (none when
     B >= 0).
 
-    With R = m0 + count the first row not asked for, a diagonal
-    2 s0 < D < 2 R, whose middle is a requested row, is closed there by
-    one exact division: for odd D the chain step from a(M, M+1) to
-    a(M+1, M) and the symmetry between them give a(M, M+1); for even D the
-    two chain steps from a(M-1, M+1) to a(M+1, M-1) do.  It is then walked
-    up toward row m0 by the chain, and where it reaches row m0 it must give
-    the first element's coefficient; below the middle it is filled by the
-    symmetry, and by the chain in the low columns.  Every other diagonal,
-    the short ones and those from 2 R on, is walked down by the chain from
-    the first element.  Only rows m0 .. R-1 are filled (and the low columns
-    of row R, which the middle divisions read), up to the last diagonal a
-    requested coefficient lies on.  The columns go to max(prec, R) and as
-    far as the diagonals walked down reach: once prec >= R + 2 brings a
-    diagonal from 2 R on, they are the columns the recursion carries, up to
-    q^(prec + count - 2).  The first element is read as far as the columns
-    go.
+    With R = m0 + count the first row not asked for, each diagonal D has
+    one anchor, from which it is swept once up and once down over its rows
+    lo .. hi, lo = max(m0, D - C + 1).  A diagonal 2 s0 < D < 2 R, whose
+    middle is a requested row, is anchored at a(a, b), a = floor((D-1)/2),
+    b = D - a: the b - a chain steps to its mirror a(b, a) and the symmetry
+    between them give it by one exact division.  The sweep up subtracts
+    chain steps from a(b, a), those of the division first, from row b - 1
+    to row lo, so an anchor one column past C - 1 (a = lo - 1) is not kept;
+    where it reaches row m0 it must give the first element's coefficient.
+    Every other diagonal, the short ones and those from 2 R on, is anchored
+    at row m0 by the first element (and b = m0 + 1).  The sweep down fills
+    rows b .. hi, by the symmetry from the mirror a(D - r, r) where
+    r > D - r >= s0 and by the chain elsewhere, which is every row of a
+    diagonal anchored at row m0.  Only rows m0 .. R-1 are filled (and the
+    low columns of row R, which the middle divisions read), up to the last
+    diagonal a requested coefficient lies on.  The columns B+1 .. C-1 go to
+    max(prec, R) and as far as the diagonals anchored at row m0 reach: once
+    prec >= R + 2 brings a diagonal from 2 R on, they are the columns the
+    recursion carries, up to q^(prec + count - 2).  The first element is
+    read as far as the columns go.
 
     The stride t (`_stride`) is the gcd of the exponents s + 1 of
     psi - psi_0 and of the exponents n - B of the first element's terms
@@ -421,7 +427,7 @@ def _walk(N: int, k: int, space: str, count: int,
     are then the Faber polynomials of psi, whose coefficients have the
     symmetry for every series q^-1 + O(q).  A wrong psi_s off the stride
     drops t to 1, so the walk fills and checks every diagonal.  A diagonal
-    walked down is checked only where a later division reads it.
+    anchored at row m0 is checked only where a later division reads it.
     """
     B = gap_bound(N, k, space)
     m0, e, s0 = -B, 1 - k, max(-B, B + 1)
@@ -429,8 +435,8 @@ def _walk(N: int, k: int, space: str, count: int,
     # the diagonal of a(R - 1, prec - 1), the last a requested coefficient
     # lies on; the first, of a(m0, B + 1), is 1
     last = prec + count + m0 - 2
-    # the last diagonal walked down from row m0, and the end C of the
-    # columns B+1 .. C-1 that the walk fills
+    # the last diagonal anchored at row m0, and the end C of the columns
+    # B+1 .. C-1 that the walk fills
     down = last if last >= 2 * R else min(2 * s0, last)
     C = max(prec, R, down - m0 + 1)
     psi, top = _inputs(N, k, space, count, prec, C)
@@ -466,48 +472,40 @@ def _walk(N: int, k: int, space: str, count: int,
         return a
 
     for D in range(1, last + 1):
-        # the last row on D: row R only in the low columns
+        # the rows lo .. hi on D: row R only in the low columns
         hi = min(D - B - 1, R if D - R < s0 else R - 1)
-        mid = D // 2
-        walked_down = D <= 2 * s0 or mid >= R
-        lo = m0 if walked_down else max(m0, D - C + 1)
+        lo = max(m0, D - C + 1)
+        # the anchor and the sweep up fill rows lo .. b-1, the sweep down
+        # rows b .. hi
         if D % t:
-            diag = [0] * (hi - lo + 1)
-        elif walked_down:
-            v = top[D - m0 - B - 1]
-            diag = [v]
-            for r in range(m0, hi):
-                v += K(r, D - r - 1)
-                diag.append(v)
+            b, diag = hi + 1, [0] * (hi - lo + 1)
+        elif D <= 2 * s0 or D // 2 >= R:
+            b, diag = m0 + 1, [top[D - m0 - B - 1]]
         else:
-            if D % 2:
-                v = exact(powers[mid] * K(mid, mid) - corr(mid, mid + 1),
-                          powers[mid + 1] - powers[mid], mid, mid + 1)
-                up = [v]
-            else:
-                k1 = K(mid - 1, mid)
-                v = exact(powers[mid - 1] * (k1 + K(mid, mid - 1))
-                          - corr(mid - 1, mid + 1),
-                          powers[mid + 1] - powers[mid - 1], mid - 1, mid + 1)
-                up = [v + k1, v]
-            # up holds rows mid, mid - 1, ...
-            for r in range(mid - len(up), lo - 1, -1):
-                v -= K(r, D - r - 1)
-                up.append(v)
-            diag = up[mid - lo::-1]
+            a = (D - 1) // 2
+            b = D - a
+            steps = [K(r, D - r - 1) for r in range(a, b)]
+            s = sum(steps)
+            # the sweep up starts from a(b, a) = a(a, b) + s
+            v = s + exact(powers[a] * s - corr(a, b), powers[b] - powers[a],
+                          a, b)
+            diag = []
+            for r in range(b - 1, lo - 1, -1):
+                v -= steps.pop() if steps else K(r, D - r - 1)
+                diag.append(v)
+            diag.reverse()
             if lo == m0 and diag[0] != top[D - m0 - B - 1]:
                 raise AssertionError(
                     f"anti-diagonal walk of {where} index {m0} prec {prec} "
                     f"misses the first element's coefficient at q^{D - m0}")
-            v = diag[-1]
-            for r in range(mid + 1, hi + 1):
-                c = D - r
-                if c >= s0:
-                    v = exact(powers[r] * diag[c - lo] + corr(c, r),
-                              powers[c], r, c)
-                else:
-                    v += K(r - 1, c)
-                diag.append(v)
+        for r in range(b, hi + 1):
+            c = D - r
+            if r > c >= s0:
+                v = exact(powers[r] * diag[c - lo] + corr(c, r),
+                          powers[c], r, c)
+            else:
+                v = diag[-1] + K(r - 1, c)
+            diag.append(v)
         for r, v in enumerate(diag, lo):
             rows[r - m0].append(v)
             cols[D - r - B - 1].append(v)

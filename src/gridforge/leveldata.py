@@ -14,10 +14,10 @@ elliptic-point counts of Gamma_0(N) derived from N.
 Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
 rederived from numeric cusp values and confirmed by the duality suite).
-Entries are immutable.  Values of the cusp-killing polynomial are kept in
-the store `gridforge.qseries.cached` under ("cusp", N), next to the
-registry forms ("form", N, w) and the bases ("basis", N, k, space) that
-`gridforge.basis` keeps there.
+Entries are immutable.  The cusp-killing polynomial is evaluated on each
+call, from the Hauptmodul that the store `gridforge.qseries.cached` keeps
+under ("haupt", N), beside the registry forms ("form", N, w) and the bases
+("basis", N, k, space) that `gridforge.basis` keeps there.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from gridforge.generators import EtaQuotient
-from gridforge.qseries import QSeries, cached
+from gridforge.qseries import QSeries
 
 GENUS_ZERO_LEVELS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25)
 ALL_LEVELS = (1,) + GENUS_ZERO_LEVELS
@@ -457,8 +457,7 @@ def cusp_killer(N: int, prec: int) -> QSeries:
 
     poly = Combo(tuple((c, (), j)
                        for j, c in enumerate(get_level(N).cusp_poly) if c))
-    return cached(("cusp", N), (prec,), lambda prec: _eval_form(
-        N, 0, poly, prec)).truncate(prec)
+    return _eval_form(N, 0, poly, prec)
 
 
 def registry_dump() -> dict:

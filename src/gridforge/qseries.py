@@ -11,13 +11,12 @@ rows; a Fraction is built only when a coefficient is read (`coeff`,
 coefficients are determined.  Instances are immutable.
 
 Named values that depend only on a key and a size are kept in one store,
-`cached`: series (Hauptmoduln, registry forms, cusp-killing
-polynomials) at a size (prec,), and every canonical basis of
-`gridforge.basis`, transposed ones included, at a size (count, prec).  Each
-key has one entry that only grows, to the componentwise max of the sizes
-asked for; a caller cuts it down to its request (a basis by a view that
-shares the entry's elements).  `store_stats` counts hits, misses and
-rebuilds per kind of key.
+`cached`: series (Hauptmoduln and registry forms) at a size (prec,), and
+every canonical basis of `gridforge.basis`, transposed ones included, at a
+size (count, prec).  Each key has one entry that only grows, to the
+componentwise max of the sizes asked for; a caller cuts it down to its
+request (a basis by a view that shares the entry's elements).
+`store_stats` counts hits, misses and rebuilds per kind of key.
 """
 
 from __future__ import annotations
@@ -230,8 +229,6 @@ class QSeries:
         prec = min(self._prec + other._effective_valuation(),
                    other._prec + self._effective_valuation())
         a, b = self._row, other._row
-        if not a or not b:
-            return QSeries._raw(0, (), 1, prec)
         v = self._v + other._v
         n = min(prec - v, len(a) + len(b) - 1)
         # One pass per nonzero coefficient of the sparser row, so that a

@@ -418,8 +418,13 @@ def _any_series(rng):
 
 def test_mul_matches_the_fraction_dict_product():
     rng = random.Random(20261018)
-    for case in range(600):
-        a, b = _any_series(rng), _any_series(rng)
+    pairs = [(_any_series(rng), _any_series(rng)) for _ in range(600)]
+    # a zero operand on either side, at a precision of either sign
+    for prec in (-5, 0, 7):
+        zero = QSeries({}, prec)
+        for s in (_any_series(rng), QSeries({}, 3 - prec)):
+            pairs += [(zero, s), (s, zero)]
+    for case, (a, b) in enumerate(pairs):
         got, want = a * b, reference_mul(a, b)
         assert got == want and got.prec == want.prec, (case, a, b)
 
