@@ -11,12 +11,13 @@ them from it; the recursion itself is only the oracle (see below).
 Every series built from registry data is a `leveldata.Combo`, a sum of
 c * (product of factors) * psi^j, and one function, `_eval_form`,
 evaluates them all: the registry forms, the cusp-killing polynomial and
-the first elements.  A first element is a recipe, the one-term Combo
-F_base^l * F_k' of the level's seed, times the cusp-killing polynomial
-for the subspace; F_base is an eta quotient, so F_base^l is one for l of
-either sign.  `_eval_form` asks each factor for as many terms as the
-product needs, found from the factors' valuations, and checks a
-`leveldata.Certificate` against its pinned prefix.
+the first elements.  A first element is a recipe, one Combo with a term
+c_j * F * psi^j for each nonzero coefficient c_j of the cusp-killing
+polynomial (of 1 for the full space), F = F_base^l * F_k' of the level's
+seed; F_base is an eta quotient, so F_base^l is one for l of either sign.
+`_eval_form` asks each factor for as many terms as the product needs,
+found from the factors' valuations, and checks a `leveldata.Certificate`
+against its pinned prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
 is integral, so the builders run on the integer rows that `QSeries`
@@ -26,12 +27,11 @@ if the Hauptmodul or the first element has a non-integral coefficient.
 Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
 (count, prec), beside the Hauptmodul and registry forms a first element is
-built from (not the cusp-killing polynomial, evaluated on each call).  An
-entry only grows: a request it covers in count and precision gets a view of
-it, which shares its elements and cuts one to the request's precision only
-when it is read; any other request rebuilds it at the larger count and the
-larger precision.  A view taken before a rebuild keeps the elements it was
-given.
+built from.  An entry only grows: a request it covers in count and
+precision gets a view of it, which shares its elements and cuts one to the
+request's precision only when it is read; any other request rebuilds it
+at the larger count and the larger precision.  A view taken before a
+rebuild keeps the elements it was given.
 
 A key's weight picks its builder.  Weight k <= 0 has one, the
 anti-diagonal walk (`_walk`), which asks for the Hauptmodul and the first
@@ -67,7 +67,6 @@ from itertools import chain, repeat
 from math import gcd
 from operator import add, mul, neg
 
-from gridforge import leveldata
 from gridforge.generators import eisenstein, j_function, phi
 from gridforge.leveldata import (
     Certificate,
@@ -114,8 +113,6 @@ def _factor(N: int, factor: tuple, prec: int) -> QSeries:
             return quotient.expand(prec)
         case ("form", w):
             return level_form(N, w, prec)
-        case ("cusp",):
-            return leveldata.cusp_killer(N, prec)
     raise TypeError(f"unknown form factor {factor!r}")
 
 
@@ -128,8 +125,6 @@ def _valuation(N: int, factor: tuple) -> int:
             return int(quotient.lead_exponent)
         case ("form", w):
             return v_of(N, w)
-        case ("cusp",):
-            return 1 - get_level(N).cusp_count
     raise TypeError(f"unknown form factor {factor!r}")
 
 
@@ -192,10 +187,11 @@ def level_form(N: int, weight: int, prec: int = DEFAULT_PREC) -> QSeries:
 
 def first_element(N: int, k: int, space: str,
                   prec: int = DEFAULT_PREC) -> QSeries:
-    """The basis element of maximal vanishing order: the seed recipe
-    F_base^l * F_k' for the full space, times the cusp-killing polynomial
-    for the subspace, evaluated as a one-term Combo.  F_base^l is the one
-    eta quotient with every exponent of the base times l."""
+    """The basis element of maximal vanishing order: the Combo of the terms
+    c_j * F * psi^j, F = F_base^l * F_k' the seed recipe and c_j the
+    nonzero coefficients of the cusp-killing polynomial for the subspace,
+    or 1 for the full space.  F_base^l is the one eta quotient with every
+    exponent of the base times l."""
     expect = gap_bound(N, k, space)
     if prec <= expect:
         raise PrecisionError(
@@ -205,9 +201,9 @@ def first_element(N: int, k: int, space: str,
     power, kp = seed.split(k)
     factors = ((("eta", seed.base ** power),) if power else ()) + (
         (("form", kp),) if kp else ())
-    if space == HAT:
-        factors += (("cusp",),)
-    out = _eval_form(N, k, Combo(((1, factors, 0),)), prec)
+    poly = get_level(N).cusp_poly if space == HAT else (1,)
+    out = _eval_form(N, k, Combo(tuple(
+        (c, factors, j) for j, c in enumerate(poly) if c)), prec)
     if out.prec < prec:
         raise PrecisionError(
             f"first element of level {N} weight {k} only determined mod "

@@ -4,12 +4,13 @@ For each N in {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25} the
 registry records the cusps, a Hauptmodul with a simple pole at infinity,
 the recipe for the first basis element in each even weight, and the monic
 polynomial whose value at the Hauptmodul kills the non-infinity cusps.  A
-recipe is data: the first element is the product of a power of the base
-eta quotient, one registry form and the cusp killer that
-`gridforge.basis.first_element` writes as a one-term Combo and
-`gridforge.basis._eval_form` evaluates.  The maximal vanishing orders
-v_k(N) and u_k(N) follow from the valence formula, with the index and the
-elliptic-point counts of Gamma_0(N) derived from N.
+recipe is data: the first element is a power of the base eta quotient
+times one registry form, times the cusp killer for the subspace, which
+`gridforge.basis.first_element` writes as one Combo, a term per
+coefficient of the cusp polynomial, and `gridforge.basis._eval_form`
+evaluates.  The maximal vanishing orders v_k(N) and u_k(N) follow from
+the valence formula, with the index and the elliptic-point counts of
+Gamma_0(N) derived from N.
 
 Two source typos are corrected here and flagged: the level-9 Hauptmodul
 line (a duplicate of level 8) and the level-6 cusp polynomial (malformed;
@@ -53,10 +54,10 @@ class Combo(namedtuple("Combo", "terms")):
     """The sum of c * (product of factors) * psi^j over the (c, factors, j)
     terms, with psi the level's Hauptmodul.  A factor is ("phi", n, e) for
     phi_n(ez) = (n E2(nez) - E2(ez)) / (n - 1), ("eis", w, d) for E_w(dz),
-    ("eta", q) for the eta quotient q, ("form", w) for the same level's
-    weight-w registry form, or ("cusp",) for the cusp-killing polynomial;
-    the empty product is 1.  `terms` is a tuple of (Fraction, factors,
-    psi power)."""
+    ("eta", q) for the eta quotient q, or ("form", w) for the same level's
+    weight-w registry form; the empty product is 1, and a polynomial in
+    psi, such as the cusp-killing one, is the exponents of the terms.
+    `terms` is a tuple of (Fraction, factors, psi power)."""
     __slots__ = ()
 
 

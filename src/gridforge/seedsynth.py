@@ -148,7 +148,7 @@ def row_reduce(members, e_min: int, e_cap: int):
     for e in range(e_min, e_cap):
         hit = None
         for i, (label, s) in enumerate(active):
-            if e < s.prec and s.coeff(e):
+            if s.coeff(e):
                 hit = i
                 break
         if hit is None:
@@ -158,7 +158,7 @@ def row_reduce(members, e_min: int, e_cap: int):
         pivots.append((e, label, pivot))
         reduced = []
         for lab2, s2 in active:
-            c = s2.coeff(e) if e < s2.prec else 0
+            c = s2.coeff(e)
             if c:
                 s2 = s2 - pivot.scale(c)
             if not s2.is_zero:
@@ -175,23 +175,18 @@ def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
-    work = max(prec, v + 1)
-    return build_family(N, k, POLE_BOUND, work + POLE_BOUND,
+    return build_family(N, k, POLE_BOUND, max(prec, v + 1),
                         exclude=((N, k),))
-
-
-def _pivots(fam: SpanningFamily) -> list:
-    """Row-reduction pivots of a family, on every exponent below its least
-    member precision."""
-    cap = min(s.prec for _, s in fam.members)
-    return row_reduce(fam.members, -fam.pole_bound, cap)
 
 
 def reduce_family(N: int, k: int,
                   prec: int = DEFAULT_PREC) -> tuple[SpanningFamily, list]:
-    """The family synthesis reduces and its row-reduction pivots."""
+    """The family synthesis reduces and its row-reduction pivots on the
+    exponents -POLE_BOUND .. v.  Every member is a weight-k form that is
+    holomorphic away from infinity, so a nonzero one vanishes to order at
+    most v: once the pivot at q^v is taken, every row left is zero."""
     fam = _seed_family(N, k, prec)
-    return fam, _pivots(fam)
+    return fam, row_reduce(fam.members, -POLE_BOUND, v_of(N, k) + 1)
 
 
 def _top_pivot(N: int, k: int, pivots) -> QSeries:
@@ -233,11 +228,10 @@ def derive_certificate(N: int, k: int) -> tuple:
     Each member is tagged with a unit coefficient at its own exponent
     beyond the pivot range, so row reduction carries the combination along
     with the series (the augmented-identity form of elimination)."""
-    fam = _seed_family(N, k, 0)
-    cap = min(s.prec for _, s in fam.members)
+    cap = v_of(N, k) + 1
+    fam = _seed_family(N, k, cap)
     size = len(fam.members)
-    tagged = [(label, QSeries([*s.truncate(cap).items(), (cap + i, 1)],
-                              cap + size))
+    tagged = [(label, QSeries([*s.items(), (cap + i, 1)], cap + size))
               for i, (label, s) in enumerate(fam.members)]
     pivot = _top_pivot(N, k, row_reduce(tagged, -POLE_BOUND, cap))
     factor_of = {label: f for label, _, f in _atoms(N) if f[0] != "eta"}
@@ -281,4 +275,4 @@ def family_audit(N: int, k: int, J: int = POLE_BOUND,
     """JSON-ready audit of the family of pole bound J at precision prec
     (the target's own closed form left out): labels, valuations, rank."""
     fam = build_family(N, k, J, prec, exclude=((N, k),))
-    return audit_of((fam, _pivots(fam)))
+    return audit_of((fam, row_reduce(fam.members, -J, prec)))

@@ -167,19 +167,30 @@ def test_first_elements_match_the_hand_derived_precisions():
 @pytest.mark.parametrize("N", ALL_LEVELS)
 def test_first_element_factors_are_asked_for_no_more_than_needed(
         N, monkeypatch):
-    # each factor is asked for exactly as many terms as the product needs,
-    # so one term fewer of any one kind of factor leaves the product short
-    real = basis_mod._factor
-    for kind in ("form", "cusp", "phi", "eis", "eta"):
-        shortened = []
+    # each factor, and psi for the powers of the cusp-killing polynomial,
+    # is asked for exactly as many terms as the product needs, so one term
+    # fewer of any one kind of factor, or of psi, leaves the product short
+    real, real_psi = basis_mod._factor, basis_mod.hauptmodul_series
+    shortened = []
 
+    def short_factor(kind):
         def short(N, factor, prec):
             if factor[0] == kind:
                 shortened.append(factor)
                 prec -= 1
             return real(N, factor, prec)
+        return kind, "_factor", short
 
-        monkeypatch.setattr(basis_mod, "_factor", short)
+    def short_psi(N, prec):
+        shortened.append("psi")
+        return real_psi(N, prec).truncate(prec - 1)
+
+    for kind, name, short in [
+            *map(short_factor, ("form", "phi", "eis", "eta")),
+            ("psi", "hauptmodul_series", short_psi)]:
+        monkeypatch.setattr(basis_mod, "_factor", real)
+        monkeypatch.setattr(basis_mod, "hauptmodul_series", real_psi)
+        monkeypatch.setattr(basis_mod, name, short)
         for k in (-4, 2, 6):
             for space in (INF, HAT):
                 monkeypatch.setattr(qseries, "_store", {})
@@ -191,6 +202,27 @@ def test_first_element_factors_are_asked_for_no_more_than_needed(
                     assert shortened, (kind, k, space)
                 else:
                     assert not shortened, (kind, k, space)
+
+
+def test_factor_valuations_are_the_valuations_of_their_expansions():
+    # _eval_form's precision rule rests on _valuation: each factor of the
+    # registry forms, each form and seed base a first element multiplies
+    # in and each seed-synthesis atom, expanded through its valuation v,
+    # has valuation exactly v
+    checked = 0
+    for N in ALL_LEVELS:
+        seed = get_level(N).seed
+        factors = {("eta", seed.base)}
+        for w, form in seed.forms.items():
+            factors.add(("form", w))
+            factors.update(f for _, fs, _ in form.terms for f in fs)
+        factors.update(f for _, _, f in seedsynth._atoms(N))
+        for f in factors:
+            v = basis_mod._valuation(N, f)
+            s = basis_mod._factor(N, f, v + 1)
+            assert s.prec == v + 1 and s.valuation() == v, (N, f)
+        checked += len(factors)
+    assert checked == 319
 
 
 def test_form_products_are_known_as_far_as_asked(monkeypatch):

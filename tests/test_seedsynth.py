@@ -4,7 +4,8 @@ import pytest
 
 from gridforge import seedsynth
 from gridforge.basis import level_form
-from gridforge.leveldata import ALL_LEVELS, certificates, get_level
+from gridforge.leveldata import ALL_LEVELS, certificates, get_level, v_of
+from gridforge.qseries import PrecisionError, QSeries
 from gridforge.seedsynth import (
     POLE_BOUND,
     SynthesisError,
@@ -119,6 +120,42 @@ def test_row_reduction_is_order_independent():
         piv = row_reduce(shuffled, -6, cap)
         assert piv[-1][0] == base[-1][0]
         assert piv[-1][2] == base[-1][2]
+
+
+def test_row_reduction_does_not_read_an_undetermined_coefficient_as_zero():
+    # p is known only below q^2, so whether it has a pivot at q^2 .. q^4
+    # is not determined
+    members = [("p", QSeries({-3: 1}, 2)), ("q", QSeries({1: 1}, 9))]
+    with pytest.raises(PrecisionError):
+        row_reduce(members, 0, 5)
+    assert [(e, label) for e, label, _ in row_reduce(members, 0, 2)] == \
+        [(1, "q")]
+
+
+def test_the_seed_search_stops_at_the_valence_bound(monkeypatch):
+    # a nonzero member vanishes to order at most v, so the family is built
+    # to max(prec, v + 1) and eliminated on the exponents through v only
+    precs, caps = [], []
+    real_build, real_reduce = seedsynth.build_family, seedsynth.row_reduce
+
+    def build(N, k, J, prec, exclude=()):
+        precs.append(prec)
+        return real_build(N, k, J, prec, exclude)
+
+    def reduce(members, e_min, e_cap):
+        caps.append(e_cap)
+        return real_reduce(members, e_min, e_cap)
+
+    monkeypatch.setattr(seedsynth, "build_family", build)
+    monkeypatch.setattr(seedsynth, "row_reduce", reduce)
+    for N, k in CERTIFIED:
+        v = v_of(N, k)
+        for run, prec in ((lambda: synthesize_seed(N, k, 60), max(60, v + 1)),
+                          (lambda: derive_certificate(N, k), v + 1)):
+            precs.clear()
+            caps.clear()
+            run()
+            assert (precs, caps) == ([prec], [v + 1]), (N, k)
 
 
 def test_synthesis_rejects_negative_vanishing():
