@@ -32,7 +32,7 @@ from gridforge.leveldata import (
     u_of,
     v_of,
 )
-from gridforge.qseries import QSeries, clear_store
+from gridforge.qseries import clear_store
 from gridforge.seedsynth import synthesize_seed
 from gridforge.traceops import (
     classify,
@@ -81,9 +81,9 @@ def _recursion(N: int, k: int, space: str, count: int,
             if c:
                 tail = list(map(sub, tail, map(mul, repeat(c), tails[j])))
         tails.append(tail)
-    elements = tuple(QSeries.from_row(B - j, [1, *repeat(0, j), *tail], prec)
-                     for j, tail in enumerate(tails))
-    built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
+    built = CanonicalBasis(N, k, space, m0, B, prec,
+                           tuple(tuple(tail[:prec - B - 1]) for tail in tails),
+                           count)
     basis_mod._verify_gap_form(built)
     return built
 

@@ -20,18 +20,14 @@ found from the factors' valuations, and checks a `leveldata.Certificate`
 against its pinned prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
-is integral, so the builders run on the integer rows that `QSeries`
-stores and assemble the elements from them.  IntegralityError is raised
-if the Hauptmodul or the first element has a non-integral coefficient.
-
+is integral (else IntegralityError), so the builders run on int rows and
+hand over each element as its tail, the ints past the gap bound
+(`CanonicalBasis`); a series is made only when an element is read.
 Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
-(count, prec), beside the Hauptmodul and registry forms a first element is
-built from.  An entry only grows: a request it covers in count and
-precision gets a view of it, which shares its elements and cuts one to the
-request's precision only when it is read; any other request rebuilds it
-at the larger count and the larger precision.  A view taken before a
-rebuild keeps the elements it was given.
+(count, prec).  An entry only grows: a request it covers gets a view that
+shares its tails; any other request rebuilds it at the larger count and
+the larger precision.  A view taken before a rebuild keeps its tails.
 
 A key's weight picks its builder.  Weight k <= 0 has one, the
 anti-diagonal walk (`_walk`), which asks for the Hauptmodul and the first
@@ -64,7 +60,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, neg
 
 from gridforge.generators import eisenstein, j_function, phi
@@ -75,7 +71,8 @@ from gridforge.leveldata import (
     u_of,
     v_of,
 )
-from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries, cached
+from gridforge.qseries import (DEFAULT_PREC, PrecisionError, QSeries,
+                               as_coeff, cached)
 
 INF = "inf"
 HAT = "hat"
@@ -219,13 +216,13 @@ class CanonicalBasis(namedtuple(
     """Ordered family of basis elements m0 .. m0+count-1, each exact modulo
     q^prec.
 
-    It may be a view of a larger basis: `stored` is that basis's element
-    tuple, shared and never copied, and may hold more elements, known to a
-    higher precision.  An element is cut to prec when it is read, so a view
-    costs nothing until then, and reading an element again cuts it again;
-    `combination` sums stored elements without cutting each.  Two bases
-    are equal when they have the same head and read the same elements,
-    whatever their stored tuples hold beyond them."""
+    Element m is q^-m + sum_i t_i q^(B+1+i), B the gap bound, stored as its
+    tail: the tuple of ints t_i, up to the precision it was built at.  This
+    class is the one reader of that format.  A view of a larger basis
+    shares its tuple of tails, which may hold more and longer ones.  Each
+    read of `element` writes one series at the view's precision;
+    `numerators` and `combination` read the tails.  Two bases are equal when
+    they have the same head and read the same elements."""
     __slots__ = ()
 
     @property
@@ -234,9 +231,9 @@ class CanonicalBasis(namedtuple(
 
     @property
     def elements(self) -> tuple:
-        return tuple(e.truncate(self.prec) for e in self.stored[:self.count])
+        return tuple(map(self.element, self.indices))
 
-    def _stored(self, m: int) -> QSeries:
+    def _tail(self, m: int) -> tuple:
         i = m - self.m0
         if not 0 <= i < self.count:
             raise IndexError(
@@ -245,25 +242,36 @@ class CanonicalBasis(namedtuple(
         return self.stored[i]
 
     def element(self, m: int) -> QSeries:
-        return self._stored(m).truncate(self.prec)
+        return QSeries.from_row(-m, self.numerators(m, -m, self.prec),
+                                self.prec)
 
     def numerators(self, m: int, lo: int, hi: int) -> list[int]:
-        """element(m).numerators(lo, hi), read off the stored element uncut;
-        PrecisionError naming the element if the window reaches past
-        prec."""
-        s = self._stored(m)
+        """element(m).numerators(lo, hi), read off the tail; PrecisionError
+        naming the element if the window reaches past prec."""
+        tail = self._tail(m)
         if hi > lo and hi > self.prec:
             raise PrecisionError(
                 f"coefficient q^{hi - 1} of basis index {m} of level "
                 f"{self.N} weight {self.k} {self.space} not determined at "
                 f"prec {self.prec}")
-        return s.numerators(lo, hi)
+        s = self.gap_bound + 1
+        out = [int(e == -m) for e in range(lo, min(hi, s))]
+        out += tail[max(lo - s, 0):max(hi - s, 0)]
+        return out
 
     def combination(self, pairs, prec: int) -> QSeries:
-        """sum c * element(m) over the (m, c) pairs, known modulo q^prec.
-        The sum is cut anyway, so it reads the stored elements uncut."""
-        return QSeries.combination(((c, self._stored(m)) for m, c in pairs),
-                                   min(prec, self.prec))
+        """sum c * element(m) over the (m, c) pairs, known modulo q^prec:
+        one series, summed from q^v, v the least lead, over the common
+        denominator d of the coefficients."""
+        prec = min(prec, self.prec)
+        terms = [(as_coeff(c), m) for m, c in pairs]
+        d = lcm(*(c.denominator for c, _ in terms))
+        v = min((-m for _, m in terms), default=prec)
+        acc = [0] * (prec - v)
+        for c, m in terms:
+            acc = list(map(add, acc, map(mul, repeat(c.numerator * (
+                d // c.denominator)), self.numerators(m, v, prec))))
+        return QSeries.from_row(v, acc, prec, d)
 
     def _head(self) -> tuple:
         return (self.N, self.k, self.space, self.m0, self.gap_bound,
@@ -317,8 +325,7 @@ def build_basis(N: int, k: int, space: str, count: int,
     as its negated transpose for k >= 2.
 
     The result is a view of the key's store entry, which covers the
-    request: it shares the entry's elements and cuts each to prec only when
-    it is read, so a request the entry already covers copies nothing."""
+    request and shares its tails, so a hit copies nothing."""
     _check_request(N, k, space, count, prec)
     build = _walk if k <= 0 else _transpose
     entry = cached(("basis", N, k, space), (count, prec),
@@ -510,17 +517,15 @@ def _walk(N: int, k: int, space: str, count: int,
             # D completed the low columns of row r
             weighted[r] = list(map(mul, low_powers, rows[r - m0]))
             mirrored[r] = rows[r - m0][::-1]
-    elements = tuple(
-        QSeries.from_row(-M, [1, *repeat(0, M + B), *rows[M - m0]], prec)
-        for M in range(m0, R))
-    built = CanonicalBasis(N, k, space, m0, B, prec, elements, count)
+    tails = tuple(tuple(row[:prec - B - 1]) for row in rows[:count])
+    built = CanonicalBasis(N, k, space, m0, B, prec, tails, count)
     _verify_gap_form(built)
     return built
 
 
 def _verify_gap_form(basis: CanonicalBasis):
     for m in basis.indices:
-        gap = basis.element(m).numerators(-m + 1, basis.gap_bound + 1)
+        gap = basis.numerators(m, -m + 1, basis.gap_bound + 1)
         if any(gap):
             s = next(s for s, c in enumerate(gap, -m + 1) if c)
             raise AssertionError(
@@ -572,23 +577,17 @@ def _transpose(N: int, k: int, space: str, count: int,
 
         t_n = q^-n - sum_{m=-Bs}^{prec-1} a(m, n) q^m,    n >= Bs + 1,
 
-    the negated columns of the source; they are in gap form by
-    construction.
+    whose tails are the negated columns of the source's tails.
     """
     other = HAT if space == INF else INF
     Bs = gap_bound(N, 2 - k, other)
     m0 = Bs + 1
     source = build_basis(N, 2 - k, other, max(prec + Bs, 1),
                          max(prec, m0 + count))
-    # source elements are integral: their numerators are their coefficients
-    rows = [source._stored(m).numerators(m0, m0 + count)
-            for m in range(-Bs, prec)]
+    rows = [tail[:count] for tail in source.stored[:prec + Bs]]
     columns = zip(*rows) if rows else repeat((), count)
-    elements = tuple(
-        QSeries.from_row(-n, [1, *repeat(0, n - m0), *map(neg, column)],
-                         prec)
-        for n, column in zip(range(m0, m0 + count), columns))
-    return CanonicalBasis(N, k, space, m0, -Bs - 1, prec, elements, count)
+    tails = tuple(tuple(map(neg, column)) for column in columns)
+    return CanonicalBasis(N, k, space, m0, -Bs - 1, prec, tails, count)
 
 
 def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
@@ -627,17 +626,15 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
 def _box_rows(family: CanonicalBasis, parts, window: range) -> list:
     """One row per part, a list of (index, coefficient) pairs: the sum of
     coefficient * element(index) read at the exponents in `window`.  Each
-    element is read once, as ints when it is integral and as Fractions
-    otherwise; `family` is not read when no part names an index."""
+    element is read once, off its tail; `family` is not read when no part
+    names an index."""
     cols = {}
     rows = []
     for part in parts:
         row = None
         for i, c in part:
             if i not in cols:
-                col = family.numerators(i, window.start, window.stop)
-                d = family._stored(i).denominator
-                cols[i] = col if d == 1 else [Fraction(x, d) for x in col]
+                cols[i] = family.numerators(i, window.start, window.stop)
             # a term of coefficient 1 is the element's row itself; no row
             # is written to, so rows may share it
             term = cols[i] if c == 1 else list(map(mul, repeat(c), cols[i]))

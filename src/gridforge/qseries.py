@@ -15,7 +15,7 @@ Named values that depend only on a key and a size are kept in one store,
 every canonical basis of `gridforge.basis`, transposed ones included, at a
 size (count, prec).  Each key has one entry that only grows, to the
 componentwise max of the sizes asked for; a caller cuts it down to its
-request (a basis by a view that shares the entry's elements).
+request (a basis by a view that shares the entry's int tails).
 `store_stats` counts hits, misses and rebuilds per kind of key.
 """
 

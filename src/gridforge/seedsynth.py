@@ -21,7 +21,7 @@ from collections import namedtuple
 from gridforge.basis import _factor, hauptmodul_series, level_form
 from gridforge.generators import serre_derivative
 from gridforge.leveldata import certificates, get_level, v_of
-from gridforge.qseries import DEFAULT_PREC, QSeries
+from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries
 
 # Highest Hauptmodul power in a synthesis family; it suffices for every
 # certified seed and every closed-form seed the tests cross-validate.
@@ -168,15 +168,19 @@ def row_reduce(members, e_min: int, e_cap: int):
 
 
 def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
-    """The family synthesis reduces, exact below q^max(prec, v + 1): pole
-    bound POLE_BOUND, with the target's own closed form left out.  By the
+    """The family synthesis reduces, exact below q^prec: pole bound
+    POLE_BOUND, with the target's own closed form left out.  By the
     valence formula two forms of the family's space that agree through q^v
-    are equal, so no coefficient past q^v is needed to find the seed."""
+    are equal, so no coefficient past q^v is needed to find the seed, and
+    the seed, q^v + O(q^(v+1)), needs prec > v."""
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
-    return build_family(N, k, POLE_BOUND, max(prec, v + 1),
-                        exclude=((N, k),))
+    if prec <= v:
+        raise PrecisionError(
+            f"seed of level {N} weight {k} starts at q^{v}, so prec {prec} "
+            f"determines none of its terms: need prec >= {v + 1}")
+    return build_family(N, k, POLE_BOUND, prec, exclude=((N, k),))
 
 
 def reduce_family(N: int, k: int,

@@ -143,9 +143,8 @@ def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
     b_m = gap_bound(M, k, space)
     # the principal part is read through q^b_m
     src = _basis_for(N, k, space, indices[-1], max(prec, b_m + 1))
-    # element m is q^-m plus terms past the level-N gap bound, so its part
-    # names index m first; basis elements are integral: their numerators
-    # are their coefficients
+    # element m is q^-m plus its int tail past the level-N gap bound, so
+    # its part names index m first
     parts = [[(-j, c) for j, c in
               enumerate(src.numerators(m, -m, b_m + 1), -m) if c]
              for m in indices]

@@ -19,6 +19,7 @@ from gridforge.acceptance import SWEEP_WEIGHTS, _recursion
 from gridforge.basis import (
     HAT,
     INF,
+    CanonicalBasis,
     IntegralityError,
     build_basis,
     build_grid,
@@ -334,13 +335,34 @@ def test_gap_form():
                 assert e.coeff(s) == 0, (N, k, space, m, s)
 
 
+def add_to_tail(basis, m, e, c=1):
+    """The basis with c * q^e added to element m, for an exponent e past
+    the gap bound: one entry of one stored tail changes."""
+    i, j = m - basis.m0, e - basis.gap_bound - 1
+    assert 0 <= i < basis.count and 0 <= j < basis.prec - basis.gap_bound - 1
+    tails = list(basis.stored)
+    tail = list(tails[i])
+    tail[j] += c
+    tails[i] = tuple(tail)
+    return basis._replace(stored=tuple(tails))
+
+
 def test_gap_form_check_covers_the_whole_gap():
     b = build_basis(6, -2, INF, 4, 30)
 
     def with_term(m, s):
-        e = b.element(m) + QSeries({s: 1}, b.prec)
-        return b._replace(stored=tuple(
-            e if i == m else b.element(i) for i in b.indices))
+        # no tail holds an exponent of the gap, so the term is added where
+        # the check reads it
+        class WithTerm(CanonicalBasis):
+            __slots__ = ()
+
+            def numerators(self, i, lo, hi):
+                out = super().numerators(i, lo, hi)
+                if i == m and lo <= s < hi:
+                    out[s - lo] += 1
+                return out
+
+        return WithTerm(*b)
 
     basis_mod._verify_gap_form(b)
     for m in b.indices:
@@ -348,7 +370,7 @@ def test_gap_form_check_covers_the_whole_gap():
             with pytest.raises(AssertionError,
                                match=f"index {m}, exponent {s}$"):
                 basis_mod._verify_gap_form(with_term(m, s))
-        basis_mod._verify_gap_form(with_term(m, b.gap_bound + 1))
+        basis_mod._verify_gap_form(add_to_tail(b, m, b.gap_bound + 1))
 
 
 def test_weight_zero_inf_starts_with_constant():
@@ -406,10 +428,12 @@ def test_duality_residual_of_rational_grids():
     for _ in range(30):
         sides = []
         for side in (grid.fside, grid.gside):
-            sides.append(side._replace(stored=tuple(
-                e + QSeries({rng.randrange(-1, 6): Fraction(
-                    rng.randrange(-9, 10), rng.randrange(1, 7))}, e.prec)
-                if rng.random() < 0.5 else e for e in side.elements)))
+            for m in side.indices:
+                if rng.random() < 0.5:
+                    side = add_to_tail(
+                        side, m, rng.randrange(side.gap_bound + 1, 6),
+                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)))
+            sides.append(side)
         perturbed = grid._replace(fside=sides[0], gside=sides[1])
         for box in ((4, 4), (3, 2), (0, 4)):
             assert duality_residual(perturbed, *box) == \
@@ -445,10 +469,7 @@ def test_duality_residual_sees_an_error_of_the_transposed_side(N, k):
     assert duality_residual(grid, count, count) == 0
     for m in (side.m0, side.m0 + count - 1):
         for e in (window[0], window[-1]):
-            stored = list(side.stored)
-            s = stored[m - side.m0]
-            stored[m - side.m0] = s + QSeries({e: 1}, s.prec)
-            bad = grid._replace(**{name: side._replace(stored=tuple(stored))})
+            bad = grid._replace(**{name: add_to_tail(side, m, e)})
             assert duality_residual(bad, count, count) == 1, (m, e)
 
 
@@ -611,12 +632,7 @@ def _add_to_source(monkeypatch, key, i, j):
 
     def build(*key_size):
         b = real(*key_size)
-        if key_size[:3] != key:
-            return b
-        elements = list(b.elements)
-        s = elements[i - b.m0]
-        elements[i - b.m0] = s + QSeries({j: 1}, s.prec)
-        return b._replace(stored=tuple(elements))
+        return add_to_tail(b, i, j) if key_size[:3] == key else b
 
     monkeypatch.setattr(qseries, "_store", {})
     monkeypatch.setattr(basis_mod, "_walk", build)
@@ -935,7 +951,9 @@ def test_cached_entries_have_one_precision(monkeypatch):
         build_basis(N, k, space, count, prec)
         for key, (size, entry) in qseries._store.items():
             if key[0] == "basis":
-                assert entry.elements[-1].prec == entry.prec, key
+                assert len(entry.stored) == entry.count, key
+                assert {len(t) for t in entry.stored} == \
+                    {entry.prec - entry.gap_bound - 1}, key
                 assert (entry.count, entry.prec) == size, key
 
 
@@ -982,17 +1000,17 @@ def test_a_covered_request_copies_nothing_until_an_element_is_read(
     assert made == []
     for reads, m in enumerate(b.indices, 1):
         b.element(m)
-        assert len(made) <= reads, (m, made)
+        assert len(made) == reads, (m, made)
     # a combination of every element makes its sum and nothing else
     read = len(made)
     b.combination([(m, 1) for m in b.indices], b.prec)
     assert len(made) == read + 1
-    # at the entry's own size an element is read as it is stored
+    # at the entry's own size too, each read makes its one series
     read = len(made)
     whole = build_basis(*key, 12, B + 40)
     for m in whole.indices:
         whole.element(m)
-    assert len(made) == read
+    assert len(made) == read + whole.count
 
 
 def test_every_view_equals_a_build_at_its_request(monkeypatch):
@@ -1019,7 +1037,8 @@ def test_every_view_equals_a_build_at_its_request(monkeypatch):
     trace(4, 2, 4, HAT, 3)
     assert qseries.store_stats()["basis"]["rebuilds"] > 0
     # the level-1 grid leaves entries more precise than the traces ask for
-    assert any(b.stored[-1].prec > b.prec for _, b in seen)
+    assert any(len(b.stored[-1]) > b.prec - b.gap_bound - 1
+               for _, b in seen)
     for (N, k, space, count, prec), got in seen:
         want = _direct_build(N, k, space, count, prec)
         assert got == want, (N, k, space, count, prec)
@@ -1050,6 +1069,52 @@ def test_a_window_past_the_view_precision_names_the_element(monkeypatch):
     assert view.numerators(1, 0, 10) == \
         view.element(1).numerators(0, 10)
     assert view.numerators(1, 40, 40) == []
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_the_tail_reader_reads_what_the_element_holds(N, monkeypatch):
+    # a walked weight and a transposed one, in both spaces; every window
+    # from below the lead q^-m up to the precision, empty ones included
+    monkeypatch.setattr(qseries, "_store", {})
+    for k, space in ((-2, INF), (-2, HAT), (4, INF), (4, HAT)):
+        B = gap_bound(N, k, space)
+        b = build_basis(N, k, space, 4, max(B + 1, 0) + 6)
+        for m in b.indices:
+            e = b.element(m)
+            for lo in range(-m - 2, b.prec + 1):
+                for hi in range(lo, b.prec + 1):
+                    assert b.numerators(m, lo, hi) == e.numerators(lo, hi), \
+                        (k, space, m, lo, hi)
+
+
+@pytest.mark.parametrize("N, k, space", [(1, 0, INF), (6, -2, HAT),
+                                         (13, -4, INF), (18, 4, INF),
+                                         (25, 2, HAT)])
+def test_the_builders_hand_over_int_tails_and_make_no_series(
+        N, k, space, monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    count, prec = 6, gap_bound(N, k, space) + 12
+    builders = [basis_mod._transpose]
+    if k <= 0:
+        # the inputs are series; given them, the builders make none
+        # (the walk and the recursion read the first element to q^reach,
+        # reach <= prec + count - 1, from q^(B+1) on)
+        B = gap_bound(N, k, space)
+        psi, top = basis_mod._inputs(N, k, space, count, prec,
+                                     prec + count - 1)
+        monkeypatch.setattr(basis_mod, "_inputs", lambda *args: (
+            psi, top[:args[-1] - B - 1]))
+        builders = [basis_mod._walk, _recursion]
+    else:
+        # the source is a store hit from here on
+        build_basis(N, k, space, count, prec)
+    made = _count_series_made(monkeypatch)
+    for build in builders:
+        b = build(N, k, space, count, prec)
+        assert made == [], build
+        assert type(b.stored) is tuple and len(b.stored) == count
+        assert all(type(t) is tuple and len(t) == prec - b.gap_bound - 1
+                   and all(type(x) is int for x in t) for t in b.stored)
 
 
 def test_a_view_outlives_the_rebuild_of_its_entry(monkeypatch):

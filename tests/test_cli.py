@@ -466,6 +466,24 @@ def test_usage_errors(capsys):
     assert run(["basis", "--level", "11", "--weight", "0"]) == 2
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("N, k", [(18, 4), (12, 6)])
+def test_a_seed_precision_short_of_its_lead_is_a_usage_error(N, k, flags,
+                                                             capsys):
+    # v_k(N) = 12 at both, so the seed q^12 + O(q^13) has no term below
+    # q^12
+    code = run(["seed", "--level", str(N), "--weight", str(k), "--prec",
+                "12", *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"usage error: seed of level {N} weight {k} starts at q^12, so prec "
+        f"12 determines none of its terms: need prec >= 13\n")
+    if (N, k, flags) == (18, 4, ()):
+        assert invoke(capsys, "seed", "--level", "18", "--weight", "4",
+                      "--prec", "13") == (0, "q^12 + O(q^13)\n")
+
+
 def test_grid_of_no_element_is_a_usage_error(capsys):
     assert run(["grid", "--level", "5", "--weight", "0", "--count", "0"]) == 2
     assert capsys.readouterr().err == "usage error: count must be >= 1\n"

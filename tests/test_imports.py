@@ -5,9 +5,9 @@ import pytest
 
 import gridforge
 
+SOURCES = sorted(Path(gridforge.__file__).resolve().parent.glob("*.py"))
 # __init__ imports names to re-export them, not to use them
-MODULES = sorted(p for p in Path(gridforge.__file__).resolve().parent.glob(
-    "*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -52,3 +52,12 @@ def test_no_loop_rebinds_a_parameter(path):
             found += [(fn.name, fn.lineno, name)
                       for name in _loop_names(fn) if name in params]
     assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_asserts(path):
+    # python -O strips assert statements, and every invariant must still
+    # raise under it
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []

@@ -163,6 +163,17 @@ def test_synthesis_rejects_negative_vanishing():
         synthesize_seed(5, -2, 20)
 
 
+def test_synthesis_refuses_a_precision_short_of_the_seed_lead(monkeypatch):
+    # v_4(18) = 12: the seed is q^12 + O(q^13), so prec 12 determines none
+    # of its terms, and the family is not built
+    monkeypatch.setattr(seedsynth, "build_family", None)
+    with pytest.raises(PrecisionError,
+                       match=r"^seed of level 18 weight 4 starts at q\^12, so "
+                             r"prec 12 determines none of its terms: need "
+                             r"prec >= 13$"):
+        synthesize_seed(18, 4, 12)
+
+
 def test_family_rejects_bad_weight():
     with pytest.raises(ValueError):
         build_family(5, 0, 4, 20)

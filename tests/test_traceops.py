@@ -19,6 +19,7 @@ from gridforge.traceops import (
     theorem_list_preserved,
     trace,
 )
+from test_basis import add_to_tail
 
 
 def test_triviality_predicates():
@@ -330,10 +331,9 @@ def test_empirical_duality_reads_a_target_coefficient_inside_the_box(
         if (N, k, sp) != (2, -2, INF):
             return b
         hits.append(b.prec)
-        first, *rest = b.stored
-        assert b.m0 == 1 and first.prec > 12
-        return b._replace(stored=(first + QSeries({exponent: 1}, first.prec),
-                                  *rest))
+        # the first element's tail runs from q^0 past q^12
+        assert b.m0 == 1 and len(b.stored[0]) > 12 - b.gap_bound - 1
+        return add_to_tail(b, 1, exponent)
 
     assert empirical_preserves(4, 2, -2)
     monkeypatch.setattr(traceops, "_basis_for", perturbed)
@@ -541,9 +541,7 @@ def test_closed_form_fails_on_a_perturbed_basis(N, k, family, monkeypatch):
             return b
         hits.append(b.m0)
         # one added term at the second element's first tail exponent
-        first, second, *rest = b.elements
-        second = second + QSeries({b.gap_bound + 1: 1}, second.prec)
-        return b._replace(stored=(first, second, *rest))
+        return add_to_tail(b, b.m0 + 1, b.gap_bound + 1)
 
     P = _closed_form_prec(N, k)
     assert genfun_closed_form(N, k, P)
