@@ -20,7 +20,6 @@ from gridforge.basis import (
     build_basis,
     build_grid,
     duality_residual,
-    gap_bound,
 )
 from gridforge.leveldata import (
     ALL_LEVELS,
@@ -57,12 +56,11 @@ def _recursion(N: int, k: int, space: str, count: int,
     """The weight k <= 0 basis by the Hauptmodul recursion, each element
     cut to q^prec once it is built: the oracle that criterion 3 and the
     tests compare the anti-diagonal walk and the transposed sides with."""
-    B = gap_bound(N, k, space)
-    m0 = -B
     work = prec + count - 1
     psi, first = basis_mod._inputs(N, k, space, count, prec, work)
-    # Element j is q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), known modulo
-    # q^(work-j): each multiplication by psi loses one term.
+    # Element j is q^-(m0+j) + sum_y tails[j][y] q^(B+1+y), B the gap bound
+    # and m0 = -B, known modulo q^(work-j): each multiplication by psi
+    # loses one term.
     tails = [first]
     psi_rev = psi[::-1]
     top = len(psi) - 1
@@ -81,11 +79,7 @@ def _recursion(N: int, k: int, space: str, count: int,
             if c:
                 tail = list(map(sub, tail, map(mul, repeat(c), tails[j])))
         tails.append(tail)
-    built = CanonicalBasis(N, k, space, m0, B, prec,
-                           tuple(tuple(tail[:prec - B - 1]) for tail in tails),
-                           count)
-    basis_mod._verify_gap_form(built)
-    return built
+    return CanonicalBasis.of(N, k, space, prec, tails)
 
 
 # The published level-1 grid of weights 0 and 2: LEVEL_ONE_GRID[m-1][n-1]

@@ -21,8 +21,10 @@ against its pinned prefix.
 
 The Hauptmodul is monic with integer coefficients and every first element
 is integral (else IntegralityError), so the builders run on int rows and
-hand over each element as its tail, the ints past the gap bound
-(`CanonicalBasis`); a series is made only when an element is read.
+hand over each element as its tail, the ints past the gap bound, to the
+one writer `CanonicalBasis.of`, which checks that every tail reaches
+q^prec; the format holds the gap form and the monic leads, and a series is
+made only when an element is read.
 Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
 (count, prec).  An entry only grows: a request it covers gets a view that
@@ -60,7 +62,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul, neg
 
 from gridforge.generators import eisenstein, j_function, phi
@@ -71,8 +73,7 @@ from gridforge.leveldata import (
     u_of,
     v_of,
 )
-from gridforge.qseries import (DEFAULT_PREC, PrecisionError, QSeries,
-                               as_coeff, cached)
+from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries, cached
 
 INF = "inf"
 HAT = "hat"
@@ -212,18 +213,42 @@ def first_element(N: int, k: int, space: str,
 
 
 class CanonicalBasis(namedtuple(
-        "CanonicalBasis", "N k space m0 gap_bound prec stored count")):
-    """Ordered family of basis elements m0 .. m0+count-1, each exact modulo
-    q^prec.
+        "CanonicalBasis", "N k space gap_bound prec stored count")):
+    """Ordered family of basis elements m0 .. m0+count-1, m0 = -B for B
+    the gap bound, each exact modulo q^prec.
 
-    Element m is q^-m + sum_i t_i q^(B+1+i), B the gap bound, stored as its
-    tail: the tuple of ints t_i, up to the precision it was built at.  This
-    class is the one reader of that format.  A view of a larger basis
-    shares its tuple of tails, which may hold more and longer ones.  Each
-    read of `element` writes one series at the view's precision;
-    `numerators` and `combination` read the tails.  Two bases are equal when
-    they have the same head and read the same elements."""
+    Element m is q^-m + sum_i t_i q^(B+1+i), stored as its tail: the tuple
+    of ints t_i, up to the precision it was built at.  `of` is the one
+    writer of that format and this class the one reader.  A tail starts
+    past the gap, so every element is in gap form and monic by
+    construction; what can break is a tail too short for its precision,
+    which `of` refuses.  A view of a larger basis (`_replace` of prec and
+    count) shares its tuple of tails, which may hold more and longer ones.
+    Each read of `element` writes one series at the view's precision;
+    `numerators` reads the tails.  Two bases are equal when they have the
+    same head and read the same elements."""
     __slots__ = ()
+
+    @classmethod
+    def of(cls, N: int, k: int, space: str, prec: int,
+           rows) -> CanonicalBasis:
+        """The basis whose element -B + i has the tail rows[i] cut to
+        q^prec, B the gap bound; AssertionError naming the element when its
+        row stops short of q^prec."""
+        B = gap_bound(N, k, space)
+        n = prec - B - 1
+        tails = tuple(tuple(row[:n]) for row in rows)
+        for i, tail in enumerate(tails):
+            if len(tail) < n:
+                raise AssertionError(
+                    f"tail of basis index {i - B} of level {N} weight {k} "
+                    f"{space} stops at q^{B + len(tail)}, short of prec "
+                    f"{prec}")
+        return cls(N, k, space, B, prec, tails, len(tails))
+
+    @property
+    def m0(self) -> int:
+        return -self.gap_bound
 
     @property
     def indices(self) -> range:
@@ -259,23 +284,9 @@ class CanonicalBasis(namedtuple(
         out += tail[max(lo - s, 0):max(hi - s, 0)]
         return out
 
-    def combination(self, pairs, prec: int) -> QSeries:
-        """sum c * element(m) over the (m, c) pairs, known modulo q^prec:
-        one series, summed from q^v, v the least lead, over the common
-        denominator d of the coefficients."""
-        prec = min(prec, self.prec)
-        terms = [(as_coeff(c), m) for m, c in pairs]
-        d = lcm(*(c.denominator for c, _ in terms))
-        v = min((-m for _, m in terms), default=prec)
-        acc = [0] * (prec - v)
-        for c, m in terms:
-            acc = list(map(add, acc, map(mul, repeat(c.numerator * (
-                d // c.denominator)), self.numerators(m, v, prec))))
-        return QSeries.from_row(v, acc, prec, d)
-
     def _head(self) -> tuple:
-        return (self.N, self.k, self.space, self.m0, self.gap_bound,
-                self.prec, self.count)
+        return (self.N, self.k, self.space, self.gap_bound, self.prec,
+                self.count)
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalBasis):
@@ -330,8 +341,7 @@ def build_basis(N: int, k: int, space: str, count: int,
     build = _walk if k <= 0 else _transpose
     entry = cached(("basis", N, k, space), (count, prec),
                    lambda count, prec: build(N, k, space, count, prec))
-    return CanonicalBasis(N, k, space, entry.m0, entry.gap_bound, prec,
-                          entry.stored, count)
+    return entry._replace(prec=prec, count=count)
 
 
 def _inputs(N: int, k: int, space: str, count: int, prec: int, reach: int):
@@ -517,20 +527,7 @@ def _walk(N: int, k: int, space: str, count: int,
             # D completed the low columns of row r
             weighted[r] = list(map(mul, low_powers, rows[r - m0]))
             mirrored[r] = rows[r - m0][::-1]
-    tails = tuple(tuple(row[:prec - B - 1]) for row in rows[:count])
-    built = CanonicalBasis(N, k, space, m0, B, prec, tails, count)
-    _verify_gap_form(built)
-    return built
-
-
-def _verify_gap_form(basis: CanonicalBasis):
-    for m in basis.indices:
-        gap = basis.numerators(m, -m + 1, basis.gap_bound + 1)
-        if any(gap):
-            s = next(s for s, c in enumerate(gap, -m + 1) if c)
-            raise AssertionError(
-                f"gap form violated at level {basis.N} weight {basis.k} "
-                f"{basis.space} index {m}, exponent {s}")
+    return CanonicalBasis.of(N, k, space, prec, rows[:count])
 
 
 class ModularGrid(namedtuple("ModularGrid", "N k fside gside")):
@@ -581,13 +578,12 @@ def _transpose(N: int, k: int, space: str, count: int,
     """
     other = HAT if space == INF else INF
     Bs = gap_bound(N, 2 - k, other)
-    m0 = Bs + 1
     source = build_basis(N, 2 - k, other, max(prec + Bs, 1),
-                         max(prec, m0 + count))
+                         max(prec, Bs + 1 + count))
     rows = [tail[:count] for tail in source.stored[:prec + Bs]]
     columns = zip(*rows) if rows else repeat((), count)
-    tails = tuple(tuple(map(neg, column)) for column in columns)
-    return CanonicalBasis(N, k, space, m0, -Bs - 1, prec, tails, count)
+    return CanonicalBasis.of(N, k, space, prec,
+                             [tuple(map(neg, column)) for column in columns])
 
 
 def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:

@@ -10,11 +10,12 @@ own), writes it back to `args.prec` and refuses one below 10.  The other
 commands get None and never look at GRIDFORGE_PREC.  Exit codes: 0
 success, 1 mathematical negative (a NotPreserved classification or a
 failed identity check), 2 usage error (including an --out path that
-cannot be written), 3 internal validation failure (a
-broken invariant of the library, such as a non-integral basis coefficient
-or a violated gap form).  A reader that closes the output early
-(`gridforge grid ... | head`) ends the output quietly without changing the
-exit code.  `genfun-check --closed-form` checks the closed form of the
+cannot be written), 3 internal validation failure (a broken invariant
+of the library, such as a non-integral basis coefficient, a basis tail
+short of its precision or an index outside a built range).  A reader that
+closes the output early (`gridforge grid ... | head`) ends the output
+quietly without changing the exit code.
+`genfun-check --closed-form` checks the closed form of the
 level --from grid generating function; a different --to, or --side other
 than both, is a usage error.  Every JSON document is indented by 2 and
 written by one writer, `_json_text`, whose bytes are those of the standard
@@ -385,10 +386,12 @@ def run(argv=None) -> int:
             if prec < 10:
                 raise UsageError("precision must be >= 10")
         return args.handler(args, prec)
-    except (SynthesisError, AssertionError) as exc:
+    except (SynthesisError, AssertionError, IndexError) as exc:
+        # no user input reaches an IndexError: every index is refused
+        # earlier with a ValueError, so one is a fault of the library
         print(f"internal validation failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         # UsageError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

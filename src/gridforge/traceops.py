@@ -109,9 +109,11 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     """Trace of the index-m basis element of the level-N weight-k space
     down to level M, expressed in the level-M canonical basis: the
     principal part `_principal_parts` matches for this one index, with
-    Fraction coefficients and the expansion to q^prec.
-    `empirical_preserves` calls the matcher itself, and reads a traced
-    element only at the box's exponents, where it is compared."""
+    Fraction coefficients and the expansion to q^prec, the
+    `QSeries.combination` of the named elements (0 + O(q^prec) when the
+    principal part names none).  `empirical_preserves` calls the matcher
+    itself, and reads a traced element only at the box's exponents, where
+    it is compared."""
     _check_pair(N, M)
     if m < -gap_bound(N, k, space):
         raise ValueError(f"no basis element of index {m} at level {N} "
@@ -125,8 +127,8 @@ def trace(N: int, M: int, k: int, space: str, m: int,
     return TraceReport(
         N, M, k, space, m, True, method,
         combination=tuple((i, Fraction(c)) for i, c in combo),
-        expansion=(target.combination(combo, prec) if combo
-                   else QSeries.zero(prec)))
+        expansion=QSeries.combination(
+            ((c, target.element(i)) for i, c in combo), prec))
 
 
 def _principal_parts(N: int, M: int, k: int, space: str, indices: range,
@@ -313,7 +315,8 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     # name, asked for first, so the obstruction family's and the
     # matcher's requests for it are covered and build nothing
     family = _basis_for(M, k, space, max(P - 1, -b_n - 1), prec)
-    dual_n = [(j, g) for j, _, g in
+    # each obstruction's g and the level-M element -j it multiplies
+    dual_n = [(g, family.element(-j)) for j, _, g in
               _obstruction_family(N, M, k, space, prec)]
     # the level-N family starts at index -b_n; its traces are matched in
     # one pass, after the dual family is read: a weight >= 2 key is built
@@ -323,12 +326,14 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     lhs = {}
     if traced:
         parts, target = _principal_parts(N, M, k, space, traced, prec)
-        lhs = {m: target.combination(part, prec)
+        lhs = {m: QSeries.combination(
+                   ((c, target.element(i)) for i, c in part), prec)
                for m, part in zip(traced, parts)}
     zero = QSeries.zero(prec)
     for m in reversed(range(-b_m, P)):
-        rhs = family.combination(
-            [(m, 1), *((-j, -s.coeff(m)) for j, s in dual_n)], prec)
+        rhs = QSeries.combination(
+            [(1, family.element(m)),
+             *((-g.coeff(m), e) for g, e in dual_n)], prec)
         if lhs.get(m, zero) != rhs:
             return False
     return True

@@ -379,6 +379,11 @@ PINNED_JSON = [
     (["trace", "--from", "2", "--to", "1", "--weight", "8", "--space",
       "inf", "--index", "-2"], 1,
      "b94659add264d501185ab0dfa1de051e87d72906d26ce547b78afdd1b9a4b209"),
+    # a trace whose principal part names no element: the combination of no
+    # pairs, 0 + O(q^prec)
+    (["trace", "--from", "2", "--to", "1", "--weight", "8", "--space",
+      "hat", "--index", "-1"], 0,
+     "a97827bb56c530482881e5797bec2c38e972d92d629aed0a62ec4abf77a564e8"),
     (["classify", "--from", "5", "--to", "1", "--weight", "-2"], 1,
      "aa98e6c2392c6581ab3538ea2b91e7cad0ee2f5a3924328fa93368344b167263"),
     (["obstructions", "--from", "2", "--to", "1", "--weight", "-6",
@@ -434,6 +439,10 @@ PINNED_TEXT = [
     (["trace", "--from", "2", "--to", "1", "--weight", "8", "--space",
       "inf", "--index", "-2"], 1,
      "f0781aa1480687fcb5e9412e36ef9e95b31b10d42e617af7299724bfd6bb1e84"),
+    # "trace = 0 + O(q^60)" and "combination: 0"
+    (["trace", "--from", "2", "--to", "1", "--weight", "8", "--space",
+      "hat", "--index", "-1"], 0,
+     "b667882b3e34c16cd99e9825ff420de604e1b1f65477de87ca5110a7489399ae"),
     (["obstructions", "--from", "2", "--to", "1", "--weight", "-6",
       "--prec", "12"], 1,
      "f32723979332e6546bd29c4389dae6100bd6f85db8d7d03d9a12b0808e63d4ce"),
@@ -689,6 +698,26 @@ def test_internal_invariant_failures_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_grid", misaligned)
     assert run(["grid", "--level", "5", "--weight", "0"]) == 3
     assert "fail to align" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("build_basis", ["basis", "--level", "5", "--weight", "0"]),
+    ("trace", ["trace", "--from", "4", "--to", "2", "--weight", "0",
+               "--space", "inf", "--index", "1"]),
+])
+def test_an_index_error_of_the_library_exits_3(name, argv, capsys,
+                                               monkeypatch):
+    # every index the command line takes is refused earlier with a
+    # ValueError, so an IndexError is a fault of the library
+    def outside(*args, **kw):
+        raise IndexError("basis index 9 outside built range range(0, 3)")
+
+    monkeypatch.setattr(cli, name, outside)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal validation failure: basis "
+                                   "index 9 outside built range")
 
 
 def test_hauptmodul_that_is_not_monic_q_inverse_exits_3(capsys, monkeypatch):
