@@ -12,7 +12,8 @@ success, 1 mathematical negative (a NotPreserved classification or a
 failed identity check), 2 usage error (including an --out path that
 cannot be written), 3 internal validation failure (a broken invariant
 of the library, such as a non-integral basis coefficient, a basis tail
-short of its precision or an index outside a built range).  A reader that
+short of its precision or an index outside a built range, and any other
+exception, printed as its type and message without a traceback).  A reader that
 closes the output early (`gridforge grid ... | head`) ends the output
 quietly without changing the exit code.
 `genfun-check --closed-form` checks the closed form of the
@@ -395,6 +396,11 @@ def run(argv=None) -> int:
         # UsageError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # any other exception is a fault of the library, not a negative
+        print(f"internal validation failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

@@ -2,12 +2,13 @@
 
 The registry stores five seeds (levels 7, 10, 13, 25) as Certificates,
 exact combinations of phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers;
-none has a closed form here.  This module re-derives them by exact
-Gaussian elimination over a spanning family of weight-k forms with poles
-confined to infinity: holomorphic generator-pool members times powers of
-the Hauptmodul, their Serre derivatives, and Hauptmodul-derivative
-products.  The tower bases of divisor levels, eta quotients, join the
-pool as atoms.
+none has a closed form here.  This module re-derives them by one exact
+integer elimination, `row_reduce`, over a spanning family of weight-k
+forms with poles confined to infinity: holomorphic generator-pool members
+times powers of the Hauptmodul, their Serre derivatives, and
+Hauptmodul-derivative products, the tower bases of divisor levels (eta
+quotients) among the atoms.  The seed, its certificate and the audit of
+its family are read off the same pivots.
 The result must achieve the registry's maximal vanishing order, reproduce
 the pinned expansion prefix and equal the registry's certificate,
 otherwise synthesis fails loudly.  Nothing on the path that builds bases
@@ -17,6 +18,8 @@ and grids calls this module.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
+from math import gcd
 
 from gridforge.basis import _factor, hauptmodul_series, level_form
 from gridforge.generators import serre_derivative
@@ -138,41 +141,50 @@ def build_family(N: int, k: int, J: int, prec: int,
 
 
 def row_reduce(members, e_min: int, e_cap: int):
-    """Exact Gaussian elimination pivoting on ascending q-exponent.
+    """Exact integer elimination on the exponents e_min .. e_cap - 1.
 
-    Returns the pivots as (exponent, label, monic series); ties between
-    rows of equal valuation go to the earlier member.
-    """
-    active = [(label, s) for label, s in members if not s.is_zero]
-    pivots = []
-    for e in range(e_min, e_cap):
-        hit = None
-        for i, (label, s) in enumerate(active):
-            if s.coeff(e):
-                hit = i
+    Each member is read once, as its numerator row there, and reduced
+    against the pivots so far, carrying integer tags, its weights over the
+    members; each step divides out the gcd of the row and its tags.  A row
+    left nonzero is the pivot at its first nonzero exponent, and reading
+    stops once every exponent holds one.  Returns the pivots in ascending
+    exponent as (exponent, label, tags): the pivot is sum c*member_i over
+    its (i, c) tags, monic at its exponent, and no c is zero."""
+    width = e_cap - e_min
+    pivots = {}  # window offset -> (label, row, tags)
+    for i, (label, s) in enumerate(members):
+        if len(pivots) == width:
+            break
+        row, tags = s.numerators(e_min, e_cap), {i: s.denominator}
+        for j in range(width):
+            if not row[j]:
+                continue
+            if j not in pivots:
+                pivots[j] = (label, row, tags)
                 break
-        if hit is None:
-            continue
-        label, s = active.pop(hit)
-        pivot = s.scale(1 / s.coeff(e))
-        pivots.append((e, label, pivot))
-        reduced = []
-        for lab2, s2 in active:
-            c = s2.coeff(e)
-            if c:
-                s2 = s2 - pivot.scale(c)
-            if not s2.is_zero:
-                reduced.append((lab2, s2))
-        active = reduced
-    return pivots
+            _, prow, ptags = pivots[j]
+            a, b = prow[j], row[j]
+            row = [a * x - b * y for x, y in zip(row, prow)]
+            tags = {m: a * tags.get(m, 0) - b * ptags.get(m, 0)
+                    for m in tags.keys() | ptags.keys()}
+            g = gcd(*row, *tags.values())
+            row = [x // g for x in row]
+            tags = {m: t // g for m, t in tags.items() if t}
+    return [(e_min + j, label,
+             tuple((m, Fraction(t, row[j])) for m, t in sorted(tags.items())))
+            for j, (label, row, tags) in sorted(pivots.items())]
 
 
-def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
-    """The family synthesis reduces, exact below q^prec: pole bound
-    POLE_BOUND, with the target's own closed form left out.  By the
-    valence formula two forms of the family's space that agree through q^v
-    are equal, so no coefficient past q^v is needed to find the seed, and
-    the seed, q^v + O(q^(v+1)), needs prec > v."""
+def reduce_family(N: int, k: int,
+                  prec: int = DEFAULT_PREC) -> tuple[SpanningFamily, list]:
+    """The family synthesis reduces, exact below q^prec (pole bound
+    POLE_BOUND, the target's own closed form left out), and its row_reduce
+    pivots on the exponents -POLE_BOUND .. v.  Each member is F*P(psi), F
+    the seed and P a polynomial of degree at most POLE_BOUND + v, so the
+    space has one element of each valuation there and no nonzero one past
+    q^v: no coefficient past q^v is needed, the elimination stops once
+    every valuation has a pivot, and the top one is the seed,
+    q^v + O(q^(v+1)), which needs prec > v.  Pivots short of q^v raise."""
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
@@ -180,42 +192,30 @@ def _seed_family(N: int, k: int, prec: int) -> SpanningFamily:
         raise PrecisionError(
             f"seed of level {N} weight {k} starts at q^{v}, so prec {prec} "
             f"determines none of its terms: need prec >= {v + 1}")
-    return build_family(N, k, POLE_BOUND, prec, exclude=((N, k),))
-
-
-def reduce_family(N: int, k: int,
-                  prec: int = DEFAULT_PREC) -> tuple[SpanningFamily, list]:
-    """The family synthesis reduces and its row-reduction pivots on the
-    exponents -POLE_BOUND .. v.  Every member is a weight-k form that is
-    holomorphic away from infinity, so a nonzero one vanishes to order at
-    most v: once the pivot at q^v is taken, every row left is zero."""
-    fam = _seed_family(N, k, prec)
-    return fam, row_reduce(fam.members, -POLE_BOUND, v_of(N, k) + 1)
-
-
-def _top_pivot(N: int, k: int, pivots) -> QSeries:
-    """The pivot of maximal vanishing order v_k(N)."""
-    v = v_of(N, k)
+    fam = build_family(N, k, POLE_BOUND, prec, exclude=((N, k),))
+    pivots = row_reduce(fam.members, -POLE_BOUND, v + 1)
     top_e = pivots[-1][0] if pivots else None
     if top_e != v:
         raise SynthesisError(
             f"row reduction reached vanishing order {top_e}, not the "
             f"registry maximum {v}, for level {N} weight {k} "
             f"(pole bound {POLE_BOUND})")
-    return pivots[-1][2]
+    return fam, pivots
 
 
 def seed_of(reduced, prec: int) -> QSeries:
     """The seed read off a reduce_family result, modulo q^prec: the top
-    pivot, which a certified seed's registry certificate must equal."""
+    pivot's combination of members, which a certified seed's registry
+    certificate must equal."""
     fam, pivots = reduced
     N, k = fam.level, fam.weight
-    series = _top_pivot(N, k, pivots)
+    series = QSeries.combination(
+        [(c, fam.members[i][1]) for i, c in pivots[-1][2]], prec)
     if (N, k) in certificates() and level_form(N, k, series.prec) != series:
         raise SynthesisError(
             f"the registry certificate of level {N} weight {k} differs "
             f"from its re-derivation below q^{series.prec}")
-    return series.truncate(prec)
+    return series
 
 
 def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
@@ -227,23 +227,13 @@ def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
 
 def derive_certificate(N: int, k: int) -> tuple:
     """The seed's combination of family members, as the registry's
-    Certificate terms (c, factors, psi power).
-
-    Each member is tagged with a unit coefficient at its own exponent
-    beyond the pivot range, so row reduction carries the combination along
-    with the series (the augmented-identity form of elimination)."""
-    cap = v_of(N, k) + 1
-    fam = _seed_family(N, k, cap)
-    size = len(fam.members)
-    tagged = [(label, QSeries([*s.items(), (cap + i, 1)], cap + size))
-              for i, (label, s) in enumerate(fam.members)]
-    pivot = _top_pivot(N, k, row_reduce(tagged, -POLE_BOUND, cap))
+    Certificate terms (c, factors, psi power): the top pivot's tags of
+    reduce_family, in member order."""
+    fam, pivots = reduce_family(N, k, v_of(N, k) + 1)
     factor_of = {label: f for label, _, f in _atoms(N) if f[0] != "eta"}
     terms = []
-    for e, c in pivot.items():
-        if e < cap:
-            continue
-        label = fam.members[e - cap][0]
+    for i, c in pivots[-1][2]:
+        label = fam.members[i][0]
         body, sep, power = label.partition("*psi^")
         parts = body.split("*")
         if (sep and not power.isdigit()) or not all(p in factor_of

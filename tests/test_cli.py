@@ -671,6 +671,24 @@ def test_seed_audit_output_is_pinned(N, k, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEED_JSON[N, k]
 
 
+# the same at --prec 20, where the family of each has about 16 000
+# members and its elimination stops after reading under 2 000 of them
+PINNED_SEED_JSON_PREC_20 = {
+    (12, 6): "de21b8ad6219f45bc9321ff0cc0e7e9e09103f32afbe2d749015b2a447e914ea",
+    (18, 6): "af69f798771bc23bc63d26d399fa93006f4ac94f65cad963fbabbba3dba3a1a8",
+}
+
+
+@pytest.mark.parametrize("N, k", PINNED_SEED_JSON_PREC_20,
+                         ids=[f"{N}-{k}" for N, k in PINNED_SEED_JSON_PREC_20])
+def test_large_seed_audit_output_is_pinned(N, k, capsys):
+    code, out = invoke(capsys, "seed", "--level", str(N), "--weight", str(k),
+                       "--prec", "20", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_SEED_JSON_PREC_20[N, k]
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "dump.json"
     code, _ = invoke(capsys, "registry", "--out", str(path))
@@ -784,3 +802,25 @@ def test_closed_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_any_other_exception_exits_3_without_a_traceback(capsys,
+                                                        monkeypatch):
+    # an index too large for a list length raises OverflowError when the
+    # Hauptmodul's divisor-sum table is sized, before anything is allocated
+    assert run(["trace", "--from", "4", "--to", "2", "--weight", "0",
+                "--index", "99999999999999999999", "--prec", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal validation failure: OverflowError: ")
+    assert captured.err.count("\n") == 1
+
+    def broken(*args, **kw):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(cli, "trace", broken)
+    assert run(["trace", "--from", "4", "--to", "2", "--weight", "0",
+                "--space", "inf", "--index", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "internal validation failure: RuntimeError: handler fault\n")

@@ -54,6 +54,47 @@ def test_no_loop_rebinds_a_parameter(path):
     assert found == []
 
 
+def _stale_iterables(tree):
+    """(line, name) of each for statement whose body rebinds a name its
+    iterable reads, as in `for j, c in enumerate(row): ... row = ...`: the
+    loop goes on over the old value.  Names bound in a nested function,
+    lambda, class or comprehension of the body belong to its own scope."""
+    found = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor)):
+            continue
+        read = {n.id for n in ast.walk(loop.iter) if isinstance(n, ast.Name)}
+        stack = list(loop.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef, ast.ListComp,
+                                 ast.SetComp, ast.DictComp,
+                                 ast.GeneratorExp)):
+                continue
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in read):
+                found.append((loop.lineno, node.id))
+            stack += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_no_loop_rebinds_what_its_iterable_reads():
+    # the rule sees a plain, augmented, unpacked and nested-loop rebinding,
+    # and no binding of another scope
+    sample = ast.parse(
+        "for j, c in enumerate(row):\n    row = f(row)\n"
+        "for x in xs[n:]:\n    n += 1\n    a, (b, xs) = g()\n"
+        "for y in ys:\n    for ys in y:\n        pass\n"
+        "for z in zs:\n    h = lambda zs: zs\n    w = [zs for zs in z]\n"
+        "    def k(zs):\n        zs = 1\n")
+    assert _stale_iterables(sample) == [(1, "row"), (3, "n"), (3, "xs"),
+                                        (6, "ys")]
+    found = [(path.stem, line, name) for path in SOURCES
+             for line, name in _stale_iterables(ast.parse(path.read_text()))]
+    assert found == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_module_asserts(path):
     # python -O strips assert statements, and every invariant must still

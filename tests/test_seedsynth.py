@@ -10,10 +10,10 @@ from gridforge.seedsynth import (
     POLE_BOUND,
     SynthesisError,
     _atoms,
-    _seed_family,
     build_family,
     derive_certificate,
     family_audit,
+    reduce_family,
     row_reduce,
     synthesize_seed,
     weight_pool,
@@ -109,17 +109,77 @@ def test_family_contains_expected_members():
 
 
 def test_row_reduction_is_order_independent():
+    # the pivot exponents and the top pivot's series, the seed, do not
+    # depend on the order of the members; the tags that spell it do
     fam = build_family(10, 2, 6, 30)
     members = list(fam.members)
     cap = min(s.prec for _, s in members)
-    base = row_reduce(members, -6, cap)
+
+    def reduced(ordered):
+        pivots = row_reduce(ordered, -6, cap)
+        top = QSeries.combination(
+            [(c, ordered[i][1]) for i, c in pivots[-1][2]], cap)
+        return [e for e, _, _ in pivots], top
+
+    base = reduced(members)
     rng = random.Random(99)
     for _ in range(3):
         shuffled = members[:]
         rng.shuffle(shuffled)
-        piv = row_reduce(shuffled, -6, cap)
-        assert piv[-1][0] == base[-1][0]
-        assert piv[-1][2] == base[-1][2]
+        assert reduced(shuffled) == base
+
+
+@pytest.mark.parametrize("N,k", sorted(PINNED))
+def test_each_pivot_is_its_tagged_combination(N, k):
+    # each pivot is sum c*member_i over its (i, c) tags, monic at its
+    # exponent, with no c zero, and so is each derived certificate term
+    v = v_of(N, k)
+    fam, pivots = reduce_family(N, k, v + 1)
+    assert [e for e, _, _ in pivots] == list(range(-POLE_BOUND, v + 1))
+    for e, label, tags in pivots:
+        assert all(c for _, c in tags)
+        assert fam.members[tags[-1][0]][0] == label
+        s = QSeries.combination([(c, fam.members[i][1]) for i, c in tags],
+                                v + 1)
+        assert (s.valuation(), s.coeff(e)) == (e, 1)
+    assert all(c for c, _, _ in derive_certificate(N, k))
+
+
+class Unread:
+    def numerators(self, lo, hi):
+        raise AssertionError("a member past a full window was read")
+
+
+def test_the_elimination_stops_at_a_full_window(monkeypatch):
+    # once every exponent of the window holds a pivot, no member after is
+    # read: the one here is known only below q^1
+    members = [("a", QSeries({0: 1, 1: 2}, 5)), ("b", QSeries({1: 1}, 5)),
+               ("short", QSeries({0: 1}, 1))]
+    assert row_reduce(members, 0, 2) == [(0, "a", ((0, 1),)),
+                                         (1, "b", ((1, 1),))]
+    # and the seed search leaves the rest of its family unread
+    real = seedsynth.build_family
+
+    def trailing(*args, **kw):
+        fam = real(*args, **kw)
+        return fam._replace(members=fam.members + (("unread", Unread()),))
+
+    monkeypatch.setattr(seedsynth, "build_family", trailing)
+    assert synthesize_seed(7, 4, 20) == level_form(7, 4, 20)
+
+
+def test_a_family_short_of_the_valence_bound_is_refused(monkeypatch):
+    # a family of one holomorphic member has its one pivot at q^0, short of
+    # v_4(7) = 2
+    real = seedsynth.build_family
+    monkeypatch.setattr(seedsynth, "build_family", lambda *args, **kw:
+                        real(*args, **kw)._replace(
+                            members=real(*args, **kw).members[:1]))
+    with pytest.raises(SynthesisError,
+                       match=r"^row reduction reached vanishing order 0, "
+                             r"not the registry maximum 2, for level 7 "
+                             r"weight 4 \(pole bound 10\)$"):
+        synthesize_seed(7, 4, 20)
 
 
 def test_row_reduction_does_not_read_an_undetermined_coefficient_as_zero():
@@ -211,4 +271,4 @@ def test_family_audit_matches_synthesis_family():
     labels = [m["label"] for m in audit["members"]]
     assert audit["pole_bound"] == POLE_BOUND
     assert not any(l.startswith("seed7w6") for l in labels)
-    assert labels == [l for l, _ in _seed_family(7, 6, 20).members]
+    assert labels == [l for l, _ in reduce_family(7, 6, 20)[0].members]
