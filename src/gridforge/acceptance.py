@@ -138,7 +138,8 @@ def criterion_3_duality_sweep():
     and every even weight in [-10, 10].  A grid reads its weight >= 2 side
     off the other as its negated transpose, so its residual is zero by
     construction; that side must equal a direct run of the recursion, which
-    checks the duality of the source the walk built."""
+    checks the duality of the source as built (walked, or for a hat source
+    read off the inf basis)."""
     for N in GENUS_ZERO_LEVELS:
         for k in SWEEP_WEIGHTS:
             grid = build_grid(N, k, 20)

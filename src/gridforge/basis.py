@@ -29,9 +29,10 @@ Completed bases are immutable and kept in the store
 `gridforge.qseries.cached` under ("basis", N, k, space) at the size
 (count, prec).  An entry only grows: a request it covers gets a view that
 shares its tails; any other request rebuilds it at the larger count and
-the larger precision.  A view taken before a rebuild keeps its tails.
+the larger precision, and a weight k <= 0 inf entry is extended instead,
+by continuing its walk.  A view taken before a rebuild keeps its tails.
 
-A key's weight picks its builder.  Weight k <= 0 has one, the
+A key picks one of three builders.  The weight k <= 0 inf space has the
 anti-diagonal walk (`_walk`), which asks for the Hauptmodul and the first
 element once and cuts every element to q^prec, so the only floor on prec
 is the gap bound.  It fills the coefficients a(M, n) by anti-diagonals
@@ -48,10 +49,15 @@ only the exponents -1 (mod t) and the first element only B (mod t),
 t = 2, 2, 3, 2, 4, 3; q -> zeta_t q then fixes the space, and as the
 canonical elements are unique, a(M, n) = 0 unless t | M + n.  The walk
 reads t off its inputs and fills only the diagonals t divides, with the same
-code for t = 1.  The recursion itself, which carries element j to
-q^(prec + count - 1 - j), is kept as an oracle in `gridforge.acceptance`.
-Weight k >= 2 is read off the other space of weight 2 - k, its source, by
-duality: a(m, n) = -b(n, m) for every m >= -B and n >= B + 1, B the
+code for t = 1.  Given a stored basis of the space, it walks only the
+coefficients the basis lacks.  The recursion itself, which carries
+element j to q^(prec + count - 1 - j), is kept as an oracle in
+`gridforge.acceptance`; in the tests the walk is the next builder's.
+The weight k <= 0 hat space, of codimension d = v - u in the inf space
+of its weight, is read off the inf basis (`_hat_from_inf`): each hat
+element is an inf element plus d others, whose d coefficients the chain
+gives.  Weight k >= 2 is read off the other space of weight 2 - k, its
+source, by duality: a(m, n) = -b(n, m) for every m >= -B and n >= B + 1, B the
 source's gap bound, so each element is q^-n minus column n of the source
 (`_transpose`).  A grid asks for its weight <= 0 side once, large enough
 for both sides, and so its duality holds by construction.
@@ -331,16 +337,22 @@ def _check_request(N: int, k: int, space: str, count: int, prec: int):
 
 def build_basis(N: int, k: int, space: str, count: int,
                 prec: int = DEFAULT_PREC) -> CanonicalBasis:
-    """Elements m0 .. m0+count-1, each exact modulo q^prec: built from the
-    Hauptmodul for weight k <= 0, read off the other space of weight 2 - k
-    as its negated transpose for k >= 2.
+    """Elements m0 .. m0+count-1, each exact modulo q^prec: walked from
+    the Hauptmodul for the weight k <= 0 inf space, read off the inf basis
+    of its weight for the weight k <= 0 hat space, and read off the other
+    space of weight 2 - k as its negated transpose for k >= 2.
 
     The result is a view of the key's store entry, which covers the
-    request and shares its tails, so a hit copies nothing."""
+    request and shares its tails, so a hit copies nothing.  A weight
+    k <= 0 inf entry that must grow is extended by its walk."""
     _check_request(N, k, space, count, prec)
-    build = _walk if k <= 0 else _transpose
+    build = _transpose if k > 0 else _walk if space == INF else _hat_from_inf
+    grow = None
+    if build is _walk:
+        def grow(old, count, prec):
+            return _walk(N, k, space, count, prec, old)
     entry = cached(("basis", N, k, space), (count, prec),
-                   lambda count, prec: build(N, k, space, count, prec))
+                   lambda count, prec: build(N, k, space, count, prec), grow)
     return entry._replace(prec=prec, count=count)
 
 
@@ -371,11 +383,12 @@ def _stride(psi: list, top: list) -> int:
                *(i + 1 for i, c in enumerate(top) if c)) or 1
 
 
-def _walk(N: int, k: int, space: str, count: int,
-          prec: int) -> CanonicalBasis:
+def _walk(N: int, k: int, space: str, count: int, prec: int,
+          old: CanonicalBasis | None = None) -> CanonicalBasis:
     """Elements m0 .. m0+count-1 of a weight k <= 0 space, each exact
     modulo q^prec, filled by anti-diagonals D = M + n of the coefficients
-    a(M, n), n > B, of the elements M, from two identities.
+    a(M, n), n > B, of the elements M, from two identities; given `old`, a
+    smaller basis of the space, the walk extends it.
 
     The chain is the recursion read coefficient by coefficient: with psi_s
     the q^s coefficient of the Hauptmodul,
@@ -441,6 +454,15 @@ def _walk(N: int, k: int, space: str, count: int,
     symmetry for every series q^-1 + O(q).  A wrong psi_s off the stride
     drops t to 1, so the walk fills and checks every diagonal.  A diagonal
     anchored at row m0 is checked only where a later division reads it.
+
+    An `old` basis is known in its rectangle, rows m0 .. m0+old.count-1 and
+    columns B+1 .. old.prec-1.  A diagonal t divides that meets it in rows
+    ka .. kb takes their values from `old`, in the order a fresh walk
+    appends them, so K reads what it reads there.  It is then swept up
+    from row ka - 1 by the chain, with the first-element check where it
+    reaches row m0, and down from row kb + 1 as above; a diagonal the
+    rectangle does not meet keeps its anchor.  So the walk computes only
+    the coefficients outside the rectangle, and checks only those.
     """
     B = gap_bound(N, k, space)
     m0, e, s0 = -B, 1 - k, max(-B, B + 1)
@@ -457,6 +479,10 @@ def _walk(N: int, k: int, space: str, count: int,
     h = psi[1:]
     hs = h[t - 1::t]
     where = f"level {N} weight {k} {space}"
+    # the rectangle known from old: rows m0 .. m0+len(known)-1, columns
+    # B+1 .. end-1
+    known, end = (old.stored[:old.count], old.prec) if old is not None else (
+        (), B + 1)
     # rows and columns keep their coefficients oldest first
     rows = [[] for _ in range(m0, R + 1)]
     cols = [[] for _ in range(B + 1, C)]
@@ -489,21 +515,28 @@ def _walk(N: int, k: int, space: str, count: int,
         hi = min(D - B - 1, R if D - R < s0 else R - 1)
         lo = max(m0, D - C + 1)
         # the anchor and the sweep up fill rows lo .. b-1, the sweep down
-        # rows b .. hi
+        # rows b .. hi; rows ka .. kb are known
+        ka, kb = max(lo, D - end + 1), min(hi, m0 + len(known) - 1)
         if D % t:
             b, diag = hi + 1, [0] * (hi - lo + 1)
-        elif D <= 2 * s0 or D // 2 >= R:
+        elif ka > kb and (D <= 2 * s0 or D // 2 >= R):
             b, diag = m0 + 1, [top[D - m0 - B - 1]]
         else:
-            a = (D - 1) // 2
-            b = D - a
-            steps = [K(r, D - r - 1) for r in range(a, b)]
-            s = sum(steps)
-            # the sweep up starts from a(b, a) = a(a, b) + s
-            v = s + exact(powers[a] * s - corr(a, b), powers[b] - powers[a],
-                          a, b)
-            diag = []
-            for r in range(b - 1, lo - 1, -1):
+            if ka <= kb:
+                # the known rows, newest first; the sweep up starts at ka
+                diag = [known[r - m0][D - r - B - 1]
+                        for r in range(kb, ka - 1, -1)]
+                v, steps, start, b = diag[-1], [], ka, kb + 1
+            else:
+                a = (D - 1) // 2
+                b = D - a
+                steps = [K(r, D - r - 1) for r in range(a, b)]
+                s = sum(steps)
+                # the sweep up starts from a(b, a) = a(a, b) + s
+                v = s + exact(powers[a] * s - corr(a, b),
+                              powers[b] - powers[a], a, b)
+                diag, start = [], b
+            for r in range(start - 1, lo - 1, -1):
                 v -= steps.pop() if steps else K(r, D - r - 1)
                 diag.append(v)
             diag.reverse()
@@ -528,6 +561,76 @@ def _walk(N: int, k: int, space: str, count: int,
             weighted[r] = list(map(mul, low_powers, rows[r - m0]))
             mirrored[r] = rows[r - m0][::-1]
     return CanonicalBasis.of(N, k, space, prec, rows[:count])
+
+
+def _hat_from_inf(N: int, k: int, space: str, count: int,
+                  prec: int) -> CanonicalBasis:
+    """Elements m0 .. m0+count-1, m0 = -u, of the weight k <= 0 hat space,
+    each exact modulo q^prec, read off the inf basis of the same weight.
+
+    The hat space has codimension d = v - u in the inf space, so with f_m
+    the inf elements and b(m, j) the q^j coefficient of g_m,
+
+        g_m = f_m + sum_{j=u+1..v} b(m, j) f_{-j},
+
+    and only the low block b(m, j), j = u+1 .. v, is unknown: d
+    coefficients per element.  The chain of the walk (see `_walk`, with
+    B = u) fills it row by row from the first element's, since K(M, n)
+    reads only columns <= n; its step a(M+1, v) = a(M, v+1) + K(M, v)
+    reads the q^(v+1) coefficient a(M, v+1) off the identity above.  At
+    row m0 that coefficient must be the first element's, or the inputs
+    are refused.  Each tail past q^v is f_m's plus b(m, j) times
+    f_{-j}'s, added only for b(m, j) != 0 and only at the exponents n
+    with t | n - j, t the stride (`_stride`), where f_{-j} can be nonzero.
+    At level 1, d = 0 and the tails are the inf elements'.
+    """
+    u, v = gap_bound(N, k, space), v_of(N, k)
+    d, m0 = v - u, -u
+    where = f"level {N} weight {k} {space}"
+    # the inf elements -v .. m0+count-1, each past q^(v+1)
+    f = build_basis(N, k, INF, count + d, max(prec, v + 2)).stored
+    # the inputs of a walk that fills the columns u+1 .. v, and the first
+    # element through q^(v+1)
+    psi, top = _inputs(N, k, space, count, v + 1, v + 2)
+    t = _stride(psi, top)
+    h = psi[2:]
+    # the q^(v+1) coefficients of f_{-j}, j = u+1 .. v
+    over = [f[v - j][0] for j in range(u + 1, v + 1)]
+
+    def past(M, row):
+        # a(M, v+1) of the hat element M whose low block is row
+        return f[M + v][0] + sum(map(mul, row, over))
+
+    row = top[:d]
+    if past(m0, row) != top[d]:
+        raise AssertionError(
+            f"hat basis of {where} read off inf misses the first "
+            f"element's coefficient at q^{v + 1}")
+    # the low block by rows, and by columns oldest first
+    rows, cols = [row], [[x] for x in row]
+    for M in range(m0, m0 + count - 1):
+        # a(M+1, n) = a(M, n+1) + K(M, n) at n = u+1+i, whose psi_0 terms
+        # cancel; h[s] is psi_(s+1)
+        nxt = row[1:] + [past(M, row)]
+        row = [nxt[i] + h[M + u + i] + sum(map(mul, reversed(row[:i]), h))
+               - sum(map(mul, col[-2::-1], h)) - rows[0][i] * row[0]
+               for i, col in enumerate(cols)]
+        rows.append(row)
+        for col, x in zip(cols, row):
+            col.append(x)
+    n = max(prec - v - 1, 0)
+    tails = []
+    for m, low in enumerate(rows, m0):
+        tail = f[m + v][:n]
+        if any(low):
+            tail = list(tail)
+            for i, c in enumerate(low):
+                if c:
+                    s = (i - d) % t
+                    tail[s::t] = map(add, tail[s::t],
+                                     map(mul, repeat(c), f[d - 1 - i][s:n:t]))
+        tails.append((*low, *tail))
+    return CanonicalBasis.of(N, k, space, prec, tails)
 
 
 class ModularGrid(namedtuple("ModularGrid", "N k fside gside")):

@@ -14,8 +14,9 @@ Named values that depend only on a key and a size are kept in one store,
 `cached`: series (Hauptmoduln and registry forms) at a size (prec,), and
 every canonical basis of `gridforge.basis`, transposed ones included, at a
 size (count, prec).  Each key has one entry that only grows, to the
-componentwise max of the sizes asked for; a caller cuts it down to its
-request (a basis by a view that shares the entry's int tails).
+componentwise max of the sizes asked for, by a rebuild or, where the
+caller gives a way to, by extending the entry; a caller cuts it down to
+its request (a basis by a view that shares the entry's int tails).
 `store_stats` counts hits, misses and rebuilds per kind of key.
 """
 
@@ -376,16 +377,19 @@ _store: dict[tuple, tuple] = {}     # key -> (size, value)
 _stats: dict[str, list[int]] = {}   # key kind -> [hits, misses, rebuilds]
 
 
-def cached(key: tuple, need: tuple, build):
+def cached(key: tuple, need: tuple, build, grow=None):
     """The value named `key`, built at a size that covers `need`: (prec,)
     for a series, (count, prec) for a basis.
 
     The store keeps one entry per key and the size it was built at.  A
     request that size covers in every component is a hit; a miss calls
     build(*size) at the componentwise max of the two sizes and keeps it, so
-    an entry only grows and covers every earlier request.  The caller cuts
-    the value down to its request.  The value must depend only on the key
-    and the size; key[0] names its kind for store_stats.
+    an entry only grows and covers every earlier request.  A miss on a key
+    already stored calls grow(old, *size) instead, when a `grow` is given,
+    with `old` the value it replaces: a weight k <= 0 inf basis so extends
+    its entry, computing only what the entry lacks.  The caller cuts the
+    value down to its request.  The value must depend only on the key and
+    the size; key[0] names its kind for store_stats.
     """
     counts = _stats.setdefault(key[0], [0, 0, 0])
     entry = _store.get(key)
@@ -396,14 +400,16 @@ def cached(key: tuple, need: tuple, build):
         need = tuple(map(max, entry[0], need))
         counts[2] += 1
     counts[1] += 1
-    value = build(*need)
+    value = (build(*need) if entry is None or grow is None
+             else grow(entry[1], *need))
     _store[key] = need, value
     return value
 
 
 def store_stats() -> dict[str, dict[str, int]]:
     """Hits and misses of the store per key kind; "rebuilds" counts the
-    misses on a key already stored, which replace a smaller entry."""
+    misses on a key already stored, which replace a smaller entry (a
+    weight k <= 0 inf basis by extending it)."""
     return {kind: {"hits": h, "misses": m, "rebuilds": r}
             for kind, (h, m, r) in sorted(_stats.items())}
 

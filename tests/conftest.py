@@ -31,15 +31,15 @@ def perturb_certificate(install_certificate):
 
 @pytest.fixture
 def counting_builds(monkeypatch):
-    """Start from an empty store and count the runs of `basis._walk`, the
-    weight k <= 0 builder, per (N, k, space)."""
+    """Start from an empty store and count the runs of the weight k <= 0
+    builders per (N, k, space): `basis._walk`, fresh or extending an entry,
+    and `basis._hat_from_inf`."""
     monkeypatch.setattr(qseries, "_store", {})
     builds = {}
-    real = basis_mod._walk
+    for name in ("_walk", "_hat_from_inf"):
+        def build(N, k, space, *size, real=getattr(basis_mod, name)):
+            builds[(N, k, space)] = builds.get((N, k, space), 0) + 1
+            return real(N, k, space, *size)
 
-    def build(N, k, space, count, prec):
-        builds[(N, k, space)] = builds.get((N, k, space), 0) + 1
-        return real(N, k, space, count, prec)
-
-    monkeypatch.setattr(basis_mod, "_walk", build)
+        monkeypatch.setattr(basis_mod, name, build)
     return builds

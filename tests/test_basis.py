@@ -616,15 +616,16 @@ def test_derived_side_equals_the_recursion_at_depth(N, k, count,
 
 def _add_to_source(monkeypatch, key, i, j):
     """Start from an empty store, and add q^j to element i of every
-    build of the (N, k, space) key."""
-    real = basis_mod._walk
+    build of the weight k <= 0 (N, k, space) key, by its builder."""
+    name = "_walk" if key[2] == INF else "_hat_from_inf"
+    real = getattr(basis_mod, name)
 
     def build(*key_size):
         b = real(*key_size)
         return add_to_tail(b, i, j) if key_size[:3] == key else b
 
     monkeypatch.setattr(qseries, "_store", {})
-    monkeypatch.setattr(basis_mod, "_walk", build)
+    monkeypatch.setattr(basis_mod, name, build)
 
 
 @pytest.mark.parametrize("N, k", [(1, -4), (4, -2), (5, 0), (13, 4),
@@ -851,15 +852,17 @@ def test_each_build_asks_for_one_first_element(counting_builds,
     # perfbench/spans.py counts a build_basis call as a build when one of
     # its direct children is a first_element call, so every build asks for
     # exactly one first element, and no first element asks for another
-    real_build, real_first = basis_mod._walk, basis_mod.first_element
+    real_first = basis_mod.first_element
     open_calls, callers = [], []
+    for name in ("_walk", "_hat_from_inf"):
+        def build(*args, name=name, real=getattr(basis_mod, name)):
+            open_calls.append(name)
+            try:
+                return real(*args)
+            finally:
+                open_calls.pop()
 
-    def build(*args):
-        open_calls.append("_walk")
-        try:
-            return real_build(*args)
-        finally:
-            open_calls.pop()
+        monkeypatch.setattr(basis_mod, name, build)
 
     def first(*args):
         callers.append(tuple(open_calls))
@@ -869,15 +872,21 @@ def test_each_build_asks_for_one_first_element(counting_builds,
         finally:
             open_calls.pop()
 
-    monkeypatch.setattr(basis_mod, "_walk", build)
     monkeypatch.setattr(basis_mod, "first_element", first)
     for N in ALL_LEVELS:
         for k in (-4, 0, 2, 6):
             build_grid(N, k, 5)
-    builds = sum(counting_builds.values())
-    # one build of each grid's source, which the other side is read off
-    assert builds == len(ALL_LEVELS) * 4
-    assert callers == [("_walk",)] * builds
+    # one build of each grid's source, which the other side is read off,
+    # and of each inf key a hat source is read off: the weight 2 and 6
+    # grids' hat sources read the weight 0 and -4 inf keys, which grow for
+    # them where their entries are too small
+    assert set(counting_builds) == {(N, k, space) for N in ALL_LEVELS
+                                    for k in (-4, 0) for space in (INF, HAT)}
+    assert all(n == 1 if key[2] == HAT else n <= 2
+               for key, n in counting_builds.items())
+    # the hat builder's inf build is its own call of build_basis
+    assert len(callers) == sum(counting_builds.values())
+    assert all(c and "first_element" not in c for c in callers)
 
 
 def test_a_cold_grid_builds_its_source_once(counting_builds):
@@ -896,8 +905,10 @@ def test_a_cold_grid_builds_its_source_once(counting_builds):
         qseries._store.clear()
         counting_builds.clear()
         build_grid(N, k, count, prec)
-        source = (N, k, INF) if k <= 0 else (N, 2 - k, HAT)
-        assert counting_builds == {source: 1}, (N, k, count, prec)
+        # a hat source is read off the inf key of its weight, built once
+        w = min(k, 2 - k)
+        want = {(N, w, INF): 1} if k <= 0 else {(N, w, HAT): 1, (N, w, INF): 1}
+        assert counting_builds == want, (N, k, count, prec)
 
 
 def test_cached_basis_does_not_overclaim_precision(monkeypatch):
@@ -1345,7 +1356,8 @@ def test_walk_raises_on_a_wrong_correction_term(N, k, space, count, prec):
     (2, -2, HAT, 5, 60)], ids=["deep", "sweep", "tall", "tall-hat"])
 def test_every_weight_nonpositive_miss_runs_the_walk(shape, monkeypatch):
     # a deep grid's source, a sweep grid's source with gap bound -30, and
-    # two tall shapes, prec >> m0 + count
+    # two tall shapes, prec >> m0 + count; a hat miss walks only the inf
+    # key it is read off, at d = v - u more elements and through q^(v+1)
     monkeypatch.setattr(qseries, "_store", {})
     ran = []
     real = basis_mod._walk
@@ -1356,7 +1368,249 @@ def test_every_weight_nonpositive_miss_runs_the_walk(shape, monkeypatch):
 
     monkeypatch.setattr(basis_mod, "_walk", walk)
     build_basis(*shape)
-    assert ran == [shape]
+    N, k, space, count, prec = shape
+    v = v_of(N, k)
+    d = v - gap_bound(N, k, space)
+    assert ran == [(N, k, INF, count + d, max(prec, v + 2))]
+
+
+def _walk_steps(*args):
+    """basis._walk(*args), and what it computes: ("K", M, n) for each call
+    K(M, n), the chain step between a(M, n+1) and a(M+1, n) in either
+    direction, and ("exact", M, n) for each exact division, which gives
+    a(M, n)."""
+    codes = {c for c in basis_mod._walk.__code__.co_consts
+             if getattr(c, "co_name", None) in ("K", "exact")}
+    assert len(codes) == 2
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            steps.append((frame.f_code.co_name, frame.f_locals["M"],
+                          frame.f_locals["n"]))
+
+    sys.setprofile(profile)
+    try:
+        out = basis_mod._walk(*args)
+    finally:
+        sys.setprofile(None)
+    return out, steps
+
+
+# stride and non-stride levels, gap bound 0 and below, both spaces
+GROWTH_KEYS = [(1, 0, INF), (5, 0, INF), (13, -4, INF), (4, 0, INF),
+               (9, -4, INF), (5, -2, HAT), (4, 0, HAT), (16, -6, HAT)]
+
+
+@pytest.mark.parametrize("key", GROWTH_KEYS, ids=str)
+@pytest.mark.parametrize("grown", [
+    lambda m0: (14, 10), lambda m0: (6, 25), lambda m0: (12, 22),
+    lambda m0: (8, m0 + 8 + 12)], ids=["count", "prec", "both", "tall"])
+def test_a_growing_walk_equals_a_fresh_walk(key, grown):
+    # from 6 elements to q^10: by count only, by prec only, by both, and
+    # into a tall shape, prec >= m0 + count + 2
+    N, k, space = key
+    B = gap_bound(N, k, space)
+    old = basis_mod._walk(*key, 6, 10)
+    size = grown(-B)
+    fresh, fresh_steps = _walk_steps(*key, *size)
+    grew, steps = _walk_steps(*key, *size, old)
+    assert grew == fresh
+    # no step relates two coefficients of old's rectangle, and no division
+    # gives one of them
+    def known(M, n):
+        return -B <= M < -B + 6 and B < n < 10
+
+    for name, M, n in steps:
+        cells = [(M, n)] if name == "exact" else [(M, n + 1), (M + 1, n)]
+        assert not all(known(*cell) for cell in cells), (name, M, n)
+    # each diagonal the rectangle meets saves at least its known
+    # coefficients but one, those off the stride being zeros in both walks
+    t = STRIDES.get(N, 1)
+    cells = [(M, n) for M in range(-B, -B + 6) for n in range(B + 1, 10)
+             if (M + n) % t == 0]
+    assert len(fresh_steps) - len(steps) >= \
+        len(cells) - len({M + n for M, n in cells})
+
+
+def test_a_store_entry_grows_by_its_walk(monkeypatch):
+    # every miss on a stored weight k <= 0 inf key hands the walk the entry
+    # it replaces, and the grown entry is the fresh walk's
+    monkeypatch.setattr(qseries, "_store", {})
+    real = basis_mod._walk
+    olds = []
+
+    def walk(*args):
+        olds.append(args[5:])
+        return real(*args)
+
+    monkeypatch.setattr(basis_mod, "_walk", walk)
+    rng = random.Random(7)
+    for N, k in [(2, 0), (9, -2), (25, -6)]:
+        sizes = []
+        for _ in range(6):
+            count, prec = rng.randrange(1, 20), rng.randrange(1, 40)
+            entry = qseries._store.get(("basis", N, k, INF))
+            del olds[:]
+            b = build_basis(N, k, INF, count, prec)
+            sizes.append((count, prec))
+            size, grown = qseries._store[("basis", N, k, INF)]
+            if entry is None:
+                assert olds == [()]
+            elif entry[1] is grown:
+                assert olds == []
+            else:
+                assert olds == [(entry[1],)]
+            assert grown == real(N, k, INF, *size), (N, k, sizes)
+            assert b == real(N, k, INF, count, prec), (N, k, sizes)
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_the_hat_builder_equals_the_hat_walk(N, monkeypatch):
+    for k in range(-10, 1, 2):
+        u = gap_bound(N, k, HAT)
+        for count, prec in ((1, u + 1), (5, u + 3), (12, u + 12),
+                            (20, u + 30)):
+            monkeypatch.setattr(qseries, "_store", {})
+            assert basis_mod._hat_from_inf(N, k, HAT, count, prec) == \
+                basis_mod._walk(N, k, HAT, count, prec), (k, count, prec)
+
+
+def test_no_hat_miss_runs_the_walk_of_a_hat_key(monkeypatch):
+    # cold and growing hat requests, directly and through grids of both
+    # signs of weight, walk only inf keys
+    monkeypatch.setattr(qseries, "_store", {})
+    real = basis_mod._walk
+    spaces = []
+
+    def walk(*args):
+        spaces.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(basis_mod, "_walk", walk)
+    for N in ALL_LEVELS:
+        for k in (-6, -2, 0):
+            u = gap_bound(N, k, HAT)
+            for count, prec in ((3, u + 2), (9, u + 5), (4, u + 20)):
+                build_basis(N, k, HAT, count, prec)
+        for k in (-4, 2, 8):
+            build_grid(N, k, 10)
+    assert spaces and set(spaces) == {INF}
+
+
+def _outcome(build, *args):
+    """The outcome of build(*args): "ok", or the name of the
+    AssertionError it raised."""
+    try:
+        build(*args)
+    except AssertionError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def _hat_outcomes(N, k, count, prec, psi=None):
+    """The outcomes of the hat walk and of the hat builder on a cold store,
+    with the Hauptmodul replaced by `psi` when one is given."""
+    outcomes = []
+    for build in (basis_mod._walk, basis_mod._hat_from_inf):
+        qseries._store.clear()
+        if psi is not None:
+            qseries._store[("haupt", N)] = ((psi.prec,), psi)
+        outcomes.append(_outcome(build, N, k, HAT, count, prec))
+    return outcomes
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_the_hat_builder_refuses_a_wrong_cusp_polynomial_as_the_walk(
+        N, monkeypatch):
+    # +1 on one coefficient of the cusp-killing polynomial: both builders
+    # raise, or neither does, on every shape (a mutated lead makes the
+    # first element not monic; any other stays in the inf space)
+    monkeypatch.setattr(qseries, "_store", {})
+    real = basis_mod.get_level
+    poly = real(N).cusp_poly
+    for i in range(len(poly)):
+        level = real(N)._replace(cusp_poly=tuple(
+            c + (j == i) for j, c in enumerate(poly)))
+        monkeypatch.setattr(basis_mod, "get_level",
+                            lambda n: level if n == N else real(n))
+        for k in (-4, 0):
+            u = gap_bound(N, k, HAT)
+            for count, prec in ((1, u + 1), (5, u + 3), (12, u + 12),
+                                (20, u + 30)):
+                walk, hat = _hat_outcomes(N, k, count, prec)
+                assert walk == hat, (i, k, count, prec)
+                assert (walk != "ok") == (i == len(poly) - 1)
+
+
+@pytest.mark.parametrize("N", ALL_LEVELS)
+def test_the_hat_builder_refuses_a_wrong_hauptmodul_as_the_walk(
+        N, monkeypatch):
+    # psi + q^3 or psi + q^5: on the widest shape both builders raise, or
+    # neither does.  On narrower ones the hat walk checks less than the
+    # walk of the inf basis the builder reads (count + d elements through
+    # q^(v+1)), so the builder refuses wherever the walk does, and more.
+    monkeypatch.setattr(qseries, "_store", {})
+    raised = 0
+    for e in (3, 5):
+        psi = hauptmodul_series(N, 200)
+        psi = psi + QSeries({e: 1}, psi.prec)
+        for k in (0, -2):
+            u = gap_bound(N, k, HAT)
+            walk, hat = _hat_outcomes(N, k, 20, u + 30, psi)
+            assert walk == hat, (e, k)
+            raised += walk != "ok"
+            for count, prec in ((1, u + 1), (5, u + 3), (12, u + 12)):
+                walk, hat = _hat_outcomes(N, k, count, prec, psi)
+                assert walk == "ok" or hat == walk, (e, k, count, prec)
+    # weight -2 is refused on every level; the hat elements of weight 0
+    # are polynomials in psi, and no check of either builder sees psi move
+    assert raised == 2
+
+
+def test_the_hat_builder_checks_the_first_element(monkeypatch):
+    # the inf basis is stored first, so that only the hat builder reads
+    # the first element with its q^(v+1) coefficient moved
+    monkeypatch.setattr(qseries, "_store", {})
+    build_basis(5, -2, INF, 40, 40)
+    real = basis_mod._inputs
+
+    def moved(*args):
+        psi, top = real(*args)
+        return psi, top[:-1] + [top[-1] + 1]
+
+    monkeypatch.setattr(basis_mod, "_inputs", moved)
+    with pytest.raises(AssertionError,
+                       match=r"^hat basis of level 5 weight -2 hat read off "
+                             r"inf misses the first element's coefficient "
+                             r"at q\^-1$"):
+        build_basis(5, -2, HAT, 10, 20)
+
+
+def test_the_hat_builder_check_survives_optimize():
+    code = """
+import sys
+from gridforge import basis
+assert False, "assert statements are not stripped"
+basis.build_basis(5, -2, basis.INF, 40, 40)
+real = basis._inputs
+
+def moved(*args):
+    psi, top = real(*args)
+    return psi, top[:-1] + [top[-1] + 1]
+
+basis._inputs = moved
+try:
+    basis.build_basis(5, -2, basis.HAT, 10, 20)
+except AssertionError as exc:
+    if "read off inf misses the first element" in str(exc):
+        sys.exit(5)
+"""
+    src = str(Path(gridforge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 5, proc.stderr
 
 
 @pytest.mark.parametrize("N, k", [(1, 0), (5, 0), (2, -6), (9, -4)])

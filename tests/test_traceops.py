@@ -6,7 +6,13 @@ import pytest
 from gridforge import basis as basis_mod
 from gridforge import qseries, traceops
 from gridforge.basis import HAT, INF, build_basis, gap_bound
-from gridforge.leveldata import ALL_LEVELS, GENUS_ZERO_LEVELS, u_of, v_of
+from gridforge.leveldata import (
+    ALL_LEVELS,
+    GENUS_ZERO_LEVELS,
+    get_level,
+    u_of,
+    v_of,
+)
 from gridforge.qseries import QSeries
 from gridforge.traceops import (
     classify,
@@ -191,6 +197,41 @@ def test_classify_matches_theorem_list():
                     theorem_list_preserved(N, M, k), (N, M, k)
 
 
+def _classify_bound(N, M):
+    """K(N, M) for M a proper divisor of N: classify(N, M, k) is False for
+    every even k with |k| > K(N, M).
+
+    The valence formula's elliptic terms depend on k only mod 12, so
+    v_of(N, k + 12) = v_of(N, k) + mu_N, and dv = v_of(N, k) - v_of(M, k)
+    moves by mu_N - mu_M >= 1 each 12 in k.  On the class k = k0 + 12 j,
+    k0 in 0 .. 10, dv is 0 at most at j = -dv(k0) / (mu_N - mu_M), where
+    |k| <= k0 + 12 |dv(k0)| / (mu_N - mu_M); preserving needs dv = 0."""
+    step = get_level(N).valence[0] - get_level(M).valence[0]
+    bound = max(k0 + 12 * abs(v_of(N, k0) - v_of(M, k0)) // step
+                for k0 in range(0, 12, 2))
+    return bound - bound % 2
+
+
+def test_classify_is_false_past_a_bound_so_the_window_covers_every_k():
+    for N in ALL_LEVELS:
+        mu = get_level(N).valence[0]
+        for k in range(-400, 401, 2):
+            assert v_of(N, k + 12) == v_of(N, k) + mu, (N, k)
+    pairs = [(N, M) for N in GENUS_ZERO_LEVELS for M in ALL_LEVELS
+             if N % M == 0 and M != N]
+    for N, M in pairs:
+        bound = _classify_bound(N, M)
+        # test_classify_matches_theorem_list reads every even |k| <= 400
+        assert 4 <= bound <= 400, (N, M, bound)
+        for k in (bound + 2, bound + 14, -bound - 2, -bound - 14,
+                  10 ** 6, -10 ** 6):
+            assert not classify(N, M, k).preserved, (N, M, k)
+            assert not theorem_list_preserved(N, M, k), (N, M, k)
+        # the bound is reached: inside it dv is 0 somewhere
+        assert any(v_of(N, k) == v_of(M, k)
+                   for k in range(-bound, bound + 1, 2)), (N, M)
+
+
 def test_empirical_agreement_sample():
     for N, M, k in [(2, 1, -6), (2, 1, -4), (3, 1, -2), (4, 2, -2),
                     (5, 1, -2), (6, 2, -4), (9, 3, -2), (2, 1, 2)]:
@@ -202,15 +243,17 @@ def test_empirical_agreement_sample():
 
 
 # keys is the number of weight <= 0 keys a check builds: one per level
-# it reads, since every weight >= 2 basis is read off one of them
+# it reads, since every weight >= 2 basis is read off one of them, and
+# two where that one is a hat key, which is read off the inf key of its
+# weight
 @pytest.mark.parametrize("check, keys", [
     (lambda: empirical_preserves(4, 2, -2), 2),
     (lambda: empirical_preserves(2, 1, -4), 2),
-    (lambda: genfun_check(4, 1, 4, 10, side="dual"), 2),
-    (lambda: not obstructions(18, 1, 10).is_empty, 2),
+    (lambda: genfun_check(4, 1, 4, 10, side="dual"), 4),
+    (lambda: not obstructions(18, 1, 10).is_empty, 4),
     (lambda: not obstructions(3, 1, -10).is_empty, 2),
-    (lambda: genfun_closed_form(4, 2, 8), 1),
-    (lambda: genfun_closed_form(25, 4, 12), 1),
+    (lambda: genfun_closed_form(4, 2, 8), 2),
+    (lambda: genfun_closed_form(25, 4, 12), 2),
 ], ids=["empirical-4-2-m2", "empirical-2-1-m4", "genfun-4-1-4-dual",
         "obstructions-18-1-10", "obstructions-3-1-m10", "closed-form-4-2",
         "closed-form-25-4"])
@@ -289,11 +332,11 @@ def test_traced_box_equals_the_box_of_full_traces(box, monkeypatch):
         monkeypatch.setattr(qseries, "_stats", {})
         misses = []
 
-        def cached(key, need, build):
+        def cached(key, need, *build):
             entry = qseries._store.get(key)
             if entry is None or not all(map(ge, entry[0], need)):
                 misses.append((key, need))
-            return real_cached(key, need, build)
+            return real_cached(key, need, *build)
 
         monkeypatch.setattr(basis_mod, "cached", cached)
         return compute(), misses
@@ -447,7 +490,8 @@ def test_genfun_check_nonempty_dual_obstruction():
 
 @pytest.mark.parametrize("args, calls, store", [
     ((2, 1, -6, 15, "both"), 8, (6, 2)),
-    ((4, 1, 4, 10, "dual"), 5, (3, 0)),
+    # the two weight -2 hat keys each read an inf key off a miss of its own
+    ((4, 1, 4, 10, "dual"), 5, (5, 0)),
     ((25, 1, -10, 12, "k"), 3, (3, 0)),
 ], ids=["2-1-m6-both", "4-1-4-dual", "25-1-m10-k"])
 def test_genfun_check_asks_for_the_dual_family_once(args, calls, store,
