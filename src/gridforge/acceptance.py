@@ -145,7 +145,7 @@ def criterion_3_duality_sweep():
             grid = build_grid(N, k, 20)
             side = grid.fside if k >= 2 else grid.gside
             ref = _recursion(N, side.k, side.space, 20, side.prec)
-            _require(side.elements == ref.elements,
+            _require(side == ref,
                      f"derived side at N={N}, k={k} differs from the "
                      f"recursion")
             r = duality_residual(grid, 20, 20)
@@ -215,8 +215,8 @@ def criterion_6_classification():
 
 def criterion_7_seed_synthesis():
     """The five seed certificates equal their re-derivation by row
-    reduction, and their levels pass the full duality sweep at the
-    certified weights."""
+    reduction.  Their levels' grids at the certified weights are in the
+    duality sweep of criterion 3."""
     certified_keys = sorted(certificates())
     _require(len(certified_keys) == 5, certified_keys)
     for N, k in certified_keys:
@@ -225,8 +225,6 @@ def criterion_7_seed_synthesis():
         _require(certified == derived,
                  f"certificate of level {N} weight {k} differs from its "
                  f"re-derivation")
-        r = duality_residual(build_grid(N, k, 20), 20, 20)
-        _require(r == 0, (N, k, r))
 
 
 def criterion_8_generating_functions():

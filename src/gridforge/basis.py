@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import chain, repeat
 from math import gcd
 from operator import add, mul, neg
@@ -168,10 +169,7 @@ def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
             ((c, psi_pows[j]) for c, j in pairs),
             r - max(j for _, j in pairs))
         for f, n in Counter(factors).items():
-            s = _factor(N, f, _valuation(N, f) + r)
-            if n > 1:
-                s = s ** n
-            series = series * s
+            series = series * _factor(N, f, _valuation(N, f) + r) ** n
         products.append((1, series))
     total = QSeries.combination(products, target)
     if cert:
@@ -232,7 +230,9 @@ class CanonicalBasis(namedtuple(
     count) shares its tuple of tails, which may hold more and longer ones.
     Each read of `element` writes one series at the view's precision;
     `numerators` reads the tails.  Two bases are equal when they have the
-    same head and read the same elements."""
+    same head and the same tails cut to the head's precision: equal heads
+    fix the count and the precision, and element m is q^-m plus its tail,
+    so that is equality of their elements, and no series is made."""
     __slots__ = ()
 
     @classmethod
@@ -297,9 +297,12 @@ class CanonicalBasis(namedtuple(
     def __eq__(self, other):
         if not isinstance(other, CanonicalBasis):
             return NotImplemented
+        n = self.prec - self.gap_bound - 1
         # views of one tuple with the same head read the same elements
         return self._head() == other._head() and (
-            self.stored is other.stored or self.elements == other.elements)
+            self.stored is other.stored
+            or all(a[:n] == b[:n] for a, b in zip(
+                self.stored[:self.count], other.stored)))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -347,12 +350,9 @@ def build_basis(N: int, k: int, space: str, count: int,
     k <= 0 inf entry that must grow is extended by its walk."""
     _check_request(N, k, space, count, prec)
     build = _transpose if k > 0 else _walk if space == INF else _hat_from_inf
-    grow = None
-    if build is _walk:
-        def grow(old, count, prec):
-            return _walk(N, k, space, count, prec, old)
+    grow = partial(_walk, N, k, space) if build is _walk else None
     entry = cached(("basis", N, k, space), (count, prec),
-                   lambda count, prec: build(N, k, space, count, prec), grow)
+                   partial(build, N, k, space), grow)
     return entry._replace(prec=prec, count=count)
 
 
@@ -621,14 +621,12 @@ def _hat_from_inf(N: int, k: int, space: str, count: int,
     n = max(prec - v - 1, 0)
     tails = []
     for m, low in enumerate(rows, m0):
-        tail = f[m + v][:n]
-        if any(low):
-            tail = list(tail)
-            for i, c in enumerate(low):
-                if c:
-                    s = (i - d) % t
-                    tail[s::t] = map(add, tail[s::t],
-                                     map(mul, repeat(c), f[d - 1 - i][s:n:t]))
+        tail = list(f[m + v][:n])
+        for i, c in enumerate(low):
+            if c:
+                s = (i - d) % t
+                tail[s::t] = map(add, tail[s::t],
+                                 map(mul, repeat(c), f[d - 1 - i][s:n:t]))
         tails.append((*low, *tail))
     return CanonicalBasis.of(N, k, space, prec, tails)
 

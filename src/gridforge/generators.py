@@ -53,7 +53,8 @@ def phi(N: int, prec: int = DEFAULT_PREC, scale: int = 1) -> QSeries:
         raise ValueError("phi requires N >= 2")
     e2N = eisenstein(2, prec, scale=N * scale)
     e2 = eisenstein(2, prec, scale=scale)
-    return (e2N.scale(N) - e2).scale(Fraction(1, N - 1))
+    return QSeries.combination(
+        ((Fraction(N, N - 1), e2N), (Fraction(-1, N - 1), e2)), prec)
 
 
 # -- eta quotients -------------------------------------------------------
@@ -138,4 +139,5 @@ def serre_derivative(f: QSeries, weight: int, prec: int | None = None) -> QSerie
     # valuation v
     shift = f.valuation() if not f.is_zero else 0
     e2 = eisenstein(2, prec - min(shift, 0))
-    return (f.derive() - (e2 * f).scale(Fraction(weight, 12))).truncate(prec)
+    return QSeries.combination(
+        ((1, f.derive()), (Fraction(-weight, 12), e2 * f)), prec)

@@ -17,7 +17,7 @@ size (count, prec).  Each key has one entry that only grows, to the
 componentwise max of the sizes asked for, by a rebuild or, where the
 caller gives a way to, by extending the entry; a caller cuts it down to
 its request (a basis by a view that shares the entry's int tails).
-`store_stats` counts hits, misses and rebuilds per kind of key.
+`store_stats` counts hits, misses, rebuilds and extends per kind of key.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class QSeries:
 
     def __sub__(self, other):
         if isinstance(other, QSeries):
-            return self + (-other)
+            return QSeries.combination(((1, self), (-1, other)), self._prec)
         return NotImplemented
 
     def __neg__(self):
@@ -374,7 +374,8 @@ class QSeries:
 # -- the store of named series and bases ----------------------------------
 
 _store: dict[tuple, tuple] = {}     # key -> (size, value)
-_stats: dict[str, list[int]] = {}   # key kind -> [hits, misses, rebuilds]
+# key kind -> [hits, misses, rebuilds, extends]
+_stats: dict[str, list[int]] = {}
 
 
 def cached(key: tuple, need: tuple, build, grow=None):
@@ -385,33 +386,35 @@ def cached(key: tuple, need: tuple, build, grow=None):
     request that size covers in every component is a hit; a miss calls
     build(*size) at the componentwise max of the two sizes and keeps it, so
     an entry only grows and covers every earlier request.  A miss on a key
-    already stored calls grow(old, *size) instead, when a `grow` is given,
-    with `old` the value it replaces: a weight k <= 0 inf basis so extends
-    its entry, computing only what the entry lacks.  The caller cuts the
-    value down to its request.  The value must depend only on the key and
-    the size; key[0] names its kind for store_stats.
+    already stored calls grow(*size, old) instead, when a `grow` is given,
+    with `old` the value it replaces, so a builder that takes the stored
+    value as its last argument serves as both: a weight k <= 0 inf basis so
+    extends its entry, computing only what the entry lacks.  The caller
+    cuts the value down to its request.  The value must depend only on the
+    key and the size; key[0] names its kind for store_stats.
     """
-    counts = _stats.setdefault(key[0], [0, 0, 0])
+    counts = _stats.setdefault(key[0], [0, 0, 0, 0])
     entry = _store.get(key)
     if entry is not None:
         if all(map(ge, entry[0], need)):
             counts[0] += 1
             return entry[1]
         need = tuple(map(max, entry[0], need))
-        counts[2] += 1
+        counts[2 if grow is None else 3] += 1
     counts[1] += 1
     value = (build(*need) if entry is None or grow is None
-             else grow(entry[1], *need))
+             else grow(*need, entry[1]))
     _store[key] = need, value
     return value
 
 
 def store_stats() -> dict[str, dict[str, int]]:
-    """Hits and misses of the store per key kind; "rebuilds" counts the
-    misses on a key already stored, which replace a smaller entry (a
-    weight k <= 0 inf basis by extending it)."""
-    return {kind: {"hits": h, "misses": m, "rebuilds": r}
-            for kind, (h, m, r) in sorted(_stats.items())}
+    """Hits and misses of the store per key kind.  Of the misses on a key
+    already stored, "rebuilds" counts those that `build` replaces at the
+    larger size and "extends" those that `grow` extends (a weight k <= 0
+    inf basis continuing its walk)."""
+    return {kind: {"hits": h, "misses": m, "rebuilds": r, "extends": x}
+            for kind, (h, m, r, x) in sorted(_stats.items())}
 
 
 def clear_store() -> None:

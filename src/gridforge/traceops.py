@@ -181,12 +181,11 @@ class Classification(namedtuple(
 def classify(N: int, M: int, k: int) -> Classification:
     """Whether tracing the weight-(k, 2-k) grid from N to M preserves
     duality: exactly when both maximal-vanishing orders agree (always for
-    M = N)."""
+    M = N).  On every level u(2-k) = -v(k) - 1, which `build_grid` checks,
+    so the g-side orders agree exactly when the f-side ones do."""
     _check_pair(N, M)
-    _check_even(k)
     dv = v_of(N, k) - v_of(M, k)
-    du = u_of(N, 2 - k) - u_of(M, 2 - k)
-    if dv == 0 and du == 0:
+    if dv == 0:
         return Classification(N, M, k, True)
     case = "f-side" if dv < 0 else "g-side"
     return Classification(N, M, k, False, case)
@@ -249,7 +248,6 @@ def obstructions(N: int, M: int, k: int,
     """The product pairs obstructing the traced generating-function
     identities; empty exactly when the trace preserves duality."""
     _check_pair(N, M)
-    _check_even(k)
     pairs = []
     for side, space, w in (("f", INF, k), ("g", HAT, 2 - k)):
         if _trace_method(M, w, space)[0] != "principal_part":

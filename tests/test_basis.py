@@ -580,7 +580,7 @@ def test_warm_grids_are_store_hits(counting_builds, monkeypatch):
     assert counting_builds == {} and transposes == []
     # each grid asks for its source once more, to cover both sides
     assert qseries.store_stats() == {
-        "basis": {"hits": 8, "misses": 0, "rebuilds": 0}}
+        "basis": {"hits": 8, "misses": 0, "rebuilds": 0, "extends": 0}}
 
 
 def test_every_stored_basis_is_the_recursions(monkeypatch):
@@ -680,12 +680,27 @@ def test_store_stats_count_basis_hits_and_misses(monkeypatch):
     monkeypatch.setattr(qseries, "_stats", {})
     for count, prec in ((5, 20), (3, 20), (5, 30), (4, 25)):
         build_basis(2, 0, INF, count, prec)
-    # the grid's covering request for its f-side at count 11 rebuilds it;
+    # the grid's covering request for its f-side at count 11 extends it;
     # its own f-side request is then a hit, and its g-side a miss whose
     # transpose asks for the f-side at count 11, a hit
     build_grid(2, 0, 5)
     assert qseries.store_stats()["basis"] == {"hits": 4, "misses": 4,
-                                              "rebuilds": 2}
+                                              "rebuilds": 0, "extends": 2}
+
+
+def test_store_stats_count_extends_apart_from_rebuilds(monkeypatch):
+    monkeypatch.setattr(qseries, "_store", {})
+    monkeypatch.setattr(qseries, "_stats", {})
+    # a stored weight k <= 0 inf key grows by its walk, by count and then
+    # by precision
+    for count, prec in ((4, 12), (10, 12), (10, 30)):
+        build_basis(5, -2, INF, count, prec)
+    # a stored hat key is rebuilt; each build reads the inf key, d = 1
+    # element longer, as a hit
+    for count, prec in ((4, 12), (8, 20)):
+        build_basis(5, -2, HAT, count, prec)
+    assert qseries.store_stats()["basis"] == {"hits": 2, "misses": 5,
+                                              "rebuilds": 1, "extends": 2}
 
 
 def test_a_request_for_no_element_is_refused():
@@ -987,6 +1002,25 @@ def _count_series_made(monkeypatch):
 
     monkeypatch.setattr(QSeries, "__init__", init)
     return made
+
+
+def test_bases_compare_by_their_tails(monkeypatch):
+    # a view of a larger entry against a fresh walk of the same 60
+    # elements: equality reads the tails, cut to the view's count and
+    # precision, and makes no series
+    monkeypatch.setattr(qseries, "_store", {})
+    key = (2, 0, INF)
+    entry = build_basis(*key, 80, 90)
+    view = build_basis(*key, 60, 70)
+    fresh = basis_mod._walk(*key, 60, 70)
+    made = _count_series_made(monkeypatch)
+    assert view.stored is not fresh.stored
+    assert view == fresh and fresh == view
+    for m, e in ((0, 1), (30, 40), (59, 69)):
+        assert add_to_tail(fresh, m, e) != view, (m, e)
+    assert _cut(add_to_tail(entry, 0, 80), 60, 70) == fresh
+    assert _cut(add_to_tail(entry, 70, 40), 60, 70) == fresh
+    assert made == []
 
 
 @pytest.mark.parametrize("key", [(2, 0, INF), (5, -4, HAT), (13, 4, INF)])

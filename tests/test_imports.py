@@ -151,6 +151,47 @@ def test_a_canonical_basis_has_one_writer():
     assert found == [("basis", "CanonicalBasis.of")]
 
 
+def _series_reads(tree):
+    """(method, name) of each use, inside class CanonicalBasis, of the
+    name QSeries or of the attributes `element` and `elements`, the ways a
+    method of the class can make a series."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef)
+                and cls.name == "CanonicalBasis"):
+            continue
+        for stmt in cls.body:
+            where = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id == "QSeries":
+                    found.append((where, "QSeries"))
+                elif (isinstance(node, ast.Attribute)
+                      and node.attr in ("element", "elements")):
+                    found.append((where, node.attr))
+    return sorted(set(found))
+
+
+def test_a_canonical_basis_makes_a_series_only_in_element():
+    # the rule sees a series made in any other method of the class, and
+    # nothing outside it
+    sample = ast.parse(
+        "class CanonicalBasis:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.elements == other.elements\n"
+        "    def numerators(self, m):\n"
+        "        return self.element(m).numerators(0, 1)\n"
+        "    def head(self):\n        return QSeries.one(self.prec)\n"
+        "class Other:\n"
+        "    def f(self, b):\n        return QSeries(b.element(0))\n")
+    assert _series_reads(sample) == [
+        ("__eq__", "elements"), ("head", "QSeries"), ("numerators", "element")]
+    # so equality and window reads stay on the tails: only `element` makes
+    # a series, and only `elements` reads it
+    found = _series_reads(ast.parse(
+        (Path(gridforge.__file__).parent / "basis.py").read_text()))
+    assert found == [("element", "QSeries"), ("elements", "element")]
+
+
 def test_only_the_basis_module_reads_stored_tails():
     # the tail format is known only to the module that writes and reads it
     found = [(path.stem, node.lineno) for path in SOURCES

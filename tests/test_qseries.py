@@ -288,7 +288,7 @@ def test_store_grows_each_component_of_a_size(requests, builds,
     assert built == builds
     assert qseries._store == {("pair",): (builds[-1], builds[-1])}
     assert store_stats() == {"pair": {"hits": 1, "misses": 3,
-                                       "rebuilds": 2}}
+                                       "rebuilds": 2, "extends": 0}}
 
 
 def test_store_stats_count_hits_and_misses(monkeypatch):
@@ -299,8 +299,9 @@ def test_store_stats_count_hits_and_misses(monkeypatch):
         cached(("a", 1), (prec,), one)
     cached(("a", 2), (5,), one)
     cached(("b",), (5,), one)
-    assert store_stats() == {"a": {"hits": 2, "misses": 3, "rebuilds": 1},
-                             "b": {"hits": 0, "misses": 1, "rebuilds": 0}}
+    assert store_stats() == {
+        "a": {"hits": 2, "misses": 3, "rebuilds": 1, "extends": 0},
+        "b": {"hits": 0, "misses": 1, "rebuilds": 0, "extends": 0}}
     qseries.clear_store()
     assert store_stats() == {} and not qseries._store
 

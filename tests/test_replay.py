@@ -1,9 +1,11 @@
-"""The benchmark's sweep and deep streams, answered in process and checked
-exactly against `perfbench/reference.json` by the benchmark's own checks.
+"""The benchmark's sweep, deep and classify streams, answered in process
+and checked exactly against `perfbench/reference.json` by the benchmark's
+own checks.
 
 Every basis a grid prints is built by the walk, read off another basis or
 extended in the store, so a change to any builder shows here as a
-coefficient digest that differs, not only in a benchmark run.
+coefficient digest that differs, not only in a benchmark run; a change to
+`classify` or `empirical_preserves` shows as an answer that differs.
 """
 
 import importlib.util
@@ -21,7 +23,7 @@ _SPEC.loader.exec_module(workloads)
 SEED = 3
 
 
-@pytest.mark.parametrize("workload", ["sweep", "deep"])
+@pytest.mark.parametrize("workload", ["sweep", "deep", "classify"])
 def test_a_benchmark_stream_gives_the_reference_answers(workload,
                                                         monkeypatch):
     # one cold store for the whole stream, as in a benchmark child
@@ -30,6 +32,7 @@ def test_a_benchmark_stream_gives_the_reference_answers(workload,
     reference = workloads.load_reference()
     issue, check = workloads.ISSUE[workload], workloads.CHECK[workload]
     requests = workloads.stream(workload, SEED)
-    assert len(requests) == {"sweep": 154, "deep": 9}[workload]
+    assert len(requests) == {"sweep": 154, "deep": 9,
+                             "classify": 528}[workload]
     for request in requests:
         check(request, issue(request), reference)

@@ -189,12 +189,17 @@ def test_classify_examples():
 
 
 def test_classify_matches_theorem_list():
-    # every even k with |k| <= 400: 19 248 triples
+    # every even k with |k| <= 400: 19 248 triples; classify compares the
+    # f-side orders alone, and comparing both sides' orders agrees
     for N in GENUS_ZERO_LEVELS:
         for M in [m for m in ALL_LEVELS if N % m == 0]:
             for k in range(-400, 401, 2):
-                assert classify(N, M, k).preserved == \
-                    theorem_list_preserved(N, M, k), (N, M, k)
+                c = classify(N, M, k)
+                assert c.preserved == theorem_list_preserved(N, M, k), \
+                    (N, M, k)
+                dv = v_of(N, k) - v_of(M, k)
+                du = u_of(N, 2 - k) - u_of(M, 2 - k)
+                assert c.preserved == (dv == 0 and du == 0), (N, M, k)
 
 
 def _classify_bound(N, M):
@@ -489,10 +494,12 @@ def test_genfun_check_nonempty_dual_obstruction():
 
 
 @pytest.mark.parametrize("args, calls, store", [
-    ((2, 1, -6, 15, "both"), 8, (6, 2)),
+    # of the two misses on stored keys, the weight -6 inf key is extended
+    # by its walk and the weight 8 hat key rebuilt
+    ((2, 1, -6, 15, "both"), 8, (6, 1, 1)),
     # the two weight -2 hat keys each read an inf key off a miss of its own
-    ((4, 1, 4, 10, "dual"), 5, (5, 0)),
-    ((25, 1, -10, 12, "k"), 3, (3, 0)),
+    ((4, 1, 4, 10, "dual"), 5, (5, 0, 0)),
+    ((25, 1, -10, 12, "k"), 3, (3, 0, 0)),
 ], ids=["2-1-m6-both", "4-1-4-dual", "25-1-m10-k"])
 def test_genfun_check_asks_for_the_dual_family_once(args, calls, store,
                                                     monkeypatch):
@@ -511,7 +518,7 @@ def test_genfun_check_asks_for_the_dual_family_once(args, calls, store,
     assert genfun_check(*args)
     assert len(asked) == calls, asked
     basis = qseries.store_stats()["basis"]
-    assert (basis["misses"], basis["rebuilds"]) == store
+    assert (basis["misses"], basis["rebuilds"], basis["extends"]) == store
     if args == (25, 1, -10, 12, "k"):
         assert asked.count((25, 12, HAT)) == 1
 
