@@ -214,17 +214,14 @@ def criterion_6_classification():
 
 
 def criterion_7_seed_synthesis():
-    """The five seed certificates equal their re-derivation by row
-    reduction.  Their levels' grids at the certified weights are in the
-    duality sweep of criterion 3."""
+    """The five seed certificates are re-derived by row reduction, which
+    raises SynthesisError unless the result equals the registry's first
+    element, here the certificate itself.  Their levels' grids at the
+    certified weights are in the duality sweep of criterion 3."""
     certified_keys = sorted(certificates())
     _require(len(certified_keys) == 5, certified_keys)
     for N, k in certified_keys:
-        derived = synthesize_seed(N, k, 40)
-        certified = basis_mod.level_form(N, k, 40)
-        _require(certified == derived,
-                 f"certificate of level {N} weight {k} differs from its "
-                 f"re-derivation")
+        synthesize_seed(N, k, 40)
 
 
 def criterion_8_generating_functions():
@@ -266,14 +263,16 @@ CRITERIA = (
 
 
 def run_all(out=print) -> bool:
-    """Run every criterion, emit one line each, return overall success."""
+    """Run every criterion, emit one line each, return overall success.
+    Any exception a criterion raises is its FAIL line, which names the
+    exception's type and message."""
     ok = True
     for name, fn in CRITERIA:
         t0 = time.perf_counter()
         try:
             fn()
             out(f"PASS criterion {name} ({time.perf_counter() - t0:.1f}s)")
-        except AssertionError as exc:
+        except Exception as exc:
             ok = False
-            out(f"FAIL criterion {name}: {exc}")
+            out(f"FAIL criterion {name}: {type(exc).__name__}: {exc}")
     return ok

@@ -658,6 +658,7 @@ def build_grid(N: int, k: int, count: int,
     # The weight <= 0 side, of gap bound B (v, or u = -v - 1), is the
     # other's source.  One request covers both this grid's side and every
     # element the transpose reads of it, so the source is built once.
+    # Square sources: a slightly tall walk costs up to 2.5 times its square.
     source, B = ((k, INF), v) if k <= 0 else ((2 - k, HAT), u)
     build_basis(N, *source, max(count, prec + B), max(prec, B + 1 + count))
     return ModularGrid(N, k, build_basis(N, k, INF, count, prec),

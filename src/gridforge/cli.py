@@ -9,13 +9,15 @@ GRIDFORGE_PREC, else none (the default precision, or for `grid` the grid's
 own), writes it back to `args.prec` and refuses one below 10.  The other
 commands get None and never look at GRIDFORGE_PREC.  Exit codes: 0
 success, 1 mathematical negative (a NotPreserved classification or a
-failed identity check), 2 usage error (including an --out path that
-cannot be written), 3 internal validation failure (a broken invariant
-of the library, such as a non-integral basis coefficient, a basis tail
-short of its precision or an index outside a built range, and any other
-exception, printed as its type and message without a traceback).  A reader that
-closes the output early (`gridforge grid ... | head`) ends the output
-quietly without changing the exit code.
+failed identity check), 2 usage error (any ValueError, including an --out
+path that cannot be written and a precision that determines none of a
+series' terms), 3 internal validation failure (any other exception: a
+broken invariant of the library, such as a non-integral basis
+coefficient, a basis tail short of its precision or an index outside a
+built range, or any other fault).  Either is printed as one stderr line,
+without a traceback; exit 3 names the exception's type before its
+message.  A reader that closes the output early (`gridforge grid ... |
+head`) ends the output quietly without changing the exit code.
 `genfun-check --closed-form` checks the closed form of the
 level --from grid generating function; a different --to, or --side other
 than both, is a usage error.  Every JSON document is indented by 2 and
@@ -41,7 +43,7 @@ from gridforge import acceptance
 from gridforge.basis import HAT, INF, build_basis, build_grid, duality_residual
 from gridforge.leveldata import registry_dump
 from gridforge.qseries import DEFAULT_PREC, QSeries
-from gridforge.seedsynth import SynthesisError, audit_of, reduce_family, seed_of
+from gridforge.seedsynth import audit_of, reduce_family, seed_of
 from gridforge.traceops import (
     classify,
     genfun_check,
@@ -387,13 +389,8 @@ def run(argv=None) -> int:
             if prec < 10:
                 raise UsageError("precision must be >= 10")
         return args.handler(args, prec)
-    except (SynthesisError, AssertionError, IndexError) as exc:
-        # no user input reaches an IndexError: every index is refused
-        # earlier with a ValueError, so one is a fault of the library
-        print(f"internal validation failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except ValueError as exc:
-        # UsageError is a ValueError
+        # UsageError and PrecisionError are ValueErrors
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

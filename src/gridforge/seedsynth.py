@@ -2,15 +2,17 @@
 
 The registry stores five seeds (levels 7, 10, 13, 25) as Certificates,
 exact combinations of phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers;
-none has a closed form here.  This module re-derives them by one exact
-integer elimination, `row_reduce`, over a spanning family of weight-k
-forms with poles confined to infinity: holomorphic generator-pool members
-times powers of the Hauptmodul, their Serre derivatives, and
-Hauptmodul-derivative products, the tower bases of divisor levels (eta
-quotients) among the atoms.  The seed, its certificate and the audit of
-its family are read off the same pivots.
-The result must achieve the registry's maximal vanishing order, reproduce
-the pinned expansion prefix and equal the registry's certificate,
+none has a closed form here.  This module re-derives them, and the seed
+of every other (N, k) with v_k(N) >= 0, by one exact integer elimination,
+`row_reduce`, over a spanning family of weight-k forms with poles
+confined to infinity: holomorphic generator-pool members times powers of
+the Hauptmodul, their Serre derivatives, and Hauptmodul-derivative
+products, the tower bases of divisor levels (eta quotients) among the
+atoms.  The seed, its certificate and the audit of its family are read
+off the same pivots.
+The result must achieve the registry's maximal vanishing order and equal
+the registry's first element of its (N, k), which for a certified seed
+is the certificate, whose evaluation checks the pinned expansion prefix;
 otherwise synthesis fails loudly.  Nothing on the path that builds bases
 and grids calls this module.
 """
@@ -21,9 +23,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from gridforge.basis import _factor, hauptmodul_series, level_form
+from gridforge.basis import INF, _factor, first_element, hauptmodul_series
 from gridforge.generators import serre_derivative
-from gridforge.leveldata import certificates, get_level, v_of
+from gridforge.leveldata import get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries
 
 # Highest Hauptmodul power in a synthesis family; it suffices for every
@@ -49,9 +51,10 @@ def _divisors(n: int) -> list[int]:
 def _atoms(N: int, exclude=()) -> list[tuple[str, int, tuple]]:
     """The generator atoms of level N as (label, weight, registry factor):
     phi_d(ez), rescaled E4/E6, and the tower bases of divisor levels M at
-    ez, each kept where it is holomorphic on Gamma_0(M).  Pairs (M, weight)
-    in `exclude` are left out (so a seed under cross-validation cannot
-    appear in its own spanning family)."""
+    ez, each kept where it is holomorphic on Gamma_0(M).  The tower bases
+    of the pairs (M, weight) in `exclude` are left out, and only they: a
+    seed that is itself an atom, such as phi_N at (2, 2), (5, 2), (7, 2)
+    and (13, 2), stays a member of its own family."""
     atoms: list[tuple[str, int, tuple]] = []
     for d in _divisors(N):
         if d > 1:
@@ -205,23 +208,23 @@ def reduce_family(N: int, k: int,
 
 def seed_of(reduced, prec: int) -> QSeries:
     """The seed read off a reduce_family result, modulo q^prec: the top
-    pivot's combination of members, which a certified seed's registry
-    certificate must equal."""
+    pivot's combination of members, which must equal the registry's first
+    element of its (N, k) (for a certified seed, the certificate)."""
     fam, pivots = reduced
     N, k = fam.level, fam.weight
     series = QSeries.combination(
         [(c, fam.members[i][1]) for i, c in pivots[-1][2]], prec)
-    if (N, k) in certificates() and level_form(N, k, series.prec) != series:
+    if first_element(N, k, INF, series.prec) != series:
         raise SynthesisError(
-            f"the registry certificate of level {N} weight {k} differs "
+            f"the registry's first element of level {N} weight {k} differs "
             f"from its re-derivation below q^{series.prec}")
     return series
 
 
 def synthesize_seed(N: int, k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """The monic element of maximal vanishing order v_k(N), recovered by
-    row reduction.  A certified seed must equal the registry's
-    certificate, whose evaluation checks the pinned prefix."""
+    row reduction.  It must equal the registry's first element, whose
+    evaluation checks a certificate's pinned prefix."""
     return seed_of(reduce_family(N, k, prec), prec)
 
 

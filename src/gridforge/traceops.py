@@ -374,7 +374,7 @@ def _closed_form_side(psi: QSeries, family, other: QSeries, P: int) -> bool:
         if r >= lo:
             terms.append((-1, psi * b[r - lo]))
         if (QSeries.combination(terms, P)
-                != lead.scale(other.coeff(r)).truncate(P)):
+                != QSeries.combination(((other.coeff(r), lead),), P)):
             return False
     return True
 

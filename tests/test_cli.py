@@ -12,12 +12,13 @@ import pytest
 
 import gridforge
 from gridforge import basis as basis_mod
-from gridforge import cli, leveldata, qseries, seedsynth
-from gridforge.basis import build_basis
+from gridforge import acceptance, cli, leveldata, qseries, seedsynth
+from gridforge.basis import IntegralityError, build_basis
 from gridforge.cli import run
 from gridforge.generators import EtaQuotient
-from gridforge.leveldata import certificates, registry_dump
-from gridforge.qseries import QSeries
+from gridforge.leveldata import PinnedPrefixError, certificates, registry_dump
+from gridforge.qseries import PrecisionError, QSeries
+from gridforge.seedsynth import SynthesisError
 from gridforge.traceops import (
     Classification,
     ObstructionList,
@@ -734,8 +735,28 @@ def test_an_index_error_of_the_library_exits_3(name, argv, capsys,
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal validation failure: basis "
-                                   "index 9 outside built range")
+    assert captured.err.startswith("internal validation failure: IndexError: "
+                                   "basis index 9 outside built range")
+
+
+@pytest.mark.parametrize("exc, code", [
+    (PrecisionError, 2), (cli.UsageError, 2), (IntegralityError, 3),
+    (PinnedPrefixError, 3), (SynthesisError, 3), (AssertionError, 3),
+    (IndexError, 3), (OverflowError, 3), (RuntimeError, 3),
+])
+def test_each_exception_type_has_one_exit_code_and_one_line(exc, code, capsys,
+                                                            monkeypatch):
+    # a ValueError is a usage error, and any other exception a fault of
+    # the library that names its type
+    def raising(*args, **kw):
+        raise exc("fault")
+
+    monkeypatch.setattr(cli, "trace", raising)
+    assert run(["trace", "--from", "4", "--to", "2", "--weight", "0",
+                "--space", "inf", "--index", "1"]) == code
+    err = ("usage error: fault\n" if code == 2 else
+           f"internal validation failure: {exc.__name__}: fault\n")
+    assert capsys.readouterr() == ("", err)
 
 
 def test_hauptmodul_that_is_not_monic_q_inverse_exits_3(capsys, monkeypatch):
@@ -764,6 +785,39 @@ def test_perturbed_certificate_exits_3(capsys, perturb_certificate):
     err = capsys.readouterr().err
     assert "internal validation failure" in err
     assert "level 10 weight 2 contradicts its pinned expansion" in err
+
+
+def test_a_seed_that_differs_from_its_registry_form_exits_3(
+        capsys, install_certificate):
+    # the added term, of weight 8, has valuation 2 = v_4(3) + 1, so the
+    # first element stays monic at q^1 and only the search's seed, which
+    # the registry form must equal, tells them apart
+    seed = leveldata.get_level(3).seed
+    combo = seed.forms[4]
+    install_certificate(3, 4, combo._replace(terms=(
+        *combo.terms, (1, (("phi", 3, 1), ("eta", seed.base)), 0))))
+    assert run(["seed", "--level", "3", "--weight", "4", "--prec", "12"]) == 3
+    assert capsys.readouterr() == ("", (
+        "internal validation failure: SynthesisError: the registry's first "
+        "element of level 3 weight 4 differs from its re-derivation below "
+        "q^12\n"))
+
+
+def test_selftest_reports_any_exception_as_its_criterion_fail_line(
+        capsys, monkeypatch):
+    # a PrecisionError is a ValueError, which fails its criterion, not the
+    # command line's usage
+    def short():
+        raise PrecisionError("short")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (("1 fine", lambda: None),
+                                                 ("2 short", short)))
+    assert run(["selftest"]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("PASS criterion 1 fine (")
+    assert out.splitlines()[1:] == [
+        "FAIL criterion 2 short: PrecisionError: short"]
+    assert err == ""
 
 
 def test_certificate_outside_the_valence_argument_exits_3(

@@ -199,3 +199,53 @@ def test_only_the_basis_module_reads_stored_tails():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "stored"]
     assert found == []
+
+
+def _handlers(tree, name):
+    """The exception types caught by each outermost try statement of
+    function `name`, one list per statement, a tuple clause as a tuple of
+    names; a try inside another, or in a nested scope, is not one of
+    them."""
+    def spelled(node):
+        if isinstance(node, ast.Tuple):
+            return tuple(ast.unparse(e) for e in node.elts)
+        return node and ast.unparse(node)
+
+    def outermost(nodes):
+        for node in nodes:
+            if isinstance(node, ast.Try):
+                yield node
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda, ast.ClassDef)):
+                yield from outermost(ast.iter_child_nodes(node))
+
+    return [[spelled(h.type) for h in stmt.handlers]
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == name
+            for stmt in outermost(fn.body)]
+
+
+def test_one_rule_maps_each_exception_to_its_exit_code():
+    # the rule sees a tuple clause, a bare one, the order of clauses and a
+    # try inside a loop, and no try inside another or in a nested function
+    sample = ast.parse(
+        "def run():\n    try:\n        try:\n            f()\n"
+        "        except KeyError:\n            pass\n"
+        "    except (SynthesisError, IndexError):\n        pass\n"
+        "    except ValueError:\n        pass\n"
+        "    except Exception:\n        pass\n"
+        "def run_all():\n    for fn in fns:\n        try:\n            fn()\n"
+        "        except AssertionError:\n            pass\n"
+        "        except:\n            pass\n"
+        "    def inner():\n        try:\n            h()\n"
+        "        except OSError:\n            pass\n")
+    assert _handlers(sample, "run") == [
+        [("SynthesisError", "IndexError"), "ValueError", "Exception"]]
+    assert _handlers(sample, "run_all") == [["AssertionError", None]]
+    # `cli.run` gives a ValueError exit 2 and any other exception exit 3,
+    # and `acceptance.run_all` reports any exception as a FAIL line
+    package = Path(gridforge.__file__).parent
+    assert _handlers(ast.parse((package / "cli.py").read_text()), "run") == [
+        ["ValueError", "Exception"]]
+    assert _handlers(ast.parse((package / "acceptance.py").read_text()),
+                     "run_all") == [["Exception"]]
