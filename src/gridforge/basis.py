@@ -107,29 +107,20 @@ def hauptmodul_series(N: int, prec: int) -> QSeries:
     return cached(("haupt", N), (prec,), build).truncate(prec)
 
 
-def _factor(N: int, factor: tuple, prec: int) -> QSeries:
-    """Expand one factor of a registry form (see leveldata.Combo)."""
+def _factor(N: int, factor: tuple) -> tuple:
+    """One factor of a registry form (see leveldata.Combo) as (valuation,
+    expand): the valuation of its expansion, known before expanding it, and
+    the function of prec that expands it.  This is the one table of factor
+    kinds."""
     match factor:
         case ("phi", n, e):
-            return phi(n, prec, scale=e)
+            return 0, partial(phi, n, scale=e)
         case ("eis", w, d):
-            return eisenstein(w, prec, scale=d)
+            return 0, partial(eisenstein, w, scale=d)
         case ("eta", quotient):
-            return quotient.expand(prec)
+            return int(quotient.lead_exponent), quotient.expand
         case ("form", w):
-            return level_form(N, w, prec)
-    raise TypeError(f"unknown form factor {factor!r}")
-
-
-def _valuation(N: int, factor: tuple) -> int:
-    """The valuation of a factor's expansion, known before expanding it."""
-    match factor:
-        case ("phi", _, _) | ("eis", _, _):
-            return 0
-        case ("eta", quotient):
-            return int(quotient.lead_exponent)
-        case ("form", w):
-            return v_of(N, w)
+            return v_of(N, w), partial(level_form, N, w)
     raise TypeError(f"unknown form factor {factor!r}")
 
 
@@ -146,6 +137,7 @@ def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
     groups: dict[tuple, list] = {}
     for c, factors, j in form.terms:
         groups.setdefault(factors, []).append((c, j))
+    factor_of = {f: _factor(N, f) for factors in groups for f in factors}
     # A product is known as far beyond its valuation as its least precise
     # factor, and psi^j (valuation -j) as far beyond its own as psi.  So a
     # group with top psi power `top` and factor valuations summing to sv is
@@ -153,7 +145,7 @@ def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
     # terms beyond its valuation, rel = target + top - sv (at least 1, so
     # that every lead is known).
     rel = {factors: max(target + max(j for _, j in pairs)
-                        - sum(_valuation(N, f) for f in factors), 1)
+                        - sum(factor_of[f][0] for f in factors), 1)
            for factors, pairs in groups.items()}
     top = max(j for _, _, j in form.terms)
     reach = max(rel.values())
@@ -169,7 +161,8 @@ def _eval_form(N: int, k: int, form: Combo, prec: int) -> QSeries:
             ((c, psi_pows[j]) for c, j in pairs),
             r - max(j for _, j in pairs))
         for f, n in Counter(factors).items():
-            series = series * _factor(N, f, _valuation(N, f) + r) ** n
+            v, expand = factor_of[f]
+            series = series * expand(v + r) ** n
         products.append((1, series))
     total = QSeries.combination(products, target)
     if cert:
@@ -691,7 +684,9 @@ def _transpose(N: int, k: int, space: str, count: int,
 def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
     """max |a_k(m,n) + b_{2-k}(n,m)| over the box of the first m_max
     f-indices against the first n_max g-indices; exact zero iff duality
-    holds there.
+    holds there, and zero for an empty box.  A box past a side's count is
+    refused here; one past its precision is refused by the side's
+    `numerators`, which names the element, the f-side first.
 
     A grid from `build_grid` reads its weight >= 2 side off the other as
     its negated transpose, so on it the residual is zero by construction:
@@ -704,18 +699,10 @@ def duality_residual(grid: ModularGrid, m_max: int, n_max: int) -> Fraction:
             f"duality box {m_max}x{n_max} of level {grid.N} weight "
             f"{grid.k} exceeds built count "
             f"({grid.fside.count}, {grid.gside.count})")
-    if not (m_max and n_max):
-        return Fraction(0)
     f_ind = grid.fside.indices[:m_max]
     g_ind = grid.gside.indices[:n_max]
     # f-side elements are read at the g-indices and g-side ones at the
     # f-indices
-    for side, top in ((grid.fside, g_ind[-1]), (grid.gside, f_ind[-1])):
-        if top >= side.prec:
-            raise PrecisionError(
-                f"duality box {m_max}x{n_max} of level {grid.N} weight "
-                f"{grid.k} reads q^{top} of the {side.space} side, "
-                f"known only mod q^{side.prec}")
     return Fraction(_box_residual(
         _box_rows(grid.fside, [((m, 1),) for m in f_ind], g_ind),
         _box_rows(grid.gside, [((n, 1),) for n in g_ind], f_ind)))

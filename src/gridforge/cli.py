@@ -24,8 +24,8 @@ than both, is a usage error.  Every JSON document is indented by 2 and
 written by one writer, `_json_text`, whose bytes are those of the standard
 library's `json.dumps` at that indent (`genfun-check --format json` prints
 one compact line).  `basis`, `grid` and `seed` hand the writer their series
-themselves: it writes a QSeries leaf as its `to_json_dict` document, read
-straight from the series' integer row.
+themselves, and each QSeries leaf writes itself (`QSeries.write_json`), so
+only `qseries` reads a series' integer row.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
-from itertools import count
 from json.encoder import encode_basestring_ascii
 
 from gridforge import acceptance
@@ -157,33 +155,14 @@ def _print(text: str):
 def _json_text(obj) -> str:
     """The text `json.dumps` gives `obj` at an indent of 2, byte for byte,
     for the documents the CLI prints: dicts with str keys, lists, tuples,
-    str, int, bool, None and float, and a QSeries, which is written as its
-    `to_json_dict` document.  Any other type, a subclass of one of these
-    included, and a key that is not a str raise TypeError.  With an indent
-    the standard library encodes through its pure-Python generators; this
-    writer appends the pieces to one list and joins them once."""
+    str, int, bool, None and float, and a QSeries, which writes its
+    `to_json_dict` document itself.  Any other type, a subclass of one of
+    these included, and a key that is not a str raise TypeError.  With an
+    indent the standard library encodes through its pure-Python
+    generators; this writer appends the pieces to one list and joins them
+    once."""
     out = []
     put = out.append
-
-    def write_series(s, pad):
-        # {"prec": P, "coeffs": [[e, "c"], ...]}: each nonzero row entry
-        # is one %-format of a pair template built for this depth
-        i1 = pad + "  "
-        i2 = i1 + "  "
-        i3 = i2 + "  "
-        put("{" + i1 + '"prec": ' + repr(s._prec) + "," + i1 + '"coeffs": ')
-        if not s._row:
-            put("[]" + pad + "}")
-            return
-        d = s._d
-        if d == 1:
-            pair = "[" + i3 + "%d," + i3 + '"%d"' + i2 + "]"
-            pairs = [pair % p for p in zip(count(s._v), s._row) if p[1]]
-        else:
-            pair = "[" + i3 + "%d," + i3 + '"%s"' + i2 + "]"
-            pairs = [pair % (e, Fraction(x, d))
-                     for e, x in enumerate(s._row, s._v) if x]
-        put("[" + i2 + ("," + i2).join(pairs) + i1 + "]" + pad + "}")
 
     def write(o, pad):
         t = type(o)
@@ -217,7 +196,7 @@ def _json_text(obj) -> str:
                 sep = "," + inner
             put(pad + "}")
         elif t is QSeries:
-            write_series(o, pad)
+            o.write_json(put, pad)
         elif o is None or t is bool or t is float:
             put(json.dumps(o))
         else:

@@ -23,7 +23,7 @@ its request (a basis by a view that shares the entry's int tails).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd, lcm
 from operator import add, ge, mul, neg
 
@@ -330,6 +330,32 @@ class QSeries:
         return {"prec": self._prec,
                 "coeffs": [[e, str(x) if d == 1 else str(Fraction(x, d))]
                            for e, x in enumerate(self._row, self._v) if x]}
+
+    def write_json(self, put, pad: str):
+        """Pass `put` the text `json.dumps` gives `to_json_dict()` at an
+        indent of 2, as a value whose line breaks are followed by `pad`.
+        This is the series leaf of `cli._json_text`, whose `put` and `pad`
+        it takes: the writer keeps the one place that reads a series'
+        integer row, and `_json_text` the layout of every other value."""
+        # {"prec": P, "coeffs": [[e, "c"], ...]}: each nonzero row entry is
+        # one %-format of a pair template built for this depth
+        i1 = pad + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        put("{" + i1 + '"prec": ' + repr(self._prec) + "," + i1
+            + '"coeffs": ')
+        if not self._row:
+            put("[]" + pad + "}")
+            return
+        d = self._d
+        if d == 1:
+            pair = "[" + i3 + "%d," + i3 + '"%d"' + i2 + "]"
+            pairs = [pair % p for p in zip(count(self._v), self._row) if p[1]]
+        else:
+            pair = "[" + i3 + "%d," + i3 + '"%s"' + i2 + "]"
+            pairs = [pair % (e, Fraction(x, d))
+                     for e, x in enumerate(self._row, self._v) if x]
+        put("[" + i2 + ("," + i2).join(pairs) + i1 + "]" + pad + "}")
 
     def __str__(self):
         if not self._row:

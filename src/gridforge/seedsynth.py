@@ -82,7 +82,7 @@ def weight_pool(N: int, weight: int, prec: int,
     if weight == 0:
         return [("1", QSeries.one(prec))]
     # each atom that fits the weight is expanded once
-    atoms = [(label, w, _factor(N, factor, prec))
+    atoms = [(label, w, _factor(N, factor)[1](prec))
              for label, w, factor in _atoms(N, exclude) if w <= weight]
 
     pool: list[tuple[str, QSeries]] = []

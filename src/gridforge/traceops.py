@@ -281,12 +281,13 @@ def genfun_check(N: int, M: int, k: int, P: int, side: str = "both") -> bool:
     the truncated double expansion, for all index pairs below P.
 
     side "k" checks the weight-k (z-variable) identity, side "dual" the
-    weight-(2-k) (tau-variable) identity, "both" checks both.
+    weight-(2-k) (tau-variable) identity, "both" checks both.  Each side
+    refuses a P that leaves it no coefficient to compare (`_genfun_side`),
+    the weight-k side first.
     """
     _check_pair(N, M)
     if side not in ("k", "dual", "both"):
         raise ValueError("side must be 'k', 'dual' or 'both'")
-    _check_positive("max index P", P)
     ok = True
     if side in ("k", "both"):
         ok = ok and _genfun_side(N, M, k, INF, P)
@@ -307,14 +308,18 @@ def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
             name = "weight-k" if space == INF else "weight-(2-k)"
             raise ValueError(f"{name} identity not checkable: {reason}")
     b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
-    _check_positive(f"max index P of the weight {k} identity", P, 1 - b_m)
+    # the indices run from -b_m up to P - 1, whose lead q^(1-P) must fall
+    # below the working precision q^(P+2): on an identity trace b_m can
+    # exceed 1, and a P < 0 would compare nothing
+    _check_positive(f"max index P of the weight {k} identity", P,
+                    max(1 - b_m, 0))
     prec = P + 2
     # the level-M family through every index m and -j the right sides
     # name, asked for first, so the obstruction family's and the
     # matcher's requests for it are covered and build nothing
     family = _basis_for(M, k, space, max(P - 1, -b_n - 1), prec)
     # each obstruction's g and the level-M element -j it multiplies
-    dual_n = [(g, family.element(-j)) for j, _, g in
+    dual_n = [(g, fm) for _, fm, g in
               _obstruction_family(N, M, k, space, prec)]
     # the level-N family starts at index -b_n; its traces are matched in
     # one pass, after the dual family is read: a weight >= 2 key is built
@@ -343,7 +348,6 @@ def genfun_closed_form(N: int, k: int, P: int) -> bool:
     with psi the Hauptmodul, modulo q^P against both expansions of the
     grid (Duke-Jenkins at level 1, Griffin-Jenkins-Molnar in genus zero)."""
     v, u = v_of(N, k), u_of(N, 2 - k)
-    _check_positive("max index P", P)
     # side (A) compares r in [-v-1, P), side (B) r in [-u-1, P); u = -v-1
     _check_positive("max index P of side (A)", P, -v)
     _check_positive("max index P of side (B)", P, -u)

@@ -175,11 +175,15 @@ def test_first_element_factors_are_asked_for_no_more_than_needed(
     shortened = []
 
     def short_factor(kind):
-        def short(N, factor, prec):
-            if factor[0] == kind:
+        def short(N, factor):
+            v, expand = real(N, factor)
+            if factor[0] != kind:
+                return v, expand
+
+            def expand_short(prec):
                 shortened.append(factor)
-                prec -= 1
-            return real(N, factor, prec)
+                return expand(prec - 1)
+            return v, expand_short
         return kind, "_factor", short
 
     def short_psi(N, prec):
@@ -206,10 +210,10 @@ def test_first_element_factors_are_asked_for_no_more_than_needed(
 
 
 def test_factor_valuations_are_the_valuations_of_their_expansions():
-    # _eval_form's precision rule rests on _valuation: each factor of the
-    # registry forms, each form and seed base a first element multiplies
-    # in and each seed-synthesis atom, expanded through its valuation v,
-    # has valuation exactly v
+    # _eval_form's precision rule rests on the valuation _factor gives
+    # beside each expansion: each factor of the registry forms, each form
+    # and seed base a first element multiplies in and each seed-synthesis
+    # atom, expanded through its valuation v, has valuation exactly v
     checked = 0
     for N in ALL_LEVELS:
         seed = get_level(N).seed
@@ -219,8 +223,8 @@ def test_factor_valuations_are_the_valuations_of_their_expansions():
             factors.update(f for _, fs, _ in form.terms for f in fs)
         factors.update(f for _, _, f in seedsynth._atoms(N))
         for f in factors:
-            v = basis_mod._valuation(N, f)
-            s = basis_mod._factor(N, f, v + 1)
+            v, expand = basis_mod._factor(N, f)
+            s = expand(v + 1)
             assert s.prec == v + 1 and s.valuation() == v, (N, f)
         checked += len(factors)
     assert checked == 319
@@ -241,8 +245,10 @@ def test_form_products_are_known_as_far_as_asked(monkeypatch):
     # and no further: one term fewer of either kind of factor is one short
     real = basis_mod._factor
     for kind in ("eta", "eis"):
-        monkeypatch.setattr(basis_mod, "_factor", lambda N, f, prec: real(
-            N, f, prec - (f[0] == kind)))
+        def short(N, f, kind=kind):
+            v, expand = real(N, f)
+            return v, lambda prec: expand(prec - (f[0] == kind))
+        monkeypatch.setattr(basis_mod, "_factor", short)
         assert basis_mod._eval_form(2, 0, combo, 10).prec == 9, kind
 
 
@@ -397,7 +403,9 @@ def test_duality_examples():
     assert duality_residual(g1, 3, 3) == 0
     assert g1.fside.element(1).coeff(2) == 21493760
     assert g1.gside.element(2).coeff(1) == -21493760
-    assert duality_residual(g5, 0, 0) == 0
+    # an empty box compares nothing
+    for box in ((0, 0), (0, 3), (3, 0)):
+        assert duality_residual(g5, *box) == 0, box
 
 
 def reference_residual(grid, m_max, n_max):
@@ -464,8 +472,11 @@ def test_duality_residual_sees_an_error_of_the_transposed_side(N, k):
 
 def test_duality_residual_guards():
     g = build_grid(5, 0, 3)
-    with pytest.raises(PrecisionError):
-        duality_residual(g, 10, 10)
+    # a box past a side's count, which slicing its indices would shrink,
+    # is refused, an empty one included
+    for box in ((10, 10), (0, 4), (4, 0)):
+        with pytest.raises(PrecisionError, match="exceeds built count"):
+            duality_residual(g, *box)
     with pytest.raises(ValueError):
         duality_residual(g, -1, 2)
 
@@ -473,12 +484,14 @@ def test_duality_residual_guards():
 def test_duality_box_past_the_grid_precision_is_named():
     # count 6 at precision 6: the level-5 weight-0 box reads the f-side at
     # the g-indices 1..6, so a 6x6 box reads q^6, one past the precision,
-    # and a 6x5 box stops at q^5
+    # and a 6x5 box stops at q^5; the f-side's first element refuses it.
+    # An empty box reads no coefficient.
     g = build_grid(5, 0, 6, 6)
     assert duality_residual(g, 6, 5) == 0
+    assert duality_residual(g, 0, 6) == duality_residual(g, 6, 0) == 0
     with pytest.raises(PrecisionError,
-                       match=r"box 6x6 of level 5 weight 0 reads q\^6 of "
-                             r"the inf side, known only mod q\^6"):
+                       match=r"^coefficient q\^6 of basis index 0 of level 5 "
+                             r"weight 0 inf not determined at prec 6$"):
         duality_residual(g, 6, 6)
 
 

@@ -142,18 +142,30 @@ def test_odd_weight_is_a_usage_error_on_an_identity_pair(capsys):
 
 
 def test_genfun_check_command(capsys):
-    code, out = invoke(capsys, "genfun-check", "--from", "2", "--to", "1",
-                       "--weight", "-6", "--max-index", "8")
-    assert code == 0 and "identity holds" in out
+    # the weight-4 identity of the level-13 identity trace starts at index
+    # -4, so --max-index 0 still compares index -1's q^1 coefficient
+    for extra in (("--from", "2", "--to", "1", "--weight", "-6",
+                   "--max-index", "8"),
+                  ("--from", "13", "--to", "13", "--weight", "4",
+                   "--max-index", "0", "--side", "k")):
+        code, out = invoke(capsys, "genfun-check", *extra)
+        assert code == 0 and out == "identity holds\n", extra
 
 
 def test_genfun_check_over_no_indices_is_a_usage_error(capsys):
     closed = ("--from", "4", "--to", "4", "--closed-form")
     for extra, message in (
             (("--from", "2", "--to", "1", "--weight", "-6",
-              "--max-index", "-3"), "max index P must be >= 1"),
+              "--max-index", "-3"),
+             "max index P of the weight -6 identity must be >= 2, got -3"),
+            (("--from", "13", "--to", "13", "--weight", "4",
+              "--max-index", "0"),
+             "max index P of the weight -2 identity must be >= 6, got 0"),
+            (("--from", "13", "--to", "13", "--weight", "4",
+              "--max-index", "-1", "--side", "k"),
+             "max index P of the weight 4 identity must be >= 0, got -1"),
             ((*closed, "--weight", "0", "--max-index", "0"),
-             "max index P must be >= 1"),
+             "max index P of side (B) must be >= 1, got 0"),
             ((*closed, "--weight", "20", "--max-index", "8"),
              "max index P of side (B) must be >= 11, got 8"),
             ((*closed, "--weight", "-20", "--max-index", "8"),

@@ -249,3 +249,32 @@ def test_one_rule_maps_each_exception_to_its_exit_code():
         ["ValueError", "Exception"]]
     assert _handlers(ast.parse((package / "acceptance.py").read_text()),
                      "run_all") == [["Exception"]]
+
+
+SERIES_FIELDS = ("_v", "_row", "_d", "_prec")
+
+
+def _series_field_reads(tree):
+    """(line, attribute) of each attribute `_v`, `_row`, `_d` or `_prec`
+    the source names, on any object."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in SERIES_FIELDS)
+
+
+def test_only_the_series_module_reads_a_series_fields():
+    # the rule sees each field on any object, in any context, and no name
+    # or longer attribute that merely starts like one
+    sample = ast.parse(
+        "def f(s, t):\n    x = s._v + len(s._row)\n"
+        "    return t.value._d, _prec, s._valuation, s.prec\n"
+        "class C:\n    def g(self):\n        self._prec = 1\n")
+    assert _series_field_reads(sample) == [
+        (2, "_row"), (2, "_v"), (3, "_d"), (6, "_prec")]
+    # a series' integer row is laid out in `qseries` alone; every other
+    # module reads a series through its methods
+    found = [(path.stem, line, attr) for path in SOURCES
+             if path.name != "qseries.py"
+             for line, attr in _series_field_reads(ast.parse(
+                 path.read_text()))]
+    assert found == []

@@ -421,12 +421,18 @@ def test_empty_checks_raise():
         empirical_preserves(4, 2, -2, box=0)
     with pytest.raises(ValueError, match="box must be >= 1"):
         empirical_preserves(5, 5, 0, box=-1)
-    for side in ("k", "dual", "both"):
-        with pytest.raises(ValueError, match="max index P must be >= 1"):
+    # each side refuses a P below its own first index, the weight-k side
+    # first
+    for side, message in (("k", "weight -6 identity must be >= 2, got -3"),
+                          ("dual", "weight 8 identity must be >= 1, got -3"),
+                          ("both", "weight -6 identity must be >= 2, got -3")):
+        with pytest.raises(ValueError, match=f"max index P of the {message}$"):
             genfun_check(2, 1, -6, -3, side=side)
-    with pytest.raises(ValueError, match="max index P must be >= 1"):
+    with pytest.raises(ValueError, match="max index P of the weight -6 "
+                                         "identity must be >= 2, got 0$"):
         genfun_check(2, 1, -6, 0)
-    with pytest.raises(ValueError, match="max index P must be >= 1"):
+    with pytest.raises(ValueError, match=r"max index P of side \(B\) must "
+                                         r"be >= 1, got 0$"):
         genfun_closed_form(4, 0, 0)
     # side (B) compares q^r for r in [v, P), side (A) p^r in [-v-1, P); at
     # level 4, v = k/2
@@ -550,6 +556,39 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
     monkeypatch.setattr(traceops, "_principal_parts", perturbed)
     assert not genfun_check(2, 1, -6, 15, side=side)
     assert not genfun_check(2, 1, -6, 15, side="both")
+    assert hits
+
+
+def test_identity_trace_compares_from_its_own_first_index(monkeypatch):
+    # at level 13 weight 4, v = 4: the weight-4 identity of the identity
+    # trace starts at index -4, and index m leads with q^(-m); modulo
+    # q^(P + 2), P = 0 still compares index -1's q^1 coefficient, while
+    # every P < 0 compares nothing and is refused.  The dual side's first
+    # index is 6
+    assert genfun_check(13, 13, 4, 0, side="k")
+    for P in (-1, -3, -4):
+        with pytest.raises(ValueError, match="weight 4 identity must be "
+                                             f">= 0, got {P}$"):
+            genfun_check(13, 13, 4, P, side="k")
+    for side in ("dual", "both"):
+        with pytest.raises(ValueError, match="weight -2 identity must be "
+                                             ">= 6, got 0$"):
+            genfun_check(13, 13, 4, 0, side=side)
+    # and what it compares can fail: one trace off by its own element, read
+    # modulo q^(P + 2) = q^2, where only element -1 = q + O(q^5) is nonzero
+    real = traceops._principal_parts
+    hits = []
+
+    def perturbed(N, M, k, sp, indices, prec):
+        parts, target = real(N, M, k, sp, indices, prec)
+        if -1 in indices:
+            hits.append(indices)
+            i = indices.index(-1)
+            parts[i] = [*parts[i], (-1, 1)]
+        return parts, target
+
+    monkeypatch.setattr(traceops, "_principal_parts", perturbed)
+    assert not genfun_check(13, 13, 4, 0, side="k")
     assert hits
 
 
