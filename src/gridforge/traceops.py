@@ -7,13 +7,12 @@ coefficients at every exponent up to the level-M gap bound.  On the full
 space at weight 0 the holomorphic constants survive, so traces there are
 canonical representatives normalized to the row-reduced gap form.  One
 rule, `_trace_method`, decides which of these applies, or that neither
-does; `trace`, `genfun_check`, `obstructions` and `empirical_preserves`
-all ask it.
+does; `trace`, `genfun_check` and `empirical_preserves` ask it.
 
 The module also classifies when the trace preserves grid duality, lists
 the obstruction pairs of the generating-function identities, and verifies
-those identities on truncated double expansions.  Both read a side's
-obstruction family from one helper, `_obstruction_family`.
+those identities on truncated double expansions.  The identities and the
+duality box are both compared as int rows of matched principal parts.
 """
 
 from __future__ import annotations
@@ -246,44 +245,41 @@ class ObstructionList(namedtuple(
 def obstructions(N: int, M: int, k: int,
                  prec: int = DEFAULT_PREC) -> ObstructionList:
     """The product pairs obstructing the traced generating-function
-    identities; empty exactly when the trace preserves duality."""
+    identities; empty exactly when the trace preserves duality.  A side,
+    the weight-w identity in `space`, has one pair per j with
+    b_n < j <= b_m, the gap bounds of the space at N and at M: the level-M
+    element -j and the level-N element j of weight 2 - w in the other
+    space, each cut to q^prec.  A side whose traces are not given by
+    principal parts alone has b_n >= b_m, so no pairs."""
     _check_pair(N, M)
     pairs = []
     for side, space, w in (("f", INF, k), ("g", HAT, 2 - k)):
-        if _trace_method(M, w, space)[0] != "principal_part":
+        b_n, b_m = gap_bound(N, w, space), gap_bound(M, w, space)
+        if b_n >= b_m:
             continue
-        for j, fm, gn in _obstruction_family(N, M, w, space, prec):
-            pair = (M, w, -j, fm), (N, 2 - w, j, gn)
+        # each family is requested at its top index, so it is built once
+        fam = _basis_for(M, w, space, -b_n - 1, prec)
+        dual = _basis_for(N, 2 - w, HAT if space == INF else INF, b_m, prec)
+        for j in range(b_n + 1, b_m + 1):
+            pair = ((M, w, -j, fam.element(-j).truncate(prec)),
+                    (N, 2 - w, j, dual.element(j).truncate(prec)))
             f, g = pair if side == "f" else pair[::-1]
             pairs.append(ObstructionPair(side, *f, *g))
     return ObstructionList(N, M, k, tuple(pairs))
-
-
-def _obstruction_family(N: int, M: int, w: int, space: str, prec: int):
-    """One side's obstruction family, the weight-w identity in `space`:
-    (j, level-M element -j, level-N element j of weight 2 - w in the
-    other space), each cut to q^prec, for b_n < j <= b_m, the gap bounds
-    of the space at N and at M."""
-    b_n, b_m = gap_bound(N, w, space), gap_bound(M, w, space)
-    if b_n >= b_m:
-        return []
-    # each family is requested at its top index, so it is built once
-    fam = _basis_for(M, w, space, -b_n - 1, prec)
-    dual = _basis_for(N, 2 - w, HAT if space == INF else INF, b_m, prec)
-    return [(j, fam.element(-j).truncate(prec),
-             dual.element(j).truncate(prec)) for j in range(b_n + 1, b_m + 1)]
 
 
 # -- generating-function identities ---------------------------------------
 
 def genfun_check(N: int, M: int, k: int, P: int, side: str = "both") -> bool:
     """Verify the traced generating-function identities coefficientwise on
-    the truncated double expansion, for all index pairs below P.
+    the truncated double expansion, for all index pairs below P: each
+    index of a side is compared as an int row from its lead on, past
+    q^(P+1) where the lead lies there (`_genfun_side`).
 
     side "k" checks the weight-k (z-variable) identity, side "dual" the
     weight-(2-k) (tau-variable) identity, "both" checks both.  Each side
-    refuses a P that leaves it no coefficient to compare (`_genfun_side`),
-    the weight-k side first.
+    refuses a P that leaves it no coefficient to compare, the weight-k
+    side first.
     """
     _check_pair(N, M)
     if side not in ("k", "dual", "both"):
@@ -299,47 +295,51 @@ def genfun_check(N: int, M: int, k: int, P: int, side: str = "both") -> bool:
 def _genfun_side(N: int, M: int, k: int, space: str, P: int) -> bool:
     """Traces of the weight-k family in `space` against the level-M family
     minus the obstruction products, compared per power of the other
-    variable.  The weight-k identity is the INF case; the dual one is the
-    HAT case at weight 2-k, with u in place of v (its two negations
-    cancel)."""
+    variable: for each index m in [-b_m, P), the traced element m and
+    the right side of index m as int rows at the exponents of the window
+    [1 - P, prec), prec = max(P + 2, b_m + 1).  Both sides of index m lead
+    with q^(-m), -m in (-P, b_m], so the window starts at the lowest lead
+    and passes every one.  The weight-k identity is the INF case; the
+    dual one is the HAT case at weight 2-k, with u in place of v (its two
+    negations cancel)."""
     if M != N:
         method, reason = _trace_method(M, k, space)
         if method == "none":
             name = "weight-k" if space == INF else "weight-(2-k)"
             raise ValueError(f"{name} identity not checkable: {reason}")
     b_n, b_m = gap_bound(N, k, space), gap_bound(M, k, space)
-    # the indices run from -b_m up to P - 1, whose lead q^(1-P) must fall
-    # below the working precision q^(P+2): on an identity trace b_m can
-    # exceed 1, and a P < 0 would compare nothing
+    # the indices run from -b_m up to P - 1, whose lead is q^(1-P): a
+    # P < 0 would compare nothing, and on an identity trace b_m can
+    # exceed 1
     _check_positive(f"max index P of the weight {k} identity", P,
                     max(1 - b_m, 0))
-    prec = P + 2
+    # index -b_m's lead q^b_m lies past q^(P+1) only on an identity
+    # trace; elsewhere b_m <= 0
+    prec = max(P + 2, b_m + 1)
+    window = range(1 - P, prec)
     # the level-M family through every index m and -j the right sides
-    # name, asked for first, so the obstruction family's and the
-    # matcher's requests for it are covered and build nothing
+    # name, asked for first, so the matcher's request for it is covered
+    # and builds nothing
     family = _basis_for(M, k, space, max(P - 1, -b_n - 1), prec)
-    # each obstruction's g and the level-M element -j it multiplies
-    dual_n = [(g, fm) for _, fm, g in
-              _obstruction_family(N, M, k, space, prec)]
-    # the level-N family starts at index -b_n; its traces are matched in
-    # one pass, after the dual family is read: a weight >= 2 key is built
-    # from the other side's key, so the order of requests decides the
-    # sizes built
+    # each obstruction's level-N element j of weight 2 - k in the other
+    # space, at q^m for m in [-b_m, P); one request at its top index
+    g = []
+    if b_n < b_m:
+        dual = _basis_for(N, 2 - k, HAT if space == INF else INF, b_m, prec)
+        g = [(j, dual.numerators(j, -b_m, P))
+             for j in range(b_n + 1, b_m + 1)]
+    rhs = [[(m, 1), *((-j, -g_j[m + b_m]) for j, g_j in g)]
+           for m in range(-b_m, P)]
+    # the level-N family starts at index -b_n, and the traced side is 0
+    # below it; its traces are matched in one pass, after the dual family
+    # is read: a weight >= 2 key is built from the other side's key, so
+    # the order of requests decides the sizes built
     traced = range(max(-b_n, -b_m), P)
-    lhs = {}
+    lhs, target = [[]] * (len(rhs) - len(traced)), None
     if traced:
         parts, target = _principal_parts(N, M, k, space, traced, prec)
-        lhs = {m: QSeries.combination(
-                   ((c, target.element(i)) for i, c in part), prec)
-               for m, part in zip(traced, parts)}
-    zero = QSeries.zero(prec)
-    for m in reversed(range(-b_m, P)):
-        rhs = QSeries.combination(
-            [(1, family.element(m)),
-             *((-g.coeff(m), e) for g, e in dual_n)], prec)
-        if lhs.get(m, zero) != rhs:
-            return False
-    return True
+        lhs += parts
+    return _box_rows(target, lhs, window) == _box_rows(family, rhs, window)
 
 
 def genfun_closed_form(N: int, k: int, P: int) -> bool:

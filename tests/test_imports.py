@@ -151,16 +151,17 @@ def test_a_canonical_basis_has_one_writer():
     assert found == [("basis", "CanonicalBasis.of")]
 
 
-def _series_reads(tree):
-    """(method, name) of each use, inside class CanonicalBasis, of the
-    name QSeries or of the attributes `element` and `elements`, the ways a
-    method of the class can make a series."""
+def _series_reads(tree, cls=None):
+    """(definition, name) of each use of the name QSeries or of the
+    attributes `element` and `elements`, the ways code can make a series
+    from a basis, inside class `cls`, by method, or when `cls` is None by
+    top-level definition of the module."""
     found = []
-    for cls in ast.walk(tree):
-        if not (isinstance(cls, ast.ClassDef)
-                and cls.name == "CanonicalBasis"):
-            continue
-        for stmt in cls.body:
+    scopes = [tree] if cls is None else [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls]
+    for scope in scopes:
+        for stmt in scope.body:
             where = getattr(stmt, "name", None)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and node.id == "QSeries":
@@ -183,13 +184,40 @@ def test_a_canonical_basis_makes_a_series_only_in_element():
         "    def head(self):\n        return QSeries.one(self.prec)\n"
         "class Other:\n"
         "    def f(self, b):\n        return QSeries(b.element(0))\n")
-    assert _series_reads(sample) == [
+    assert _series_reads(sample, "CanonicalBasis") == [
         ("__eq__", "elements"), ("head", "QSeries"), ("numerators", "element")]
     # so equality and window reads stay on the tails: only `element` makes
     # a series, and only `elements` reads it
     found = _series_reads(ast.parse(
-        (Path(gridforge.__file__).parent / "basis.py").read_text()))
+        (Path(gridforge.__file__).parent / "basis.py").read_text()),
+        "CanonicalBasis")
     assert found == [("element", "QSeries"), ("elements", "element")]
+
+
+# the trace functions that return a series, or multiply one
+SERIES_TRACES = {"trace", "obstructions", "genfun_closed_form",
+                 "_closed_form_side"}
+
+
+def test_trace_checks_read_int_rows_not_series():
+    # the rule sees a series made in any top-level function or class of
+    # the module, by name or through a basis
+    sample = ast.parse(
+        "from gridforge.qseries import QSeries\n"
+        "def trace(b):\n    return QSeries.combination([b.element(0)])\n"
+        "def _genfun_side(b, m):\n"
+        "    return b.element(m) == QSeries.zero(1)\n"
+        "class Report:\n    def f(self):\n        return self.b.elements\n")
+    assert _series_reads(sample) == [
+        ("Report", "elements"), ("_genfun_side", "QSeries"),
+        ("_genfun_side", "element"), ("trace", "QSeries"),
+        ("trace", "element")]
+    # `genfun_check` and `empirical_preserves` compare int rows of matched
+    # principal parts, read off the tails by `basis._box_rows`
+    found = _series_reads(ast.parse(
+        (Path(gridforge.__file__).parent / "traceops.py").read_text()))
+    assert found
+    assert [f for f in found if f[0] not in SERIES_TRACES] == []
 
 
 def test_only_the_basis_module_reads_stored_tails():

@@ -483,6 +483,31 @@ def test_obstruction_classify_consistency():
                     classify(N, M, k).preserved, (N, M, k)
 
 
+def test_sides_not_given_by_principal_parts_have_no_obstructions():
+    # `obstructions` lists a side's pairs for b_n < j <= b_m without asking
+    # `_trace_method`: every side whose traces are not given by principal
+    # parts alone has b_n >= b_m.  Such a side has weight >= 0, and every
+    # side of weight >= 390 is one.  v_of moves by mu_N per 12 in k (see
+    # test_classify_is_false_past_a_bound_so_the_window_covers_every_k),
+    # and u_of with it, so b_n - b_m grows by mu_N - mu_M >= 0 per 12 in
+    # the weight, and every even |k| <= 400 covers every k
+    others = 0
+    for N in ALL_LEVELS:
+        for M in [m for m in ALL_LEVELS if N % m == 0]:
+            for k in range(-400, 401, 2):
+                for space, w in ((INF, k), (HAT, 2 - k)):
+                    method, _ = traceops._trace_method(M, w, space)
+                    if method != "principal_part":
+                        others += 1
+                        assert w >= 0, (N, M, w, space)
+                        assert gap_bound(N, w, space) >= \
+                            gap_bound(M, w, space), (N, M, w, space)
+    assert others > 0
+    assert all(traceops._trace_method(M, w, space)[0] != "principal_part"
+               for M in ALL_LEVELS for w in range(390, 403, 2)
+               for space in (INF, HAT))
+
+
 def test_genfun_check_level_two():
     assert genfun_check(2, 1, -6, 15, side="k")
     assert genfun_check(2, 1, -6, 15, side="dual")
@@ -502,10 +527,10 @@ def test_genfun_check_nonempty_dual_obstruction():
 @pytest.mark.parametrize("args, calls, store", [
     # of the two misses on stored keys, the weight -6 inf key is extended
     # by its walk and the weight 8 hat key rebuilt
-    ((2, 1, -6, 15, "both"), 8, (6, 1, 1)),
+    ((2, 1, -6, 15, "both"), 7, (6, 1, 1)),
     # the two weight -2 hat keys each read an inf key off a miss of its own
-    ((4, 1, 4, 10, "dual"), 5, (5, 0, 0)),
-    ((25, 1, -10, 12, "k"), 3, (3, 0, 0)),
+    ((4, 1, 4, 10, "dual"), 4, (5, 0, 0)),
+    ((25, 1, -10, 12, "k"), 2, (3, 0, 0)),
 ], ids=["2-1-m6-both", "4-1-4-dual", "25-1-m10-k"])
 def test_genfun_check_asks_for_the_dual_family_once(args, calls, store,
                                                     monkeypatch):
@@ -561,10 +586,9 @@ def test_genfun_check_fails_on_a_perturbed_trace(side, space, index,
 
 def test_identity_trace_compares_from_its_own_first_index(monkeypatch):
     # at level 13 weight 4, v = 4: the weight-4 identity of the identity
-    # trace starts at index -4, and index m leads with q^(-m); modulo
-    # q^(P + 2), P = 0 still compares index -1's q^1 coefficient, while
-    # every P < 0 compares nothing and is refused.  The dual side's first
-    # index is 6
+    # trace starts at index -4, and index m leads with q^(-m); P = 0 still
+    # compares indices -4 ... -1, each at its lead, while every P < 0
+    # compares nothing and is refused.  The dual side's first index is 6
     assert genfun_check(13, 13, 4, 0, side="k")
     for P in (-1, -3, -4):
         with pytest.raises(ValueError, match="weight 4 identity must be "
@@ -574,27 +598,33 @@ def test_identity_trace_compares_from_its_own_first_index(monkeypatch):
         with pytest.raises(ValueError, match="weight -2 identity must be "
                                              ">= 6, got 0$"):
             genfun_check(13, 13, 4, 0, side=side)
-    # and what it compares can fail: one trace off by its own element, read
-    # modulo q^(P + 2) = q^2, where only element -1 = q + O(q^5) is nonzero
+    # and what it compares can fail at every listed index, also where the
+    # lead q^(-m) lies at or past q^(P + 2): one trace off by its own
+    # element
     real = traceops._principal_parts
-    hits = []
+    for P in (0, 1):
+        assert genfun_check(13, 13, 4, P, side="k"), P
+        for index in (-1, -2, -3, -4):
+            hits = []
 
-    def perturbed(N, M, k, sp, indices, prec):
-        parts, target = real(N, M, k, sp, indices, prec)
-        if -1 in indices:
-            hits.append(indices)
-            i = indices.index(-1)
-            parts[i] = [*parts[i], (-1, 1)]
-        return parts, target
+            def perturbed(N, M, k, sp, indices, prec, index=index):
+                parts, target = real(N, M, k, sp, indices, prec)
+                if index in indices:
+                    hits.append(indices)
+                    i = indices.index(index)
+                    parts[i] = [*parts[i], (index, 1)]
+                return parts, target
 
-    monkeypatch.setattr(traceops, "_principal_parts", perturbed)
-    assert not genfun_check(13, 13, 4, 0, side="k")
-    assert hits
+            with monkeypatch.context() as patched:
+                patched.setattr(traceops, "_principal_parts", perturbed)
+                assert not genfun_check(13, 13, 4, P, side="k"), (P, index)
+            assert hits, (P, index)
 
 
 def test_genfun_check_fails_on_a_short_trace(monkeypatch):
-    # a trace known one term below the working precision must fail the
-    # check instead of comparing fewer coefficients
+    # a trace known one term below the working precision must be refused
+    # instead of comparing fewer coefficients: the target names the element
+    # it cannot read, as `duality_residual` does
     real = traceops._principal_parts
 
     def short(N, M, k, sp, indices, prec):
@@ -602,7 +632,10 @@ def test_genfun_check_fails_on_a_short_trace(monkeypatch):
         return parts, target._replace(prec=prec - 1)
 
     monkeypatch.setattr(traceops, "_principal_parts", short)
-    assert not genfun_check(2, 1, -6, 15, side="k")
+    with pytest.raises(qseries.PrecisionError,
+                       match=r"^coefficient q\^16 of basis index 2 of level 1 "
+                             r"weight -6 inf not determined at prec 16$"):
+        genfun_check(2, 1, -6, 15, side="k")
 
 
 def _closed_form_prec(N, k):
