@@ -10,6 +10,12 @@ rows; a Fraction is built only when a coefficient is read (`coeff`,
 `items`).  All arithmetic is exact; precision only tracks how far the
 coefficients are determined.  Instances are immutable.
 
+Every series is made by `QSeries.from_row`, whose `_set` alone writes the
+fields and puts them in canonical form; the constructor from exponent ->
+coefficient pairs is the `combination` of their monomials.  A read of a
+coefficient at or past the precision is refused by `numerators` alone,
+which `coeff` reads through.
+
 Named values that depend only on a key and a size are kept in one store,
 `cached`: series (Hauptmoduln and registry forms) at a size (prec,), and
 every canonical basis of `gridforge.basis`, transposed ones included, at a
@@ -30,8 +36,6 @@ from operator import add, ge, mul, neg
 DEFAULT_PREC = 60
 
 CoeffLike = Fraction | int | str
-
-_ZERO = Fraction(0)
 
 
 class PrecisionError(ValueError):
@@ -54,27 +58,23 @@ class QSeries:
     or starts and ends with a nonzero entry; d > 0 shares no factor with
     the row; v + len(row) <= prec.  Entries at or beyond prec are silently
     truncated on construction; everything below prec is exact.
+
+    QSeries(coeffs, prec) takes a dict or a list of (exponent, coefficient)
+    pairs, a repeated exponent summing, and is their monomials'
+    `combination`; `from_row` makes every other series.  `numerators`
+    raises PrecisionError for a coefficient at or past prec, and `coeff`
+    reads through it.
     """
 
     __slots__ = ("_v", "_row", "_d", "_prec")
 
     def __init__(self, coeffs=None, prec: int = DEFAULT_PREC):
         prec = int(prec)
-        c: dict[int, Fraction | int] = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, x in items:
-                e = int(e)
-                if e < prec:
-                    c[e] = c.get(e, 0) + (x if type(x) is int
-                                          else as_coeff(x))
-        c = {e: x for e, x in c.items() if x}
-        d = lcm(*(x.denominator for x in c.values()))
-        v = min(c, default=0)
-        row = [0] * (max(c, default=v - 1) + 1 - v)
-        for e, x in c.items():
-            row[e - v] = x.numerator * (d // x.denominator)
-        self._set(v, row, d, prec)
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        s = QSeries.combination(
+            ((x, QSeries.from_row(int(e), (1,), prec)) for e, x in items),
+            prec)
+        self._set(s._v, s._row, s._d, prec)
 
     def _set(self, v: int, row, d: int, prec: int):
         """Store sum row[i]/d q^(v+i) + O(q^prec) in canonical form."""
@@ -103,11 +103,11 @@ class QSeries:
 
     @classmethod
     def zero(cls, prec: int = DEFAULT_PREC) -> "QSeries":
-        return cls(None, prec)
+        return cls.from_row(0, (), prec)
 
     @classmethod
     def one(cls, prec: int = DEFAULT_PREC) -> "QSeries":
-        return cls({0: 1}, prec)
+        return cls.from_row(0, (1,), prec)
 
     @classmethod
     def from_row(cls, valuation: int, row, prec: int,
@@ -158,14 +158,7 @@ class QSeries:
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of q^n; zero if absent, error if undetermined."""
-        if n >= self._prec:
-            raise PrecisionError(
-                f"coefficient not determined at this precision "
-                f"(n={n}, prec={self._prec})")
-        i = n - self._v
-        if 0 <= i < len(self._row):
-            return Fraction(self._row[i], self._d)
-        return _ZERO
+        return Fraction(self.numerators(n, n + 1)[0], self._d)
 
     def valuation(self) -> int:
         """Minimal stored exponent."""
@@ -191,8 +184,8 @@ class QSeries:
         return NotImplemented
 
     def __neg__(self):
-        return QSeries._raw(self._v, tuple(map(neg, self._row)), self._d,
-                            self._prec)
+        return QSeries.from_row(self._v, tuple(map(neg, self._row)),
+                                self._prec, self._d)
 
     def scale(self, k: CoeffLike) -> "QSeries":
         """Scalar multiple; precision is preserved."""
@@ -207,7 +200,7 @@ class QSeries:
         prec = min([int(prec), *(s._prec for _, s in terms)])
         terms = [(c, s) for c, s in terms if c and s._row and s._v < prec]
         if not terms:
-            return cls._raw(0, (), 1, prec)
+            return cls.from_row(0, (), prec)
         # Over the common denominator d, every c*s is an integer row: the
         # row of s times c.numerator * d / (c.denominator * s._d).
         d = lcm(*(c.denominator * s._d for c, s in terms))
@@ -274,7 +267,7 @@ class QSeries:
         known = self._prec - v
         n = known if terms is None else min(int(terms), known)
         if n <= 0:
-            return QSeries._raw(0, (), 1, -v + max(n, 0))
+            return QSeries.from_row(0, (), -v + max(n, 0))
         # self = q^v * sum g_i q^i / d with integer g_i.  The inverse is
         # sum d * c_m / g_0^(m+1) q^(m-v), where c_0 = 1 and
         # c_m = -sum_{i>=1} g_i g_0^(i-1) c_{m-i} stays integral; over the
@@ -347,14 +340,12 @@ class QSeries:
         if not self._row:
             put("[]" + pad + "}")
             return
-        d = self._d
-        if d == 1:
+        if self._d == 1:
             pair = "[" + i3 + "%d," + i3 + '"%d"' + i2 + "]"
             pairs = [pair % p for p in zip(count(self._v), self._row) if p[1]]
         else:
             pair = "[" + i3 + "%d," + i3 + '"%s"' + i2 + "]"
-            pairs = [pair % (e, Fraction(x, d))
-                     for e, x in enumerate(self._row, self._v) if x]
+            pairs = [pair % ec for ec in self.items()]
         put("[" + i2 + ("," + i2).join(pairs) + i1 + "]" + pad + "}")
 
     def __str__(self):
@@ -383,18 +374,6 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries({self})"
-
-    # -- internal ----------------------------------------------------
-
-    @classmethod
-    def _raw(cls, v: int, row: tuple, d: int, prec: int) -> "QSeries":
-        """A series from fields already in canonical form."""
-        obj = object.__new__(cls)
-        obj._v = v
-        obj._row = row
-        obj._d = d
-        obj._prec = prec
-        return obj
 
 
 # -- the store of named series and bases ----------------------------------

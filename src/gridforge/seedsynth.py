@@ -270,6 +270,9 @@ def audit_of(reduced) -> dict:
 def family_audit(N: int, k: int, J: int = POLE_BOUND,
                  prec: int = DEFAULT_PREC) -> dict:
     """JSON-ready audit of the family of pole bound J at precision prec
-    (the target's own closed form left out): labels, valuations, rank."""
+    (the target's own closed form left out): labels, valuations, rank.
+    No nonzero member vanishes past q^v, so, as in reduce_family, the
+    elimination reads the exponents -J .. v, below prec."""
     fam = build_family(N, k, J, prec, exclude=((N, k),))
-    return audit_of((fam, row_reduce(fam.members, -J, prec)))
+    return audit_of((fam, row_reduce(fam.members, -J,
+                                     min(v_of(N, k) + 1, prec))))

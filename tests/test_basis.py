@@ -999,7 +999,7 @@ def test_rebuilds_keep_the_requested_precision(counting_builds,
 def _count_series_made(monkeypatch):
     """A list that gains one item per QSeries constructed from now on."""
     made = []
-    for name in ("from_row", "_raw"):
+    for name in ("from_row",):
         real = getattr(QSeries, name).__func__
 
         def wrapped(cls, *args, _real=real, _name=name, **kwargs):

@@ -306,3 +306,57 @@ def test_only_the_series_module_reads_a_series_fields():
              for line, attr in _series_field_reads(ast.parse(
                  path.read_text()))]
     assert found == []
+
+
+def _series_writes(tree):
+    """(enclosing class and function, what) of each store to a field `_v`,
+    `_row`, `_d` or `_prec` on any object, and of each call of
+    `object.__new__`: the ways code can make or change a series without
+    its constructors."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in SERIES_FIELDS
+                    and isinstance(child.ctx, ast.Store)):
+                found.append((where, child.attr))
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "__new__"
+                  and getattr(child.func.value, "id", None) == "object"):
+                found.append((where, "object.__new__"))
+            visit(child, where)
+
+    visit(tree, "")
+    return sorted(set(found))
+
+
+def test_a_series_has_one_writer():
+    # the rule sees a plain, augmented and unpacked store in any scope and
+    # a bare object.__new__, and no read, no other __new__ and no name
+    sample = ast.parse(
+        "class QSeries:\n"
+        "    def _raw(cls, v, row):\n"
+        "        obj = object.__new__(cls)\n"
+        "        obj._v, obj._row = v, row\n"
+        "        return obj\n"
+        "    def f(self):\n"
+        "        self._d += 1\n"
+        "        return self._prec, super().__new__(QSeries), _v\n"
+        "def g(s):\n    s.value._prec = 3\n")
+    assert _series_writes(sample) == [
+        ("QSeries._raw", "_row"), ("QSeries._raw", "_v"),
+        ("QSeries._raw", "object.__new__"), ("QSeries.f", "_d"),
+        ("g", "_prec")]
+    # in `qseries` only `_set` writes the fields, and only `from_row`
+    # makes an instance without the constructor, through `_set`
+    found = _series_writes(ast.parse(
+        (Path(gridforge.__file__).parent / "qseries.py").read_text()))
+    assert found == [("QSeries._set", "_d"), ("QSeries._set", "_prec"),
+                     ("QSeries._set", "_row"), ("QSeries._set", "_v"),
+                     ("QSeries.from_row", "object.__new__")]

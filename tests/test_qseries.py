@@ -109,6 +109,20 @@ def test_coeff_guard():
     assert a.coeff(0) == 0
     with pytest.raises(PrecisionError):
         a.coeff(2)
+    # `coeff` refuses exactly where `numerators` does, with its text, and
+    # reads a zero below the valuation and past the row
+    for s in (QSeries.zero(7), qs({-4: 1, 2: -3}, 7),
+              qs({0: Fraction(1, 3), 5: Fraction(-5, 2)}, 7)):
+        for n in (s.prec, s.prec + 5):
+            with pytest.raises(PrecisionError) as by_coeff:
+                s.coeff(n)
+            with pytest.raises(PrecisionError) as by_numerators:
+                s.numerators(n, n + 1)
+            assert str(by_coeff.value) == str(by_numerators.value) == (
+                f"coefficient not determined at this precision "
+                f"(n={n}, prec={s.prec})")
+        for n in (-9, 6):
+            assert s.coeff(n) == 0 and type(s.coeff(n)) is Fraction, (s, n)
 
 
 def test_valuation_truncate_scale():
@@ -377,6 +391,20 @@ def test_every_construction_gives_the_canonical_series():
         for w in ways:
             assert w == s and hash(w) == hash(s), (case, w, s)
             assert w.items() == s.items()
+    # the constructor sums a repeated exponent, reads str and Fraction
+    # coefficients, and drops a zero and every term at or past prec
+    for made, (v, row, prec, d) in [
+            (QSeries([(1, 2), (3, 1), (1, -5)], 9), (1, [-3, 0, 1], 9, 1)),
+            (QSeries([(2, 1), (2, "-1")], 9), (0, [], 9, 1)),
+            (QSeries({-2: "3/4", 0: Fraction(-1, 6)}, 4),
+             (-2, [9, 0, -2], 4, 12)),
+            (QSeries({0: 0, 2: 5, 3: Fraction(0)}, 6), (2, [5], 6, 1)),
+            (QSeries({4: 7, 5: 1, 9: "1/2"}, 5), (4, [7], 5, 1)),
+            (QSeries([(5, 1), (6, Fraction(1, 2))], 5), (0, [], 5, 1)),
+            (QSeries(None, 3), (0, [], 3, 1)),
+            (QSeries({}, 3), (0, [], 3, 1))]:
+        w = QSeries.from_row(v, row, prec, d)
+        assert made == w and hash(made) == hash(w), (made, w)
 
 
 def reference_mul(a, b):

@@ -269,6 +269,19 @@ def test_family_audit_shape():
     assert all("label" in m and "valuation" in m for m in audit["members"])
 
 
+@pytest.mark.parametrize("N, k, J, prec", [
+    *((N, k, 10, 20) for N in (2, 3, 4, 5, 6, 7, 8, 9, 13) for k in (2, 4)),
+    (10, 2, 3, 20), (7, 4, 2, 20),
+    # v = 8 and 4, at or past prec
+    (13, 8, 2, 5), (7, 8, 3, 4)])
+def test_family_audit_stops_at_the_top_valuation(N, k, J, prec):
+    # no nonzero member vanishes past q^v, so eliminating through q^v
+    # finds the pivots that eliminating through the whole precision does
+    fam = build_family(N, k, J, prec, exclude=((N, k),))
+    assert family_audit(N, k, J, prec) == seedsynth.audit_of(
+        (fam, row_reduce(fam.members, -J, prec)))
+
+
 def test_family_audit_matches_synthesis_family():
     audit = family_audit(7, 6, prec=20)
     labels = [m["label"] for m in audit["members"]]
