@@ -5,10 +5,9 @@ Five seeds (levels 7, 10, 13 and 25) are stored as certificates; none
 has a closed form here.  Each certificate is a short rational combination
 of phi_d(ez), E4(dz), E6(dz) and Hauptmodul powers.  gridforge.seedsynth
 re-derives them by exact Gaussian elimination over a spanning family:
-holomorphic generators times Hauptmodul powers, their Serre derivatives,
-and Hauptmodul-derivative products.  The monic element of maximal
-valuation drops out, it equals the certificate, and duality validates it
-end to end.
+products of holomorphic generators times Hauptmodul powers.  The monic
+element of maximal valuation drops out, it equals the certificate, and
+duality validates it end to end.
 """
 
 from gridforge import build_grid, duality_residual, synthesize_seed

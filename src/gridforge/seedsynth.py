@@ -5,11 +5,10 @@ exact combinations of phi_n(ez), E4(dz), E6(dz) and Hauptmodul powers;
 none has a closed form here.  This module re-derives them, and the seed
 of every other (N, k) with v_k(N) >= 0, by one exact integer elimination,
 `row_reduce`, over a spanning family of weight-k forms with poles
-confined to infinity: holomorphic generator-pool members times powers of
-the Hauptmodul, their Serre derivatives, and Hauptmodul-derivative
-products, the tower bases of divisor levels (eta quotients) among the
-atoms.  The seed, its certificate and the audit of its family are read
-off the same pivots.
+confined to infinity: the holomorphic generator-pool members, products
+of atoms that include the tower bases of divisor levels (eta quotients),
+each times the Hauptmodul powers psi^0 .. psi^J.  The seed, its
+certificate and the audit of its family are read off the same pivots.
 The result must achieve the registry's maximal vanishing order and equal
 the registry's first element of its (N, k), which for a certified seed
 is the certificate, whose evaluation checks the pinned expansion prefix;
@@ -24,7 +23,6 @@ from fractions import Fraction
 from math import gcd
 
 from gridforge.basis import INF, _factor, first_element, hauptmodul_series
-from gridforge.generators import serre_derivative
 from gridforge.leveldata import get_level, v_of
 from gridforge.qseries import DEFAULT_PREC, PrecisionError, QSeries
 
@@ -39,8 +37,8 @@ class SynthesisError(RuntimeError):
 
 class SpanningFamily(namedtuple("SpanningFamily",
                                 "level weight pole_bound members")):
-    """The members, as (label, QSeries) pairs, of the level's weight-k
-    forms with pole order at most pole_bound at infinity."""
+    """The members, as (label, QSeries) pairs: the level's weight-k pool
+    products times the Hauptmodul powers psi^0 .. psi^pole_bound."""
     __slots__ = ()
 
 
@@ -79,8 +77,6 @@ def weight_pool(N: int, weight: int, prec: int,
     """Holomorphic weight-`weight` forms on Gamma_0(N): products of the
     two-term weight-2 combinations phi_d(ez), rescaled E4/E6, and tower
     bases of divisor levels."""
-    if weight == 0:
-        return [("1", QSeries.one(prec))]
     # each atom that fits the weight is expanded once
     atoms = [(label, w, _factor(N, factor)[1](prec))
              for label, w, factor in _atoms(N, exclude) if w <= weight]
@@ -106,40 +102,26 @@ def weight_pool(N: int, weight: int, prec: int,
 
 def build_family(N: int, k: int, J: int, prec: int,
                  exclude=()) -> SpanningFamily:
-    """All family members with pole order at most J at infinity."""
+    """The members h*psi^j, j = 0 .. J, for each h of the weight-k pool in
+    pool order: the pool's forms with pole order at most J at infinity."""
     if k % 2 or k < 2:
         raise ValueError("synthesis families are built for even weight >= 2")
     # psi^j (valuation -j) is known to prec + J - j when psi is known to
-    # prec + J - 1, so h * psi^j (j <= J) and Dpsi * h * psi^j (j < J), for
-    # h holomorphic and known to prec + J, are known to prec
+    # prec + J - 1, so h * psi^j, for h holomorphic and known to prec + J,
+    # is known to prec
     work = prec + J
     psi = hauptmodul_series(N, work - 1)
     psi_pows = [QSeries.one(work)]
     for _ in range(J):
         psi_pows.append((psi_pows[-1] * psi).truncate(work))
 
-    members: list[tuple[str, QSeries]] = []
-    main_pool = weight_pool(N, k, work, exclude)
-    if not main_pool:
+    pool = weight_pool(N, k, work, exclude)
+    if not pool:
         raise SynthesisError(
             f"empty generator pool for level {N} weight {k}")
-    for label, h in main_pool:
-        for j in range(J + 1):
-            members.append((f"{label}*psi^{j}" if j else label,
-                            (h * psi_pows[j]).truncate(prec)))
-    lower_pool = weight_pool(N, k - 2, work, exclude)
-    for label, h in lower_pool:
-        for j in range(J + 1):
-            base = (h * psi_pows[j]).truncate(prec)
-            lab = f"{label}*psi^{j}" if j else label
-            members.append((f"theta({lab})",
-                            serre_derivative(base, k - 2, prec)))
-    dpsi = psi.derive()
-    for label, h in lower_pool:
-        for j in range(J):
-            lab = f"{label}*psi^{j}" if j else label
-            members.append((f"Dpsi*{lab}",
-                            (dpsi * h * psi_pows[j]).truncate(prec)))
+    members = [(f"{label}*psi^{j}" if j else label,
+                (h * psi_pows[j]).truncate(prec))
+               for label, h in pool for j in range(J + 1)]
     return SpanningFamily(N, k, J, tuple(members))
 
 
@@ -178,16 +160,16 @@ def row_reduce(members, e_min: int, e_cap: int):
             for j, (label, row, tags) in sorted(pivots.items())]
 
 
-def reduce_family(N: int, k: int,
-                  prec: int = DEFAULT_PREC) -> tuple[SpanningFamily, list]:
-    """The family synthesis reduces, exact below q^prec (pole bound
-    POLE_BOUND, the target's own closed form left out), and its row_reduce
-    pivots on the exponents -POLE_BOUND .. v.  Each member is F*P(psi), F
-    the seed and P a polynomial of degree at most POLE_BOUND + v, so the
-    space has one element of each valuation there and no nonzero one past
-    q^v: no coefficient past q^v is needed, the elimination stops once
-    every valuation has a pivot, and the top one is the seed,
-    q^v + O(q^(v+1)), which needs prec > v.  Pivots short of q^v raise."""
+def reduce_family(N: int, k: int, prec: int = DEFAULT_PREC,
+                  J: int = POLE_BOUND) -> tuple[SpanningFamily, list]:
+    """The family of pole bound J that synthesis reduces, exact below
+    q^prec (the target's own closed form left out), and its row_reduce
+    pivots on the exponents -J .. v.  Each member is F*P(psi), F the seed
+    and P a polynomial of degree at most J + v, so the space has one
+    element of each valuation there and no nonzero one past q^v: no
+    coefficient past q^v is needed, the elimination stops once every
+    valuation has a pivot, and the top one is the seed, q^v + O(q^(v+1)),
+    which needs prec > v.  Pivots short of q^v raise."""
     v = v_of(N, k)
     if v < 0:
         raise ValueError("synthesis applies to weights with v >= 0")
@@ -195,14 +177,14 @@ def reduce_family(N: int, k: int,
         raise PrecisionError(
             f"seed of level {N} weight {k} starts at q^{v}, so prec {prec} "
             f"determines none of its terms: need prec >= {v + 1}")
-    fam = build_family(N, k, POLE_BOUND, prec, exclude=((N, k),))
-    pivots = row_reduce(fam.members, -POLE_BOUND, v + 1)
+    fam = build_family(N, k, J, prec, exclude=((N, k),))
+    pivots = row_reduce(fam.members, -J, v + 1)
     top_e = pivots[-1][0] if pivots else None
     if top_e != v:
         raise SynthesisError(
             f"row reduction reached vanishing order {top_e}, not the "
             f"registry maximum {v}, for level {N} weight {k} "
-            f"(pole bound {POLE_BOUND})")
+            f"(pole bound {J})")
     return fam, pivots
 
 
@@ -237,10 +219,9 @@ def derive_certificate(N: int, k: int) -> tuple:
     terms = []
     for i, c in pivots[-1][2]:
         label = fam.members[i][0]
-        body, sep, power = label.partition("*psi^")
+        body, _, power = label.partition("*psi^")
         parts = body.split("*")
-        if (sep and not power.isdigit()) or not all(p in factor_of
-                                                    for p in parts):
+        if not all(p in factor_of for p in parts):
             raise SynthesisError(
                 f"the seed of level {N} weight {k} needs the member {label}, "
                 f"which is not a product of phi_n(ez), E4(dz) and E6(dz) "
@@ -269,10 +250,7 @@ def audit_of(reduced) -> dict:
 
 def family_audit(N: int, k: int, J: int = POLE_BOUND,
                  prec: int = DEFAULT_PREC) -> dict:
-    """JSON-ready audit of the family of pole bound J at precision prec
-    (the target's own closed form left out): labels, valuations, rank.
-    No nonzero member vanishes past q^v, so, as in reduce_family, the
-    elimination reads the exponents -J .. v, below prec."""
-    fam = build_family(N, k, J, prec, exclude=((N, k),))
-    return audit_of((fam, row_reduce(fam.members, -J,
-                                     min(v_of(N, k) + 1, prec))))
+    """JSON-ready audit of reduce_family's family of pole bound J at
+    precision prec: labels, valuations, rank.  A prec <= v, or a family
+    short of q^v, raises as reduce_family does."""
+    return audit_of(reduce_family(N, k, prec, J))

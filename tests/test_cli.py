@@ -653,25 +653,25 @@ def test_seed_audit_reduces_the_family_once(capsys, monkeypatch):
     code, out = invoke(capsys, "seed", "--level", "10", "--weight", "4",
                        "--json")
     assert code == 0 and len(calls) == 1
-    # the digest of this command's output since the level-2 weight-4 form,
-    # an eta quotient, became a synthesis atom of level 10 (seed2w4 and
-    # seed2w4(5z)); the seed and the rank did not change
+    # the digest of this command's output since the family became the
+    # weight-4 pool times Hauptmodul powers alone, its first 253 of 358
+    # members; the seed and the rank did not change
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fa0690fec9f5724f2b20654afe78a184a89934669889f39ee8c0ea2a8d4590e4")
+        "881474f39b83d3356a26d3d61066f7b65d1e729f1c915350b0b9feb7ff81d3f4")
 
 
 # sha256 of `seed --level N --weight k --json` stdout; the family's labels,
 # order and valuations are in it, so a change to any atom's label, order or
 # series changes it.  (10, 4) is pinned above.
 PINNED_SEED_JSON = {
-    (7, 4): "188fcd380989d71d810b8d409bcd407dcf0c6d8b322f470d4e59068d5db7a965",
-    (10, 2): "e7462f299f4322ede89928c3e0f17d71409c94f18b68a3936837f0170bb295f3",
-    (13, 4): "943c62b1efb88ac1c0cada3522e96a7250eece04b1f31466124284588504771d",
-    (13, 6): "f466473da8eaec5d92792e757f08c83c2654ac70c65606a8547f4cde870fb15b",
-    (25, 2): "0add55a3c1461d6ae887fe5545a2931129576a98f7ae6594191fcf69854cab4c",
-    (5, 4): "81f996898bd735269244540d52720ba401198204d565bba530bd4c86210fbc22",
-    (3, 6): "4b6834ff7e69f14e0a66df6c1650c2928a7c91b0202d9866a3893a63f75957f3",
-    (13, 12): "c5f96b298b5a40180e1ef5460301939fb6cd6ec2553273ca2ddb2cb8556c2d05",
+    (7, 4): "427094e20098294f40f658e4ae30971b5a3800c47bb8d18d7b7e382fa4a85b4b",
+    (10, 2): "ea587f6491f86125c07f6180aeeae1ed5108083d31d54ba971919c9165bc6726",
+    (13, 4): "9737b14a950b96fe2061d71bedb536b93441501faff2f3011bbf3dad0b6539b8",
+    (13, 6): "26b60721db5814a803ca727b732520bdbf8dbe52b0dc14a34d9ad8e0b1b9ebbf",
+    (25, 2): "a51c7b103a5b7d6e0208a742c740b003ceab27a659db9dcab6e774d02a8ae34b",
+    (5, 4): "71fbade8353f6b33aed8e6deb57fdaa987a807f1c3c0c958359951567f081790",
+    (3, 6): "334d6e74fc13ca89047e6c4c8e7b9764754821cda7ac3441c90f88c94d2b6829",
+    (13, 12): "1d4708e799c1e9e094b4c63526735e5d2288576c971482744a1c0e10b18283f2",
 }
 
 
@@ -684,11 +684,11 @@ def test_seed_audit_output_is_pinned(N, k, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEED_JSON[N, k]
 
 
-# the same at --prec 20, where the family of each has about 16 000
+# the same at --prec 20, where the family of each has about 12 500
 # members and its elimination stops after reading under 2 000 of them
 PINNED_SEED_JSON_PREC_20 = {
-    (12, 6): "de21b8ad6219f45bc9321ff0cc0e7e9e09103f32afbe2d749015b2a447e914ea",
-    (18, 6): "af69f798771bc23bc63d26d399fa93006f4ac94f65cad963fbabbba3dba3a1a8",
+    (12, 6): "b32c50f0b58f5ec688b5151c91b6a779e58865105ec4f33de677f3767b39500a",
+    (18, 6): "ef606b8f02545ef186f3e96094b20f19cdfd05b9e7bf0a36858279c86771b874",
 }
 
 

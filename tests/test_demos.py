@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "03_duality_classification.py":
         "d3f66801e47f8aca61f29d5de614a82335f85a7b41eae55ba3ff202f9b84afc9",
     "04_seed_synthesis.py":
-        "4879ef89f393f355f39f8bb0b8ca87d031b1018e8bffb76f671607bc89efb1f2",
+        "23e19a6440a57d9f00b68db21ba46156966a67c31962dd8f0818257bb599bd35",
 }
 
 

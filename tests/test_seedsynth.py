@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gridforge import seedsynth
-from gridforge.basis import level_form
+from gridforge.basis import hauptmodul_series, level_form
 from gridforge.leveldata import ALL_LEVELS, certificates, get_level, v_of
 from gridforge.qseries import PrecisionError, QSeries
 from gridforge.seedsynth import (
@@ -93,6 +93,20 @@ def test_family_members_are_known_exactly_to_prec(N, k, J):
     # pool leaves a member short
     fam = build_family(N, k, J, 20)
     assert {s.prec for _, s in fam.members} == {20}
+
+
+@pytest.mark.parametrize("N, k, J", [(7, 4, 2), (10, 4, 1), (13, 6, 0)])
+def test_family_is_the_pool_times_psi_powers(N, k, J):
+    # each pool member h, in pool order, then h*psi^j for j = 1 .. J, and
+    # nothing else: (7, 4) has a certified seed, level 10 has the eta atoms
+    # seed2w4 and seed2w4(5z), and J = 0 leaves the pool alone
+    prec, exclude = 15, ((N, k),)
+    psi = hauptmodul_series(N, prec + J)
+    expected = [(f"{label}*psi^{j}" if j else label,
+                 (h * psi ** j).truncate(prec))
+                for label, h in weight_pool(N, k, prec + J, exclude)
+                for j in range(J + 1)]
+    assert list(build_family(N, k, J, prec, exclude).members) == expected
 
 
 def test_family_members_respect_pole_bound():
@@ -269,17 +283,39 @@ def test_family_audit_shape():
     assert all("label" in m and "valuation" in m for m in audit["members"])
 
 
+# v = 8 and 4, at or past prec: the audit refuses them as reduce_family does
+AUDIT_REFUSED = {
+    (13, 8, 2, 5): "seed of level 13 weight 8 starts at q^8, so prec 5 "
+                   "determines none of its terms: need prec >= 9",
+    (7, 8, 3, 4): "seed of level 7 weight 8 starts at q^4, so prec 4 "
+                  "determines none of its terms: need prec >= 5",
+}
+
+
 @pytest.mark.parametrize("N, k, J, prec", [
     *((N, k, 10, 20) for N in (2, 3, 4, 5, 6, 7, 8, 9, 13) for k in (2, 4)),
-    (10, 2, 3, 20), (7, 4, 2, 20),
-    # v = 8 and 4, at or past prec
-    (13, 8, 2, 5), (7, 8, 3, 4)])
+    (10, 2, 3, 20), (7, 4, 2, 20), *AUDIT_REFUSED])
 def test_family_audit_stops_at_the_top_valuation(N, k, J, prec):
     # no nonzero member vanishes past q^v, so eliminating through q^v
     # finds the pivots that eliminating through the whole precision does
+    if (N, k, J, prec) in AUDIT_REFUSED:
+        with pytest.raises(PrecisionError) as refusal:
+            family_audit(N, k, J, prec)
+        assert str(refusal.value) == AUDIT_REFUSED[N, k, J, prec]
+        return
     fam = build_family(N, k, J, prec, exclude=((N, k),))
     assert family_audit(N, k, J, prec) == seedsynth.audit_of(
         (fam, row_reduce(fam.members, -J, prec)))
+
+
+def test_family_audit_refuses_a_family_short_of_the_valence_bound():
+    # without Hauptmodul powers the weight-4 pool of level 13 reaches q^2,
+    # not v = 4, and the refusal names the pole bound
+    with pytest.raises(SynthesisError,
+                       match=r"^row reduction reached vanishing order 2, "
+                             r"not the registry maximum 4, for level 13 "
+                             r"weight 4 \(pole bound 0\)$"):
+        family_audit(13, 4, J=0, prec=20)
 
 
 def test_family_audit_matches_synthesis_family():
